@@ -64,15 +64,12 @@ class BoConfig:
     online_steps_per_refresh: int = 2
     candidate_pool_size: int = 512
     seed: int = 0
-    jitter: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.offline_budget <= 0 or self.candidate_pool_size <= 0:
             raise ValueError("offline_budget and candidate_pool_size must be positive")
         if self.online_steps_per_refresh < 0:
             raise ValueError("online_steps_per_refresh must be >= 0")
-        if self.jitter <= 0:
-            raise ValueError("jitter must be positive")
 
 
 class ObservationSet:
@@ -124,11 +121,11 @@ class GpSurrogate:
     """Exact GP posterior over the 2-D threshold space, on standardized targets."""
 
     hypers: GpHyperparameters
-    x_train: np.ndarray
+    x_train: np.ndarray       # distinct pairs, in order of first appearance
     y_mean: float
     y_std: float
-    chol: np.ndarray          # lower Cholesky factor of K + noise I
-    alpha: np.ndarray         # (K + noise I)^-1 z
+    chol: np.ndarray          # lower Cholesky factor of K + diag(noise / counts)
+    alpha: np.ndarray         # (K + diag(noise / counts))^-1 z_bar
     jitter_used: float = 0.0
 
     def predict(self, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +147,13 @@ def _kernel(hypers: GpHyperparameters, a: np.ndarray, b: np.ndarray) -> np.ndarr
 
 def gp_fit(obs: ObservationSet, hypers: GpHyperparameters = DEFAULT_OFFLINE_HYPERS,
            max_jitter: float = 1e-4) -> GpSurrogate:
-    """Fit the surrogate on all observations; escalates diagonal jitter on failure."""
+    """Fit the surrogate on all observations; escalates diagonal jitter on failure.
+
+    Replicated pairs collapse to their mean standardized target with noise
+    scaled by 1/count. The per-pair mean is a sufficient statistic, so the
+    posterior equals the fit on every replicate (Binois, Gramacy & Ludkovski
+    2018) while the factorized matrix shrinks to the distinct pairs.
+    """
     if len(obs) < 1:
         raise ValueError("gp_fit needs at least one observation")
     x, y = obs.arrays()
@@ -159,12 +162,17 @@ def gp_fit(obs: ObservationSet, hypers: GpHyperparameters = DEFAULT_OFFLINE_HYPE
     if y_std < 1e-12:
         y_std = 1.0
     z = (y - y_mean) / y_std
-    k = _kernel(hypers, x, x)
+    slot: dict[tuple[float, float], int] = {}
+    inverse = np.array([slot.setdefault(key, len(slot)) for key in map(tuple, x.tolist())])
+    x_distinct = np.array(list(slot))
+    counts = np.bincount(inverse)
+    z_bar = np.bincount(inverse, weights=z) / counts
+    k = _kernel(hypers, x_distinct, x_distinct)
     jitter = 0.0
-    base = k + hypers.noise_variance * np.eye(len(z))
     while True:
+        noise = (hypers.noise_variance + jitter) / counts
         try:
-            chol = cholesky(base + jitter * np.eye(len(z)), lower=True)
+            chol = cholesky(k + np.diag(noise), lower=True)
             break
         except np.linalg.LinAlgError:
             jitter = 1e-10 if jitter == 0.0 else jitter * 10.0
@@ -172,8 +180,8 @@ def gp_fit(obs: ObservationSet, hypers: GpHyperparameters = DEFAULT_OFFLINE_HYPE
                 raise GpFitError(
                     f"kernel factorization failed even with jitter {max_jitter}"
                 ) from None
-    alpha = cho_solve((chol, True), z)
-    return GpSurrogate(hypers=hypers, x_train=x, y_mean=y_mean, y_std=y_std,
+    alpha = cho_solve((chol, True), z_bar)
+    return GpSurrogate(hypers=hypers, x_train=x_distinct, y_mean=y_mean, y_std=y_std,
                        chol=chol, alpha=alpha, jitter_used=jitter)
 
 

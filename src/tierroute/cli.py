@@ -267,6 +267,13 @@ def cost_model(config: dict) -> CostModel:
         raise ConfigError(f"bad cost config: {exc}") from exc
 
 
+def update_interval(config: dict) -> int:
+    raw = config["stream"]["update_interval"]
+    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
+        raise ConfigError(f"stream.update_interval must be an integer >= 1; got {raw!r}")
+    return raw
+
+
 def network_scenario(config: dict):
     body = config["network"]
     name = body["scenario"]
@@ -374,7 +381,7 @@ def _tune_once(config: dict, outdir: Path, weights: UtilityWeights) -> None:
         k_max=int(cluster_body["k_max"]),
         kmeans_restarts=int(cluster_body["restarts"]),
         seed_points=int(config["bo"]["seed_points"]),
-        update_interval=int(config["stream"]["update_interval"]),
+        update_interval=update_interval(config),
         fixed_k=cluster_body.get("fixed_k"),
         parallel_clusters=bool(config.get("parallel", {}).get("clusters", False)),
     )
@@ -423,9 +430,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
     outdir = output_dir(config)
     if not args.bundle:
         raise ConfigError("stream needs --bundle from a previous tune run")
+    interval = update_interval(config)
     state = load_bundle(args.bundle)
     if getattr(args, "update_interval", None) is not None:
-        state.update_interval = int(args.update_interval)
+        state.update_interval = interval
     seed = int(config["run"]["seed"])
     stream_trace = resolve_trace(config, seed)
     scenario = network_scenario(config)
@@ -468,7 +476,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
                                 weights=utility_weights(config),
                                 cost_model=cost_model(config),
                                 pair=pair, predictor=predictor,
-                                window_size=int(config["stream"]["update_interval"]))
+                                window_size=update_interval(config))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     write_report_files(report, outdir, prefix=f"baseline_{policy}")
@@ -491,7 +499,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     anchors = {
         name: baseline_route(name, trace, scenario, weights=UtilityWeights(),
                              cost_model=costs,
-                             window_size=int(config["stream"]["update_interval"]))
+                             window_size=update_interval(config))
         for name in ("device_only", "edge_only", "cloud_only")
     }
     dlm, clm = anchors["device_only"].totals, anchors["cloud_only"].totals
@@ -538,7 +546,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             k_max=int(cluster_body["k_max"]),
             kmeans_restarts=int(cluster_body["restarts"]),
             seed_points=int(config["bo"]["seed_points"]),
-            update_interval=int(config["stream"]["update_interval"]),
+            update_interval=update_interval(config),
             fixed_k=cluster_body.get("fixed_k"),
         )
         report = run_stream(state, trace, scenario, online=False)

@@ -14,6 +14,8 @@ import json
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +116,9 @@ class RouterState:
     train_report: TrainReport | None = None
 
     def validate(self) -> None:
+        if self.update_interval < 1:
+            raise CorruptStateError(
+                f"update_interval must be >= 1; got {self.update_interval}")
         for k in range(self.clusters.k):
             if k not in self.thresholds:
                 raise CorruptStateError(f"no threshold for cluster {k}")
@@ -358,12 +363,9 @@ def _build_report(policy: str, window_size: int, rows: list[DecisionRow],
                   threshold_history: dict[int, list[tuple[int, float, float]]]) -> StreamReport:
     if not rows:
         raise ValueError("cannot build a report from an empty stream")
-    windows: list[WindowStats] = []
-    n_windows = rows[-1].window + 1
-    for w in range(n_windows):
-        chunk = [r for r in rows if r.window == w]
-        if chunk:
-            windows.append(_window_stats(w, chunk))
+    # Rows arrive in window order, so each window is one consecutive run.
+    windows = [_window_stats(w, list(chunk))
+               for w, chunk in groupby(rows, key=attrgetter("window"))]
     totals = _window_stats(-1, rows)
     return StreamReport(policy=policy, window_size=window_size, windows=windows,
                         totals=totals, threshold_history=threshold_history,
@@ -650,7 +652,6 @@ def save_bundle(state: RouterState, outdir: str | Path) -> Path:
             "online_steps_per_refresh": state.bo_config.online_steps_per_refresh,
             "candidate_pool_size": state.bo_config.candidate_pool_size,
             "seed": state.bo_config.seed,
-            "jitter": state.bo_config.jitter,
         },
         "cost_model": {t.label: p for t, p in state.cost_model.activated_params.items()},
         "cloud_baselines": {
@@ -727,7 +728,6 @@ def load_bundle(bundle_dir: str | Path) -> RouterState:
         online_steps_per_refresh=int(state_obj["bo_config"]["online_steps_per_refresh"]),
         candidate_pool_size=int(state_obj["bo_config"]["candidate_pool_size"]),
         seed=int(state_obj["bo_config"]["seed"]),
-        jitter=float(state_obj["bo_config"]["jitter"]),
     )
     cost_model = CostModel(activated_params={
         TierId.from_label(label): float(p)

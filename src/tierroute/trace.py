@@ -91,10 +91,20 @@ class TierResponseInfo:
             generated_tokens=int(obj["generated_tokens"]),
             compute_seconds=float(obj["compute_seconds"]),
             prompt_tokens=int(obj.get("prompt_tokens", 0)),
-            correct=obj.get("correct"),
+            correct=_json_bool(obj, "correct", default=None, nullable=True),
             request_bytes=obj.get("request_bytes"),
             response_bytes=obj.get("response_bytes"),
         )
+
+
+def _json_bool(obj: dict, key: str, default: bool | None,
+               nullable: bool = False) -> bool | None:
+    """A JSON true/false field; an absent key gives ``default``, null only if nullable."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or (nullable and value is None):
+        return value
+    allowed = "true, false or null" if nullable else "true or false"
+    raise TraceValidationError(f"{key} must be {allowed}; got {value!r}")
 
 
 _SCORE_FIELDS = ("sim_cloud", "sim_edge", "judge_cloud", "judge_edge")
@@ -151,19 +161,26 @@ class QueryRecord:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> QueryRecord:
-        tier_info = {
-            TierId.from_label(label): TierResponseInfo.from_json_obj(sub)
-            for label, sub in obj["tier_info"].items()
-        }
+        rid = str(obj["id"])
+        tier_info = {}
+        for label, sub in obj["tier_info"].items():
+            try:
+                tier_info[TierId.from_label(label)] = TierResponseInfo.from_json_obj(sub)
+            except TraceValidationError as exc:
+                raise TraceValidationError(f"record {rid!r}: tier {label}: {exc}") from exc
+        try:
+            has_reference = _json_bool(obj, "has_reference", default=False)
+        except TraceValidationError as exc:
+            raise TraceValidationError(f"record {rid!r}: {exc}") from exc
         return cls(
-            id=str(obj["id"]),
+            id=rid,
             embedding=np.asarray(obj["embedding"], dtype=np.float64),
             tier_info=tier_info,
             sim_cloud=obj.get("sim_cloud"),
             sim_edge=obj.get("sim_edge"),
             judge_cloud=obj.get("judge_cloud"),
             judge_edge=obj.get("judge_edge"),
-            has_reference=bool(obj.get("has_reference", False)),
+            has_reference=has_reference,
         )
 
 

@@ -135,9 +135,12 @@ class TestGpFit:
         assert mu[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_factorization_failure_raises(self):
+        # Replicates of one pair collapse to a valid 1x1 fit, so singularity
+        # needs near-coincident distinct pairs.
         obs = ObservationSet()
-        for _ in range(3):
-            obs.append(ThresholdPair(0.7, 0.2), 0.5)
+        for pair in (ThresholdPair(0.7, 0.2), ThresholdPair(0.7 + 1e-12, 0.2),
+                     ThresholdPair(0.7, 0.2 + 1e-12)):
+            obs.append(pair, 0.5)
         with pytest.raises(GpFitError):
             gp_fit(obs, GpHyperparameters(noise_variance=1e-18), max_jitter=1e-12)
 
@@ -152,6 +155,55 @@ class TestGpFit:
         gp = gp_fit(obs, GpHyperparameters(noise_variance=1e-2))
         mu, sigma = gp.predict(np.array([[0.8, 0.3], [0.1, 0.05]]))
         assert np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))
+
+
+def expanded_posterior(obs, hypers, candidates):
+    """Reference fit on every raw observation, replicates kept as separate rows."""
+    x, y = obs.arrays()
+    y_std = y.std() if y.std() >= 1e-12 else 1.0
+    z = (y - y.mean()) / y_std
+
+    def kernel(a, b):
+        d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        return hypers.signal_variance * np.exp(-d2 / (2.0 * hypers.length_scale ** 2))
+
+    chol = np.linalg.cholesky(kernel(x, x) + hypers.noise_variance * np.eye(len(z)))
+    k_star = kernel(candidates, x)
+    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, z))
+    v = np.linalg.solve(chol, k_star.T)
+    var = np.maximum(hypers.signal_variance - np.sum(v * v, axis=0), 0.0)
+    return y.mean() + y_std * (k_star @ alpha), y_std * np.sqrt(var)
+
+
+class TestReplicateCollapse:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_posterior_matches_replicate_expanded_fit(self, seed):
+        rng = np.random.default_rng(seed)
+        distinct = sample_triangle(rng, int(rng.integers(1, 12)))
+        # Half the sets overflow their capacity, so FIFO eviction has run.
+        capacity = int(rng.choice([64, 512]))
+        obs = ObservationSet(capacity=capacity)
+        for _ in range(int(rng.integers(20, 200))):
+            row = distinct[int(rng.integers(len(distinct)))]
+            obs.append(ThresholdPair(float(row[0]), float(row[1])),
+                       float(0.5 + 0.1 * rng.standard_normal()))
+        hypers = GpHyperparameters(noise_variance=float(rng.choice([1e-2, 1e-4])))
+        candidates = np.vstack([sample_triangle(rng, 64), distinct])
+        gp = gp_fit(obs, hypers)
+        mu, sigma = gp.predict(candidates)
+        ref_mu, ref_sigma = expanded_posterior(obs, hypers, candidates)
+        np.testing.assert_allclose(mu, ref_mu, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(sigma, ref_sigma, rtol=0.0, atol=1e-9)
+
+    def test_trains_on_distinct_pairs_in_first_seen_order(self):
+        obs = ObservationSet()
+        for pair, u in ((ThresholdPair(0.8, 0.3), 1.0), (ThresholdPair(0.6, 0.2), 0.0),
+                        (ThresholdPair(0.8, 0.3), 0.5), (ThresholdPair(0.6, 0.2), 0.2)):
+            obs.append(pair, u)
+        gp = gp_fit(obs)
+        np.testing.assert_array_equal(gp.x_train, [[0.8, 0.3], [0.6, 0.2]])
+        assert len(obs) == 4
+        assert obs.best() == (ThresholdPair(0.8, 0.3), 1.0)
 
 
 class TestExpectedImprovement:

@@ -134,6 +134,18 @@ class TestStream:
         lat = [w["mean_latency_s"] for w in report["windows"]]
         assert len(lat) == 4
 
+    @pytest.mark.parametrize("flag", [["--update-interval", "0"],
+                                      ["--set", "stream.update_interval=0"],
+                                      ["--set", "stream.update_interval=-3"]])
+    def test_update_interval_below_one_exit_2(self, workdir, capsys, flag):
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+        capsys.readouterr()
+        code = run("stream", "--config", cfg, "--bundle", tmp / "b",
+                   "--out", tmp / "s", *flag)
+        assert code == 2
+        assert f"got {flag[1].rpartition('=')[2]}" in capsys.readouterr().err
+
 
 class TestBaseline:
     def test_clm_only_smoke(self, workdir):

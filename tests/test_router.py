@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -201,6 +204,13 @@ class TestRunStream:
         for w in report.windows + [report.totals]:
             assert sum(w.tier_fractions.values()) == pytest.approx(1.0, abs=1e-9)
 
+    def test_update_interval_below_one_is_corrupt_state(self, small_state):
+        trace, _, state = small_state
+        clone = state.clone()
+        clone.update_interval = 0
+        with pytest.raises(CorruptStateError, match="update_interval"):
+            run_stream(clone, trace, GOOD, online=True)
+
     def test_online_appends_observations(self, small_state):
         trace, _, state = small_state
         clone = state.clone()
@@ -329,3 +339,20 @@ class TestBundle:
         (path / "centroids.bin").unlink()
         with pytest.raises(BundleIntegrityError, match="missing"):
             load_bundle(path)
+
+    def test_old_bundle_with_bo_jitter_still_loads(self, small_state, tmp_path):
+        # Bundles written before BoConfig.jitter was removed carry the key.
+        _, _, state = small_state
+        path = save_bundle(state, tmp_path / "bundle")
+        state_path = path / "state.json"
+        state_obj = json.loads(state_path.read_text())
+        assert "jitter" not in state_obj["bo_config"]
+        state_obj["bo_config"]["jitter"] = 1e-10
+        state_path.write_text(json.dumps(state_obj, sort_keys=True, indent=2) + "\n")
+        manifest_path = path / "bundle_manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["files"]["state.json"] = hashlib.sha256(state_path.read_bytes()).hexdigest()
+        manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        loaded = load_bundle(path)
+        assert state_checksum(loaded) == state_checksum(state)
+        assert loaded.bo_config == state.bo_config

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from tierroute.cli import main
 from tierroute.errors import TraceFormatError, TraceValidationError
 from tierroute.trace import (
     QueryRecord,
@@ -15,6 +18,7 @@ from tierroute.trace import (
     save_trace,
 )
 from tierroute.cluster import assign_batch, kmeans_fit
+from tierroute.labels import build_labels
 
 
 def make_record(rid, embedding, correct=(True, True, True), has_reference=True,
@@ -104,6 +108,57 @@ class TestTraceIO:
         merged = concat_traces(a, b)
         assert len(merged) == 6
         assert len({r.id for r in merged.records}) == 6
+
+
+def wrong_device_trace(tmp_path, edit=None):
+    """Two records; on q0 the device is wrong and the cloud right. ``edit``
+    rewrites q0's JSON object before the file is written."""
+    trace = Trace(records=[make_record("q0", [0.0, 1.0, 2.0, 3.0], correct=(False, True, True)),
+                           make_record("q1", [1.0, 1.0, 2.0, 3.0])],
+                  embedding_dim=4)
+    path = tmp_path / "trace.jsonl"
+    save_trace(trace, path)
+    if edit is not None:
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[1])
+        edit(obj)
+        lines[1] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestStrictBooleans:
+    def test_real_false_gives_zero_augmentation(self, tmp_path):
+        trace = load_trace(wrong_device_trace(tmp_path))
+        assert trace.records[0].tier_info[TierId.DEVICE].correct is False
+        assert build_labels(trace).aug_cloud[0] == 0.0
+
+    @pytest.mark.parametrize("field,value", [
+        ("correct", "false"), ("correct", 0), ("has_reference", "false"),
+        ("has_reference", 1), ("has_reference", None),
+    ])
+    def test_non_boolean_rejected_with_record_id(self, tmp_path, capsys, field, value):
+        def edit(obj):
+            if field == "correct":
+                obj["tier_info"]["device"]["correct"] = value
+            else:
+                obj["has_reference"] = value
+
+        path = wrong_device_trace(tmp_path, edit)
+        with pytest.raises(TraceValidationError, match=f"record 'q0'.*{field}"):
+            load_trace(path)
+        assert main(["train", "--trace", str(path), "--out", str(tmp_path / "t")]) == 2
+        assert "q0" in capsys.readouterr().err
+
+    def test_null_or_absent_correct_accepted(self, tmp_path):
+        def edit(obj):
+            obj["has_reference"] = False
+            obj["tier_info"]["device"]["correct"] = None
+            del obj["tier_info"]["edge"]["correct"]
+
+        trace = load_trace(wrong_device_trace(tmp_path, edit))
+        assert trace.records[0].tier_info[TierId.DEVICE].correct is None
+        assert trace.records[0].tier_info[TierId.EDGE].correct is None
 
 
 class TestSyntheticGeneration:
