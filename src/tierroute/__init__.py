@@ -10,13 +10,11 @@ deterministic simulator with explicit network and cost models.
 from .accounting import (
     CloudBaselines,
     CostModel,
-    UtilityRecord,
     UtilityWeights,
     cloud_reference_means,
-    cluster_utility,
-    inference_cost,
-    per_query_utility,
-    query_latency,
+    tier_cost,
+    tier_latency,
+    utility_matrix,
 )
 from .bayesopt import (
     BoConfig,
@@ -60,13 +58,12 @@ from .network import (
     scenario_link,
 )
 from .router import (
+    Decisions,
     RouterState,
-    RoutingDecision,
     StreamReport,
     baseline_route,
     load_bundle,
-    route_query,
-    routing_tier,
+    route_tiers,
     run_offline_phase,
     run_stream,
     save_bundle,
@@ -74,10 +71,8 @@ from .router import (
 )
 from .trace import (
     GroundTruth,
-    QueryRecord,
     SyntheticConfig,
     TierId,
-    TierResponseInfo,
     Trace,
     concat_traces,
     generate_synthetic_trace,

@@ -1,9 +1,10 @@
-"""Per-query cost, latency, and scalar utility accounting.
+"""Per-query, per-tier cost, latency, and utility accounting on trace columns.
 
 Cost is activated model parameters (billions) times generated tokens. Utility
 is lambda1 * correctness - lambda2 * latency - lambda3 * cost, with latency and
 cost normalized by cloud-only trace means by default so the weights stay
-dimensionless across traces.
+dimensionless across traces. Per-tier results are (n, 3) matrices in TierId
+order.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import NetworkScenario, round_trip_latency, scenario_link
-from .trace import TierId, TierResponseInfo, Trace
+from .trace import TIERS, TierId, Trace
 
 # Qwen3 tier sizes in billions of parameters (1.7B device, 14B edge, 32B cloud).
 DEFAULT_ACTIVATED_PARAMS: dict[TierId, float] = {
@@ -66,81 +67,46 @@ class CloudBaselines:
             raise ValueError("cloud baselines must be positive")
 
 
-@dataclass(frozen=True)
-class UtilityRecord:
-    query_id: str
-    tier: TierId
-    correct: bool
-    latency_s: float
-    cost_param_tokens: float
-    utility: float
-
-    def __post_init__(self) -> None:
-        if self.latency_s < 0 or self.cost_param_tokens < 0:
-            raise ValueError("latency and cost must be >= 0")
-
-
-def inference_cost(model: CostModel, tier: TierId, generated_tokens: int) -> float:
-    """Billion-parameter-tokens consumed by one response."""
-    if generated_tokens < 0:
+def tier_cost(trace: Trace, model: CostModel) -> np.ndarray:
+    """Billion-parameter-tokens each tier's response consumes."""
+    if np.any(trace.generated_tokens < 0):
         raise ValueError("generated_tokens must be >= 0")
-    return model.activated_params[tier] * generated_tokens
+    return trace.generated_tokens * np.array([model.activated_params[t] for t in TIERS])
 
 
-def query_latency(tier: TierId, info: TierResponseInfo, scenario: NetworkScenario,
-                  window_index: int = 0) -> float:
-    """Compute time plus, for offloaded tiers, the window-appropriate round trip."""
-    if tier == TierId.DEVICE:
-        return info.compute_seconds
-    link = scenario_link(scenario, tier, window_index)
-    return info.compute_seconds + round_trip_latency(link, info.request_bytes,
-                                                     info.response_bytes)
+def tier_latency(trace: Trace, scenario: NetworkScenario, windows) -> np.ndarray:
+    """Compute time plus, for offloaded tiers, the round trip over the link in
+    force at each query's stream window (an index or one per query)."""
+    latency = trace.compute_s.copy()
+    switch = scenario.switch_at
+    for tier in (TierId.EDGE, TierId.CLOUD):
+        req, resp = trace.request_bytes[:, tier], trace.response_bytes[:, tier]
+        if switch is None:
+            latency[:, tier] += round_trip_latency(scenario_link(scenario, tier, 0), req, resp)
+        else:  # windows before the switch use the first link, the rest the second
+            before = round_trip_latency(scenario_link(scenario, tier, switch - 1), req, resp)
+            after = round_trip_latency(scenario_link(scenario, tier, switch), req, resp)
+            latency[:, tier] += np.where(np.asarray(windows) >= switch, after, before)
+    return latency
 
 
-def per_query_utility(correct: bool, latency_s: float, cost: float,
-                      weights: UtilityWeights,
-                      cloud_baselines: CloudBaselines | None = None) -> float:
+def utility_matrix(correct, latency, cost, weights: UtilityWeights,
+                   cloud_baselines: CloudBaselines | None = None):
     """lambda1 * I[correct] - lambda2 * latency - lambda3 * cost (normalized by default)."""
     if weights.normalize_by_cloud:
         if cloud_baselines is None:
             raise ValueError("normalize_by_cloud requires cloud baselines")
-        latency_term = latency_s / cloud_baselines.mean_latency_s
-        cost_term = cost / cloud_baselines.mean_cost
-    else:
-        latency_term = latency_s
-        cost_term = cost
-    return (weights.lambda1 * (1.0 if correct else 0.0)
-            - weights.lambda2 * latency_term
-            - weights.lambda3 * cost_term)
-
-
-def cluster_utility(records: list[UtilityRecord], weights: UtilityWeights,
-                    cloud_baselines: CloudBaselines | None = None) -> float:
-    """Mean per-query utility over the records (exact linearity identity).
-
-    Recomputed from each record's components so the result is, by construction,
-    the arithmetic mean of ``per_query_utility`` outputs.
-    """
-    if not records:
-        raise ValueError("cluster_utility needs at least one record")
-    utilities = [
-        per_query_utility(r.correct, r.latency_s, r.cost_param_tokens,
-                          weights, cloud_baselines)
-        for r in records
-    ]
-    return float(np.mean(utilities))
+        latency = latency / cloud_baselines.mean_latency_s
+        cost = cost / cloud_baselines.mean_cost
+    return weights.lambda1 * correct - weights.lambda2 * latency - weights.lambda3 * cost
 
 
 def cloud_reference_means(trace: Trace, scenario: NetworkScenario,
                           cost_model: CostModel, window_index: int = 0) -> CloudBaselines:
     """Mean cloud-tier latency and cost over the trace, used as normalization scales."""
-    if not trace.records:
+    if len(trace) == 0:
         raise ValueError("cannot compute cloud baselines on an empty trace")
-    lats = []
-    costs = []
-    for rec in trace.records:
-        info = rec.tier_info[TierId.CLOUD]
-        lats.append(query_latency(TierId.CLOUD, info, scenario, window_index))
-        costs.append(inference_cost(cost_model, TierId.CLOUD, info.generated_tokens))
-    return CloudBaselines(mean_latency_s=float(np.mean(lats)),
-                          mean_cost=float(np.mean(costs)))
+    latency = tier_latency(trace, scenario, window_index)[:, TierId.CLOUD]
+    cost = tier_cost(trace, cost_model)[:, TierId.CLOUD]
+    return CloudBaselines(mean_latency_s=float(np.mean(latency)),
+                          mean_cost=float(np.mean(cost)))

@@ -89,9 +89,14 @@ class ObservationSet:
         return list(self._points)
 
     def append(self, pair: ThresholdPair, utility: float) -> None:
-        if not math.isfinite(utility):
-            raise ValueError(f"utility must be finite; got {utility}")
-        self._points.append((pair, float(utility)))
+        self.extend(pair, [utility])
+
+    def extend(self, pair: ThresholdPair, utilities) -> None:
+        """Append one observation of ``pair`` per utility, in order."""
+        utilities = np.asarray(utilities, dtype=np.float64)[-self.capacity:]
+        if not np.all(np.isfinite(utilities)):
+            raise ValueError(f"utility must be finite; got {utilities}")
+        self._points.extend((pair, u) for u in utilities.tolist())
         if len(self._points) > self.capacity:
             del self._points[: len(self._points) - self.capacity]
 

@@ -119,8 +119,8 @@ def apply_overrides(config: dict, settings: list[str]) -> None:
         config[section][field] = value
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    config = copy.deepcopy(DEFAULT_CONFIG)
+def resolve_config(args: argparse.Namespace, defaults: dict = DEFAULT_CONFIG) -> dict:
+    config = copy.deepcopy(defaults)
     if getattr(args, "config", None):
         for name, body in load_config_file(args.config).items():
             if name not in config or config[name] is None:
@@ -184,9 +184,11 @@ def synthetic_config(config: dict, seed: int) -> SyntheticConfig:
     body["prompt_token_range"] = tuple(body["prompt_token_range"])
     body["tier_tokens_per_second"] = tuple(body["tier_tokens_per_second"])
     try:
-        return SyntheticConfig(**body)
+        cfg = SyntheticConfig(**body)
+        cfg.validate()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad synthetic config: {exc}") from exc
+    return cfg
 
 
 def resolve_trace(config: dict, seed: int) -> Trace:
@@ -274,6 +276,12 @@ def update_interval(config: dict) -> int:
     return raw
 
 
+def _update_interval_is_set(args: argparse.Namespace) -> bool:
+    """Whether --update-interval, --set or the config file gives stream.update_interval."""
+    bare = dict(DEFAULT_CONFIG, stream={"online": DEFAULT_CONFIG["stream"]["online"]})
+    return "update_interval" in resolve_config(args, bare)["stream"]
+
+
 def network_scenario(config: dict):
     body = config["network"]
     name = body["scenario"]
@@ -310,12 +318,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
             {**config, "synthetic": {**config["synthetic"],
                                      "tier_accuracy_profile": drift_profile}}, seed)
         shifted, _ = generate_synthetic_trace(shifted_cfg)
-        cut = int(round(float(drift_at) * len(trace.records)))
-        head = Trace(records=trace.records[:cut], embedding_dim=trace.embedding_dim,
-                     prompt_text=trace.prompt_text, metadata=dict(trace.metadata))
-        tail = Trace(records=shifted.records[cut:], embedding_dim=shifted.embedding_dim,
-                     prompt_text=shifted.prompt_text, metadata=dict(shifted.metadata))
-        trace = concat_traces(head, tail)
+        cut = int(round(float(drift_at) * len(trace)))
+        trace = concat_traces(trace.subset(slice(None, cut)), shifted.subset(slice(cut, None)))
         trace.metadata["drift_at_record"] = cut
 
     save_trace(trace, outdir / "trace.jsonl")
@@ -337,7 +341,7 @@ def _train_parts(config: dict):
     trace = resolve_trace(config, seed)
     labels = build_labels(trace, label_config(config))
     cfg = mlp_config(config, trace.embedding_dim, seed)
-    model, report = train(init_model(cfg), trace.embeddings_matrix(), labels.s_fused, cfg)
+    model, report = train(init_model(cfg), trace.embeddings, labels.s_fused, cfg)
     return trace, labels, model, report
 
 
@@ -432,8 +436,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
         raise ConfigError("stream needs --bundle from a previous tune run")
     interval = update_interval(config)
     state = load_bundle(args.bundle)
-    if getattr(args, "update_interval", None) is not None:
+    if _update_interval_is_set(args):
         state.update_interval = interval
+    else:  # the bundle's interval applies, and the manifest records it
+        config["stream"]["update_interval"] = state.update_interval
     seed = int(config["run"]["seed"])
     stream_trace = resolve_trace(config, seed)
     scenario = network_scenario(config)

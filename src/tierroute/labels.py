@@ -4,6 +4,7 @@ For each record, the device answer is compared against the cloud and edge
 answers. The similarity score comes from the trace; the augmentation signal is
 a hard rule when reference correctness is available (0 only when the device is
 wrong while the stronger tier is right) and an opaque judge score otherwise.
+The building blocks work elementwise on scalars and arrays alike.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MissingScoreError
-from .trace import QueryRecord, TierId, Trace
+from .trace import TierId, Trace
 
 
 @dataclass(frozen=True)
@@ -48,72 +49,60 @@ class ConsistencyLabels:
         return len(self.ids)
 
     def to_csv(self, path: str | Path) -> None:
+        columns = [self.sim_cloud, self.sim_edge, self.aug_cloud, self.aug_edge,
+                   self.s_cloud, self.s_edge, self.s_fused]
         with Path(path).open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["id", "sim_cloud", "sim_edge", "aug_cloud", "aug_edge",
                              "s_cloud", "s_edge", "s_fused"])
-            for i, rid in enumerate(self.ids):
-                writer.writerow([
-                    rid,
-                    repr(float(self.sim_cloud[i])), repr(float(self.sim_edge[i])),
-                    repr(float(self.aug_cloud[i])), repr(float(self.aug_edge[i])),
-                    repr(float(self.s_cloud[i])), repr(float(self.s_edge[i])),
-                    repr(float(self.s_fused[i])),
-                ])
+            for rid, *values in zip(self.ids, *(col.tolist() for col in columns)):
+                writer.writerow([rid] + [repr(v) for v in values])
 
 
-def aug_with_reference(device_correct: bool, other_correct: bool) -> float:
+def aug_with_reference(device_correct, other_correct):
     """Hard augmentation: 0 only when the device is wrong and the stronger tier right."""
-    return 0.0 if (not device_correct and other_correct) else 1.0
+    return np.where(np.logical_and(np.logical_not(device_correct), other_correct), 0.0, 1.0)
 
 
-def aug_without_reference(judge_score: float) -> float:
+def aug_without_reference(judge_score):
     """Judge-based augmentation is an opaque pass-through in [0, 1]."""
-    if judge_score is None:
+    if judge_score is None or np.any(np.isnan(judge_score)):
         raise MissingScoreError("judge score absent for a record without references")
-    return float(judge_score)
+    return np.asarray(judge_score, dtype=np.float64)
 
 
-def fuse_label(sim: float, aug: float, alpha: float) -> float:
+def fuse_label(sim, aug, alpha: float):
     """Blend similarity and augmentation: alpha*sim + (1-alpha)*aug."""
     return alpha * sim + (1.0 - alpha) * aug
 
 
-def _record_aug(rec: QueryRecord, other: TierId) -> float:
-    # Reference rule takes precedence when both signals are available.
-    if rec.has_reference:
-        device_info = rec.tier_info[TierId.DEVICE]
-        other_info = rec.tier_info[other]
-        return aug_with_reference(bool(device_info.correct), bool(other_info.correct))
-    judge = rec.judge_cloud if other == TierId.CLOUD else rec.judge_edge
-    if judge is None:
-        raise MissingScoreError(
-            f"record {rec.id!r}: no reference and no judge score for tier {other.label}"
-        )
-    return aug_without_reference(judge)
+def _first_missing(trace: Trace, missing: np.ndarray, what: str) -> None:
+    if missing.any():
+        raise MissingScoreError(f"record {trace.ids[np.argmax(missing)]!r}: {what}")
+
+
+def _augmentation(trace: Trace, other: TierId, judge: np.ndarray) -> np.ndarray:
+    # The reference rule takes precedence wherever a record has references.
+    ref = trace.has_reference
+    _first_missing(trace, ~ref & np.isnan(judge),
+                   f"no reference and no judge score for tier {other.label}")
+    aug = aug_with_reference(trace.correct[:, TierId.DEVICE] == 1, trace.correct[:, other] == 1)
+    aug[~ref] = aug_without_reference(judge[~ref])
+    return aug
 
 
 def build_labels(trace: Trace, cfg: LabelConfig | None = None) -> ConsistencyLabels:
     """Compute per-record cloud/edge labels and their fused training target."""
     cfg = cfg or LabelConfig()
-    n = len(trace.records)
-    ids = [r.id for r in trace.records]
-    sim_cloud = np.empty(n)
-    sim_edge = np.empty(n)
-    aug_cloud = np.empty(n)
-    aug_edge = np.empty(n)
-    for i, rec in enumerate(trace.records):
-        if rec.sim_cloud is None or rec.sim_edge is None:
-            raise MissingScoreError(f"record {rec.id!r}: missing sim_cloud or sim_edge")
-        sim_cloud[i] = rec.sim_cloud
-        sim_edge[i] = rec.sim_edge
-        aug_cloud[i] = _record_aug(rec, TierId.CLOUD)
-        aug_edge[i] = _record_aug(rec, TierId.EDGE)
-    s_cloud = cfg.alpha * sim_cloud + (1.0 - cfg.alpha) * aug_cloud
-    s_edge = cfg.alpha * sim_edge + (1.0 - cfg.alpha) * aug_edge
-    s_fused = cfg.beta * s_cloud + (1.0 - cfg.beta) * s_edge
+    _first_missing(trace, np.isnan(trace.sim_cloud) | np.isnan(trace.sim_edge),
+                   "missing sim_cloud or sim_edge")
+    aug_cloud = _augmentation(trace, TierId.CLOUD, trace.judge_cloud)
+    aug_edge = _augmentation(trace, TierId.EDGE, trace.judge_edge)
+    s_cloud = fuse_label(trace.sim_cloud, aug_cloud, cfg.alpha)
+    s_edge = fuse_label(trace.sim_edge, aug_edge, cfg.alpha)
     return ConsistencyLabels(
-        ids=ids, sim_cloud=sim_cloud, sim_edge=sim_edge,
+        ids=list(trace.ids), sim_cloud=trace.sim_cloud.copy(), sim_edge=trace.sim_edge.copy(),
         aug_cloud=aug_cloud, aug_edge=aug_edge,
-        s_cloud=s_cloud, s_edge=s_edge, s_fused=s_fused, config=cfg,
+        s_cloud=s_cloud, s_edge=s_edge, s_fused=fuse_label(s_cloud, s_edge, cfg.beta),
+        config=cfg,
     )

@@ -20,6 +20,8 @@ import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .errors import TraceFormatError
 from .trace import TierId
 
@@ -92,9 +94,9 @@ def with_switch_window(scenario: NetworkScenario, switch_at: int) -> NetworkScen
     return replace(scenario, switch_at=switch_at)
 
 
-def round_trip_latency(link: LinkProfile, request_bytes: int, response_bytes: int) -> float:
-    """End-to-end network seconds for one request/response exchange."""
-    if request_bytes < 0 or response_bytes < 0:
+def round_trip_latency(link: LinkProfile, request_bytes, response_bytes):
+    """End-to-end network seconds per request/response exchange (elementwise)."""
+    if np.any(np.less(request_bytes, 0)) or np.any(np.less(response_bytes, 0)):
         raise ValueError("byte counts must be >= 0")
     effective = 1.0 - link.loss_rate
     fixed = (link.dns_ms + link.oneway_up_ms + link.oneway_down_ms) / 1000.0

@@ -11,11 +11,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import groupby
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +22,9 @@ from .accounting import (
     CostModel,
     UtilityWeights,
     cloud_reference_means,
-    inference_cost,
-    query_latency,
+    tier_cost,
+    tier_latency,
+    utility_matrix,
 )
 from .bayesopt import (
     DEFAULT_ONLINE_HYPERS,
@@ -44,12 +42,7 @@ from .cluster import (
     load_centroids,
     save_centroids,
 )
-from .errors import (
-    BundleIntegrityError,
-    CorruptStateError,
-    DimensionMismatchError,
-    TraceValidationError,
-)
+from .errors import BundleIntegrityError, CorruptStateError, DimensionMismatchError
 from .labels import ConsistencyLabels
 from .mlp import (
     MlpConfig,
@@ -62,7 +55,7 @@ from .mlp import (
     train,
 )
 from .network import NetworkScenario
-from .trace import TIERS, QueryRecord, TierId, Trace
+from .trace import TIERS, TierId, Trace
 
 # Counterfactual replay depth per cluster for the online refresh evaluator.
 RECENT_REPLAY_DEPTH = 256
@@ -82,23 +75,11 @@ FIXED_POLICIES = {
 }
 
 
-def routing_tier(score: float, tau1: float, tau2: float) -> TierId:
-    """Strict-inequality threshold rule; boundary scores escalate."""
-    if score > tau1:
-        return TierId.DEVICE
-    if score > tau2:
-        return TierId.EDGE
-    return TierId.CLOUD
-
-
-@dataclass(frozen=True)
-class RoutingDecision:
-    query_id: str
-    score: float
-    cluster: int
-    tier: TierId
-    tau1: float
-    tau2: float
+def route_tiers(scores, tau1, tau2) -> np.ndarray:
+    """The routing rule, elementwise: tier index per score (thresholds may be
+    per-query arrays); boundary scores escalate."""
+    return np.where(scores > tau1, TierId.DEVICE,
+                    np.where(scores > tau2, TierId.EDGE, TierId.CLOUD))
 
 
 @dataclass
@@ -112,7 +93,6 @@ class RouterState:
     cost_model: CostModel
     cloud_baselines: CloudBaselines
     update_interval: int = 200
-    query_counter: int = 0
     train_report: TrainReport | None = None
 
     def validate(self) -> None:
@@ -144,72 +124,29 @@ class RouterState:
             cost_model=self.cost_model,
             cloud_baselines=self.cloud_baselines,
             update_interval=self.update_interval,
-            query_counter=self.query_counter,
             train_report=self.train_report,
         )
-
-
-def route_query(state: RouterState, record: QueryRecord) -> RoutingDecision:
-    """Score, cluster, and threshold one query; read-only on the state."""
-    if len(record.embedding) != state.predictor.config.input_dim:
-        raise DimensionMismatchError(
-            f"record {record.id!r}: embedding dim {len(record.embedding)} != "
-            f"predictor input_dim {state.predictor.config.input_dim}"
-        )
-    score = float(predict_batch(state.predictor, record.embedding.reshape(1, -1))[0])
-    cluster = int(assign_batch(state.clusters, record.embedding.reshape(1, -1))[0])
-    pair = state.thresholds.get(cluster)
-    if pair is None:
-        raise CorruptStateError(f"no threshold for cluster {cluster}")
-    tier = routing_tier(score, pair.tau1, pair.tau2)
-    return RoutingDecision(query_id=record.id, score=score, cluster=cluster,
-                           tier=tier, tau1=pair.tau1, tau2=pair.tau2)
 
 
 # ---------------------------------------------------------------------------
 # Shared accounting helpers
 # ---------------------------------------------------------------------------
 
-def _per_tier_outcomes(trace: Trace, scenario: NetworkScenario, cost_model: CostModel,
-                       windows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n, 3) matrices of correctness, latency, and cost for every tier."""
-    n = len(trace.records)
-    correct = np.empty((n, 3))
-    lats = np.empty((n, 3))
-    costs = np.empty((n, 3))
-    for i, rec in enumerate(trace.records):
-        for tier in TIERS:
-            info = rec.tier_info.get(tier)
-            if info is None or info.correct is None:
-                raise TraceValidationError(
-                    f"record {rec.id!r}: simulation requires a correct bit for "
-                    f"tier {tier.label}"
-                )
-            correct[i, tier] = float(info.correct)
-            lats[i, tier] = query_latency(tier, info, scenario, int(windows[i]))
-            costs[i, tier] = inference_cost(cost_model, tier, info.generated_tokens)
-    return correct, lats, costs
-
-
-def _tier_utility_matrix(correct: np.ndarray, lats: np.ndarray, costs: np.ndarray,
-                         weights: UtilityWeights, baselines: CloudBaselines) -> np.ndarray:
-    if weights.normalize_by_cloud:
-        lat_term = lats / baselines.mean_latency_s
-        cost_term = costs / baselines.mean_cost
-    else:
-        lat_term, cost_term = lats, costs
-    return weights.lambda1 * correct - weights.lambda2 * lat_term - weights.lambda3 * cost_term
-
-
-def _tier_choices(scores: np.ndarray, tau1: float, tau2: float) -> np.ndarray:
-    return np.where(scores > tau1, 0, np.where(scores > tau2, 1, 2))
+def _tier_outcomes(trace: Trace, scenario: NetworkScenario, cost_model: CostModel,
+                   weights: UtilityWeights, baselines: CloudBaselines,
+                   windows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(n, 3) matrices of correctness, latency, cost, and utility for every tier."""
+    correct = trace.correctness_matrix()
+    lats = tier_latency(trace, scenario, windows)
+    costs = tier_cost(trace, cost_model)
+    return correct, lats, costs, utility_matrix(correct, lats, costs, weights, baselines)
 
 
 def _make_evaluator(scores: np.ndarray, tier_utilities: np.ndarray):
     rows = np.arange(scores.shape[0])
 
     def evaluator(pair: ThresholdPair) -> float:
-        choice = _tier_choices(scores, pair.tau1, pair.tau2)
+        choice = route_tiers(scores, pair.tau1, pair.tau2)
         return float(tier_utilities[rows, choice].mean())
 
     return evaluator
@@ -241,11 +178,10 @@ def run_offline_phase(trace: Trace, labels: ConsistencyLabels, *,
     cost_model = cost_model or CostModel()
     bo_config = bo_config or BoConfig()
 
-    ids = [r.id for r in trace.records]
-    if ids != labels.ids:
+    if trace.ids != labels.ids:
         raise ValueError("labels do not cover the trace (record id mismatch)")
 
-    embeddings = trace.embeddings_matrix()
+    embeddings = trace.embeddings
     model = init_model(mlp_config)
     predictor, train_report = train(model, embeddings, labels.s_fused, mlp_config)
     scores = predict_batch(predictor, embeddings)
@@ -253,15 +189,14 @@ def run_offline_phase(trace: Trace, labels: ConsistencyLabels, *,
     if fixed_k is not None:
         k = fixed_k
     else:
-        k = elbow_select_k(embeddings, k_min, min(k_max, len(trace.records)),
+        k = elbow_select_k(embeddings, k_min, min(k_max, len(trace)),
                            mlp_config.seed, restarts=kmeans_restarts)
     clusters = kmeans_fit(embeddings, k, mlp_config.seed, restarts=kmeans_restarts)
     membership = assign_batch(clusters, embeddings)
 
     baselines = cloud_reference_means(trace, scenario, cost_model, window_index=0)
-    windows = np.zeros(len(trace.records), dtype=int)
-    correct, lats, costs = _per_tier_outcomes(trace, scenario, cost_model, windows)
-    tier_utilities = _tier_utility_matrix(correct, lats, costs, weights, baselines)
+    *_, tier_utilities = _tier_outcomes(trace, scenario, cost_model, weights, baselines,
+                                        windows=np.zeros(len(trace), dtype=int))
 
     def tune_cluster(idx: int) -> tuple[int, ThresholdPair, ObservationSet]:
         mask = membership == idx
@@ -306,18 +241,21 @@ def run_offline_phase(trace: Trace, labels: ConsistencyLabels, *,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class DecisionRow:
-    query_id: str
-    window: int
-    cluster: int | None
-    tier: TierId
-    score: float | None
-    tau1: float | None
-    tau2: float | None
-    correct: bool
-    latency_s: float
-    cost: float
-    utility: float
+class Decisions:
+    """Per-query decision columns in stream order; a column is None where the
+    policy has no value for it (fixed policies have no score or cluster)."""
+
+    ids: list[str]
+    window: np.ndarray
+    tier: np.ndarray
+    correct: np.ndarray
+    latency_s: np.ndarray
+    cost: np.ndarray
+    utility: np.ndarray
+    cluster: np.ndarray | None = None
+    score: np.ndarray | None = None
+    tau1: np.ndarray | None = None
+    tau2: np.ndarray | None = None
 
 
 @dataclass
@@ -337,45 +275,47 @@ class StreamReport:
     window_size: int
     windows: list[WindowStats]
     totals: WindowStats
+    decisions: Decisions
     threshold_history: dict[int, list[tuple[int, float, float]]] = field(default_factory=dict)
-    decisions: list[DecisionRow] = field(default_factory=list)
 
 
-def _window_stats(index: int, rows: list[DecisionRow]) -> WindowStats:
-    count = len(rows)
-    fractions = {t.label: 0.0 for t in TIERS}
-    for row in rows:
-        fractions[row.tier.label] += 1.0
-    for label in fractions:
-        fractions[label] /= count
+def _window_stats(index: int, d: Decisions, rows: slice) -> WindowStats:
+    tiers = d.tier[rows]
+    fractions = np.bincount(tiers, minlength=len(TIERS)) / len(tiers)
     return WindowStats(
         index=index,
-        count=count,
-        accuracy=float(np.mean([row.correct for row in rows])),
-        mean_latency_s=float(np.mean([row.latency_s for row in rows])),
-        mean_cost=float(np.mean([row.cost for row in rows])),
-        mean_utility=float(np.mean([row.utility for row in rows])),
-        tier_fractions=fractions,
+        count=len(tiers),
+        accuracy=float(np.mean(d.correct[rows])),
+        mean_latency_s=float(np.mean(d.latency_s[rows])),
+        mean_cost=float(np.mean(d.cost[rows])),
+        mean_utility=float(np.mean(d.utility[rows])),
+        tier_fractions={t.label: float(fractions[t]) for t in TIERS},
     )
 
 
-def _build_report(policy: str, window_size: int, rows: list[DecisionRow],
-                  threshold_history: dict[int, list[tuple[int, float, float]]]) -> StreamReport:
-    if not rows:
-        raise ValueError("cannot build a report from an empty stream")
-    # Rows arrive in window order, so each window is one consecutive run.
-    windows = [_window_stats(w, list(chunk))
-               for w, chunk in groupby(rows, key=attrgetter("window"))]
-    totals = _window_stats(-1, rows)
+def _build_report(policy: str, window_size: int, trace: Trace, tier: np.ndarray,
+                  outcomes: tuple[np.ndarray, ...],
+                  threshold_history: dict[int, list[tuple[int, float, float]]],
+                  **routing: np.ndarray) -> StreamReport:
+    """Pick each query's tier out of the (n, 3) outcome matrices and summarize
+    every window, which is a contiguous slice of ``window_size`` queries."""
+    n = len(trace)
+    rows = np.arange(n)
+    correct, lats, costs, utilities = (m[rows, tier] for m in outcomes)
+    d = Decisions(ids=trace.ids, window=rows // window_size, tier=tier, correct=correct,
+                  latency_s=lats, cost=costs, utility=utilities, **routing)
+    windows = [_window_stats(w, d, slice(start, start + window_size))
+               for w, start in enumerate(range(0, n, window_size))]
     return StreamReport(policy=policy, window_size=window_size, windows=windows,
-                        totals=totals, threshold_history=threshold_history,
-                        decisions=rows)
+                        totals=_window_stats(-1, d, slice(None)), decisions=d,
+                        threshold_history=threshold_history)
 
 
 def run_stream(state: RouterState, stream: Trace, scenario: NetworkScenario,
                online: bool) -> StreamReport:
-    """Route a stream, score utilities, and (if online) refresh thresholds
-    every ``update_interval`` queries for clusters that saw new data."""
+    """Route a stream one window of ``update_interval`` queries at a time, score
+    utilities, and (if online) refresh after every full window the thresholds
+    of the clusters that saw queries in it."""
     state.validate()
     if stream.embedding_dim != state.predictor.config.input_dim:
         raise DimensionMismatchError(
@@ -383,72 +323,53 @@ def run_stream(state: RouterState, stream: Trace, scenario: NetworkScenario,
             f"{state.predictor.config.input_dim}"
         )
     m = state.update_interval
-    n = len(stream.records)
+    n = len(stream)
     if n == 0:
         raise ValueError("cannot stream an empty trace")
 
     # Predictor and centroids are frozen during streaming, so scores and
     # cluster assignments can be computed up front; thresholds cannot.
-    embeddings = stream.embeddings_matrix()
-    scores = predict_batch(state.predictor, embeddings)
-    membership = assign_batch(state.clusters, embeddings)
-    windows = np.arange(n) // m
-    correct3, lats3, costs3 = _per_tier_outcomes(stream, scenario, state.cost_model, windows)
-    tier_utilities = _tier_utility_matrix(correct3, lats3, costs3,
-                                          state.weights, state.cloud_baselines)
+    k = state.clusters.k
+    scores = predict_batch(state.predictor, stream.embeddings)
+    membership = assign_batch(state.clusters, stream.embeddings)
+    outcomes = _tier_outcomes(stream, scenario, state.cost_model, state.weights,
+                              state.cloud_baselines, np.arange(n) // m)
+    tier_utilities = outcomes[3]
+    members = [np.flatnonzero(membership == c) for c in range(k)]
+    refresh_rngs = [np.random.default_rng(_derived_seed(state.bo_config.seed, 2, c))
+                    for c in range(k)]
+    threshold_history: dict[int, list[tuple[int, float, float]]] = {c: [] for c in range(k)}
 
-    recent: dict[int, deque] = {
-        k: deque(maxlen=RECENT_REPLAY_DEPTH) for k in range(state.clusters.k)
-    }
-    new_counts = {k: 0 for k in range(state.clusters.k)}
-    refresh_rngs = {
-        k: np.random.default_rng(_derived_seed(state.bo_config.seed, 2, k))
-        for k in range(state.clusters.k)
-    }
-    threshold_history: dict[int, list[tuple[int, float, float]]] = {
-        k: [] for k in range(state.clusters.k)
-    }
+    tau1, tau2 = np.empty(n), np.empty(n)
+    tier = np.empty(n, dtype=np.int64)
+    for window, start in enumerate(range(0, n, m)):
+        rows = slice(start, min(start + m, n))
+        pairs = [state.thresholds[c] for c in range(k)]
+        for c, pair in enumerate(pairs):
+            threshold_history[c].append((window, pair.tau1, pair.tau2))
+        clusters = membership[rows]
+        tau1[rows] = np.array([p.tau1 for p in pairs])[clusters]
+        tau2[rows] = np.array([p.tau2 for p in pairs])[clusters]
+        tier[rows] = route_tiers(scores[rows], tau1[rows], tau2[rows])
+        routed = tier_utilities[np.arange(start, rows.stop), tier[rows]]
+        active = np.unique(clusters).tolist()
+        for c in active:
+            state.observations[c].extend(pairs[c], routed[clusters == c])
+        if not online or rows.stop - start < m:
+            continue
+        for c in active:
+            # Counterfactual replay over the cluster's most recent queries.
+            upto = np.searchsorted(members[c], rows.stop)
+            replay = members[c][max(0, upto - RECENT_REPLAY_DEPTH):upto]
+            evaluator = _make_evaluator(scores[replay], tier_utilities[replay])
+            state.thresholds[c] = refresh_online(
+                state.observations[c], state.thresholds[c], evaluator,
+                state.bo_config, rng=refresh_rngs[c], hypers=DEFAULT_ONLINE_HYPERS,
+            )
 
-    rows: list[DecisionRow] = []
     policy = "router_online" if online else "router_static"
-    for i, rec in enumerate(stream.records):
-        window = int(windows[i])
-        if i % m == 0:
-            for k in range(state.clusters.k):
-                pair = state.thresholds[k]
-                threshold_history[k].append((window, pair.tau1, pair.tau2))
-        cluster = int(membership[i])
-        pair = state.thresholds.get(cluster)
-        if pair is None:
-            raise CorruptStateError(f"no threshold for cluster {cluster}")
-        tier = routing_tier(float(scores[i]), pair.tau1, pair.tau2)
-        utility = float(tier_utilities[i, tier])
-        rows.append(DecisionRow(
-            query_id=rec.id, window=window, cluster=cluster, tier=tier,
-            score=float(scores[i]), tau1=pair.tau1, tau2=pair.tau2,
-            correct=bool(correct3[i, tier]), latency_s=float(lats3[i, tier]),
-            cost=float(costs3[i, tier]), utility=utility,
-        ))
-        state.observations[cluster].append(pair, utility)
-        new_counts[cluster] += 1
-        recent[cluster].append((float(scores[i]), tier_utilities[i].copy()))
-        state.query_counter += 1
-
-        if online and state.query_counter % m == 0:
-            for k in sorted(new_counts):
-                if new_counts[k] == 0:
-                    continue
-                replay = recent[k]
-                replay_scores = np.array([s for s, _ in replay])
-                replay_utilities = np.stack([u for _, u in replay])
-                evaluator = _make_evaluator(replay_scores, replay_utilities)
-                state.thresholds[k] = refresh_online(
-                    state.observations[k], state.thresholds[k], evaluator,
-                    state.bo_config, rng=refresh_rngs[k], hypers=DEFAULT_ONLINE_HYPERS,
-                )
-                new_counts[k] = 0
-
-    return _build_report(policy, m, rows, threshold_history)
+    return _build_report(policy, m, stream, tier, outcomes, threshold_history,
+                         cluster=membership, score=scores, tau1=tau1, tau2=tau2)
 
 
 # ---------------------------------------------------------------------------
@@ -475,35 +396,20 @@ def baseline_route(policy: str, trace: Trace, scenario: NetworkScenario, *,
     if policy == "global_static" and (pair is None or predictor is None):
         raise ValueError("global_static needs a threshold pair and a predictor")
 
-    n = len(trace.records)
+    n = len(trace)
     if n == 0:
         raise ValueError("cannot stream an empty trace")
-    windows = np.arange(n) // window_size
     if baselines is None:
         baselines = cloud_reference_means(trace, scenario, cost_model, window_index=0)
-    correct3, lats3, costs3 = _per_tier_outcomes(trace, scenario, cost_model, windows)
-    tier_utilities = _tier_utility_matrix(correct3, lats3, costs3, weights, baselines)
-
-    scores = None
-    if policy == "global_static":
-        scores = predict_batch(predictor, trace.embeddings_matrix())
-
-    rows: list[DecisionRow] = []
-    for i, rec in enumerate(trace.records):
-        if policy == "global_static":
-            tier = routing_tier(float(scores[i]), pair.tau1, pair.tau2)
-            score: float | None = float(scores[i])
-            tau1, tau2 = pair.tau1, pair.tau2
-        else:
-            tier = FIXED_POLICIES[policy]
-            score, tau1, tau2 = None, None, None
-        rows.append(DecisionRow(
-            query_id=rec.id, window=int(windows[i]), cluster=None, tier=tier,
-            score=score, tau1=tau1, tau2=tau2,
-            correct=bool(correct3[i, tier]), latency_s=float(lats3[i, tier]),
-            cost=float(costs3[i, tier]), utility=float(tier_utilities[i, tier]),
-        ))
-    return _build_report(policy, window_size, rows, {})
+    outcomes = _tier_outcomes(trace, scenario, cost_model, weights, baselines,
+                              np.arange(n) // window_size)
+    if policy != "global_static":
+        tier = np.full(n, FIXED_POLICIES[policy], dtype=np.int64)
+        return _build_report(policy, window_size, trace, tier, outcomes, {})
+    scores = predict_batch(predictor, trace.embeddings)
+    tier = route_tiers(scores, pair.tau1, pair.tau2)
+    return _build_report(policy, window_size, trace, tier, outcomes, {}, score=scores,
+                         tau1=np.full(n, pair.tau1), tau2=np.full(n, pair.tau2))
 
 
 # ---------------------------------------------------------------------------
@@ -563,21 +469,24 @@ def write_report_files(report: StreamReport, outdir: str | Path, prefix: str = "
                 writer.writerow([k, window, repr(tau1), repr(tau2)])
     written.append(thresholds_path)
 
+    d = report.decisions
+    n = len(d.ids)
+
+    def cells(column: np.ndarray | None, fmt=repr) -> list:
+        return [""] * n if column is None else [fmt(v) for v in column.tolist()]
+
+    tiers = [TIERS[t].label for t in d.tier.tolist()]
+    ids, windows, clusters = d.ids, d.window.tolist(), cells(d.cluster, str)
+    correct = [int(v) for v in d.correct.tolist()]
+    lats, costs, utilities = cells(d.latency_s), cells(d.cost), cells(d.utility)
+
     decisions_path = outdir / f"{prefix}_decisions.csv"
     with decisions_path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["query_id", "window", "cluster", "tier", "score", "tau1", "tau2",
                          "correct", "latency_s", "cost", "utility"])
-        for row in report.decisions:
-            writer.writerow([
-                row.query_id, row.window,
-                "" if row.cluster is None else row.cluster,
-                row.tier.label,
-                "" if row.score is None else repr(row.score),
-                "" if row.tau1 is None else repr(row.tau1),
-                "" if row.tau2 is None else repr(row.tau2),
-                int(row.correct), repr(row.latency_s), repr(row.cost), repr(row.utility),
-            ])
+        writer.writerows(zip(ids, windows, clusters, tiers, cells(d.score), cells(d.tau1),
+                             cells(d.tau2), correct, lats, costs, utilities))
     written.append(decisions_path)
 
     utilities_path = outdir / f"{prefix}_utilities.csv"
@@ -585,13 +494,7 @@ def write_report_files(report: StreamReport, outdir: str | Path, prefix: str = "
         writer = csv.writer(fh)
         writer.writerow(["query_id", "cluster", "tier", "correct",
                          "latency_s", "cost", "utility"])
-        for row in report.decisions:
-            writer.writerow([
-                row.query_id,
-                "" if row.cluster is None else row.cluster,
-                row.tier.label, int(row.correct),
-                repr(row.latency_s), repr(row.cost), repr(row.utility),
-            ])
+        writer.writerows(zip(ids, clusters, tiers, correct, lats, costs, utilities))
     written.append(utilities_path)
     return written
 
@@ -685,7 +588,12 @@ def load_bundle(bundle_dir: str | Path) -> RouterState:
     manifest_path = bundle_dir / "bundle_manifest.json"
     if not manifest_path.exists():
         raise BundleIntegrityError(f"{bundle_dir}: missing bundle_manifest.json")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise BundleIntegrityError(f"{manifest_path}: not valid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise BundleIntegrityError(f"{manifest_path}: expected a JSON object")
     if manifest.get("format") != _BUNDLE_FORMAT:
         raise BundleIntegrityError(f"{bundle_dir}: unknown bundle format")
     for name, expected in manifest.get("files", {}).items():

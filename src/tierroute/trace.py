@@ -1,19 +1,22 @@
 """Trace schema, line-delimited serialization, and synthetic trace generation.
 
 A trace replaces live model / reranker / judge calls with recorded outcomes:
-per-tier correctness, token counts, compute times, and agreement scores.
+per-tier correctness, token counts, compute times, and agreement scores. In
+memory a trace is a set of columns with one row per query.
 
 File format (UTF-8, one JSON object per line):
   line 1    header: {"embedding_dim": int, "prompt_text": str, "metadata": {...}}
-  line 2..  one record per line with the field names of QueryRecord; absent
-            optional scores are simply omitted. Floats use Python's shortest
-            round-trip representation (well above 6 significant digits).
+  line 2..  one record per line: id, embedding, has_reference, the optional
+            scores (omitted when absent) and tier_info with all three tiers.
+            Floats use Python's shortest round-trip representation (well above
+            6 significant digits).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields, replace
 from enum import IntEnum
 from pathlib import Path
 
@@ -48,185 +51,105 @@ class TierId(IntEnum):
 TIERS: tuple[TierId, TierId, TierId] = (TierId.DEVICE, TierId.EDGE, TierId.CLOUD)
 
 
-@dataclass(frozen=True)
-class TierResponseInfo:
-    """Measured outcome of serving one query on one tier."""
-
-    generated_tokens: int
-    compute_seconds: float
-    prompt_tokens: int = 0
-    correct: bool | None = None
-    request_bytes: int | None = None
-    response_bytes: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.generated_tokens < 1:
-            raise TraceValidationError("generated_tokens must be >= 1 for a produced response")
-        if self.prompt_tokens < 0:
-            raise TraceValidationError("prompt_tokens must be >= 0")
-        if self.compute_seconds < 0:
-            raise TraceValidationError("compute_seconds must be >= 0")
-        if self.request_bytes is None:
-            object.__setattr__(self, "request_bytes", BYTES_PER_TOKEN * self.prompt_tokens)
-        if self.response_bytes is None:
-            object.__setattr__(self, "response_bytes", BYTES_PER_TOKEN * self.generated_tokens)
-        if self.request_bytes < 0 or self.response_bytes < 0:
-            raise TraceValidationError("byte counts must be >= 0")
-
-    def to_json_obj(self) -> dict:
-        obj: dict = {
-            "generated_tokens": self.generated_tokens,
-            "compute_seconds": self.compute_seconds,
-            "prompt_tokens": self.prompt_tokens,
-            "request_bytes": self.request_bytes,
-            "response_bytes": self.response_bytes,
-        }
-        if self.correct is not None:
-            obj["correct"] = self.correct
-        return obj
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> TierResponseInfo:
-        return cls(
-            generated_tokens=int(obj["generated_tokens"]),
-            compute_seconds=float(obj["compute_seconds"]),
-            prompt_tokens=int(obj.get("prompt_tokens", 0)),
-            correct=_json_bool(obj, "correct", default=None, nullable=True),
-            request_bytes=obj.get("request_bytes"),
-            response_bytes=obj.get("response_bytes"),
-        )
-
-
-def _json_bool(obj: dict, key: str, default: bool | None,
-               nullable: bool = False) -> bool | None:
-    """A JSON true/false field; an absent key gives ``default``, null only if nullable."""
-    value = obj.get(key, default)
-    if isinstance(value, bool) or (nullable and value is None):
-        return value
-    allowed = "true, false or null" if nullable else "true or false"
-    raise TraceValidationError(f"{key} must be {allowed}; got {value!r}")
-
-
 _SCORE_FIELDS = ("sim_cloud", "sim_edge", "judge_cloud", "judge_edge")
+_TIER_LABELS = tuple(tier.label for tier in TIERS)
+_INT_FIELDS = ("generated_tokens", "prompt_tokens", "request_bytes", "response_bytes")
+_TIER_COLUMNS = _INT_FIELDS + ("compute_s", "correct")
+
+# Codes in Trace.correct besides 1 (right) and 0 (wrong).
+CORRECT_ABSENT = -1  # the tier has no "correct" key
+CORRECT_NULL = -2    # the tier has "correct": null
 
 
-@dataclass
-class QueryRecord:
-    """One trace entry: embedding plus per-tier outcomes and agreement scores."""
-
-    id: str
-    embedding: np.ndarray
-    tier_info: dict[TierId, TierResponseInfo]
-    sim_cloud: float | None = None
-    sim_edge: float | None = None
-    judge_cloud: float | None = None
-    judge_edge: float | None = None
-    has_reference: bool = False
-
-    def validate(self, embedding_dim: int) -> None:
-        if len(self.embedding) != embedding_dim:
-            raise TraceValidationError(
-                f"record {self.id!r}: embedding has length {len(self.embedding)}, "
-                f"expected {embedding_dim}"
-            )
-        if not np.all(np.isfinite(self.embedding)):
-            raise TraceValidationError(f"record {self.id!r}: embedding has non-finite values")
-        for name in _SCORE_FIELDS:
-            value = getattr(self, name)
-            if value is not None and not (0.0 <= value <= 1.0):
-                raise TraceValidationError(
-                    f"record {self.id!r}: {name}={value} outside [0, 1]"
-                )
-        if self.has_reference:
-            for tier in TIERS:
-                info = self.tier_info.get(tier)
-                if info is None or info.correct is None:
-                    raise TraceValidationError(
-                        f"record {self.id!r}: has_reference requires a correct bit "
-                        f"for tier {tier.label}"
-                    )
-
-    def to_json_obj(self) -> dict:
-        obj: dict = {
-            "id": self.id,
-            "embedding": [float(v) for v in self.embedding],
-            "tier_info": {t.label: info.to_json_obj() for t, info in self.tier_info.items()},
-            "has_reference": self.has_reference,
-        }
-        for name in _SCORE_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                obj[name] = float(value)
-        return obj
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> QueryRecord:
-        rid = str(obj["id"])
-        tier_info = {}
-        for label, sub in obj["tier_info"].items():
-            try:
-                tier_info[TierId.from_label(label)] = TierResponseInfo.from_json_obj(sub)
-            except TraceValidationError as exc:
-                raise TraceValidationError(f"record {rid!r}: tier {label}: {exc}") from exc
-        try:
-            has_reference = _json_bool(obj, "has_reference", default=False)
-        except TraceValidationError as exc:
-            raise TraceValidationError(f"record {rid!r}: {exc}") from exc
-        return cls(
-            id=rid,
-            embedding=np.asarray(obj["embedding"], dtype=np.float64),
-            tier_info=tier_info,
-            sim_cloud=obj.get("sim_cloud"),
-            sim_edge=obj.get("sim_edge"),
-            judge_cloud=obj.get("judge_cloud"),
-            judge_edge=obj.get("judge_edge"),
-            has_reference=has_reference,
-        )
-
-
-@dataclass
+@dataclass(eq=False)
 class Trace:
-    """An ordered, validated sequence of query records."""
+    """Queries as columns, one row per query.
 
-    records: list[QueryRecord]
-    embedding_dim: int
+    Per-tier columns are (n, 3) in TierId order. Scores are NaN where absent;
+    ``correct`` holds 1 or 0, or a CORRECT_* code where the bit is missing.
+    """
+
+    ids: list[str]
+    embeddings: np.ndarray        # (n, d) float64
+    generated_tokens: np.ndarray  # (n, 3) int64
+    prompt_tokens: np.ndarray     # (n, 3) int64
+    request_bytes: np.ndarray     # (n, 3) int64
+    response_bytes: np.ndarray    # (n, 3) int64
+    compute_s: np.ndarray         # (n, 3) float64
+    correct: np.ndarray           # (n, 3) int8
+    sim_cloud: np.ndarray         # (n,) float64
+    sim_edge: np.ndarray
+    judge_cloud: np.ndarray
+    judge_edge: np.ndarray
+    has_reference: np.ndarray     # (n,) bool
     prompt_text: str = DEFAULT_SYNTHETIC_PROMPT
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def embedding_dim(self) -> int:
+        return self.embeddings.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def subset(self, rows) -> Trace:
+        """A copy holding ``rows`` (a slice, index array or boolean mask), in that order."""
+        picked = np.arange(len(self.ids))[rows]
+        return replace(self, ids=[self.ids[i] for i in picked], metadata=dict(self.metadata),
+                       **{name: getattr(self, name)[picked] for name in _ARRAY_COLUMNS})
 
     def validate(self) -> None:
         if self.embedding_dim <= 0:
             raise TraceValidationError("embedding_dim must be positive")
         seen: set[str] = set()
-        for rec in self.records:
-            if rec.id in seen:
-                raise TraceValidationError(f"duplicate record id {rec.id!r}")
-            seen.add(rec.id)
-            rec.validate(self.embedding_dim)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def embeddings_matrix(self) -> np.ndarray:
-        """All embeddings stacked as an (n, d) float64 matrix."""
-        if not self.records:
-            return np.zeros((0, self.embedding_dim))
-        return np.stack([r.embedding for r in self.records]).astype(np.float64)
+        for rid in self.ids:
+            if rid in seen:
+                raise TraceValidationError(f"duplicate record id {rid!r}")
+            seen.add(rid)
+        per_row = [(~np.isfinite(self.embeddings).all(axis=1), "embedding has non-finite values")]
+        for name in _SCORE_FIELDS:
+            score = getattr(self, name)
+            per_row.append(((score < 0) | (score > 1), f"{name} outside [0, 1]"))
+        for bad, what in per_row:
+            if bad.any():
+                raise TraceValidationError(f"record {self.ids[np.argmax(bad)]!r}: {what}")
+        per_tier = [
+            (self.generated_tokens < 1, "generated_tokens must be >= 1 for a produced response"),
+            (self.prompt_tokens < 0, "prompt_tokens must be >= 0"),
+            (self.compute_s < 0, "compute_seconds must be >= 0"),
+            ((self.request_bytes < 0) | (self.response_bytes < 0), "byte counts must be >= 0"),
+            (self.has_reference[:, None] & (self.correct < 0),
+             "has_reference requires a correct bit"),
+        ]
+        for bad, what in per_tier:
+            if bad.any():
+                row, tier = np.argwhere(bad)[0]
+                raise TraceValidationError(
+                    f"record {self.ids[row]!r}: tier {TIERS[tier].label}: {what}")
 
     def correctness_matrix(self) -> np.ndarray:
         """Per-record, per-tier correct bits as an (n, 3) float array.
 
         Raises if any record lacks a correct bit for any tier.
         """
-        out = np.empty((len(self.records), 3))
-        for i, rec in enumerate(self.records):
-            for tier in TIERS:
-                info = rec.tier_info.get(tier)
-                if info is None or info.correct is None:
-                    raise TraceValidationError(
-                        f"record {rec.id!r}: missing correct bit for tier {tier.label}"
-                    )
-                out[i, tier] = float(info.correct)
-        return out
+        missing = self.correct < 0
+        if missing.any():
+            row, tier = np.argwhere(missing)[0]
+            raise TraceValidationError(
+                f"record {self.ids[row]!r}: missing correct bit for tier {TIERS[tier].label}")
+        return self.correct.astype(np.float64)
+
+
+_ARRAY_COLUMNS = tuple(f.name for f in fields(Trace)
+                       if f.name not in ("ids", "prompt_text", "metadata"))
+
+
+def _empty_columns(n: int, dim: int) -> dict[str, np.ndarray]:
+    cols = {name: np.empty((n, 3), np.int64) for name in _INT_FIELDS}
+    cols.update({name: np.empty(n) for name in _SCORE_FIELDS})
+    cols.update(embeddings=np.empty((n, dim)), compute_s=np.empty((n, 3)),
+                correct=np.empty((n, 3), np.int8), has_reference=np.empty(n, bool))
+    return cols
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:
@@ -237,40 +160,141 @@ def save_trace(trace: Trace, path: str | Path) -> None:
         "prompt_text": trace.prompt_text,
         "metadata": trace.metadata,
     }
+    ints = [getattr(trace, name).tolist() for name in _INT_FIELDS]
+    compute, correct = trace.compute_s.tolist(), trace.correct.tolist()
+    scores = [(name, getattr(trace, name).tolist()) for name in _SCORE_FIELDS]
+    has_reference = trace.has_reference.tolist()
     with path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for rec in trace.records:
-            fh.write(json.dumps(rec.to_json_obj(), sort_keys=True) + "\n")
+        for i, rid in enumerate(trace.ids):
+            tier_info = {}
+            for t, label in enumerate(_TIER_LABELS):
+                sub = {name: col[i][t] for name, col in zip(_INT_FIELDS, ints)}
+                sub["compute_seconds"] = compute[i][t]
+                if correct[i][t] != CORRECT_ABSENT:
+                    sub["correct"] = None if correct[i][t] == CORRECT_NULL else bool(correct[i][t])
+                tier_info[label] = sub
+            obj = {"id": rid, "embedding": trace.embeddings[i].tolist(),
+                   "tier_info": tier_info, "has_reference": has_reference[i]}
+            for name, col in scores:
+                if not math.isnan(col[i]):
+                    obj[name] = col[i]
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def _bad_field(obj: dict, key: str, kind: str) -> TraceValidationError:
+    found = repr(obj[key]) if key in obj else "nothing"
+    return TraceValidationError(f"{key} must be {kind}; got {found}")
+
+
+def _json_int(obj: dict, key: str, default: int | None = None) -> int:
+    """A JSON integer field (booleans excluded); absent gives ``default`` if there is one."""
+    value = obj.get(key, default)
+    if type(value) is not int:
+        raise _bad_field(obj, key, "a JSON integer")
+    return value
+
+
+def _json_number(obj: dict, key: str, default: float | None = None) -> float:
+    """A finite JSON number field (booleans excluded); absent gives ``default`` if there is one."""
+    if key not in obj and default is not None:
+        return default
+    value = obj.get(key)
+    if type(value) is float and math.isfinite(value) or type(value) is int:
+        return value
+    raise _bad_field(obj, key, "a finite number")
+
+
+def _json_bool(obj: dict, key: str, default: bool) -> bool:
+    value = obj.get(key, default)
+    if type(value) is not bool:
+        raise _bad_field(obj, key, "true or false")
+    return value
+
+
+def _correct_code(tier_obj: dict) -> int:
+    if "correct" not in tier_obj:
+        return CORRECT_ABSENT
+    value = tier_obj["correct"]
+    if value is None:
+        return CORRECT_NULL
+    if type(value) is not bool:
+        raise TraceValidationError(f"correct must be true, false or null; got {value!r}")
+    return int(value)
+
+
+def _read_tier(sub: dict) -> tuple:
+    """One tier's values, in _TIER_COLUMNS order."""
+    generated = _json_int(sub, "generated_tokens")
+    prompt = _json_int(sub, "prompt_tokens", 0)
+    return (generated, prompt,
+            _json_int(sub, "request_bytes", BYTES_PER_TOKEN * prompt),
+            _json_int(sub, "response_bytes", BYTES_PER_TOKEN * generated),
+            _json_number(sub, "compute_seconds"), _correct_code(sub))
+
+
+def _read_record(obj: dict, i: int, cols: dict[str, np.ndarray]) -> None:
+    """Parse one record object into row ``i`` of the columns."""
+    embedding = obj["embedding"]
+    dim = cols["embeddings"].shape[1]
+    if len(embedding) != dim:
+        raise TraceValidationError(f"embedding has length {len(embedding)}, expected {dim}")
+    cols["embeddings"][i] = embedding
+    tier_info = obj["tier_info"]
+    if tier_info.keys() != set(_TIER_LABELS):
+        raise TraceValidationError(
+            f"tier_info must hold exactly device, edge and cloud; got {sorted(tier_info)}")
+    tiers = []
+    for label in _TIER_LABELS:
+        try:
+            tiers.append(_read_tier(tier_info[label]))
+        except TraceValidationError as exc:
+            raise TraceValidationError(f"tier {label}: {exc}") from exc
+    for name, values in zip(_TIER_COLUMNS, zip(*tiers)):
+        cols[name][i] = values
+    for name in _SCORE_FIELDS:
+        cols[name][i] = _json_number(obj, name, math.nan)
+    cols["has_reference"][i] = _json_bool(obj, "has_reference", default=False)
 
 
 def load_trace(path: str | Path) -> Trace:
     """Parse and validate a trace file; errors name the offending line or record."""
     path = Path(path)
-    records: list[QueryRecord] = []
+    with path.open("rb") as fh:  # a line count bounds the rows to preallocate
+        capacity = sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b""))
     with path.open("r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise TraceFormatError(f"{path}: empty trace file (missing header line)")
-    try:
-        header = json.loads(lines[0])
-        embedding_dim = int(header["embedding_dim"])
-        prompt_text = str(header.get("prompt_text", ""))
-        metadata = dict(header.get("metadata", {}))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise TraceFormatError(f"{path}: line 1: bad header ({exc})") from exc
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+        first = fh.readline()
+        if not first:
+            raise TraceFormatError(f"{path}: empty trace file (missing header line)")
         try:
-            obj = json.loads(line)
-            records.append(QueryRecord.from_json_obj(obj))
-        except TraceValidationError as exc:
-            raise TraceValidationError(f"{path}: line {lineno}: {exc}") from exc
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise TraceFormatError(f"{path}: line {lineno}: malformed record ({exc})") from exc
-    trace = Trace(records=records, embedding_dim=embedding_dim,
-                  prompt_text=prompt_text, metadata=metadata)
-    trace.validate()
+            header = json.loads(first)
+            embedding_dim = int(header["embedding_dim"])
+            prompt_text = str(header.get("prompt_text", ""))
+            metadata = dict(header.get("metadata", {}))
+            cols = _empty_columns(capacity, embedding_dim)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, MemoryError) as exc:
+            raise TraceFormatError(f"{path}: line 1: bad header ({exc})") from exc
+        ids: list[str] = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                rid = str(obj["id"])
+                _read_record(obj, len(ids), cols)
+            except TraceValidationError as exc:
+                raise TraceValidationError(f"{path}: line {lineno}: record {rid!r}: {exc}") from exc
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, AttributeError,
+                    OverflowError) as exc:
+                raise TraceFormatError(f"{path}: line {lineno}: malformed record ({exc})") from exc
+            ids.append(rid)
+    n = len(ids)
+    trace = Trace(ids=ids, prompt_text=prompt_text, metadata=metadata,
+                  **{name: col[:n] for name, col in cols.items()})
+    try:
+        trace.validate()
+    except TraceValidationError as exc:
+        raise TraceValidationError(f"{path}: {exc}") from exc
     return trace
 
 
@@ -281,21 +305,16 @@ def concat_traces(first: Trace, second: Trace) -> Trace:
             f"cannot concatenate traces with dims {first.embedding_dim} and "
             f"{second.embedding_dim}"
         )
-    existing = {r.id for r in first.records}
-    merged = list(first.records)
-    for rec in second.records:
-        rid = rec.id if rec.id not in existing else f"{rec.id}+"
+    ids = list(first.ids)
+    existing = set(ids)
+    for rid in second.ids:
         while rid in existing:
             rid += "+"
         existing.add(rid)
-        merged.append(QueryRecord(
-            id=rid, embedding=rec.embedding, tier_info=rec.tier_info,
-            sim_cloud=rec.sim_cloud, sim_edge=rec.sim_edge,
-            judge_cloud=rec.judge_cloud, judge_edge=rec.judge_edge,
-            has_reference=rec.has_reference,
-        ))
-    return Trace(records=merged, embedding_dim=first.embedding_dim,
-                 prompt_text=first.prompt_text, metadata=dict(first.metadata))
+        ids.append(rid)
+    return Trace(ids=ids, prompt_text=first.prompt_text, metadata=dict(first.metadata),
+                 **{name: np.concatenate([getattr(first, name), getattr(second, name)])
+                    for name in _ARRAY_COLUMNS})
 
 
 # ---------------------------------------------------------------------------
@@ -436,31 +455,21 @@ def generate_synthetic_trace(cfg: SyntheticConfig) -> tuple[Trace, GroundTruth]:
     has_ref = rng.random(n) < cfg.reference_fraction
 
     width = len(str(max(n - 1, 1)))
-    records: list[QueryRecord] = []
-    for i in range(n):
-        tier_info = {
-            tier: TierResponseInfo(
-                generated_tokens=int(gen_tokens[i, tier]),
-                compute_seconds=float(gen_tokens[i, tier] / speeds[tier]),
-                prompt_tokens=int(prompt_tokens[i]),
-                correct=bool(correct[i, tier]),
-            )
-            for tier in TIERS
-        }
-        records.append(QueryRecord(
-            id=f"q{i:0{width}d}",
-            embedding=embeddings[i],
-            tier_info=tier_info,
-            sim_cloud=float(sim_cloud[i]),
-            sim_edge=float(sim_edge[i]),
-            judge_cloud=float(judge_cloud[i]),
-            judge_edge=float(judge_edge[i]),
-            has_reference=bool(has_ref[i]),
-        ))
-
+    prompt3 = np.repeat(prompt_tokens[:, None], 3, axis=1)
     trace = Trace(
-        records=records,
-        embedding_dim=dim,
+        ids=[f"q{i:0{width}d}" for i in range(n)],
+        embeddings=embeddings,
+        generated_tokens=gen_tokens,
+        prompt_tokens=prompt3,
+        request_bytes=BYTES_PER_TOKEN * prompt3,
+        response_bytes=BYTES_PER_TOKEN * gen_tokens,
+        compute_s=gen_tokens / speeds,
+        correct=correct.astype(np.int8),
+        sim_cloud=sim_cloud,
+        sim_edge=sim_edge,
+        judge_cloud=judge_cloud,
+        judge_edge=judge_edge,
+        has_reference=has_ref,
         prompt_text=DEFAULT_SYNTHETIC_PROMPT,
         metadata={"generator": "synthetic", "seed": cfg.seed,
                   "n_latent_clusters": k, "noise_sigma": cfg.noise_sigma},

@@ -7,7 +7,7 @@ from tierroute.bayesopt import BoConfig
 from tierroute.labels import LabelConfig, build_labels
 from tierroute.mlp import MlpConfig
 from tierroute.router import run_offline_phase
-from tierroute.trace import SyntheticConfig
+from tierroute.trace import BYTES_PER_TOKEN, CORRECT_ABSENT, SyntheticConfig, Trace
 
 # Four latent clusters with heterogeneous device-consistency and token costs.
 # Clusters 1 and 3 share success probabilities (so their predicted scores are
@@ -72,34 +72,54 @@ def build_state(trace, scenario, seed=0, weights=None, label_cfg=None,
 
 def truth_fractions(report, truth, tier):
     """Fraction of each latent cluster's queries routed to the given tier."""
-    counts = {}
-    hits = {}
-    for i, row in enumerate(report.decisions):
-        latent = int(truth.cluster_of[i])
-        counts[latent] = counts.get(latent, 0) + 1
-        if row.tier == tier:
-            hits[latent] = hits.get(latent, 0) + 1
-    return {k: hits.get(k, 0) / counts[k] for k in counts}
+    tiers = report.decisions.tier
+    return {int(k): float(np.mean(tiers[truth.cluster_of == k] == tier))
+            for k in np.unique(truth.cluster_of)}
 
 
 def nested_correctness(trace, seed=0, p_device=0.55, p_edge_extra=0.5, p_cloud_extra=0.6):
     """Rewrite correct bits so cloud dominates edge dominates device pointwise."""
-    from tierroute.trace import TierId, TierResponseInfo
-
     rng = np.random.default_rng(seed)
-    for rec in trace.records:
+    for i in range(len(trace)):
         device = bool(rng.random() < p_device)
         edge = device or bool(rng.random() < p_edge_extra)
         cloud = edge or bool(rng.random() < p_cloud_extra)
-        bits = {TierId.DEVICE: device, TierId.EDGE: edge, TierId.CLOUD: cloud}
-        for tier, flag in bits.items():
-            old = rec.tier_info[tier]
-            rec.tier_info[tier] = TierResponseInfo(
-                generated_tokens=old.generated_tokens,
-                compute_seconds=old.compute_seconds,
-                prompt_tokens=old.prompt_tokens,
-                correct=flag,
-                request_bytes=old.request_bytes,
-                response_bytes=old.response_bytes,
-            )
+        trace.correct[i] = (device, edge, cloud)
     return trace
+
+
+def column_trace(embeddings, ids=None, correct=True, generated_tokens=10, compute_s=0.5,
+                 prompt_tokens=5, sim_cloud=0.5, sim_edge=0.5, judge_cloud=0.5,
+                 judge_edge=0.5, has_reference=True, **header):
+    """A trace built from columns: each argument is one value for every query,
+    a (device, edge, cloud) triple for per-tier columns, or a full column.
+    A correct bit of None is absent; absent scores are NaN."""
+    embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
+    n = len(embeddings)
+
+    def per_tier(value, dtype):
+        return np.array(np.broadcast_to(np.asarray(value, dtype=dtype), (n, 3)))
+
+    def per_query(value, dtype=np.float64):
+        return np.array(np.broadcast_to(np.asarray(value, dtype=dtype), (n,)))
+
+    bits = np.asarray(correct, dtype=object)
+    bits = np.where(bits == None, CORRECT_ABSENT, bits)  # noqa: E711 - elementwise None test
+    generated = per_tier(generated_tokens, np.int64)
+    prompt = per_tier(prompt_tokens, np.int64)
+    return Trace(
+        ids=list(ids) if ids is not None else [f"q{i}" for i in range(n)],
+        embeddings=embeddings,
+        generated_tokens=generated,
+        prompt_tokens=prompt,
+        request_bytes=BYTES_PER_TOKEN * prompt,
+        response_bytes=BYTES_PER_TOKEN * generated,
+        compute_s=per_tier(compute_s, np.float64),
+        correct=per_tier(bits.astype(np.int8), np.int8),
+        sim_cloud=per_query(np.nan if sim_cloud is None else sim_cloud),
+        sim_edge=per_query(np.nan if sim_edge is None else sim_edge),
+        judge_cloud=per_query(np.nan if judge_cloud is None else judge_cloud),
+        judge_edge=per_query(np.nan if judge_edge is None else judge_edge),
+        has_reference=per_query(has_reference, bool),
+        **header,
+    )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import build_state, hetero_config
-from tierroute.accounting import CostModel, UtilityWeights
+from tierroute.accounting import UtilityWeights, tier_latency
 from tierroute.bayesopt import BoConfig, optimize_offline
 from tierroute.cli import main as cli_main
 from tierroute.cluster import elbow_select_k
@@ -23,13 +23,7 @@ from tierroute.network import (
     round_trip_latency,
     scenario_by_name,
 )
-from tierroute.router import (
-    _per_tier_outcomes,
-    _tier_choices,
-    baseline_route,
-    run_stream,
-    routing_tier,
-)
+from tierroute.router import baseline_route, route_tiers, run_stream
 from tierroute.trace import (
     SyntheticConfig,
     TierId,
@@ -45,11 +39,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 
 def split_trace(trace: Trace, cut: int) -> tuple[Trace, Trace]:
-    head = Trace(records=trace.records[:cut], embedding_dim=trace.embedding_dim,
-                 prompt_text=trace.prompt_text, metadata=dict(trace.metadata))
-    tail = Trace(records=trace.records[cut:], embedding_dim=trace.embedding_dim,
-                 prompt_text=trace.prompt_text, metadata=dict(trace.metadata))
-    return head, tail
+    return trace.subset(slice(None, cut)), trace.subset(slice(cut, None))
 
 
 def test_criterion_1_gradient_correctness():
@@ -111,7 +101,7 @@ def test_criterion_3_elbow_recovery():
             cfg = SyntheticConfig(n_queries=n, embedding_dim=12, n_latent_clusters=true_k,
                                   seed=1000 * true_k + seed, cluster_separation=12.0)
             trace, _ = generate_synthetic_trace(cfg)
-            got = elbow_select_k(trace.embeddings_matrix(), 2, 10, seed=seed)
+            got = elbow_select_k(trace.embeddings, 2, 10, seed=seed)
             hits += got == true_k
             trials += 1
     elapsed = time.perf_counter() - start
@@ -198,7 +188,7 @@ def test_criterion_6_routing_rule_soundness():
     choice = np.where(scores > tau1, 0, np.where(scores > tau2, 1, 2))
     sound = True
     for i in rng.choice(len(scores), size=2000, replace=False):
-        sound &= routing_tier(float(scores[i]), float(tau1[i]), float(tau2[i])) == TierId(choice[i])
+        sound &= route_tiers(float(scores[i]), float(tau1[i]), float(tau2[i])) == TierId(choice[i])
     expected = np.where(scores > tau1, 0, np.where(scores > tau2, 1, 2))
     sound &= bool(np.array_equal(choice, expected))
 
@@ -207,13 +197,13 @@ def test_criterion_6_routing_rule_soundness():
         trace_scores = rng.random(2000)
         t2 = float(rng.uniform(0.0, 0.5))
         device_fracs = [
-            float(np.mean(_tier_choices(trace_scores, t1, t2) == 0))
+            float(np.mean(route_tiers(trace_scores, t1, t2) == 0))
             for t1 in np.sort(rng.uniform(t2 + 1e-9, 1.0, size=8))
         ]
         monotone &= all(a >= b - 1e-12 for a, b in zip(device_fracs, device_fracs[1:]))
         t1 = float(rng.uniform(0.5, 1.0))
         non_cloud = [
-            float(np.mean(_tier_choices(trace_scores, t1, t2v) != 2))
+            float(np.mean(route_tiers(trace_scores, t1, t2v) != 2))
             for t2v in np.sort(rng.uniform(0.0, t1 - 1e-9, size=8))
         ]
         monotone &= all(a >= b - 1e-12 for a, b in zip(non_cloud, non_cloud[1:]))
@@ -224,9 +214,9 @@ def test_criterion_6_routing_rule_soundness():
 
 def _global_static_best_latency(trace, predictor, target_accuracy, scenario,
                                 resolution=20):
-    scores = predict_batch(predictor, trace.embeddings_matrix())
-    windows = np.zeros(len(trace.records), dtype=int)
-    correct, lats, _ = _per_tier_outcomes(trace, scenario, CostModel(), windows)
+    scores = predict_batch(predictor, trace.embeddings)
+    correct = trace.correctness_matrix()
+    lats = tier_latency(trace, scenario, np.zeros(len(trace), dtype=int))
     rows = np.arange(len(scores))
     taus = np.linspace(0.0, 1.0, resolution)
     frontier = []
@@ -234,7 +224,7 @@ def _global_static_best_latency(trace, predictor, target_accuracy, scenario,
         for t2 in taus:
             if t2 >= t1:
                 continue
-            choice = _tier_choices(scores, t1, t2)
+            choice = route_tiers(scores, t1, t2)
             frontier.append((float(correct[rows, choice].mean()),
                              float(lats[rows, choice].mean())))
     matched = [lat for acc, lat in frontier if acc >= target_accuracy - 0.005]

@@ -33,6 +33,13 @@ class TestGen:
         manifest = json.loads((tmp / "g" / "manifest.json").read_text())
         assert manifest["command"] == "gen" and manifest["seed"] == 3
 
+    @pytest.mark.parametrize("setting", ["synthetic.n_queries=0",
+                                         "synthetic.reference_fraction=1.5"])
+    def test_invalid_synthetic_config_exit_2(self, workdir, capsys, setting):
+        tmp, cfg = workdir
+        assert run("gen", "--config", cfg, "--out", tmp / "g", "--set", setting) == 2
+        assert "bad synthetic config" in capsys.readouterr().err
+
     def test_drift_trace(self, workdir):
         tmp, cfg = workdir
         code = run("gen", "--config", cfg, "--out", tmp / "g",
@@ -91,6 +98,16 @@ class TestTune:
         assert code == 2
         assert "checksum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_corrupt_bundle_manifest_exit_2(self, workdir, capsys, text):
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+        (tmp / "b" / "bundle_manifest.json").write_text(text)
+        capsys.readouterr()
+        code = run("stream", "--config", cfg, "--bundle", tmp / "b", "--out", tmp / "s")
+        assert code == 2
+        assert "bundle_manifest.json" in capsys.readouterr().err
+
     def test_parallel_clusters_matches_serial(self, workdir):
         tmp, cfg = workdir
         assert run("tune", "--config", cfg, "--out", tmp / "serial", "--seed", 4) == 0
@@ -133,6 +150,29 @@ class TestStream:
         report = json.loads((tmp / "s" / "stream_report.json").read_text())
         lat = [w["mean_latency_s"] for w in report["windows"]]
         assert len(lat) == 4
+
+    @pytest.mark.parametrize("source", ["set", "config", "bundle"])
+    def test_config_update_interval_applies(self, workdir, source):
+        # The bundle is tuned with the config's interval of 100.
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+        argv = ["stream", "--bundle", tmp / "b", "--out", tmp / "s", "--static"]
+        if source == "set":
+            argv += ["--config", cfg, "--set", "stream.update_interval=50"]
+        else:
+            other = tmp / "other.jsonl"
+            keep = [line for line in SMALL_CONFIG.splitlines() if '"stream"' not in line]
+            if source == "config":
+                keep.append('{"section": "stream", "update_interval": 50}')
+            other.write_text("\n".join(keep) + "\n")
+            argv += ["--config", other]
+        assert run(*argv) == 0
+        expected = 100 if source == "bundle" else 50
+        report = json.loads((tmp / "s" / "stream_report.json").read_text())
+        manifest = json.loads((tmp / "s" / "manifest.json").read_text())
+        assert report["window_size"] == expected
+        assert len(report["windows"]) == 400 // expected
+        assert manifest["config"]["stream"]["update_interval"] == expected
 
     @pytest.mark.parametrize("flag", [["--update-interval", "0"],
                                       ["--set", "stream.update_interval=0"],

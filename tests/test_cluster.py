@@ -82,13 +82,13 @@ class TestElbow:
         cfg = SyntheticConfig(n_queries=900, embedding_dim=12, n_latent_clusters=3,
                               seed=21, cluster_separation=12.0)
         trace, _ = generate_synthetic_trace(cfg)
-        assert elbow_select_k(trace.embeddings_matrix(), 2, 10, seed=0) == 3
+        assert elbow_select_k(trace.embeddings, 2, 10, seed=0) == 3
 
     def test_five_latent_clusters(self):
         cfg = SyntheticConfig(n_queries=1500, embedding_dim=12, n_latent_clusters=5,
                               seed=22, cluster_separation=12.0)
         trace, _ = generate_synthetic_trace(cfg)
-        assert elbow_select_k(trace.embeddings_matrix(), 2, 10, seed=0) == 5
+        assert elbow_select_k(trace.embeddings, 2, 10, seed=0) == 5
 
     def test_invalid_range(self):
         points = np.random.default_rng(0).normal(size=(20, 3))
@@ -124,8 +124,8 @@ class TestAssign:
         cfg = SyntheticConfig(n_queries=800, embedding_dim=10, n_latent_clusters=4,
                               seed=33, cluster_separation=12.0)
         trace, truth = generate_synthetic_trace(cfg)
-        model = kmeans_fit(trace.embeddings_matrix(), 4, seed=1)
-        got = assign_batch(model, trace.embeddings_matrix())
+        model = kmeans_fit(trace.embeddings, 4, seed=1)
+        got = assign_batch(model, trace.embeddings)
         purity = sum(
             np.bincount(truth.cluster_of[got == j], minlength=4).max()
             for j in range(4) if np.any(got == j)

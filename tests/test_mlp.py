@@ -182,7 +182,7 @@ class TestSyntheticPredictor:
                               seed=13, noise_sigma=0.0, reference_fraction=0.0)
         trace, _ = generate_synthetic_trace(cfg)
         labels = build_labels(trace, LabelConfig(alpha=0.5, beta=0.5))
-        x = trace.embeddings_matrix()
+        x = trace.embeddings
         split = 1000
         mlp_cfg = MlpConfig(input_dim=16, hidden_dims=(32,), activation="relu",
                             learning_rate=3e-3, batch_size=64, max_epochs=60,

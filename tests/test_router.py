@@ -1,5 +1,7 @@
 import hashlib
 import json
+from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,17 +14,20 @@ from helpers import (
     quick_mlp,
     truth_fractions,
 )
-from tierroute.accounting import UtilityWeights
-from tierroute.bayesopt import ThresholdPair
+from tierroute.accounting import UtilityWeights, tier_cost, tier_latency, utility_matrix
+from tierroute.bayesopt import DEFAULT_ONLINE_HYPERS, ThresholdPair, refresh_online
 from tierroute.errors import BundleIntegrityError, CorruptStateError, DimensionMismatchError
+from tierroute.cluster import assign_batch
 from tierroute.labels import LabelConfig, build_labels
-from tierroute.mlp import init_model
+from tierroute.mlp import init_model, predict_batch
 from tierroute.network import scenario_by_name
 from tierroute.router import (
+    RECENT_REPLAY_DEPTH,
+    _derived_seed,
+    _make_evaluator,
     baseline_route,
     load_bundle,
-    route_query,
-    routing_tier,
+    route_tiers,
     run_offline_phase,
     run_stream,
     save_bundle,
@@ -31,7 +36,6 @@ from tierroute.router import (
 from tierroute.trace import (
     SyntheticConfig,
     TierId,
-    Trace,
     concat_traces,
     generate_synthetic_trace,
 )
@@ -41,14 +45,14 @@ GOOD = scenario_by_name("good")
 
 class TestRoutingRule:
     def test_above_tau1_stays_on_device(self):
-        assert routing_tier(0.90, 0.80, 0.50) == TierId.DEVICE
+        assert route_tiers(0.90, 0.80, 0.50) == TierId.DEVICE
 
     def test_boundary_escalates(self):
-        assert routing_tier(0.80, 0.80, 0.50) == TierId.EDGE
-        assert routing_tier(0.50, 0.80, 0.50) == TierId.CLOUD
+        assert route_tiers(0.80, 0.80, 0.50) == TierId.EDGE
+        assert route_tiers(0.50, 0.80, 0.50) == TierId.CLOUD
 
     def test_low_score_goes_to_cloud(self):
-        assert routing_tier(0.10, 0.80, 0.50) == TierId.CLOUD
+        assert route_tiers(0.10, 0.80, 0.50) == TierId.CLOUD
 
     def test_fuzzed_rule_consistency(self):
         rng = np.random.default_rng(0)
@@ -57,7 +61,7 @@ class TestRoutingRule:
             if tau1 <= tau2:
                 continue
             score = float(rng.random())
-            tier = routing_tier(score, tau1, tau2)
+            tier = route_tiers(score, tau1, tau2)
             if score > tau1:
                 assert tier == TierId.DEVICE
             elif score > tau2:
@@ -71,17 +75,13 @@ class TestRoutingRule:
             scores = rng.random(400)
             tau2 = float(rng.uniform(0.0, 0.5))
             tau1s = np.sort(rng.uniform(tau2 + 1e-6, 1.0, size=6))
-            device_fracs = [
-                np.mean([routing_tier(s, t1, tau2) == TierId.DEVICE for s in scores])
-                for t1 in tau1s
-            ]
+            device_fracs = [np.mean(route_tiers(scores, t1, tau2) == TierId.DEVICE)
+                            for t1 in tau1s]
             assert all(a >= b - 1e-12 for a, b in zip(device_fracs, device_fracs[1:]))
             tau1 = float(rng.uniform(0.5, 1.0))
             tau2s = np.sort(rng.uniform(0.0, tau1 - 1e-6, size=6))
-            non_cloud = [
-                np.mean([routing_tier(s, tau1, t2) != TierId.CLOUD for s in scores])
-                for t2 in tau2s
-            ]
+            non_cloud = [np.mean(route_tiers(scores, tau1, t2) != TierId.CLOUD)
+                         for t2 in tau2s]
             assert all(a >= b - 1e-12 for a, b in zip(non_cloud, non_cloud[1:]))
 
 
@@ -100,26 +100,24 @@ def small_state():
 class TestRouteQuery:
     def test_decision_consistent_with_rule(self, small_state):
         trace, _, state = small_state
-        for rec in trace.records[:50]:
-            decision = route_query(state, rec)
-            assert decision.tier == routing_tier(decision.score, decision.tau1,
-                                                 decision.tau2)
-            assert decision.cluster in state.thresholds
+        d = run_stream(state.clone(), trace.subset(slice(0, 50)), GOOD, online=False).decisions
+        assert np.array_equal(d.tier, route_tiers(d.score, d.tau1, d.tau2))
+        assert set(d.cluster.tolist()) <= set(state.thresholds)
 
     def test_dimension_mismatch(self, small_state):
         trace, _, state = small_state
-        rec = trace.records[0]
-        bad = type(rec)(id="bad", embedding=np.zeros(5), tier_info=rec.tier_info)
+        bad = replace(trace.subset([0]), embeddings=np.zeros((1, 5)))
         with pytest.raises(DimensionMismatchError):
-            route_query(state, bad)
+            run_stream(state.clone(), bad, GOOD, online=False)
 
     def test_missing_threshold_is_corrupt_state(self, small_state):
         trace, _, state = small_state
         clone = state.clone()
-        cluster = route_query(clone, trace.records[0]).cluster
+        first = trace.subset([0])
+        cluster = int(assign_batch(clone.clusters, first.embeddings)[0])
         del clone.thresholds[cluster]
         with pytest.raises(CorruptStateError):
-            route_query(clone, trace.records[0])
+            run_stream(clone, first, GOOD, online=False)
 
 
 class TestOfflinePhase:
@@ -161,9 +159,8 @@ class TestOfflinePhase:
             mask = truth.cluster_of == latent
             rates = correct[mask].mean(axis=0)
             best = set(np.flatnonzero(rates >= rates.max() - 1e-6))
-            rows = [r for i, r in enumerate(report.decisions) if mask[i]]
-            ok += sum(1 for r in rows if int(r.tier) in best)
-            total += len(rows)
+            ok += int(np.isin(report.decisions.tier[mask], list(best)).sum())
+            total += int(mask.sum())
         assert ok / total >= 0.95
 
     def test_deterministic_checksum(self):
@@ -219,6 +216,53 @@ class TestRunStream:
         grew = [k for k in before if len(clone.observations[k]) > before[k]]
         assert grew
 
+    def test_online_matches_per_query_reference(self, small_state):
+        # The windowed stream equals a query-at-a-time replay of the same rule:
+        # same tiers, refreshed thresholds and observation logs, with a
+        # partial last window that triggers no refresh. Each cluster sees more
+        # queries than the replay depth.
+        trace, _, state = small_state
+        stream = concat_traces(concat_traces(trace, trace), trace).subset(slice(0, 1450))
+        ref = state.clone()
+        ref.update_interval = m = 100
+        per_cluster = np.bincount(assign_batch(ref.clusters, stream.embeddings))
+        assert per_cluster.min() > RECENT_REPLAY_DEPTH
+        clone = ref.clone()
+        report = run_stream(clone, stream, GOOD, online=True)
+
+        scores = predict_batch(ref.predictor, stream.embeddings)
+        membership = assign_batch(ref.clusters, stream.embeddings)
+        utilities = utility_matrix(stream.correctness_matrix(),
+                                   tier_latency(stream, GOOD, np.arange(len(stream)) // m),
+                                   tier_cost(stream, ref.cost_model), ref.weights,
+                                   ref.cloud_baselines)
+        recent = {c: deque(maxlen=RECENT_REPLAY_DEPTH) for c in range(ref.clusters.k)}
+        rngs = {c: np.random.default_rng(_derived_seed(ref.bo_config.seed, 2, c))
+                for c in range(ref.clusters.k)}
+        fresh, tiers = set(), []
+        for i in range(len(stream)):
+            c = int(membership[i])
+            pair = ref.thresholds[c]
+            tiers.append(int(route_tiers(float(scores[i]), pair.tau1, pair.tau2)))
+            ref.observations[c].append(pair, float(utilities[i, tiers[-1]]))
+            recent[c].append(i)
+            fresh.add(c)
+            if (i + 1) % m == 0:
+                for c in sorted(fresh):
+                    rows = list(recent[c])
+                    ref.thresholds[c] = refresh_online(
+                        ref.observations[c], ref.thresholds[c],
+                        _make_evaluator(scores[rows], utilities[rows]), ref.bo_config,
+                        rng=rngs[c], hypers=DEFAULT_ONLINE_HYPERS)
+                fresh.clear()
+        assert report.decisions.tier.tolist() == tiers
+        assert clone.thresholds == ref.thresholds
+        grown = sum(len(clone.observations[c]) - len(state.observations[c])
+                    for c in range(ref.clusters.k))
+        assert grown > len(stream)  # the refreshes logged their evaluations too
+        for c in range(ref.clusters.k):
+            assert clone.observations[c].points == ref.observations[c].points
+
     def test_refresh_skips_clusters_without_data(self):
         cfg = SyntheticConfig(n_queries=500, embedding_dim=12, n_latent_clusters=2,
                               seed=61, noise_sigma=0.03, cluster_separation=14.0)
@@ -228,10 +272,9 @@ class TestRunStream:
                             bo_overrides={"offline_budget": 10})
         assert state.clusters.k == 2
         # Stream only latent-cluster-0 queries.
-        keep = [r for i, r in enumerate(trace.records) if truth.cluster_of[i] == 0]
-        stream = Trace(records=keep, embedding_dim=trace.embedding_dim)
+        stream = trace.subset(truth.cluster_of == 0)
         clone = state.clone()
-        streamed_cluster = route_query(clone, keep[0]).cluster
+        streamed_cluster = int(assign_batch(clone.clusters, stream.embeddings[:1])[0])
         silent = 1 - streamed_cluster
         before_pair = clone.thresholds[silent]
         before_len = len(clone.observations[silent])
@@ -282,9 +325,7 @@ class TestBaselines:
 
     def test_device_only_latency_is_mean_compute(self, trace):
         report = baseline_route("device-only", trace, GOOD)
-        mean_compute = np.mean([
-            r.tier_info[TierId.DEVICE].compute_seconds for r in trace.records
-        ])
+        mean_compute = np.mean(trace.compute_s[:, TierId.DEVICE])
         assert report.totals.mean_latency_s == pytest.approx(mean_compute, rel=1e-12)
 
     def test_global_static_near_one_never_uses_device(self, trace):

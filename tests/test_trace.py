@@ -2,15 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from helpers import column_trace
 from tierroute.cli import main
 from tierroute.errors import TraceFormatError, TraceValidationError
 from tierroute.trace import (
-    QueryRecord,
+    CORRECT_ABSENT,
+    CORRECT_NULL,
     SyntheticConfig,
     TierId,
-    TierResponseInfo,
-    Trace,
     agreement_probability,
     concat_traces,
     generate_synthetic_trace,
@@ -21,21 +22,18 @@ from tierroute.cluster import assign_batch, kmeans_fit
 from tierroute.labels import build_labels
 
 
-def make_record(rid, embedding, correct=(True, True, True), has_reference=True,
-                sim_cloud=0.5, sim_edge=0.5):
-    tier_info = {
-        tier: TierResponseInfo(generated_tokens=10, compute_seconds=0.5,
-                               prompt_tokens=5, correct=correct[tier])
-        for tier in TierId
-    }
-    return QueryRecord(id=rid, embedding=np.asarray(embedding, dtype=float),
-                       tier_info=tier_info, sim_cloud=sim_cloud, sim_edge=sim_edge,
-                       judge_cloud=0.5, judge_edge=0.5, has_reference=has_reference)
-
-
 def small_trace():
-    records = [make_record(f"q{i}", [0.1 * i, 1.0, -2.0, 3.5]) for i in range(3)]
-    return Trace(records=records, embedding_dim=4, prompt_text="p", metadata={"k": "v"})
+    embeddings = [[0.1 * i, 1.0, -2.0, 3.5] for i in range(3)]
+    return column_trace(embeddings, prompt_text="p", metadata={"k": "v"})
+
+
+def edit_record(path, lineno, edit):
+    """Rewrite the JSON object on line ``lineno`` (1-based) of a trace file."""
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[lineno - 1])
+    edit(obj)
+    lines[lineno - 1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestTraceIO:
@@ -50,16 +48,15 @@ class TestTraceIO:
         assert path.read_bytes() == again.read_bytes()
 
     def test_dimension_mismatch_names_record(self, tmp_path):
-        trace = small_trace()
-        trace.records[1].embedding = np.zeros(5)
         path = tmp_path / "bad.jsonl"
-        save_trace(trace, path)
+        save_trace(small_trace(), path)
+        edit_record(path, 3, lambda obj: obj.update(embedding=[0.0] * 5))
         with pytest.raises(TraceValidationError, match="q1"):
             load_trace(path)
 
     def test_out_of_range_score(self, tmp_path):
         trace = small_trace()
-        trace.records[2].sim_cloud = 1.3
+        trace.sim_cloud[2] = 1.3
         path = tmp_path / "bad.jsonl"
         save_trace(trace, path)
         with pytest.raises(TraceValidationError, match="sim_cloud"):
@@ -67,7 +64,7 @@ class TestTraceIO:
 
     def test_non_finite_embedding_rejected(self, tmp_path):
         trace = small_trace()
-        trace.records[0].embedding = np.array([0.0, np.nan, 1.0, 2.0])
+        trace.embeddings[0] = [0.0, np.nan, 1.0, 2.0]
         path = tmp_path / "bad.jsonl"
         save_trace(trace, path)
         with pytest.raises(TraceValidationError, match="non-finite"):
@@ -75,7 +72,7 @@ class TestTraceIO:
 
     def test_duplicate_id(self, tmp_path):
         trace = small_trace()
-        trace.records[1].id = "q0"
+        trace.ids[1] = "q0"
         path = tmp_path / "bad.jsonl"
         save_trace(trace, path)
         with pytest.raises(TraceValidationError, match="duplicate"):
@@ -91,61 +88,74 @@ class TestTraceIO:
             load_trace(path)
 
     def test_missing_correct_with_reference(self):
-        rec = make_record("q0", [0.0, 0.0, 0.0, 0.0])
-        rec.tier_info[TierId.EDGE] = TierResponseInfo(
-            generated_tokens=10, compute_seconds=0.5, prompt_tokens=5, correct=None)
-        trace = Trace(records=[rec], embedding_dim=4)
+        trace = column_trace([[0.0, 0.0, 0.0, 0.0]], correct=(True, None, True))
         with pytest.raises(TraceValidationError, match="has_reference"):
             trace.validate()
 
-    def test_byte_defaults_follow_token_counts(self):
-        info = TierResponseInfo(generated_tokens=25, compute_seconds=1.0, prompt_tokens=7)
-        assert info.request_bytes == 28
-        assert info.response_bytes == 100
+    def test_byte_defaults_follow_token_counts(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        save_trace(column_trace([[0.0] * 4], generated_tokens=25, prompt_tokens=7), path)
+
+        def drop_bytes(obj):
+            for sub in obj["tier_info"].values():
+                del sub["request_bytes"], sub["response_bytes"]
+
+        edit_record(path, 2, drop_bytes)
+        trace = load_trace(path)
+        assert trace.request_bytes.tolist() == [[28, 28, 28]]
+        assert trace.response_bytes.tolist() == [[100, 100, 100]]
 
     def test_concat_disambiguates_ids(self):
         a, b = small_trace(), small_trace()
         merged = concat_traces(a, b)
         assert len(merged) == 6
-        assert len({r.id for r in merged.records}) == 6
+        assert len(set(merged.ids)) == 6
 
 
 def wrong_device_trace(tmp_path, edit=None):
     """Two records; on q0 the device is wrong and the cloud right. ``edit``
     rewrites q0's JSON object before the file is written."""
-    trace = Trace(records=[make_record("q0", [0.0, 1.0, 2.0, 3.0], correct=(False, True, True)),
-                           make_record("q1", [1.0, 1.0, 2.0, 3.0])],
-                  embedding_dim=4)
+    trace = column_trace([[0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 2.0, 3.0]],
+                         correct=[(False, True, True), (True, True, True)])
     path = tmp_path / "trace.jsonl"
     save_trace(trace, path)
     if edit is not None:
-        lines = path.read_text().splitlines()
-        obj = json.loads(lines[1])
-        edit(obj)
-        lines[1] = json.dumps(obj)
-        path.write_text("\n".join(lines) + "\n")
+        edit_record(path, 2, edit)
     return path
+
+
+TIER_FIELDS = {"correct", "generated_tokens", "prompt_tokens", "request_bytes",
+               "response_bytes", "compute_seconds"}
+DROP = object()
 
 
 class TestStrictBooleans:
     def test_real_false_gives_zero_augmentation(self, tmp_path):
         trace = load_trace(wrong_device_trace(tmp_path))
-        assert trace.records[0].tier_info[TierId.DEVICE].correct is False
+        assert trace.correct[0, TierId.DEVICE] == 0
         assert build_labels(trace).aug_cloud[0] == 0.0
 
     @pytest.mark.parametrize("field,value", [
         ("correct", "false"), ("correct", 0), ("has_reference", "false"),
         ("has_reference", 1), ("has_reference", None),
+        ("generated_tokens", 5.7), ("generated_tokens", True), ("generated_tokens", DROP),
+        ("prompt_tokens", "7"), ("request_bytes", 12.5), ("response_bytes", None),
+        ("compute_seconds", "0.5"), ("compute_seconds", float("inf")),
+        ("compute_seconds", False), ("sim_cloud", float("nan")), ("judge_edge", True),
+        ("cloud", DROP),
     ])
     def test_non_boolean_rejected_with_record_id(self, tmp_path, capsys, field, value):
         def edit(obj):
-            if field == "correct":
-                obj["tier_info"]["device"]["correct"] = value
+            target = obj["tier_info"]["device"] if field in TIER_FIELDS else obj
+            if field == "cloud":
+                target = obj["tier_info"]
+            if value is DROP:
+                del target[field]
             else:
-                obj["has_reference"] = value
+                target[field] = value
 
         path = wrong_device_trace(tmp_path, edit)
-        with pytest.raises(TraceValidationError, match=f"record 'q0'.*{field}"):
+        with pytest.raises(TraceValidationError, match=f"line 2: record 'q0'.*{field}"):
             load_trace(path)
         assert main(["train", "--trace", str(path), "--out", str(tmp_path / "t")]) == 2
         assert "q0" in capsys.readouterr().err
@@ -157,8 +167,61 @@ class TestStrictBooleans:
             del obj["tier_info"]["edge"]["correct"]
 
         trace = load_trace(wrong_device_trace(tmp_path, edit))
-        assert trace.records[0].tier_info[TierId.DEVICE].correct is None
-        assert trace.records[0].tier_info[TierId.EDGE].correct is None
+        assert trace.correct[0, TierId.DEVICE] == CORRECT_NULL
+        assert trace.correct[0, TierId.EDGE] == CORRECT_ABSENT
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def trace_files(draw):
+    """A canonical trace file with absent scores, null or absent correct bits
+    and mixed has_reference, plus the same file with every byte count that
+    equals its default left out."""
+    header = json.dumps({"embedding_dim": 3, "metadata": {"m": 1}, "prompt_text": "p"},
+                        sort_keys=True)
+    canonical, sparse = [header], [header]
+    for i in range(draw(st.integers(1, 6))):
+        has_reference = draw(st.booleans())
+        full, short = {}, {}
+        for label in ("device", "edge", "cloud"):
+            generated, prompt = draw(st.integers(1, 10_000)), draw(st.integers(0, 10_000))
+            sub = {"generated_tokens": generated, "prompt_tokens": prompt,
+                   "compute_seconds": draw(st.floats(0.0, 1e3)),
+                   "request_bytes": draw(st.just(4 * prompt) | st.integers(0, 10**9)),
+                   "response_bytes": draw(st.just(4 * generated) | st.integers(0, 10**9))}
+            bit = draw(st.booleans() if has_reference
+                       else st.sampled_from([True, False, None, "absent"]))
+            if bit != "absent":
+                sub["correct"] = bit
+            full[label] = sub
+            short[label] = {key: value for key, value in sub.items()
+                            if not (key == "request_bytes" and value == 4 * prompt
+                                    or key == "response_bytes" and value == 4 * generated)}
+        obj = {"id": f"r{i}", "embedding": draw(st.lists(st.floats(-1e6, 1e6), min_size=3,
+                                                         max_size=3)),
+               "has_reference": has_reference}
+        for name in ("sim_cloud", "sim_edge", "judge_cloud", "judge_edge"):
+            value = draw(st.none() | unit)
+            if value is not None:
+                obj[name] = value
+        canonical.append(json.dumps({**obj, "tier_info": full}, sort_keys=True))
+        sparse.append(json.dumps({**obj, "tier_info": short}, sort_keys=True))
+    return "\n".join(canonical) + "\n", "\n".join(sparse) + "\n"
+
+
+class TestRoundTripAbsentFields:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(files=trace_files())
+    def test_save_of_load_is_byte_identical(self, tmp_path, files):
+        canonical, sparse = files
+        for i, text in enumerate((canonical, sparse)):
+            original, again = tmp_path / f"f{i}.jsonl", tmp_path / f"g{i}.jsonl"
+            original.write_text(text, encoding="utf-8")
+            save_trace(load_trace(original), again)
+            assert again.read_text(encoding="utf-8") == canonical
 
 
 class TestSyntheticGeneration:
@@ -175,10 +238,10 @@ class TestSyntheticGeneration:
         cfg = SyntheticConfig(n_queries=40, embedding_dim=8, n_latent_clusters=2,
                               seed=3, noise_sigma=0.0)
         trace, truth = generate_synthetic_trace(cfg)
-        for i, rec in enumerate(trace.records):
-            assert rec.sim_cloud == pytest.approx(truth.consistency_cloud[i], abs=1e-12)
-            assert rec.sim_edge == pytest.approx(truth.consistency_edge[i], abs=1e-12)
-            assert rec.judge_cloud == pytest.approx(truth.consistency_cloud[i], abs=1e-12)
+        np.testing.assert_allclose(trace.sim_cloud, truth.consistency_cloud, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace.sim_edge, truth.consistency_edge, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace.judge_cloud, truth.consistency_cloud, rtol=0,
+                                   atol=1e-12)
 
     def test_agreement_probability_oracle(self):
         # Independence oracle: both right or both wrong.
@@ -192,8 +255,8 @@ class TestSyntheticGeneration:
         cfg = SyntheticConfig(n_queries=600, embedding_dim=16, n_latent_clusters=3,
                               seed=11, cluster_separation=12.0)
         trace, truth = generate_synthetic_trace(cfg)
-        model = kmeans_fit(trace.embeddings_matrix(), 3, seed=0)
-        got = assign_batch(model, trace.embeddings_matrix())
+        model = kmeans_fit(trace.embeddings, 3, seed=0)
+        got = assign_batch(model, trace.embeddings)
         # Purity against the latent labels.
         purity = 0.0
         for j in range(3):
