@@ -24,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from .accounting import CostModel, UtilityWeights
 from .bayesopt import BoConfig, ThresholdPair
-from .errors import ConfigError, TierRouteError
+from .errors import ConfigError, TierRouteError, TraceValidationError
 from .labels import LabelConfig, build_labels
 from .mlp import MlpConfig, init_model, load_checkpoint, save_checkpoint, train
 from .network import load_scenario, scenario_by_name
@@ -200,7 +200,10 @@ def resolve_trace(config: dict, seed: int) -> Trace:
         path = Path(trace_path)
         if not path.exists():
             raise ConfigError(f"trace file not found: {path}")
-        return load_trace(path)
+        trace = load_trace(path)
+        if len(trace) == 0:
+            raise TraceValidationError(f"{path}: trace holds no records")
+        return trace
     if has_synth:
         trace, _ = generate_synthetic_trace(synthetic_config(config, seed))
         return trace

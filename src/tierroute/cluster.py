@@ -37,6 +37,32 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
+def _nearest(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest centroid per row, equal to ``_sq_dists(points, centroids).argmin(axis=1)``.
+
+    ``sq_norms`` holds each row's squared norm. Candidates are screened by
+    ``|c|^2 - 2 c.x`` from one matrix product, which differs from the squared
+    distance by the row constant ``|x|^2``. Rows where a second candidate lies
+    within a rounding band of the best, or whose screen is not finite, are
+    redone with the exact kernel, so ties still break to the lowest index.
+    """
+    cc = np.einsum("kd,kd->k", centroids, centroids)
+    screen = centroids @ points.T  # (k, n): reductions over k run along rows
+    screen *= -2.0
+    screen += cc[:, None]
+    # Either form errs by at most about (2d + 6)u(|x|^2 + |c|^2) per entry (u
+    # the unit roundoff, any summation order), so a margin over twice their
+    # sum, (8d + 16)u(|x|^2 + max|c|^2), fixes the exact argmin. The band is
+    # wider than that for every d < 10^6.
+    band = 1e-9 * (sq_norms + cc.max())
+    close = screen <= screen.min(axis=0) + band
+    labels = close.argmax(axis=0)
+    near = np.flatnonzero(np.count_nonzero(close, axis=0) != 1)
+    if near.size:
+        labels[near] = _sq_dists(points[near], centroids).argmin(axis=1)
+    return labels
+
+
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]))
@@ -55,23 +81,31 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
-def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int
-           ) -> tuple[np.ndarray, np.ndarray, float]:
+def _lloyd(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray,
+           max_iter: int) -> tuple[np.ndarray, np.ndarray, float]:
+    k = centroids.shape[0]
     labels = np.full(points.shape[0], -1)
     for _ in range(max_iter):
-        dists = _sq_dists(points, centroids)
-        new_labels = dists.argmin(axis=1)
+        new_labels = _nearest(points, sq_norms, centroids)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for j in range(centroids.shape[0]):
-            members = points[labels == j]
-            if members.shape[0] == 0:
-                # Revive an empty cluster at the point farthest from its centroid.
-                worst = dists[np.arange(points.shape[0]), labels].argmax()
-                centroids[j] = points[worst]
+        counts = np.bincount(labels, minlength=k)
+        if not counts.all():
+            # Revive each empty cluster at the point farthest from its
+            # pre-update centroid.
+            dists = _sq_dists(points, centroids)
+            worst = points[dists[np.arange(points.shape[0]), labels].argmax()]
+        # Slices of one stable sort hold each cluster's rows in input order,
+        # the order in which each mean must add them. (The narrowest label
+        # dtype lets NumPy radix-sort.)
+        members = points[np.argsort(labels.astype(np.min_scalar_type(k - 1)), kind="stable")]
+        stops = np.cumsum(counts)
+        for j in range(k):
+            if counts[j] == 0:
+                centroids[j] = worst
             else:
-                centroids[j] = members.mean(axis=0)
+                centroids[j] = members[stops[j] - counts[j]:stops[j]].mean(axis=0)
     dists = _sq_dists(points, centroids)
     labels = dists.argmin(axis=1)
     inertia = float(dists[np.arange(points.shape[0]), labels].sum())
@@ -90,12 +124,13 @@ def kmeans_fit(embeddings: np.ndarray, k: int, seed: int, *,
     if k < 1 or k > n:
         raise ValueError(f"k={k} must lie in [1, n={n}]")
 
+    sq_norms = np.einsum("nd,nd->n", points, points)
     rng = np.random.default_rng(seed)
     best_centroids = None
     best_inertia = np.inf
     for _ in range(max(restarts, 1)):
         centroids = _kmeanspp_init(points, k, rng).copy()
-        centroids, _, inertia = _lloyd(points, centroids, max_iter)
+        centroids, _, inertia = _lloyd(points, sq_norms, centroids, max_iter)
         if inertia < best_inertia:
             best_inertia = inertia
             best_centroids = centroids
@@ -144,7 +179,7 @@ def assign_batch(model: ClusterModel, embeddings: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"embedding dim {points.shape[1]} != centroid dim {model.dim}"
         )
-    return _sq_dists(points, model.centroids).argmin(axis=1)
+    return _nearest(points, np.einsum("nd,nd->n", points, points), model.centroids)
 
 
 def assign(model: ClusterModel, embedding: np.ndarray) -> int:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -22,6 +23,20 @@ def workdir(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def header_only_trace(tmp, cfg):
+    assert run("gen", "--config", cfg, "--out", tmp / "g") == 0
+    path = tmp / "empty.jsonl"
+    path.write_text((tmp / "g" / "trace.jsonl").read_text().splitlines()[0] + "\n")
+    return path
+
+
+def run_strict(*argv):
+    """``run`` with every warning raised, so work on an empty input cannot pass quietly."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(*argv)
 
 
 class TestGen:
@@ -72,6 +87,13 @@ class TestTrain:
         assert run("train", "--config", cfg, "--out", tmp / "b", "--seed", 5) == 0
         assert ((tmp / "a" / "predictor.ckpt").read_bytes()
                 == (tmp / "b" / "predictor.ckpt").read_bytes())
+
+    def test_header_only_trace_exit_2(self, workdir, capsys):
+        tmp, cfg = workdir
+        trace = header_only_trace(tmp, cfg)
+        assert run_strict("train", "--config", cfg, "--trace", trace, "--out", tmp / "t") == 2
+        assert "empty.jsonl: trace holds no records" in capsys.readouterr().err
+        assert not (tmp / "t" / "predictor.ckpt").exists()
 
 
 class TestTune:
@@ -185,6 +207,17 @@ class TestStream:
                    "--out", tmp / "s", *flag)
         assert code == 2
         assert f"got {flag[1].rpartition('=')[2]}" in capsys.readouterr().err
+
+    def test_header_only_trace_exit_2(self, workdir, capsys):
+        tmp, cfg = workdir
+        trace = header_only_trace(tmp, cfg)
+        assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+        capsys.readouterr()
+        code = run_strict("stream", "--config", cfg, "--bundle", tmp / "b",
+                          "--trace", trace, "--out", tmp / "s")
+        assert code == 2
+        assert "empty.jsonl: trace holds no records" in capsys.readouterr().err
+        assert not (tmp / "s" / "stream_report.json").exists()
 
 
 class TestBaseline:

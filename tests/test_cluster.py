@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tierroute.cluster import (
+    ClusterModel,
     assign,
     assign_batch,
     elbow_select_k,
@@ -131,6 +132,130 @@ class TestAssign:
             for j in range(4) if np.any(got == j)
         ) / len(trace)
         assert purity >= 0.95
+
+
+# Reference: the broadcast k-means every assignment step used before the
+# matrix-product screen. The fast path must reproduce it bit for bit.
+
+def reference_sq_dists(points, centroids):
+    diff = points[:, None, :] - centroids[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def reference_assign_batch(centroids, points):
+    return reference_sq_dists(points, centroids).argmin(axis=1)
+
+
+def reference_kmeanspp_init(points, k, rng):
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(0, n)]
+    closest = reference_sq_dists(points, centroids[:1])[:, 0]
+    for j in range(1, k):
+        total = closest.sum()
+        idx = rng.integers(0, n) if total <= 0 else rng.choice(n, p=closest / total)
+        centroids[j] = points[idx]
+        closest = np.minimum(closest, reference_sq_dists(points, centroids[j:j + 1])[:, 0])
+    return centroids
+
+
+def reference_lloyd(points, centroids, max_iter, revived):
+    labels = np.full(points.shape[0], -1)
+    for _ in range(max_iter):
+        dists = reference_sq_dists(points, centroids)
+        new_labels = dists.argmin(axis=1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(centroids.shape[0]):
+            members = points[labels == j]
+            if members.shape[0] == 0:
+                revived.append(j)
+                worst = dists[np.arange(points.shape[0]), labels].argmax()
+                centroids[j] = points[worst]
+            else:
+                centroids[j] = members.mean(axis=0)
+    dists = reference_sq_dists(points, centroids)
+    labels = dists.argmin(axis=1)
+    return centroids, float(dists[np.arange(points.shape[0]), labels].sum())
+
+
+def reference_fit(points, k, seed, restarts=5, max_iter=300):
+    """(centroids, inertia, empty-cluster revivals) of the broadcast k-means."""
+    rng = np.random.default_rng(seed)
+    best_centroids, best_inertia, revived = None, np.inf, []
+    for _ in range(restarts):
+        centroids = reference_kmeanspp_init(points, k, rng).copy()
+        centroids, inertia = reference_lloyd(points, centroids, max_iter, revived)
+        if inertia < best_inertia:
+            best_centroids, best_inertia = centroids, inertia
+    return best_centroids, best_inertia, len(revived)
+
+
+def lattice(side, offset=0.0):
+    axis = np.arange(side, dtype=float)
+    return np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2) + offset
+
+
+def gaussian_clouds(seed, n, d, offset=0.0):
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0.0, 4.0, size=(4, d))
+    return centers[rng.integers(0, 4, n)] + rng.normal(size=(n, d)) + offset
+
+
+class TestMatchesBroadcastReference:
+    def assert_fit_matches(self, points, k, seed):
+        model = kmeans_fit(points, k, seed)
+        centroids, inertia, revived = reference_fit(points, k, seed)
+        assert np.array_equal(model.centroids, centroids)
+        assert model.inertia == inertia
+        queries = np.vstack([points, gaussian_clouds(seed, 50, points.shape[1],
+                                                     offset=points.mean())])
+        assert np.array_equal(assign_batch(model, queries),
+                              reference_assign_batch(model.centroids, queries))
+        return revived
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_gaussian_clouds(self, seed, k):
+        self.assert_fit_matches(gaussian_clouds(seed, 400, 6), k, seed)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_lattice_ties(self, offset, k):
+        for seed in range(3):
+            self.assert_fit_matches(lattice(7, offset), k, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_offset_clouds(self, seed):
+        self.assert_fit_matches(gaussian_clouds(seed, 1500, 8, offset=1e6), 6, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_duplicates_force_revive(self, seed):
+        rng = np.random.default_rng(seed)
+        points = np.repeat(rng.normal(size=(3, 4)), 10, axis=0)
+        assert self.assert_fit_matches(points, 5, seed) > 0
+
+    def test_k1_and_k_equals_n(self):
+        points = gaussian_clouds(9, 30, 3)
+        for offset in (0.0, 1e6):
+            self.assert_fit_matches(points + offset, 1, 0)
+            self.assert_fit_matches(points + offset, 30, 0)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_equidistant_points_take_lowest_index(self, offset):
+        # Every query is equidistant from centroids 0 and 2 and farther from 1.
+        centroids = np.array([[2.0, 0.0], [9.0, 9.0], [0.0, 0.0], [1.0, -40.0]]) + offset
+        model = ClusterModel(k=4, centroids=centroids, inertia=0.0, seed=0)
+        queries = np.column_stack([np.ones(200), np.linspace(-5.0, 5.0, 200)]) + offset
+        assert np.array_equal(assign_batch(model, queries), np.zeros(200, dtype=int))
+        assert np.array_equal(assign_batch(model, queries),
+                              reference_assign_batch(centroids, queries))
+        lattice_model = ClusterModel(k=4, centroids=lattice(2, offset) + 0.5, inertia=0.0,
+                                     seed=0)
+        grid = lattice(4, offset)
+        assert np.array_equal(assign_batch(lattice_model, grid),
+                              reference_assign_batch(lattice_model.centroids, grid))
 
 
 class TestCentroidIO:
