@@ -140,6 +140,9 @@ def resolve_config(args: argparse.Namespace, defaults: dict = DEFAULT_CONFIG) ->
         config["network"]["switch_window"] = args.switch_window
     if getattr(args, "update_interval", None) is not None:
         config["stream"]["update_interval"] = args.update_interval
+    if "clusters" in (config.get("parallel") or {}):
+        raise ConfigError("parallel.clusters is no longer supported; remove the key "
+                          "(cluster thresholds are tuned serially)")
     return config
 
 
@@ -272,11 +275,22 @@ def cost_model(config: dict) -> CostModel:
         raise ConfigError(f"bad cost config: {exc}") from exc
 
 
-def update_interval(config: dict) -> int:
-    raw = config["stream"]["update_interval"]
+def _positive_int(config: dict, section: str, key: str) -> int:
+    raw = config[section][key]
     if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
-        raise ConfigError(f"stream.update_interval must be an integer >= 1; got {raw!r}")
+        raise ConfigError(f"{section}.{key} must be an integer >= 1; got {raw!r}")
     return raw
+
+
+def _json_bool(config: dict, section: str, key: str) -> bool:
+    raw = config[section][key]
+    if not isinstance(raw, bool):
+        raise ConfigError(f"{section}.{key} must be true or false; got {raw!r}")
+    return raw
+
+
+def update_interval(config: dict) -> int:
+    return _positive_int(config, "stream", "update_interval")
 
 
 def _update_interval_is_set(args: argparse.Namespace) -> bool:
@@ -386,11 +400,10 @@ def _tune_once(config: dict, outdir: Path, weights: UtilityWeights) -> None:
         bo_config=bo_config(config, seed),
         k_min=int(cluster_body["k_min"]),
         k_max=int(cluster_body["k_max"]),
-        kmeans_restarts=int(cluster_body["restarts"]),
+        kmeans_restarts=_positive_int(config, "cluster", "restarts"),
         seed_points=int(config["bo"]["seed_points"]),
         update_interval=update_interval(config),
         fixed_k=cluster_body.get("fixed_k"),
-        parallel_clusters=bool(config.get("parallel", {}).get("clusters", False)),
     )
     save_bundle(state, outdir)
     labels.to_csv(outdir / "labels.csv")
@@ -417,8 +430,6 @@ def _kappa_grid(args: argparse.Namespace) -> list[float] | None:
 
 def cmd_tune(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    if getattr(args, "parallel_clusters", False):
-        config.setdefault("parallel", {})["clusters"] = True
     outdir = output_dir(config)
     grid = _kappa_grid(args)
     if grid is None:
@@ -446,7 +457,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
     seed = int(config["run"]["seed"])
     stream_trace = resolve_trace(config, seed)
     scenario = network_scenario(config)
-    online = bool(config["stream"]["online"])
+    online = _json_bool(config, "stream", "online")
     if getattr(args, "static", False):
         online = False
     if getattr(args, "online", False):
@@ -553,7 +564,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             bo_config=bo_config(config, seed),
             k_min=int(cluster_body["k_min"]),
             k_max=int(cluster_body["k_max"]),
-            kmeans_restarts=int(cluster_body["restarts"]),
+            kmeans_restarts=_positive_int(config, "cluster", "restarts"),
             seed_points=int(config["bo"]["seed_points"]),
             update_interval=update_interval(config),
             fixed_k=cluster_body.get("fixed_k"),
@@ -614,8 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune = sub.add_parser("tune", help="offline phase: predictor, clusters, thresholds")
     common(p_tune)
     p_tune.add_argument("--kappa-grid", help="comma-separated kappa values; one bundle each")
-    p_tune.add_argument("--parallel-clusters", action="store_true",
-                        help="tune cluster thresholds concurrently")
     p_tune.set_defaults(func=cmd_tune)
 
     p_stream = sub.add_parser("stream", help="route a stream with a tuned bundle")

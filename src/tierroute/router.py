@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -171,8 +170,7 @@ def run_offline_phase(trace: Trace, labels: ConsistencyLabels, *,
                       kmeans_restarts: int = 5,
                       seed_points: int = 8,
                       update_interval: int = 200,
-                      fixed_k: int | None = None,
-                      parallel_clusters: bool = False) -> RouterState:
+                      fixed_k: int | None = None) -> RouterState:
     """Train the predictor, cluster embeddings, and learn per-cluster thresholds."""
     weights = weights or UtilityWeights()
     cost_model = cost_model or CostModel()
@@ -198,27 +196,19 @@ def run_offline_phase(trace: Trace, labels: ConsistencyLabels, *,
     *_, tier_utilities = _tier_outcomes(trace, scenario, cost_model, weights, baselines,
                                         windows=np.zeros(len(trace), dtype=int))
 
-    def tune_cluster(idx: int) -> tuple[int, ThresholdPair, ObservationSet]:
+    thresholds: dict[int, ThresholdPair] = {}
+    observations: dict[int, ObservationSet] = {}
+    for idx in range(k):
         mask = membership == idx
         if not np.any(mask):
             # A centroid with no training members keeps a neutral pair.
-            fallback = ThresholdPair(tau1=0.75, tau2=0.25)
-            return idx, fallback, ObservationSet()
+            thresholds[idx] = ThresholdPair(tau1=0.75, tau2=0.25)
+            observations[idx] = ObservationSet()
+            continue
         evaluator = _make_evaluator(scores[mask], tier_utilities[mask])
         cfg = replace(bo_config, seed=_derived_seed(bo_config.seed, 1, idx))
-        incumbent, obs = optimize_offline(evaluator, cfg, seed_points=seed_points)
-        return idx, incumbent, obs
-
-    thresholds: dict[int, ThresholdPair] = {}
-    observations: dict[int, ObservationSet] = {}
-    if parallel_clusters and k > 1:
-        with ThreadPoolExecutor(max_workers=min(k, 8)) as pool:
-            results = list(pool.map(tune_cluster, range(k)))
-    else:
-        results = [tune_cluster(idx) for idx in range(k)]
-    for idx, incumbent, obs in results:
-        thresholds[idx] = incumbent
-        observations[idx] = obs
+        thresholds[idx], observations[idx] = optimize_offline(evaluator, cfg,
+                                                              seed_points=seed_points)
 
     state = RouterState(
         predictor=predictor,

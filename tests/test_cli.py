@@ -130,13 +130,34 @@ class TestTune:
         assert code == 2
         assert "bundle_manifest.json" in capsys.readouterr().err
 
-    def test_parallel_clusters_matches_serial(self, workdir):
+    @pytest.mark.parametrize("source", ["file", "set", "flag"])
+    def test_parallel_clusters_rejected(self, workdir, capsys, source):
+        # The key and the flag were removed; an old config must not be ignored.
         tmp, cfg = workdir
-        assert run("tune", "--config", cfg, "--out", tmp / "serial", "--seed", 4) == 0
-        assert run("tune", "--config", cfg, "--out", tmp / "par", "--seed", 4,
-                   "--parallel-clusters") == 0
-        assert ((tmp / "serial" / "thresholds.json").read_text()
-                == (tmp / "par" / "thresholds.json").read_text())
+        argv = ["tune", "--config", cfg, "--out", tmp / "b"]
+        if source == "file":
+            cfg.write_text(SMALL_CONFIG + '{"section": "parallel", "clusters": "no"}\n')
+        elif source == "set":
+            argv += ["--set", "parallel.clusters=false"]
+        else:
+            argv += ["--parallel-clusters"]
+        try:
+            code = run(*argv)
+        except SystemExit as exc:  # argparse rejects the unknown flag
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("--parallel-clusters" if source == "flag" else "parallel.clusters") in err
+        assert not (tmp / "b" / "thresholds.json").exists()
+
+    @pytest.mark.parametrize("value", ["-1", "0", "2.5", '"5"'])
+    def test_restarts_must_be_positive_integer(self, workdir, capsys, value):
+        tmp, cfg = workdir
+        code = run("tune", "--config", cfg, "--out", tmp / "b",
+                   "--set", f"cluster.restarts={value}")
+        assert code == 2
+        assert "cluster.restarts must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp / "b" / "thresholds.json").exists()
 
 
 class TestStream:
@@ -163,6 +184,25 @@ class TestStream:
         assert obs_header == "cluster,tau1,tau2,utility,order_index"
         util_header = (tmp / "s" / "stream_utilities.csv").read_text().splitlines()[0]
         assert util_header == "query_id,cluster,tier,correct,latency_s,cost,utility"
+
+    @pytest.mark.parametrize("value", ['"false"', "0", "null"])
+    def test_online_must_be_boolean(self, workdir, capsys, value):
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+        cfg.write_text(SMALL_CONFIG + f'{{"section": "stream", "online": {value}}}\n')
+        capsys.readouterr()
+        assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--out", tmp / "s") == 2
+        assert f"stream.online must be true or false; got {json.loads(value)!r}" in (
+            capsys.readouterr().err)
+        assert not (tmp / "s" / "stream_report.json").exists()
+
+    def test_online_false_streams_static(self, workdir):
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+        cfg.write_text(SMALL_CONFIG + '{"section": "stream", "online": false}\n')
+        assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--out", tmp / "s") == 0
+        report = json.loads((tmp / "s" / "stream_report.json").read_text())
+        assert report["policy"] == "router_static"
 
     def test_bad2good_flag(self, workdir):
         tmp, cfg = workdir

@@ -1,6 +1,16 @@
+import importlib
+import inspect
+import os
+import pkgutil
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import tierroute
+from tierroute import cluster
 from tierroute.cluster import (
     ClusterModel,
     assign,
@@ -61,6 +71,14 @@ class TestKmeansFit:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             kmeans_fit(np.zeros((0, 2)), 1, seed=0)
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_restarts_below_one_rejected(self, restarts):
+        points, _, _ = two_clouds(seed=1, per_cloud=20)
+        with pytest.raises(ValueError, match=f"restarts={restarts} must be >= 1"):
+            kmeans_fit(points, 2, seed=0, restarts=restarts)
+        with pytest.raises(ValueError, match=f"restarts={restarts} must be >= 1"):
+            elbow_select_k(points, 2, 4, seed=0, restarts=restarts)
 
 
 class TestElbow:
@@ -256,6 +274,133 @@ class TestMatchesBroadcastReference:
         grid = lattice(4, offset)
         assert np.array_equal(assign_batch(lattice_model, grid),
                               reference_assign_batch(lattice_model.centroids, grid))
+
+
+def pin_usable_cpus(monkeypatch, cpus, blas_threads=1):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    for var in cluster._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    if blas_threads is not None:
+        monkeypatch.setenv("OMP_NUM_THREADS", str(blas_threads))
+
+
+class TestConcurrentSweep:
+    """The elbow sweep's thread pool changes neither a bit of its models nor the calling thread."""
+
+    KS = range(2, 9)
+
+    @pytest.fixture
+    def points(self):
+        return gaussian_clouds(3, 1200, 8)
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The ``max_workers`` of every pool the sweep opens."""
+        sizes = []
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(cluster, "ThreadPoolExecutor", recording_pool)
+        return sizes
+
+    def test_same_models_for_any_thread_count(self, monkeypatch, points, pool_sizes):
+        serial = [kmeans_fit(points, k, seed=5, restarts=3) for k in self.KS]
+        serial_k = knee_point(np.array(self.KS), np.array([m.inertia for m in serial]))
+        monkeypatch.setattr(cluster, "_ENTRIES_PER_THREAD", 1)
+        for cpus in (1, 4):
+            pin_usable_cpus(monkeypatch, cpus)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # interleave the fits as finely as possible
+            try:
+                models = cluster._sweep(points, self.KS, 5, 3)
+            finally:
+                sys.setswitchinterval(interval)
+            assert [m.k for m in models] == list(self.KS)
+            for model, ref in zip(models, serial):
+                assert np.array_equal(model.centroids, ref.centroids)
+                assert model.inertia == ref.inertia
+            assert elbow_select_k(points, 2, 8, seed=5, restarts=3) == serial_k
+        assert pool_sizes == [1, 1, 4, 4]
+
+    @pytest.mark.parametrize("blas_vars, n_ks, entries, expected", [
+        ({"OMP_NUM_THREADS": "1"}, 11, 1 << 20, 4),
+        ({"OMP_NUM_THREADS": "1"}, 3, 1 << 20, 3),               # one thread per k
+        ({"OMP_NUM_THREADS": "1"}, 11, 2 << 15, 2),              # per 2^15 entries
+        ({"OMP_NUM_THREADS": "1"}, 11, 9_600, 1),
+        ({}, 11, 1 << 20, 1),                                    # BLAS takes every CPU
+        ({"OMP_NUM_THREADS": "2"}, 11, 1 << 20, 2),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 11, 1 << 20, 4),
+        ({"MKL_NUM_THREADS": "8"}, 11, 1 << 20, 1),
+        ({"OMP_NUM_THREADS": "auto"}, 11, 1 << 20, 1),           # unreadable: as unset
+    ])
+    def test_pool_size(self, monkeypatch, blas_vars, n_ks, entries, expected):
+        pin_usable_cpus(monkeypatch, 4, blas_threads=None)
+        for var, value in blas_vars.items():
+            monkeypatch.setenv(var, value)
+        assert cluster._sweep_workers(n_ks, entries) == expected
+
+    def test_pool_gets_its_size(self, monkeypatch, points, pool_sizes):
+        pin_usable_cpus(monkeypatch, 64)
+        elbow_select_k(points, 2, 4, seed=0, restarts=1)
+        monkeypatch.setattr(cluster, "_ENTRIES_PER_THREAD", 1)
+        elbow_select_k(points, 2, 4, seed=0, restarts=1)
+        assert pool_sizes == [1, 3]
+
+    def test_public_functions_stay_on_calling_thread(self, monkeypatch, points):
+        # Wrap every public tierroute function where callers look it up, as
+        # the benchmark's span tracer does, and record the entering thread.
+        entered = []
+
+        def wrap(fn):
+            def wrapper(*args, **kwargs):
+                entered.append((f"{fn.__module__}.{fn.__name__}", threading.get_ident()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        modules = [tierroute] + [importlib.import_module(f"tierroute.{info.name}")
+                                 for info in pkgutil.iter_modules(tierroute.__path__)]
+        wrappers = {}
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if (attr.startswith("_") or not inspect.isfunction(value)
+                        or not value.__module__.startswith("tierroute.")
+                        or value.__name__.startswith("_")):
+                    continue
+                if id(value) not in wrappers:
+                    wrappers[id(value)] = wrap(value)
+                monkeypatch.setattr(module, attr, wrappers[id(value)])
+        fit_threads = []
+        real_fit = cluster._fit
+
+        def recording_fit(*args):
+            fit_threads.append(threading.get_ident())
+            return real_fit(*args)
+
+        monkeypatch.setattr(cluster, "_fit", recording_fit)
+        monkeypatch.setattr(cluster, "_ENTRIES_PER_THREAD", 1)
+        pin_usable_cpus(monkeypatch, 4)
+        threads_before = threading.active_count()
+        cluster.elbow_select_k(points, 2, 8, seed=1, restarts=2)
+        assert threading.active_count() == threads_before
+        caller = threading.get_ident()
+        assert ("tierroute.cluster.elbow_select_k", caller) in entered
+        assert ("tierroute.cluster.knee_point", caller) in entered
+        assert {thread for _, thread in entered} == {caller}
+        assert len(fit_threads) == len(self.KS) and caller not in fit_threads
+
+
+class TestBlockedSqDists:
+    @pytest.mark.parametrize("n, k, d", [(20_000, 1, 8), (3_000, 500, 6), (40, 5_000, 20),
+                                         (1, 3, 4)])
+    def test_equals_one_shot_broadcast(self, n, k, d):
+        rng = np.random.default_rng(n + k + d)
+        points = rng.normal(size=(n, d)) * rng.choice([1.0, 1e6], size=(n, 1))
+        centroids = rng.normal(size=(k, d))
+        assert n * k * d > cluster._BLOCK_ELEMENTS or n == 1
+        assert np.array_equal(cluster._sq_dists(points, centroids),
+                              reference_sq_dists(points, centroids))
 
 
 class TestCentroidIO:
