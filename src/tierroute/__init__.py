@@ -22,13 +22,12 @@ from .bayesopt import (
     GpSurrogate,
     ObservationSet,
     ThresholdPair,
-    expected_improvement,
     gp_fit,
     optimize_offline,
     propose_thresholds,
     refresh_online,
 )
-from .cluster import ClusterModel, assign, assign_batch, elbow_select_k, kmeans_fit
+from .cluster import ClusterModel, assign_batch, elbow_select_k, elbow_sweep, kmeans_fit
 from .labels import (
     ConsistencyLabels,
     LabelConfig,
@@ -59,15 +58,18 @@ from .network import (
 )
 from .router import (
     Decisions,
+    Representation,
     RouterState,
     StreamReport,
     baseline_route,
+    fit_representation,
     load_bundle,
     route_tiers,
     run_offline_phase,
     run_stream,
     save_bundle,
     state_checksum,
+    tune_thresholds,
 )
 from .trace import (
     GroundTruth,

@@ -37,9 +37,6 @@ class ThresholdPair:
                 f"({self.tau1}, {self.tau2})"
             )
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.tau1, self.tau2])
-
 
 @dataclass(frozen=True)
 class GpHyperparameters:
@@ -108,12 +105,6 @@ class ObservationSet:
             if u > best_u:
                 best_pair, best_u = pair, u
         return best_pair, best_u
-
-    def latest_utility_of(self, pair: ThresholdPair) -> float | None:
-        for candidate, u in reversed(self._points):
-            if candidate == pair:
-                return u
-        return None
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         x = np.array([[p.tau1, p.tau2] for p, _ in self._points])
@@ -191,6 +182,7 @@ def gp_fit(obs: ObservationSet, hypers: GpHyperparameters = DEFAULT_OFFLINE_HYPE
 
 
 def _ei_values(mu: np.ndarray, sigma: np.ndarray, best_so_far: float) -> np.ndarray:
+    """EI = (mu - f*) Phi(z) + sigma phi(z) elementwise; max(0, mu - f*) where sigma = 0."""
     improve = mu - best_so_far
     out = np.maximum(improve, 0.0)
     active = sigma > 0
@@ -199,13 +191,6 @@ def _ei_values(mu: np.ndarray, sigma: np.ndarray, best_so_far: float) -> np.ndar
         pdf = np.exp(-0.5 * z * z) / _SQRT_2PI
         out[active] = improve[active] * ndtr(z) + sigma[active] * pdf
     return np.maximum(out, 0.0)
-
-
-def expected_improvement(gp: GpSurrogate, candidate: ThresholdPair,
-                         best_so_far: float) -> float:
-    """EI = (mu - f*) Phi(z) + sigma phi(z); max(0, mu - f*) when sigma = 0."""
-    mu, sigma = gp.predict(candidate.as_array().reshape(1, 2))
-    return float(_ei_values(mu, sigma, best_so_far)[0])
 
 
 def sample_triangle(rng: np.random.Generator, count: int) -> np.ndarray:

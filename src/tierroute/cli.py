@@ -19,21 +19,24 @@ import hashlib
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .accounting import CostModel, UtilityWeights
 from .bayesopt import BoConfig, ThresholdPair
 from .errors import ConfigError, TierRouteError, TraceValidationError
-from .labels import LabelConfig, build_labels
-from .mlp import MlpConfig, init_model, load_checkpoint, save_checkpoint, train
+from .labels import ConsistencyLabels, LabelConfig, build_labels
+from .mlp import MlpConfig, TrainReport, init_model, load_checkpoint, save_checkpoint, train
 from .network import load_scenario, scenario_by_name
 from .router import (
+    Representation,
     baseline_route,
+    fit_representation,
     load_bundle,
-    run_offline_phase,
     run_stream,
     save_bundle,
+    tune_thresholds,
     write_report_files,
 )
 from .trace import (
@@ -77,6 +80,12 @@ SYNTHETIC_DEFAULTS = {
     "seed": None,
     "drift_at": None, "drift_tier_accuracy_profile": None,
 }
+
+# The keys each section may set: weights may give kappa1/kappa2 in place of
+# the lambdas.
+CONFIG_KEYS = {name: set(body or ()) for name, body in DEFAULT_CONFIG.items()}
+CONFIG_KEYS["synthetic"] = set(SYNTHETIC_DEFAULTS)
+CONFIG_KEYS["weights"] |= {"kappa1", "kappa2"}
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +149,12 @@ def resolve_config(args: argparse.Namespace, defaults: dict = DEFAULT_CONFIG) ->
         config["network"]["switch_window"] = args.switch_window
     if getattr(args, "update_interval", None) is not None:
         config["stream"]["update_interval"] = args.update_interval
-    if "clusters" in (config.get("parallel") or {}):
-        raise ConfigError("parallel.clusters is no longer supported; remove the key "
-                          "(cluster thresholds are tuned serially)")
+    for section, body in config.items():
+        for key in body or ():
+            if key not in CONFIG_KEYS.get(section, ()):
+                raise ConfigError(f"unknown config key {section}.{key}")
+        if section not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config section {section!r}")
     return config
 
 
@@ -367,14 +379,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     outdir = output_dir(config)
     _, labels, model, report = _train_parts(config)
     save_checkpoint(model, outdir / "predictor.ckpt")
-    labels.to_csv(outdir / "labels.csv")
-    report_obj = {
-        "epochs_run": report.epochs_run,
-        "final_train_mse": report.final_train_mse,
-        "final_val_mse": report.final_val_mse,
-    }
-    (outdir / "train_report.json").write_text(
-        json.dumps(report_obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_labels_and_report(labels, report, outdir)
     with (outdir / "loss_curve.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_mse", "val_mse"])
@@ -386,36 +391,47 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tune_once(config: dict, outdir: Path, weights: UtilityWeights) -> None:
+def _write_labels_and_report(labels: ConsistencyLabels, report: TrainReport,
+                             outdir: Path) -> None:
+    labels.to_csv(outdir / "labels.csv")
+    report_obj = {
+        "epochs_run": report.epochs_run,
+        "final_train_mse": report.final_train_mse,
+        "final_val_mse": report.final_val_mse,
+    }
+    (outdir / "train_report.json").write_text(
+        json.dumps(report_obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def _offline_phase(config: dict) -> tuple[Trace, ConsistencyLabels, Representation, partial]:
+    """Read the cluster and bo sections and fit the representation once. Returns the trace,
+    its labels, the representation and ``tune_thresholds`` bound to all but the weights."""
     seed = int(config["run"]["seed"])
-    trace = resolve_trace(config, seed)
-    labels = build_labels(trace, label_config(config))
-    cluster_body = config["cluster"]
-    state = run_offline_phase(
-        trace, labels,
-        mlp_config=mlp_config(config, trace.embedding_dim, seed),
+    k_min = _positive_int(config, "cluster", "k_min")
+    k_max = _positive_int(config, "cluster", "k_max")
+    restarts = _positive_int(config, "cluster", "restarts")
+    fixed_k = config["cluster"]["fixed_k"]
+    if fixed_k is not None:
+        fixed_k = _positive_int(config, "cluster", "fixed_k")
+    tune_kw = dict(
         scenario=network_scenario(config),
-        weights=weights,
         cost_model=cost_model(config),
         bo_config=bo_config(config, seed),
-        k_min=int(cluster_body["k_min"]),
-        k_max=int(cluster_body["k_max"]),
-        kmeans_restarts=_positive_int(config, "cluster", "restarts"),
-        seed_points=int(config["bo"]["seed_points"]),
+        seed_points=_positive_int(config, "bo", "seed_points"),
         update_interval=update_interval(config),
-        fixed_k=cluster_body.get("fixed_k"),
     )
-    save_bundle(state, outdir)
-    labels.to_csv(outdir / "labels.csv")
-    if state.train_report is not None:
-        report_obj = {
-            "epochs_run": state.train_report.epochs_run,
-            "final_train_mse": state.train_report.final_train_mse,
-            "final_val_mse": state.train_report.final_val_mse,
-        }
-        (outdir / "train_report.json").write_text(
-            json.dumps(report_obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    print(f"tuned {state.clusters.k} clusters -> {outdir}")
+    trace = resolve_trace(config, seed)
+    n = len(trace)
+    if fixed_k is None and not 2 <= k_min < min(k_max, n):
+        raise ConfigError(f"cluster.k_min={k_min} and cluster.k_max={k_max} must satisfy "
+                          f"2 <= k_min < k_max, with k_min below the trace's {n} queries")
+    if fixed_k is not None and fixed_k > n:
+        raise ConfigError(f"cluster.fixed_k={fixed_k} exceeds the trace's {n} queries")
+    labels = build_labels(trace, label_config(config))
+    rep = fit_representation(trace, labels,
+                             mlp_config=mlp_config(config, trace.embedding_dim, seed),
+                             k_min=k_min, k_max=k_max, restarts=restarts, fixed_k=fixed_k)
+    return trace, labels, rep, partial(tune_thresholds, rep, trace, **tune_kw)
 
 
 def _kappa_grid(args: argparse.Namespace) -> list[float] | None:
@@ -433,12 +449,16 @@ def cmd_tune(args: argparse.Namespace) -> int:
     outdir = output_dir(config)
     grid = _kappa_grid(args)
     if grid is None:
-        _tune_once(config, outdir, utility_weights(config))
+        runs = [(outdir, utility_weights(config))]
     else:
-        for kappa in grid:
-            sub = dict(copy.deepcopy(config))
-            sub["weights"] = {"kappa1": kappa, "kappa2": kappa}
-            _tune_once(sub, outdir / f"kappa_{kappa:g}", UtilityWeights.from_kappas(kappa, kappa))
+        runs = [(outdir / f"kappa_{kappa:g}", UtilityWeights.from_kappas(kappa, kappa))
+                for kappa in grid]
+    _, labels, rep, tune = _offline_phase(config)
+    for bundle_dir, weights in runs:
+        state = tune(weights=weights)
+        save_bundle(state, bundle_dir)
+        _write_labels_and_report(labels, rep.train_report, bundle_dir)
+        print(f"tuned {state.clusters.k} clusters -> {bundle_dir}")
     write_manifest(config, "tune", outdir)
     return 0
 
@@ -462,7 +482,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
         online = False
     if getattr(args, "online", False):
         online = True
-    report = run_stream(state.clone(), stream_trace, scenario, online=online)
+    report = run_stream(state, stream_trace, scenario, online=online)
     write_report_files(report, outdir, prefix="stream")
     write_manifest(config, "stream", outdir)
     totals = report.totals
@@ -510,11 +530,10 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     outdir = output_dir(config)
-    seed = int(config["run"]["seed"])
-    trace = resolve_trace(config, seed)
+    grid = _kappa_grid(args) or [1.0, 2.0, 5.0, 10.0, 20.0]
+    trace, _, _, tune = _offline_phase(config)
     scenario = network_scenario(config)
     costs = cost_model(config)
-    grid = _kappa_grid(args) or [1.0, 2.0, 5.0, 10.0, 20.0]
 
     anchors = {
         name: baseline_route(name, trace, scenario, weights=UtilityWeights(),
@@ -530,8 +549,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     def norm(value: float, lo: float, span: float) -> float:
         return 100.0 * (value - lo) / span if span != 0 else 0.0
 
-    labels = build_labels(trace, label_config(config))
-    cluster_body = config["cluster"]
     rows = []
 
     def add_row(policy: str, kappa: float | None, totals) -> None:
@@ -554,21 +571,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     add_row("cloud_only", None, clm)
 
     for kappa in grid:
-        weights = UtilityWeights.from_kappas(kappa, kappa)
-        state = run_offline_phase(
-            trace, labels,
-            mlp_config=mlp_config(config, trace.embedding_dim, seed),
-            scenario=scenario,
-            weights=weights,
-            cost_model=costs,
-            bo_config=bo_config(config, seed),
-            k_min=int(cluster_body["k_min"]),
-            k_max=int(cluster_body["k_max"]),
-            kmeans_restarts=_positive_int(config, "cluster", "restarts"),
-            seed_points=int(config["bo"]["seed_points"]),
-            update_interval=update_interval(config),
-            fixed_k=cluster_body.get("fixed_k"),
-        )
+        state = tune(weights=UtilityWeights.from_kappas(kappa, kappa))
         report = run_stream(state, trace, scenario, online=False)
         add_row("router_static", kappa, report.totals)
         print(f"kappa={kappa:g}: acc={report.totals.accuracy:.4f} "

@@ -230,30 +230,29 @@ def knee_point(ks: np.ndarray, inertias: np.ndarray) -> int:
     return int(ks[int(np.argmax(dists))])
 
 
-def elbow_select_k(embeddings: np.ndarray, k_min: int = 2, k_max: int = 12,
-                   seed: int = 0, *, restarts: int = 5) -> int:
-    """Sweep the inertia curve over [k_min, k_max] and return its knee."""
-    points = np.asarray(embeddings, dtype=np.float64)
+def elbow_sweep(embeddings: np.ndarray, k_min: int = 2, k_max: int = 12,
+                seed: int = 0, *, restarts: int = 5) -> list[ClusterModel]:
+    """The ``kmeans_fit`` model of every k in [k_min, k_max], in k order."""
+    points = _checked_points(embeddings, restarts)
     n = points.shape[0]
     if not (2 <= k_min < k_max <= n):
         raise ValueError(f"need 2 <= k_min < k_max <= n; got ({k_min}, {k_max}, n={n})")
-    ks = range(k_min, k_max + 1)
-    models = _sweep(_checked_points(points, restarts), ks, seed, restarts)
-    return knee_point(np.array(ks), np.array([m.inertia for m in models]))
+    return _sweep(points, range(k_min, k_max + 1), seed, restarts)
+
+
+def elbow_select_k(models: list[ClusterModel]) -> int:
+    """The knee of a sweep's inertia curve."""
+    return knee_point(np.array([m.k for m in models]), np.array([m.inertia for m in models]))
 
 
 def assign_batch(model: ClusterModel, embeddings: np.ndarray) -> np.ndarray:
+    """Index of the Euclidean-nearest centroid per row; ties break to the lowest index."""
     points = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     if points.shape[1] != model.dim:
         raise DimensionMismatchError(
             f"embedding dim {points.shape[1]} != centroid dim {model.dim}"
         )
     return _nearest(points, np.einsum("nd,nd->n", points, points), model.centroids)
-
-
-def assign(model: ClusterModel, embedding: np.ndarray) -> int:
-    """Index of the Euclidean-nearest centroid; ties break to the lowest index."""
-    return int(assign_batch(model, np.asarray(embedding).reshape(1, -1))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ Scenario files use the traces' line-delimited convention: a header object
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -86,12 +86,6 @@ def scenario_by_name(name: str, switch_at: int = DEFAULT_SWITCH_WINDOW) -> Netwo
     if name not in profiles:
         raise ValueError(f"unknown network scenario {name!r}; choose from {sorted(profiles)}")
     return profiles[name]
-
-
-def with_switch_window(scenario: NetworkScenario, switch_at: int) -> NetworkScenario:
-    if scenario.switch_at is None:
-        return scenario
-    return replace(scenario, switch_at=switch_at)
 
 
 def round_trip_latency(link: LinkProfile, request_bytes, response_bytes):

@@ -37,6 +37,7 @@ from .cluster import (
     ClusterModel,
     assign_batch,
     elbow_select_k,
+    elbow_sweep,
     kmeans_fit,
     load_centroids,
     save_centroids,
@@ -92,7 +93,6 @@ class RouterState:
     cost_model: CostModel
     cloud_baselines: CloudBaselines
     update_interval: int = 200
-    train_report: TrainReport | None = None
 
     def validate(self) -> None:
         if self.update_interval < 1:
@@ -103,28 +103,6 @@ class RouterState:
                 raise CorruptStateError(f"no threshold for cluster {k}")
             if k not in self.observations:
                 raise CorruptStateError(f"no observation set for cluster {k}")
-
-    def clone(self) -> RouterState:
-        """Deep copy of the mutable parts so stream variants can share an offline state."""
-        obs = {}
-        for k, o in self.observations.items():
-            fresh = ObservationSet(capacity=o.capacity)
-            for pair, u in o.points:
-                fresh.append(pair, u)
-            obs[k] = fresh
-        return RouterState(
-            predictor=self.predictor.copy(),
-            clusters=ClusterModel(k=self.clusters.k, centroids=self.clusters.centroids.copy(),
-                                  inertia=self.clusters.inertia, seed=self.clusters.seed),
-            thresholds=dict(self.thresholds),
-            observations=obs,
-            weights=self.weights,
-            bo_config=self.bo_config,
-            cost_model=self.cost_model,
-            cloud_baselines=self.cloud_baselines,
-            update_interval=self.update_interval,
-            train_report=self.train_report,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +138,88 @@ def _derived_seed(base_seed: int, *key: int) -> int:
 # Offline phase: predictor training, clustering, per-cluster threshold learning
 # ---------------------------------------------------------------------------
 
+@dataclass
+class Representation:
+    """What the offline phase fits before any utility weights: the score
+    predictor and the clusters, with each training query's score and cluster.
+    Every state tuned from it shares its predictor and clusters."""
+
+    predictor: MlpModel
+    train_report: TrainReport
+    scores: np.ndarray
+    clusters: ClusterModel
+    membership: np.ndarray
+
+
+def fit_representation(trace: Trace, labels: ConsistencyLabels, *,
+                       mlp_config: MlpConfig,
+                       k_min: int = 2, k_max: int = 12,
+                       restarts: int = 5,
+                       fixed_k: int | None = None) -> Representation:
+    """Train the predictor and cluster the embeddings: ``fixed_k`` clusters, or
+    the elbow sweep's own model at its knee."""
+    if trace.ids != labels.ids:
+        raise ValueError("labels do not cover the trace (record id mismatch)")
+
+    embeddings = trace.embeddings
+    predictor, train_report = train(init_model(mlp_config), embeddings, labels.s_fused,
+                                    mlp_config)
+    scores = predict_batch(predictor, embeddings)
+    if fixed_k is not None:
+        clusters = kmeans_fit(embeddings, fixed_k, mlp_config.seed, restarts=restarts)
+    else:
+        models = elbow_sweep(embeddings, k_min, min(k_max, len(trace)), mlp_config.seed,
+                             restarts=restarts)
+        clusters = models[elbow_select_k(models) - k_min]
+    return Representation(predictor=predictor, train_report=train_report, scores=scores,
+                          clusters=clusters, membership=assign_batch(clusters, embeddings))
+
+
+def tune_thresholds(rep: Representation, trace: Trace, *,
+                    scenario: NetworkScenario,
+                    weights: UtilityWeights | None = None,
+                    cost_model: CostModel | None = None,
+                    bo_config: BoConfig | None = None,
+                    seed_points: int = 8,
+                    update_interval: int = 200) -> RouterState:
+    """Learn each cluster's thresholds on the trace ``rep`` was fitted on."""
+    weights = weights or UtilityWeights()
+    cost_model = cost_model or CostModel()
+    bo_config = bo_config or BoConfig()
+
+    baselines = cloud_reference_means(trace, scenario, cost_model, window_index=0)
+    *_, tier_utilities = _tier_outcomes(trace, scenario, cost_model, weights, baselines,
+                                        windows=np.zeros(len(trace), dtype=int))
+
+    thresholds: dict[int, ThresholdPair] = {}
+    observations: dict[int, ObservationSet] = {}
+    for idx in range(rep.clusters.k):
+        mask = rep.membership == idx
+        if not np.any(mask):
+            # A centroid with no training members keeps a neutral pair.
+            thresholds[idx] = ThresholdPair(tau1=0.75, tau2=0.25)
+            observations[idx] = ObservationSet()
+            continue
+        evaluator = _make_evaluator(rep.scores[mask], tier_utilities[mask])
+        cfg = replace(bo_config, seed=_derived_seed(bo_config.seed, 1, idx))
+        thresholds[idx], observations[idx] = optimize_offline(evaluator, cfg,
+                                                              seed_points=seed_points)
+
+    state = RouterState(
+        predictor=rep.predictor,
+        clusters=rep.clusters,
+        thresholds=thresholds,
+        observations=observations,
+        weights=weights,
+        bo_config=bo_config,
+        cost_model=cost_model,
+        cloud_baselines=baselines,
+        update_interval=update_interval,
+    )
+    state.validate()
+    return state
+
+
 def run_offline_phase(trace: Trace, labels: ConsistencyLabels, *,
                       mlp_config: MlpConfig,
                       scenario: NetworkScenario,
@@ -171,59 +231,12 @@ def run_offline_phase(trace: Trace, labels: ConsistencyLabels, *,
                       seed_points: int = 8,
                       update_interval: int = 200,
                       fixed_k: int | None = None) -> RouterState:
-    """Train the predictor, cluster embeddings, and learn per-cluster thresholds."""
-    weights = weights or UtilityWeights()
-    cost_model = cost_model or CostModel()
-    bo_config = bo_config or BoConfig()
-
-    if trace.ids != labels.ids:
-        raise ValueError("labels do not cover the trace (record id mismatch)")
-
-    embeddings = trace.embeddings
-    model = init_model(mlp_config)
-    predictor, train_report = train(model, embeddings, labels.s_fused, mlp_config)
-    scores = predict_batch(predictor, embeddings)
-
-    if fixed_k is not None:
-        k = fixed_k
-    else:
-        k = elbow_select_k(embeddings, k_min, min(k_max, len(trace)),
-                           mlp_config.seed, restarts=kmeans_restarts)
-    clusters = kmeans_fit(embeddings, k, mlp_config.seed, restarts=kmeans_restarts)
-    membership = assign_batch(clusters, embeddings)
-
-    baselines = cloud_reference_means(trace, scenario, cost_model, window_index=0)
-    *_, tier_utilities = _tier_outcomes(trace, scenario, cost_model, weights, baselines,
-                                        windows=np.zeros(len(trace), dtype=int))
-
-    thresholds: dict[int, ThresholdPair] = {}
-    observations: dict[int, ObservationSet] = {}
-    for idx in range(k):
-        mask = membership == idx
-        if not np.any(mask):
-            # A centroid with no training members keeps a neutral pair.
-            thresholds[idx] = ThresholdPair(tau1=0.75, tau2=0.25)
-            observations[idx] = ObservationSet()
-            continue
-        evaluator = _make_evaluator(scores[mask], tier_utilities[mask])
-        cfg = replace(bo_config, seed=_derived_seed(bo_config.seed, 1, idx))
-        thresholds[idx], observations[idx] = optimize_offline(evaluator, cfg,
-                                                              seed_points=seed_points)
-
-    state = RouterState(
-        predictor=predictor,
-        clusters=clusters,
-        thresholds=thresholds,
-        observations=observations,
-        weights=weights,
-        bo_config=bo_config,
-        cost_model=cost_model,
-        cloud_baselines=baselines,
-        update_interval=update_interval,
-        train_report=train_report,
-    )
-    state.validate()
-    return state
+    """``fit_representation`` then ``tune_thresholds``, for one weight vector."""
+    rep = fit_representation(trace, labels, mlp_config=mlp_config, k_min=k_min, k_max=k_max,
+                             restarts=kmeans_restarts, fixed_k=fixed_k)
+    return tune_thresholds(rep, trace, scenario=scenario, weights=weights,
+                           cost_model=cost_model, bo_config=bo_config,
+                           seed_points=seed_points, update_interval=update_interval)
 
 
 # ---------------------------------------------------------------------------

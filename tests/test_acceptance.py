@@ -6,6 +6,7 @@ oracles at the tolerances stated below.
 """
 
 import time
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from helpers import build_state, hetero_config
 from tierroute.accounting import UtilityWeights, tier_latency
 from tierroute.bayesopt import BoConfig, optimize_offline
 from tierroute.cli import main as cli_main
-from tierroute.cluster import elbow_select_k
+from tierroute.cluster import elbow_select_k, elbow_sweep
 from tierroute.labels import aug_with_reference, fuse_label
 from tierroute.mlp import MlpConfig, gradient_check, init_model, predict_batch
 from tierroute.network import (
@@ -101,7 +102,7 @@ def test_criterion_3_elbow_recovery():
             cfg = SyntheticConfig(n_queries=n, embedding_dim=12, n_latent_clusters=true_k,
                                   seed=1000 * true_k + seed, cluster_separation=12.0)
             trace, _ = generate_synthetic_trace(cfg)
-            got = elbow_select_k(trace.embeddings, 2, 10, seed=seed)
+            got = elbow_select_k(elbow_sweep(trace.embeddings, 2, 10, seed=seed))
             hits += got == true_k
             trials += 1
     elapsed = time.perf_counter() - start
@@ -244,7 +245,7 @@ def test_criterion_7_end_to_end_tradeoff():
         full, _ = generate_synthetic_trace(cfg)
         offline, evaluation = split_trace(full, 10_000)
         state = build_state(offline, scenario, seed=seed, k_min=2, k_max=8)
-        routed = run_stream(state.clone(), evaluation, scenario, online=False)
+        routed = run_stream(deepcopy(state), evaluation, scenario, online=False)
         clm = baseline_route("cloud_only", evaluation, scenario)
         acc_ratio = routed.totals.accuracy / clm.totals.accuracy
         lat_ratio = routed.totals.mean_latency_s / clm.totals.mean_latency_s
@@ -285,8 +286,8 @@ def test_criterion_8_online_adaptation_under_drift():
         stream = concat_traces(first, second)
         state = build_state(offline, scenario, seed=seed, k_min=2, k_max=6,
                             update_interval=200)
-        static = run_stream(state.clone(), stream, scenario, online=False)
-        online = run_stream(state.clone(), stream, scenario, online=True)
+        static = run_stream(deepcopy(state), stream, scenario, online=False)
+        online = run_stream(deepcopy(state), stream, scenario, online=True)
         static_tail = float(np.mean([w.mean_utility for w in static.windows[-5:]]))
         online_tail = float(np.mean([w.mean_utility for w in online.windows[-5:]]))
         gap = online_tail - static_tail
@@ -316,7 +317,7 @@ def test_criterion_9_network_shift_adaptation():
         state = build_state(offline, scenario, seed=seed, weights=weights, fixed_k=2,
                             update_interval=200,
                             bo_overrides={"online_steps_per_refresh": 3})
-        rep = run_stream(state.clone(), stream, scenario, online=True)
+        rep = run_stream(deepcopy(state), stream, scenario, online=True)
         cloud = [w.tier_fractions["cloud"] for w in rep.windows]
         lat = [w.mean_latency_s for w in rep.windows]
         pre_cloud, post_cloud = float(np.mean(cloud[4:7])), float(np.mean(cloud[8:11]))
@@ -344,7 +345,7 @@ def test_criterion_10_utility_weight_sweep():
     for kappa in (1.0, 2.0, 5.0, 10.0, 20.0):
         weights = UtilityWeights.from_kappas(kappa, kappa)
         state = build_state(trace, scenario, seed=0, weights=weights, fixed_k=5)
-        rep = run_stream(state.clone(), trace, scenario, online=False)
+        rep = run_stream(deepcopy(state), trace, scenario, online=False)
         clouds.append(rep.totals.tier_fractions["cloud"])
         accs.append(rep.totals.accuracy)
     mono_cloud = all(b >= a - 1e-12 for a, b in zip(clouds, clouds[1:]))

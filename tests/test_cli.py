@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from tierroute import router
 from tierroute.cli import main
 
 SMALL_CONFIG = """\
@@ -158,6 +159,94 @@ class TestTune:
         assert code == 2
         assert "cluster.restarts must be an integer >= 1" in capsys.readouterr().err
         assert not (tmp / "b" / "thresholds.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("cluster.fixed_k", "0"), ("cluster.fixed_k", '"2"'), ("cluster.fixed_k", "2.5"),
+        ("cluster.k_min", "2.7"), ("cluster.k_max", '"4"'), ("bo.seed_points", "0"),
+    ])
+    def test_integer_fields_checked(self, workdir, capsys, key, value):
+        tmp, cfg = workdir
+        code = run("tune", "--config", cfg, "--out", tmp / "b", "--set", f"{key}={value}")
+        assert code == 2
+        assert f"{key} must be an integer >= 1; got" in capsys.readouterr().err
+        assert not (tmp / "b" / "thresholds.json").exists()
+
+    @pytest.mark.parametrize("settings, named", [
+        (["cluster.fixed_k=null", "cluster.k_min=1"], "cluster.k_min=1"),
+        (["cluster.fixed_k=null", "cluster.k_max=2"], "cluster.k_max=2"),
+        (["cluster.fixed_k=null", "cluster.k_min=400", "cluster.k_max=500"],
+         "cluster.k_min=400"),
+        (["cluster.fixed_k=401"], "cluster.fixed_k=401"),
+    ])
+    def test_cluster_range_checked(self, workdir, capsys, settings, named):
+        tmp, cfg = workdir
+        argv = ["sweep", "--config", cfg, "--out", tmp / "sw", "--kappa-grid", "1"]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert run(*argv) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp / "sw" / "pareto.csv").exists()
+
+    @pytest.mark.parametrize("line, setting, named", [
+        (None, "cluster.restart=0", "cluster.restart"),
+        (None, "clustr.k_min=3", "clustr.k_min"),
+        (None, "weights.kappa=5", "weights.kappa"),
+        ('{"section": "bo", "seed_point": 4}', None, "bo.seed_point"),
+        ('{"section": "synthetic", "n_query": 50}', None, "synthetic.n_query"),
+        ('{"section": "clustr"}', None, "'clustr'"),
+    ])
+    def test_unknown_config_key_rejected(self, workdir, capsys, line, setting, named):
+        tmp, cfg = workdir
+        argv = ["tune", "--config", cfg, "--out", tmp / "b"]
+        if line is not None:
+            cfg.write_text(SMALL_CONFIG + line + "\n")
+        if setting is not None:
+            argv += ["--set", setting]
+        assert run(*argv) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp / "b" / "thresholds.json").exists()
+
+
+class TestOneRepresentation:
+    """tune --kappa-grid and sweep fit the predictor and the clusters once,
+    and tune thresholds once per kappa."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("train", "elbow_sweep", "kmeans_fit"):
+            monkeypatch.setattr(router, name, counting(name, getattr(router, name)))
+        return calls
+
+    @pytest.mark.parametrize("command, output", [("tune", "kappa_5/thresholds.json"),
+                                                 ("sweep", "pareto.csv")])
+    def test_one_fit_for_three_kappas(self, workdir, calls, command, output):
+        tmp, cfg = workdir
+        assert run(command, "--config", cfg, "--kappa-grid", "1,2,5", "--out", tmp / "o",
+                   "--set", "cluster.fixed_k=null") == 0
+        assert calls == ["train", "elbow_sweep"]
+        assert (tmp / "o" / output).exists()
+
+    def test_kappa_grid_bundle_equals_single_tune(self, workdir):
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--kappa-grid", "1,5", "--out", tmp / "grid",
+                   "--set", "cluster.fixed_k=null") == 0
+        assert run("tune", "--config", cfg, "--out", tmp / "one", "--set", "cluster.fixed_k=null",
+                   "--set", "weights.kappa1=5", "--set", "weights.kappa2=5") == 0
+        grid = tmp / "grid" / "kappa_5"
+        names = sorted(path.name for path in grid.iterdir())
+        assert names == ["bundle_manifest.json", "centroids.bin", "labels.csv",
+                         "observations.csv", "predictor.ckpt", "state.json",
+                         "thresholds.json", "train_report.json"]
+        for name in names:
+            assert (grid / name).read_bytes() == (tmp / "one" / name).read_bytes(), name
 
 
 class TestStream:

@@ -13,9 +13,9 @@ import tierroute
 from tierroute import cluster
 from tierroute.cluster import (
     ClusterModel,
-    assign,
     assign_batch,
     elbow_select_k,
+    elbow_sweep,
     kmeans_fit,
     knee_point,
     load_centroids,
@@ -78,7 +78,7 @@ class TestKmeansFit:
         with pytest.raises(ValueError, match=f"restarts={restarts} must be >= 1"):
             kmeans_fit(points, 2, seed=0, restarts=restarts)
         with pytest.raises(ValueError, match=f"restarts={restarts} must be >= 1"):
-            elbow_select_k(points, 2, 4, seed=0, restarts=restarts)
+            elbow_sweep(points, 2, 4, seed=0, restarts=restarts)
 
 
 class TestElbow:
@@ -101,18 +101,18 @@ class TestElbow:
         cfg = SyntheticConfig(n_queries=900, embedding_dim=12, n_latent_clusters=3,
                               seed=21, cluster_separation=12.0)
         trace, _ = generate_synthetic_trace(cfg)
-        assert elbow_select_k(trace.embeddings, 2, 10, seed=0) == 3
+        assert elbow_select_k(elbow_sweep(trace.embeddings, 2, 10, seed=0)) == 3
 
     def test_five_latent_clusters(self):
         cfg = SyntheticConfig(n_queries=1500, embedding_dim=12, n_latent_clusters=5,
                               seed=22, cluster_separation=12.0)
         trace, _ = generate_synthetic_trace(cfg)
-        assert elbow_select_k(trace.embeddings, 2, 10, seed=0) == 5
+        assert elbow_select_k(elbow_sweep(trace.embeddings, 2, 10, seed=0)) == 5
 
     def test_invalid_range(self):
         points = np.random.default_rng(0).normal(size=(20, 3))
         with pytest.raises(ValueError):
-            elbow_select_k(points, 5, 5, seed=0)
+            elbow_sweep(points, 5, 5, seed=0)
 
     def test_inertia_monotone_over_sweep(self):
         points, _, _ = two_clouds(seed=9, per_cloud=150)
@@ -125,19 +125,18 @@ class TestAssign:
     def test_exact_centroid_hits_own_index(self):
         points, _, _ = two_clouds(seed=2)
         model = kmeans_fit(points, 2, seed=0)
-        for k in range(2):
-            assert assign(model, model.centroids[k]) == k
+        assert np.array_equal(assign_batch(model, model.centroids), [0, 1])
 
     def test_tie_breaks_to_lowest_index(self):
         model = kmeans_fit(np.array([[0.0], [2.0]]), 2, seed=0)
         order = np.argsort(model.centroids[:, 0])
         # Midpoint is equidistant; the lower index must win.
-        assert assign(model, np.array([1.0])) == min(order[0], order[1])
+        assert assign_batch(model, np.array([1.0]))[0] == min(order[0], order[1])
 
     def test_dimension_mismatch(self):
         model = kmeans_fit(np.zeros((4, 3)) + np.arange(4)[:, None], 2, seed=0)
         with pytest.raises(DimensionMismatchError):
-            assign(model, np.zeros(2))
+            assign_batch(model, np.zeros(2))
 
     def test_purity_on_synthetic(self):
         cfg = SyntheticConfig(n_queries=800, embedding_dim=10, n_latent_clusters=4,
@@ -321,7 +320,7 @@ class TestConcurrentSweep:
             for model, ref in zip(models, serial):
                 assert np.array_equal(model.centroids, ref.centroids)
                 assert model.inertia == ref.inertia
-            assert elbow_select_k(points, 2, 8, seed=5, restarts=3) == serial_k
+            assert elbow_select_k(elbow_sweep(points, 2, 8, seed=5, restarts=3)) == serial_k
         assert pool_sizes == [1, 1, 4, 4]
 
     @pytest.mark.parametrize("blas_vars, n_ks, entries, expected", [
@@ -343,9 +342,9 @@ class TestConcurrentSweep:
 
     def test_pool_gets_its_size(self, monkeypatch, points, pool_sizes):
         pin_usable_cpus(monkeypatch, 64)
-        elbow_select_k(points, 2, 4, seed=0, restarts=1)
+        elbow_sweep(points, 2, 4, seed=0, restarts=1)
         monkeypatch.setattr(cluster, "_ENTRIES_PER_THREAD", 1)
-        elbow_select_k(points, 2, 4, seed=0, restarts=1)
+        elbow_sweep(points, 2, 4, seed=0, restarts=1)
         assert pool_sizes == [1, 3]
 
     def test_public_functions_stay_on_calling_thread(self, monkeypatch, points):
@@ -382,9 +381,10 @@ class TestConcurrentSweep:
         monkeypatch.setattr(cluster, "_ENTRIES_PER_THREAD", 1)
         pin_usable_cpus(monkeypatch, 4)
         threads_before = threading.active_count()
-        cluster.elbow_select_k(points, 2, 8, seed=1, restarts=2)
+        cluster.elbow_select_k(cluster.elbow_sweep(points, 2, 8, seed=1, restarts=2))
         assert threading.active_count() == threads_before
         caller = threading.get_ident()
+        assert ("tierroute.cluster.elbow_sweep", caller) in entered
         assert ("tierroute.cluster.elbow_select_k", caller) in entered
         assert ("tierroute.cluster.knee_point", caller) in entered
         assert {thread for _, thread in entered} == {caller}

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from collections import deque
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -14,10 +15,16 @@ from helpers import (
     quick_mlp,
     truth_fractions,
 )
-from tierroute.accounting import UtilityWeights, tier_cost, tier_latency, utility_matrix
+from tierroute.accounting import (
+    CostModel,
+    UtilityWeights,
+    tier_cost,
+    tier_latency,
+    utility_matrix,
+)
 from tierroute.bayesopt import DEFAULT_ONLINE_HYPERS, ThresholdPair, refresh_online
 from tierroute.errors import BundleIntegrityError, CorruptStateError, DimensionMismatchError
-from tierroute.cluster import assign_batch
+from tierroute.cluster import assign_batch, elbow_select_k, elbow_sweep, kmeans_fit
 from tierroute.labels import LabelConfig, build_labels
 from tierroute.mlp import init_model, predict_batch
 from tierroute.network import scenario_by_name
@@ -26,12 +33,14 @@ from tierroute.router import (
     _derived_seed,
     _make_evaluator,
     baseline_route,
+    fit_representation,
     load_bundle,
     route_tiers,
     run_offline_phase,
     run_stream,
     save_bundle,
     state_checksum,
+    tune_thresholds,
 )
 from tierroute.trace import (
     SyntheticConfig,
@@ -100,7 +109,7 @@ def small_state():
 class TestRouteQuery:
     def test_decision_consistent_with_rule(self, small_state):
         trace, _, state = small_state
-        d = run_stream(state.clone(), trace.subset(slice(0, 50)), GOOD, online=False).decisions
+        d = run_stream(deepcopy(state), trace.subset(slice(0, 50)), GOOD, online=False).decisions
         assert np.array_equal(d.tier, route_tiers(d.score, d.tau1, d.tau2))
         assert set(d.cluster.tolist()) <= set(state.thresholds)
 
@@ -108,11 +117,11 @@ class TestRouteQuery:
         trace, _, state = small_state
         bad = replace(trace.subset([0]), embeddings=np.zeros((1, 5)))
         with pytest.raises(DimensionMismatchError):
-            run_stream(state.clone(), bad, GOOD, online=False)
+            run_stream(deepcopy(state), bad, GOOD, online=False)
 
     def test_missing_threshold_is_corrupt_state(self, small_state):
         trace, _, state = small_state
-        clone = state.clone()
+        clone = deepcopy(state)
         first = trace.subset([0])
         cluster = int(assign_batch(clone.clusters, first.embeddings)[0])
         del clone.thresholds[cluster]
@@ -131,7 +140,7 @@ class TestOfflinePhase:
         trace, truth = generate_synthetic_trace(cfg)
         state = build_state(trace, GOOD, seed=1, k_min=2, k_max=4,
                             mlp_overrides={"max_epochs": 30})
-        report = run_stream(state.clone(), trace, GOOD, online=False)
+        report = run_stream(deepcopy(state), trace, GOOD, online=False)
         device_frac = truth_fractions(report, truth, TierId.DEVICE)
         cloud_frac = truth_fractions(report, truth, TierId.CLOUD)
         consistent = 0 if truth.tier_probs[0][0] == 1.0 else 1
@@ -150,7 +159,7 @@ class TestOfflinePhase:
         weights = UtilityWeights(1.0, 1e-9, 1e-9)
         state = build_state(trace, GOOD, seed=2, weights=weights, k_min=2, k_max=5,
                             mlp_overrides={"max_epochs": 30})
-        report = run_stream(state.clone(), trace, GOOD, online=False)
+        report = run_stream(deepcopy(state), trace, GOOD, online=False)
         correct = trace.correctness_matrix()
         # Brute-force oracle: realized per-tier accuracy argmax per latent cluster,
         # with ties (within 1e-6) all acceptable.
@@ -183,10 +192,61 @@ class TestOfflinePhase:
                               k_min=2, k_max=4)
 
 
+class TestRepresentationOnce:
+    """One representation serves every weight vector: the predictor and the
+    clusters do not depend on the weights, and tuning does not change them."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        cfg = SyntheticConfig(n_queries=400, embedding_dim=10, n_latent_clusters=3,
+                              seed=43, noise_sigma=0.05)
+        trace, _ = generate_synthetic_trace(cfg)
+        return trace, build_labels(trace, LabelConfig()), quick_mlp(10, seed=4, max_epochs=15)
+
+    def test_tune_per_weight_equals_offline_phase_per_weight(self, fitted):
+        trace, labels, mlp_cfg = fitted
+        kw = dict(scenario=GOOD, cost_model=CostModel(), seed_points=4,
+                  bo_config=quick_bo(seed=4, offline_budget=10))
+        rep = fit_representation(trace, labels, mlp_config=mlp_cfg, k_min=2, k_max=6,
+                                 restarts=2)
+        checksums = []
+        for kappa in (1.0, 5.0, 20.0):
+            weights = UtilityWeights.from_kappas(kappa, kappa)
+            shared = tune_thresholds(rep, trace, weights=weights, **kw)
+            full = run_offline_phase(trace, labels, mlp_config=mlp_cfg, weights=weights,
+                                     k_min=2, k_max=6, kmeans_restarts=2, **kw)
+            assert state_checksum(shared) == state_checksum(full)
+            assert shared.cloud_baselines == full.cloud_baselines
+            checksums.append(state_checksum(shared))
+        assert len(set(checksums)) == 3
+
+    def test_elbow_model_is_kmeans_fit_of_chosen_k(self, fitted, monkeypatch):
+        trace, labels, mlp_cfg = fitted
+        calls = []
+
+        def counting_fit(*args, **kwargs):
+            calls.append(args)
+            return kmeans_fit(*args, **kwargs)
+
+        monkeypatch.setattr("tierroute.router.kmeans_fit", counting_fit)
+        monkeypatch.setattr("tierroute.cluster.kmeans_fit", counting_fit)
+        rep = fit_representation(trace, labels, mlp_config=mlp_cfg, k_min=2, k_max=6,
+                                 restarts=2)
+        assert calls == []
+        k = elbow_select_k(elbow_sweep(trace.embeddings, 2, 6, mlp_cfg.seed, restarts=2))
+        ref = kmeans_fit(trace.embeddings, k, mlp_cfg.seed, restarts=2)
+        assert rep.clusters.k == k == 3
+        assert np.array_equal(rep.clusters.centroids, ref.centroids)
+        assert (rep.clusters.inertia, rep.clusters.seed) == (ref.inertia, ref.seed)
+        assert np.array_equal(rep.membership, assign_batch(ref, trace.embeddings))
+        fixed = fit_representation(trace, labels, mlp_config=mlp_cfg, restarts=2, fixed_k=4)
+        assert len(calls) == 1 and fixed.clusters.k == 4
+
+
 class TestRunStream:
     def test_static_threshold_history_constant(self, small_state):
         trace, _, state = small_state
-        clone = state.clone()
+        clone = deepcopy(state)
         initial = dict(clone.thresholds)
         report = run_stream(clone, trace, GOOD, online=False)
         assert clone.thresholds == initial
@@ -196,21 +256,21 @@ class TestRunStream:
 
     def test_conservation(self, small_state):
         trace, _, state = small_state
-        report = run_stream(state.clone(), trace, GOOD, online=False)
+        report = run_stream(deepcopy(state), trace, GOOD, online=False)
         assert sum(w.count for w in report.windows) == len(trace)
         for w in report.windows + [report.totals]:
             assert sum(w.tier_fractions.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_update_interval_below_one_is_corrupt_state(self, small_state):
         trace, _, state = small_state
-        clone = state.clone()
+        clone = deepcopy(state)
         clone.update_interval = 0
         with pytest.raises(CorruptStateError, match="update_interval"):
             run_stream(clone, trace, GOOD, online=True)
 
     def test_online_appends_observations(self, small_state):
         trace, _, state = small_state
-        clone = state.clone()
+        clone = deepcopy(state)
         before = {k: len(o) for k, o in clone.observations.items()}
         run_stream(clone, trace, GOOD, online=True)
         grew = [k for k in before if len(clone.observations[k]) > before[k]]
@@ -223,11 +283,11 @@ class TestRunStream:
         # queries than the replay depth.
         trace, _, state = small_state
         stream = concat_traces(concat_traces(trace, trace), trace).subset(slice(0, 1450))
-        ref = state.clone()
+        ref = deepcopy(state)
         ref.update_interval = m = 100
         per_cluster = np.bincount(assign_batch(ref.clusters, stream.embeddings))
         assert per_cluster.min() > RECENT_REPLAY_DEPTH
-        clone = ref.clone()
+        clone = deepcopy(ref)
         report = run_stream(clone, stream, GOOD, online=True)
 
         scores = predict_batch(ref.predictor, stream.embeddings)
@@ -273,7 +333,7 @@ class TestRunStream:
         assert state.clusters.k == 2
         # Stream only latent-cluster-0 queries.
         stream = trace.subset(truth.cluster_of == 0)
-        clone = state.clone()
+        clone = deepcopy(state)
         streamed_cluster = int(assign_batch(clone.clusters, stream.embeddings[:1])[0])
         silent = 1 - streamed_cluster
         before_pair = clone.thresholds[silent]
@@ -296,8 +356,8 @@ class TestRunStream:
         stream = concat_traces(first, second)
         state = build_state(offline_trace, GOOD, seed=9, k_min=2, k_max=5,
                             mlp_overrides={"max_epochs": 30}, update_interval=200)
-        static_report = run_stream(state.clone(), stream, GOOD, online=False)
-        online_report = run_stream(state.clone(), stream, GOOD, online=True)
+        static_report = run_stream(deepcopy(state), stream, GOOD, online=False)
+        online_report = run_stream(deepcopy(state), stream, GOOD, online=True)
         tail = slice(-3, None)
         static_tail = np.mean([w.mean_utility for w in static_report.windows[tail]])
         online_tail = np.mean([w.mean_utility for w in online_report.windows[tail]])
@@ -350,7 +410,7 @@ class TestBaselines:
         trace = nested_correctness(trace, seed=5)
         state = build_state(trace, GOOD, seed=4, k_min=2, k_max=5,
                             mlp_overrides={"max_epochs": 25})
-        routed = run_stream(state.clone(), trace, GOOD, online=False)
+        routed = run_stream(deepcopy(state), trace, GOOD, online=False)
         clm = baseline_route("cloud_only", trace, GOOD)
         dlm = baseline_route("device_only", trace, GOOD)
         assert clm.totals.accuracy >= routed.totals.accuracy - 1e-12
