@@ -65,7 +65,6 @@ from .router import (
     fit_representation,
     load_bundle,
     route_tiers,
-    run_offline_phase,
     run_stream,
     save_bundle,
     state_checksum,

@@ -9,10 +9,12 @@ order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fields import MISSING, building, typed
 from .network import NetworkScenario, round_trip_latency, scenario_link
 from .trace import TIERS, TierId, Trace
 
@@ -35,6 +37,14 @@ class CostModel:
             if self.activated_params.get(tier, 0.0) <= 0:
                 raise ValueError(f"activated_params missing or non-positive for {tier.label}")
 
+    @classmethod
+    def read(cls, obj, where: str, error: type[Exception]) -> CostModel:
+        """The model from its JSON object of tier label -> billions of parameters."""
+        obj = typed(obj, dict, where, error)
+        with building(where, error):
+            return cls({tier: typed(obj.get(tier.label, MISSING), float, f"{where}.{tier.label}",
+                                    error) for tier in TIERS})
+
 
 @dataclass(frozen=True)
 class UtilityWeights:
@@ -44,13 +54,15 @@ class UtilityWeights:
     normalize_by_cloud: bool = True
 
     def __post_init__(self) -> None:
-        if min(self.lambda1, self.lambda2, self.lambda3) <= 0:
-            raise ValueError("all lambda weights must be positive")
+        if not all(0 < lam < math.inf for lam in (self.lambda1, self.lambda2, self.lambda3)):
+            raise ValueError("all lambda weights must be positive and finite")
 
     @classmethod
     def from_kappas(cls, kappa1: float, kappa2: float,
                     normalize_by_cloud: bool = True) -> UtilityWeights:
         """kappa1 = lambda1/lambda2 and kappa2 = lambda1/lambda3, with lambda1 = 1."""
+        if not min(kappa1, kappa2) > 0:
+            raise ValueError(f"kappas must be positive; got {kappa1}, {kappa2}")
         return cls(lambda1=1.0, lambda2=1.0 / kappa1, lambda3=1.0 / kappa2,
                    normalize_by_cloud=normalize_by_cloud)
 

@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from . import __version__
 from .accounting import CostModel, UtilityWeights
 from .bayesopt import BoConfig, ThresholdPair
 from .errors import ConfigError, TierRouteError, TraceValidationError
+from .fields import MISSING, building, cell, read, typed
 from .labels import ConsistencyLabels, LabelConfig, build_labels
 from .mlp import MlpConfig, TrainReport, init_model, load_checkpoint, save_checkpoint, train
 from .network import load_scenario, scenario_by_name
@@ -41,7 +43,6 @@ from .router import (
 )
 from .trace import (
     SyntheticConfig,
-    TierId,
     Trace,
     concat_traces,
     generate_synthetic_trace,
@@ -71,20 +72,25 @@ DEFAULT_CONFIG: dict = {
     "stream": {"update_interval": 200, "online": True},
 }
 
-SYNTHETIC_DEFAULTS = {
-    "n_queries": 2000, "embedding_dim": 32, "n_latent_clusters": 4,
-    "noise_sigma": 0.05, "tier_accuracy_profile": None, "token_mean_profile": None,
-    "token_jitter": 0.2, "prompt_token_range": [30, 120],
-    "tier_tokens_per_second": [40.0, 30.0, 25.0],
-    "cluster_std": 1.0, "cluster_separation": 12.0, "reference_fraction": 1.0,
-    "seed": None,
-    "drift_at": None, "drift_tier_accuracy_profile": None,
-}
+# Where the synthetic section's defaults differ from SyntheticConfig's; a null
+# seed means run.seed.
+SYNTHETIC_DEFAULTS = {"n_queries": 2000, "embedding_dim": 32, "seed": None}
 
-# The keys each section may set: weights may give kappa1/kappa2 in place of
-# the lambdas.
+
+@dataclass(frozen=True)
+class SyntheticDrift:
+    """The synthetic section's own keys: the trace switches to the drift
+    profile at this fraction of its queries."""
+
+    drift_at: float | None = None
+    drift_tier_accuracy_profile: tuple[tuple[float, float, float], ...] | None = None
+
+
+# The keys each section may set: synthetic takes SyntheticConfig's fields and
+# SyntheticDrift's; weights may give kappa1/kappa2 in place of the lambdas.
 CONFIG_KEYS = {name: set(body or ()) for name, body in DEFAULT_CONFIG.items()}
-CONFIG_KEYS["synthetic"] = set(SYNTHETIC_DEFAULTS)
+CONFIG_KEYS["synthetic"] = {f.name for cls in (SyntheticConfig, SyntheticDrift)
+                            for f in fields(cls)}
 CONFIG_KEYS["weights"] |= {"kappa1", "kappa2"}
 
 
@@ -106,7 +112,7 @@ def load_config_file(path: str | Path) -> dict:
             raise ConfigError(f"{path}: line {lineno}: bad JSON ({exc})") from exc
         if not isinstance(obj, dict) or "section" not in obj:
             raise ConfigError(f"{path}: line {lineno}: expected an object with a 'section' key")
-        name = obj.pop("section")
+        name = typed(obj.pop("section"), str, f"{path}: line {lineno}: section", ConfigError)
         sections.setdefault(name, {}).update(obj)
     return sections
 
@@ -159,8 +165,8 @@ def resolve_config(args: argparse.Namespace, defaults: dict = DEFAULT_CONFIG) ->
 
 
 def output_dir(config: dict) -> Path:
-    out = config["run"].get("output_dir") or os.environ.get(OUTPUT_DIR_ENV) or "tierroute-out"
-    path = Path(out)
+    out = _setting(config, "run.output_dir", str | None) or os.environ.get(OUTPUT_DIR_ENV)
+    path = Path(out or "tierroute-out")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -185,29 +191,24 @@ def write_manifest(config: dict, command: str, outdir: Path) -> None:
 # Section materialization
 # ---------------------------------------------------------------------------
 
-def synthetic_config(config: dict, seed: int) -> SyntheticConfig:
-    body = dict(SYNTHETIC_DEFAULTS)
-    body.update(config.get("synthetic") or {})
-    drift_keys = {"drift_at", "drift_tier_accuracy_profile"}
-    body = {k: v for k, v in body.items() if k not in drift_keys}
-    if body.get("seed") is None:
+def _setting(config: dict, key: str, hint=int, minimum: int | None = None):
+    """The ``section.key`` value of the resolved config, typed by ``hint``."""
+    section, _, name = key.partition(".")
+    return typed(config[section][name], hint, key, ConfigError, minimum)
+
+
+def synthetic_config(config: dict, seed: int, **given) -> SyntheticConfig:
+    body = {**SYNTHETIC_DEFAULTS, **(config.get("synthetic") or {})}
+    if body["seed"] is None:
         body["seed"] = seed
-    if body.get("tier_accuracy_profile") is not None:
-        body["tier_accuracy_profile"] = tuple(tuple(row) for row in body["tier_accuracy_profile"])
-    if body.get("token_mean_profile") is not None:
-        body["token_mean_profile"] = tuple(tuple(row) for row in body["token_mean_profile"])
-    body["prompt_token_range"] = tuple(body["prompt_token_range"])
-    body["tier_tokens_per_second"] = tuple(body["tier_tokens_per_second"])
-    try:
-        cfg = SyntheticConfig(**body)
+    cfg = read(SyntheticConfig, body, "synthetic", error=ConfigError, **given)
+    with building("bad synthetic config", ConfigError):
         cfg.validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad synthetic config: {exc}") from exc
     return cfg
 
 
 def resolve_trace(config: dict, seed: int) -> Trace:
-    trace_path = config["run"].get("trace")
+    trace_path = _setting(config, "run.trace", str | None)
     has_synth = config.get("synthetic") is not None
     if trace_path and has_synth:
         raise ConfigError("provide either a trace path or a synthetic config, not both")
@@ -226,83 +227,34 @@ def resolve_trace(config: dict, seed: int) -> Trace:
 
 
 def label_config(config: dict) -> LabelConfig:
-    body = config["labels"]
-    try:
-        return LabelConfig(alpha=float(body["alpha"]), beta=float(body["beta"]))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad labels config: {exc}") from exc
+    return read(LabelConfig, config["labels"], "labels", error=ConfigError)
 
 
 def mlp_config(config: dict, input_dim: int, seed: int) -> MlpConfig:
-    body = config["mlp"]
-    try:
-        return MlpConfig(
-            input_dim=input_dim,
-            hidden_dims=tuple(body["hidden_dims"]),
-            activation=body["activation"],
-            learning_rate=float(body["learning_rate"]),
-            batch_size=int(body["batch_size"]),
-            max_epochs=int(body["max_epochs"]),
-            early_stop_patience=int(body["early_stop_patience"]),
-            seed=seed,
-            validation_fraction=float(body["validation_fraction"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad mlp config: {exc}") from exc
+    return read(MlpConfig, config["mlp"], "mlp", error=ConfigError, input_dim=input_dim,
+                seed=seed)
 
 
 def bo_config(config: dict, seed: int) -> BoConfig:
-    body = config["bo"]
-    try:
-        return BoConfig(
-            offline_budget=int(body["offline_budget"]),
-            online_steps_per_refresh=int(body["online_steps_per_refresh"]),
-            candidate_pool_size=int(body["candidate_pool_size"]),
-            seed=seed,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad bo config: {exc}") from exc
+    return read(BoConfig, config["bo"], "bo", error=ConfigError, seed=seed)
 
 
 def utility_weights(config: dict) -> UtilityWeights:
     body = config["weights"]
-    try:
-        if "kappa1" in body or "kappa2" in body:
-            return UtilityWeights.from_kappas(float(body["kappa1"]), float(body["kappa2"]))
-        return UtilityWeights(lambda1=float(body["lambda1"]), lambda2=float(body["lambda2"]),
-                              lambda3=float(body["lambda3"]))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad weights config: {exc}") from exc
+    if "kappa1" in body or "kappa2" in body:
+        kappas = [typed(body.get(key, MISSING), float, f"weights.{key}", ConfigError)
+                  for key in ("kappa1", "kappa2")]
+        with building("weights", ConfigError):
+            return UtilityWeights.from_kappas(*kappas)
+    return read(UtilityWeights, body, "weights", error=ConfigError)
 
 
 def cost_model(config: dict) -> CostModel:
-    body = config["cost"]
-    try:
-        return CostModel(activated_params={
-            TierId.DEVICE: float(body["device"]),
-            TierId.EDGE: float(body["edge"]),
-            TierId.CLOUD: float(body["cloud"]),
-        })
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad cost config: {exc}") from exc
-
-
-def _positive_int(config: dict, section: str, key: str) -> int:
-    raw = config[section][key]
-    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
-        raise ConfigError(f"{section}.{key} must be an integer >= 1; got {raw!r}")
-    return raw
-
-
-def _json_bool(config: dict, section: str, key: str) -> bool:
-    raw = config[section][key]
-    if not isinstance(raw, bool):
-        raise ConfigError(f"{section}.{key} must be true or false; got {raw!r}")
-    return raw
+    return CostModel.read(config["cost"], "cost", ConfigError)
 
 
 def update_interval(config: dict) -> int:
-    return _positive_int(config, "stream", "update_interval")
+    return _setting(config, "stream.update_interval", minimum=1)
 
 
 def _update_interval_is_set(args: argparse.Namespace) -> bool:
@@ -312,12 +264,12 @@ def _update_interval_is_set(args: argparse.Namespace) -> bool:
 
 
 def network_scenario(config: dict):
-    body = config["network"]
-    name = body["scenario"]
+    name = _setting(config, "network.scenario", str)
+    switch_at = _setting(config, "network.switch_window")
     try:
-        return scenario_by_name(name, switch_at=int(body["switch_window"]))
+        return scenario_by_name(name, switch_at=switch_at)
     except ValueError as exc:
-        if Path(name).exists():
+        if Path(name).is_file():
             return load_scenario(name)
         raise ConfigError(str(exc)) from exc
 
@@ -330,24 +282,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     if config.get("synthetic") is None:
         config["synthetic"] = {}
-    seed = int(config["run"]["seed"])
+    seed = _setting(config, "run.seed", minimum=0)
     outdir = output_dir(config)
 
-    body = dict(SYNTHETIC_DEFAULTS)
-    body.update(config["synthetic"])
-    drift_at = body.get("drift_at")
-    drift_profile = body.get("drift_tier_accuracy_profile")
-
+    drift = read(SyntheticDrift, config["synthetic"], "synthetic", error=ConfigError)
     cfg = synthetic_config(config, seed)
     trace, truth = generate_synthetic_trace(cfg)
-    if drift_at is not None:
-        if drift_profile is None:
+    if drift.drift_at is not None:
+        if drift.drift_tier_accuracy_profile is None:
             raise ConfigError("drift_at needs drift_tier_accuracy_profile")
-        shifted_cfg = synthetic_config(
-            {**config, "synthetic": {**config["synthetic"],
-                                     "tier_accuracy_profile": drift_profile}}, seed)
-        shifted, _ = generate_synthetic_trace(shifted_cfg)
-        cut = int(round(float(drift_at) * len(trace)))
+        shifted, _ = generate_synthetic_trace(synthetic_config(
+            config, seed, tier_accuracy_profile=drift.drift_tier_accuracy_profile))
+        cut = round(drift.drift_at * len(trace))
         trace = concat_traces(trace.subset(slice(None, cut)), shifted.subset(slice(cut, None)))
         trace.metadata["drift_at_record"] = cut
 
@@ -366,7 +312,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _train_parts(config: dict):
-    seed = int(config["run"]["seed"])
+    seed = _setting(config, "run.seed", minimum=0)
     trace = resolve_trace(config, seed)
     labels = build_labels(trace, label_config(config))
     cfg = mlp_config(config, trace.embedding_dim, seed)
@@ -394,11 +340,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _write_labels_and_report(labels: ConsistencyLabels, report: TrainReport,
                              outdir: Path) -> None:
     labels.to_csv(outdir / "labels.csv")
-    report_obj = {
-        "epochs_run": report.epochs_run,
-        "final_train_mse": report.final_train_mse,
-        "final_val_mse": report.final_val_mse,
-    }
+    report_obj = asdict(report)
+    del report_obj["loss_curve"]  # a summary, without the per-epoch curve
     (outdir / "train_report.json").write_text(
         json.dumps(report_obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
@@ -406,18 +349,15 @@ def _write_labels_and_report(labels: ConsistencyLabels, report: TrainReport,
 def _offline_phase(config: dict) -> tuple[Trace, ConsistencyLabels, Representation, partial]:
     """Read the cluster and bo sections and fit the representation once. Returns the trace,
     its labels, the representation and ``tune_thresholds`` bound to all but the weights."""
-    seed = int(config["run"]["seed"])
-    k_min = _positive_int(config, "cluster", "k_min")
-    k_max = _positive_int(config, "cluster", "k_max")
-    restarts = _positive_int(config, "cluster", "restarts")
-    fixed_k = config["cluster"]["fixed_k"]
-    if fixed_k is not None:
-        fixed_k = _positive_int(config, "cluster", "fixed_k")
+    seed = _setting(config, "run.seed", minimum=0)
+    k_min, k_max, restarts = (_setting(config, f"cluster.{key}", minimum=1)
+                              for key in ("k_min", "k_max", "restarts"))
+    fixed_k = _setting(config, "cluster.fixed_k", int | None, minimum=1)
     tune_kw = dict(
         scenario=network_scenario(config),
         cost_model=cost_model(config),
         bo_config=bo_config(config, seed),
-        seed_points=_positive_int(config, "bo", "seed_points"),
+        seed_points=_setting(config, "bo.seed_points", minimum=1),
         update_interval=update_interval(config),
     )
     trace = resolve_trace(config, seed)
@@ -434,25 +374,20 @@ def _offline_phase(config: dict) -> tuple[Trace, ConsistencyLabels, Representati
     return trace, labels, rep, partial(tune_thresholds, rep, trace, **tune_kw)
 
 
-def _kappa_grid(args: argparse.Namespace) -> list[float] | None:
-    raw = getattr(args, "kappa_grid", None)
-    if not raw:
-        return None
-    try:
-        return [float(v) for v in raw.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad --kappa-grid {raw!r}: {exc}") from exc
+def _kappa_grid(args: argparse.Namespace, default=()) -> list[tuple[float, UtilityWeights]]:
+    """(kappa, weights) for each --kappa-grid value, or for ``default`` without one."""
+    raw = getattr(args, "kappa_grid", None) or ""
+    grid = [cell(v, float, "--kappa-grid value", ConfigError)
+            for v in raw.split(",") if v.strip()]
+    with building("--kappa-grid", ConfigError):
+        return [(kappa, UtilityWeights.from_kappas(kappa, kappa)) for kappa in grid or default]
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     outdir = output_dir(config)
-    grid = _kappa_grid(args)
-    if grid is None:
-        runs = [(outdir, utility_weights(config))]
-    else:
-        runs = [(outdir / f"kappa_{kappa:g}", UtilityWeights.from_kappas(kappa, kappa))
-                for kappa in grid]
+    runs = [(outdir / f"kappa_{kappa:g}", weights) for kappa, weights in _kappa_grid(args)]
+    runs = runs or [(outdir, utility_weights(config))]
     _, labels, rep, tune = _offline_phase(config)
     for bundle_dir, weights in runs:
         state = tune(weights=weights)
@@ -474,10 +409,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
         state.update_interval = interval
     else:  # the bundle's interval applies, and the manifest records it
         config["stream"]["update_interval"] = state.update_interval
-    seed = int(config["run"]["seed"])
+    seed = _setting(config, "run.seed", minimum=0)
     stream_trace = resolve_trace(config, seed)
     scenario = network_scenario(config)
-    online = _json_bool(config, "stream", "online")
+    online = _setting(config, "stream.online", bool)
     if getattr(args, "static", False):
         online = False
     if getattr(args, "online", False):
@@ -495,7 +430,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
 def cmd_baseline(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     outdir = output_dir(config)
-    seed = int(config["run"]["seed"])
+    seed = _setting(config, "run.seed", minimum=0)
     trace = resolve_trace(config, seed)
     scenario = network_scenario(config)
     policy = args.policy.replace("-", "_")
@@ -530,7 +465,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     outdir = output_dir(config)
-    grid = _kappa_grid(args) or [1.0, 2.0, 5.0, 10.0, 20.0]
+    grid = _kappa_grid(args, (1.0, 2.0, 5.0, 10.0, 20.0))
     trace, _, _, tune = _offline_phase(config)
     scenario = network_scenario(config)
     costs = cost_model(config)
@@ -570,8 +505,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     add_row("edge_only", None, anchors["edge_only"].totals)
     add_row("cloud_only", None, clm)
 
-    for kappa in grid:
-        state = tune(weights=UtilityWeights.from_kappas(kappa, kappa))
+    for kappa, weights in grid:
+        state = tune(weights=weights)
         report = run_stream(state, trace, scenario, online=False)
         add_row("router_static", kappa, report.totals)
         print(f"kappa={kappa:g}: acc={report.totals.accuracy:.4f} "

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BundleIntegrityError, DimensionMismatchError
+from .fields import MISSING, header_line, read, typed
 
 
 @dataclass
@@ -276,22 +277,11 @@ def save_centroids(model: ClusterModel, path: str | Path) -> None:
 
 
 def load_centroids(path: str | Path) -> ClusterModel:
-    raw = Path(path).read_bytes()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise BundleIntegrityError(f"{path}: missing centroid header line")
-    try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise BundleIntegrityError(f"{path}: bad centroid header ({exc})") from exc
-    if header.get("format") != _CENTROID_FORMAT:
-        raise BundleIntegrityError(f"{path}: unknown centroid format {header.get('format')!r}")
-    k, dim = int(header["k"]), int(header["dim"])
-    body = raw[newline + 1:]
+    error = BundleIntegrityError
+    header, body = header_line(path, _CENTROID_FORMAT, error)
+    k, dim = (typed(header.get(key, MISSING), int, f"{path}: header.{key}", error, minimum=1)
+              for key in ("k", "dim"))
     if len(body) != k * dim * 8:
-        raise BundleIntegrityError(
-            f"{path}: centroid payload holds {len(body)} bytes, expected {k * dim * 8}"
-        )
+        raise error(f"{path}: centroid payload holds {len(body)} bytes, expected {k * dim * 8}")
     centroids = np.frombuffer(body, dtype="<f8").reshape(k, dim).astype(np.float64)
-    return ClusterModel(k=k, centroids=centroids,
-                        inertia=float(header["inertia"]), seed=int(header["seed"]))
+    return read(ClusterModel, header, f"{path}: header", error=error, centroids=centroids)

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import MissingScoreError
 from .trace import TierId, Trace
 
+_CSV_CHUNK = 4096  # rows converted to Python floats at a time by ConsistencyLabels.to_csv
+
 
 @dataclass(frozen=True)
 class LabelConfig:
@@ -55,8 +57,10 @@ class ConsistencyLabels:
             writer = csv.writer(fh)
             writer.writerow(["id", "sim_cloud", "sim_edge", "aug_cloud", "aug_edge",
                              "s_cloud", "s_edge", "s_fused"])
-            for rid, *values in zip(self.ids, *(col.tolist() for col in columns)):
-                writer.writerow([rid] + [repr(v) for v in values])
+            for start in range(0, len(self.ids), _CSV_CHUNK):
+                rows = slice(start, start + _CSV_CHUNK)
+                for rid, *values in zip(self.ids[rows], *(col[rows].tolist() for col in columns)):
+                    writer.writerow([rid] + [repr(v) for v in values])
 
 
 def aug_with_reference(device_correct, other_correct):

@@ -19,12 +19,13 @@ Checkpoint byte layout (``tierroute-mlp-v1``):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BundleIntegrityError, DimensionMismatchError, TrainingDivergedError
+from .fields import MISSING, header_line, read, typed
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -51,11 +52,10 @@ class MlpConfig:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.max_epochs <= 0:
             raise ValueError("learning_rate, batch_size, max_epochs must be positive")
-        if self.early_stop_patience < 0:
-            raise ValueError("early_stop_patience must be >= 0")
+        if self.early_stop_patience < 0 or self.seed < 0:
+            raise ValueError("early_stop_patience and seed must be >= 0")
         if not (0.0 < self.validation_fraction < 1.0):
             raise ValueError("validation_fraction must lie in (0, 1)")
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
 
 
 @dataclass
@@ -331,21 +331,7 @@ _CKPT_FORMAT = "tierroute-mlp-v1"
 
 
 def save_checkpoint(model: MlpModel, path: str | Path) -> None:
-    cfg = model.config
-    header = {
-        "format": _CKPT_FORMAT,
-        "input_dim": cfg.input_dim,
-        "hidden_dims": list(cfg.hidden_dims),
-        "activation": cfg.activation,
-        "learning_rate": cfg.learning_rate,
-        "batch_size": cfg.batch_size,
-        "max_epochs": cfg.max_epochs,
-        "early_stop_patience": cfg.early_stop_patience,
-        "seed": cfg.seed,
-        "validation_fraction": cfg.validation_fraction,
-        "shuffle_each_epoch": cfg.shuffle_each_epoch,
-        "param_count": model.param_count(),
-    }
+    header = {"format": _CKPT_FORMAT, **asdict(model.config), "param_count": model.param_count()}
     with Path(path).open("wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
         fh.write(model.input_mean.astype("<f8").tobytes())
@@ -354,42 +340,19 @@ def save_checkpoint(model: MlpModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> MlpModel:
-    raw = Path(path).read_bytes()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise BundleIntegrityError(f"{path}: missing checkpoint header line")
-    try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise BundleIntegrityError(f"{path}: bad checkpoint header ({exc})") from exc
-    if header.get("format") != _CKPT_FORMAT:
-        raise BundleIntegrityError(f"{path}: unknown checkpoint format {header.get('format')!r}")
-    cfg = MlpConfig(
-        input_dim=int(header["input_dim"]),
-        hidden_dims=tuple(header["hidden_dims"]),
-        activation=header["activation"],
-        learning_rate=float(header["learning_rate"]),
-        batch_size=int(header["batch_size"]),
-        max_epochs=int(header["max_epochs"]),
-        early_stop_patience=int(header["early_stop_patience"]),
-        seed=int(header["seed"]),
-        validation_fraction=float(header["validation_fraction"]),
-        shuffle_each_epoch=bool(header["shuffle_each_epoch"]),
-    )
-    model = init_model(cfg)
-    expected = model.param_count()
-    if header.get("param_count") != expected:
-        raise BundleIntegrityError(
-            f"{path}: header param_count {header.get('param_count')} does not match "
-            f"architecture ({expected})"
-        )
-    body = raw[newline + 1:]
+    error = BundleIntegrityError
+    header, body = header_line(path, _CKPT_FORMAT, error)
+    cfg = read(MlpConfig, header, f"{path}: header", error=error)
+    dims = _layer_dims(cfg)
+    expected = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+    count = typed(header.get("param_count", MISSING), int, f"{path}: header.param_count", error)
+    if count != expected:
+        raise error(f"{path}: header param_count {count}, but the architecture has {expected}")
     total = expected + 2 * cfg.input_dim
     if len(body) != total * 8:
-        raise BundleIntegrityError(
-            f"{path}: parameter payload holds {len(body)} bytes, expected {total * 8}"
-        )
+        raise error(f"{path}: parameter payload holds {len(body)} bytes, expected {total * 8}")
     flat = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    model = init_model(cfg)
     model.input_mean = flat[: cfg.input_dim].copy()
     model.input_scale = flat[cfg.input_dim: 2 * cfg.input_dim].copy()
     model.set_flat_params(flat[2 * cfg.input_dim:])

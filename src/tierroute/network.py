@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import TraceFormatError
+from .fields import MISSING, read, typed
 from .trace import TierId
 
 
@@ -124,26 +125,34 @@ def save_scenario(scenario: NetworkScenario, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# Scenario file lines by (tier, phase), and the NetworkScenario field each sets.
+_LINK_FIELDS = {("edge", "pre"): "edge", ("cloud", "pre"): "cloud",
+                ("edge", "post"): "edge_after", ("cloud", "post"): "cloud_after"}
+
+
 def load_scenario(path: str | Path) -> NetworkScenario:
-    path = Path(path)
-    lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
-    if not lines:
-        raise TraceFormatError(f"{path}: empty scenario file")
-    try:
-        header = json.loads(lines[0])
-        links: dict[tuple[str, str], LinkProfile] = {}
-        for line in lines[1:]:
-            obj = json.loads(line)
-            tier = obj.pop("tier")
-            phase = obj.pop("phase", "pre")
-            links[(tier, phase)] = LinkProfile(**obj)
-        return NetworkScenario(
-            name=str(header.get("name", path.stem)),
-            edge=links[("edge", "pre")],
-            cloud=links[("cloud", "pre")],
-            switch_at=header.get("switch_at"),
-            edge_after=links.get(("edge", "post")),
-            cloud_after=links.get(("cloud", "post")),
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise TraceFormatError(f"{path}: bad scenario file ({exc})") from exc
+    path, error = Path(path), TraceFormatError
+    lines = [(f"{path}: scenario line {lineno}", line) for lineno, line
+             in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1) if line.strip()]
+    objs = []
+    for where, line in lines:
+        try:
+            objs.append((where, typed(json.loads(line), dict, where, error)))
+        except json.JSONDecodeError as exc:
+            raise error(f"{where}: bad JSON ({exc})") from exc
+    if not objs:
+        raise error(f"{path}: empty scenario file")
+    links = dict.fromkeys(_LINK_FIELDS.values())
+    for where, obj in objs[1:]:
+        tier = typed(obj.get("tier", MISSING), str, f"{where}: tier", error)
+        phase = typed(obj.get("phase", "pre"), str, f"{where}: phase", error)
+        if (tier, phase) not in _LINK_FIELDS:
+            raise error(f"{where}: tier must be edge or cloud and phase pre or post; "
+                        f"got {tier!r} and {phase!r}")
+        links[_LINK_FIELDS[tier, phase]] = read(LinkProfile, obj, f"{where}: {tier}", error=error)
+    for tier in ("edge", "cloud"):
+        if links[tier] is None:
+            raise error(f"{path}: scenario has no line for tier {tier}, phase pre")
+    where, header = objs[0]
+    return read(NetworkScenario, {"name": path.stem, **header}, f"{where}: header", error=error,
+                **links)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +43,7 @@ from .cluster import (
     save_centroids,
 )
 from .errors import BundleIntegrityError, CorruptStateError, DimensionMismatchError
+from .fields import MISSING, building, cell, read, typed
 from .labels import ConsistencyLabels
 from .mlp import (
     MlpConfig,
@@ -218,25 +219,6 @@ def tune_thresholds(rep: Representation, trace: Trace, *,
     )
     state.validate()
     return state
-
-
-def run_offline_phase(trace: Trace, labels: ConsistencyLabels, *,
-                      mlp_config: MlpConfig,
-                      scenario: NetworkScenario,
-                      weights: UtilityWeights | None = None,
-                      cost_model: CostModel | None = None,
-                      bo_config: BoConfig | None = None,
-                      k_min: int = 2, k_max: int = 12,
-                      kmeans_restarts: int = 5,
-                      seed_points: int = 8,
-                      update_interval: int = 200,
-                      fixed_k: int | None = None) -> RouterState:
-    """``fit_representation`` then ``tune_thresholds``, for one weight vector."""
-    rep = fit_representation(trace, labels, mlp_config=mlp_config, k_min=k_min, k_max=k_max,
-                             restarts=kmeans_restarts, fixed_k=fixed_k)
-    return tune_thresholds(rep, trace, scenario=scenario, weights=weights,
-                           cost_model=cost_model, bo_config=bo_config,
-                           seed_points=seed_points, update_interval=update_interval)
 
 
 # ---------------------------------------------------------------------------
@@ -548,22 +530,10 @@ def save_bundle(state: RouterState, outdir: str | Path) -> Path:
 
     state_obj = {
         "format": _BUNDLE_FORMAT,
-        "weights": {
-            "lambda1": state.weights.lambda1, "lambda2": state.weights.lambda2,
-            "lambda3": state.weights.lambda3,
-            "normalize_by_cloud": state.weights.normalize_by_cloud,
-        },
-        "bo_config": {
-            "offline_budget": state.bo_config.offline_budget,
-            "online_steps_per_refresh": state.bo_config.online_steps_per_refresh,
-            "candidate_pool_size": state.bo_config.candidate_pool_size,
-            "seed": state.bo_config.seed,
-        },
+        "weights": asdict(state.weights),
+        "bo_config": asdict(state.bo_config),
         "cost_model": {t.label: p for t, p in state.cost_model.activated_params.items()},
-        "cloud_baselines": {
-            "mean_latency_s": state.cloud_baselines.mean_latency_s,
-            "mean_cost": state.cloud_baselines.mean_cost,
-        },
+        "cloud_baselines": asdict(state.cloud_baselines),
         "update_interval": state.update_interval,
         "observation_capacity": max(o.capacity for o in state.observations.values()),
         "k": state.clusters.k,
@@ -586,76 +556,82 @@ def save_bundle(state: RouterState, outdir: str | Path) -> Path:
     return outdir
 
 
+def _json_file(path: Path) -> dict:
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise BundleIntegrityError(f"{path}: not a readable JSON file ({exc})") from exc
+    return typed(obj, dict, str(path), BundleIntegrityError)
+
+
+def _load_observations(path: Path, k: int, capacity: int) -> dict[int, ObservationSet]:
+    observations = {c: ObservationSet(capacity=capacity) for c in range(k)}
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        for lineno, row in enumerate(csv.DictReader(fh), start=2):
+            where = f"{path}: line {lineno}"
+            c = cell(row.get("cluster"), int, f"{where}: cluster", BundleIntegrityError)
+            if c not in observations:
+                raise BundleIntegrityError(f"{where}: cluster {c} outside 0..{k - 1}")
+            tau1, tau2, utility = (cell(row.get(key), float, f"{where}: {key}",
+                                        BundleIntegrityError)
+                                   for key in ("tau1", "tau2", "utility"))
+            with building(where, BundleIntegrityError):
+                observations[c].append(ThresholdPair(tau1=tau1, tau2=tau2), utility)
+    return observations
+
+
 def load_bundle(bundle_dir: str | Path) -> RouterState:
     bundle_dir = Path(bundle_dir)
+    error = BundleIntegrityError
     manifest_path = bundle_dir / "bundle_manifest.json"
     if not manifest_path.exists():
-        raise BundleIntegrityError(f"{bundle_dir}: missing bundle_manifest.json")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise BundleIntegrityError(f"{manifest_path}: not valid JSON ({exc})") from exc
-    if not isinstance(manifest, dict):
-        raise BundleIntegrityError(f"{manifest_path}: expected a JSON object")
+        raise error(f"{bundle_dir}: missing bundle_manifest.json")
+    manifest = _json_file(manifest_path)
     if manifest.get("format") != _BUNDLE_FORMAT:
-        raise BundleIntegrityError(f"{bundle_dir}: unknown bundle format")
-    for name, expected in manifest.get("files", {}).items():
+        raise error(f"{bundle_dir}: unknown bundle format")
+    for name, expected in typed(manifest.get("files", {}), dict, f"{manifest_path}: files",
+                                error).items():
         path = bundle_dir / name
         if not path.exists():
-            raise BundleIntegrityError(f"{bundle_dir}: missing bundle file {name}")
+            raise error(f"{bundle_dir}: missing bundle file {name}")
         actual = hashlib.sha256(path.read_bytes()).hexdigest()
         if actual != expected:
-            raise BundleIntegrityError(f"{bundle_dir}: checksum mismatch for {name}")
+            raise error(f"{bundle_dir}: checksum mismatch for {name}")
 
-    predictor = load_checkpoint(bundle_dir / "predictor.ckpt")
     clusters = load_centroids(bundle_dir / "centroids.bin")
-    state_obj = json.loads((bundle_dir / "state.json").read_text(encoding="utf-8"))
-    thresholds_obj = json.loads((bundle_dir / "thresholds.json").read_text(encoding="utf-8"))
-    thresholds = {
-        int(k): ThresholdPair(tau1=v["tau1"], tau2=v["tau2"])
-        for k, v in thresholds_obj.items()
-    }
+    state_path = bundle_dir / "state.json"
+    state_obj = _json_file(state_path)
 
-    capacity = int(state_obj.get("observation_capacity", 512))
-    observations: dict[int, ObservationSet] = {
-        k: ObservationSet(capacity=capacity) for k in range(int(state_obj["k"]))
-    }
-    with (bundle_dir / "observations.csv").open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            observations[int(row["cluster"])].append(
-                ThresholdPair(tau1=float(row["tau1"]), tau2=float(row["tau2"])),
-                float(row["utility"]),
-            )
+    def setting(key, default=MISSING):
+        return typed(state_obj.get(key, default), int, f"{state_path}: {key}", error, 1)
 
-    weights = UtilityWeights(
-        lambda1=float(state_obj["weights"]["lambda1"]),
-        lambda2=float(state_obj["weights"]["lambda2"]),
-        lambda3=float(state_obj["weights"]["lambda3"]),
-        normalize_by_cloud=bool(state_obj["weights"]["normalize_by_cloud"]),
-    )
-    bo_config = BoConfig(
-        offline_budget=int(state_obj["bo_config"]["offline_budget"]),
-        online_steps_per_refresh=int(state_obj["bo_config"]["online_steps_per_refresh"]),
-        candidate_pool_size=int(state_obj["bo_config"]["candidate_pool_size"]),
-        seed=int(state_obj["bo_config"]["seed"]),
-    )
-    cost_model = CostModel(activated_params={
-        TierId.from_label(label): float(p)
-        for label, p in state_obj["cost_model"].items()
-    })
-    cloud_baselines = CloudBaselines(
-        mean_latency_s=float(state_obj["cloud_baselines"]["mean_latency_s"]),
-        mean_cost=float(state_obj["cloud_baselines"]["mean_cost"]),
-    )
+    def section(cls, key):
+        return read(cls, state_obj.get(key, MISSING), f"{state_path}: {key}", error=error)
+
+    k = setting("k")
+    if k != clusters.k:
+        raise error(f"{state_path}: k={k}, but centroids.bin holds {clusters.k} centroids")
+    thresholds_path = bundle_dir / "thresholds.json"
+    thresholds_obj = _json_file(thresholds_path)
+    if sorted(thresholds_obj) != sorted(map(str, range(k))):
+        raise error(f"{thresholds_path}: keys must be the clusters 0..{k - 1}; "
+                    f"got {sorted(thresholds_obj)}")
     state = RouterState(
-        predictor=predictor, clusters=clusters, thresholds=thresholds,
-        observations=observations, weights=weights, bo_config=bo_config,
-        cost_model=cost_model, cloud_baselines=cloud_baselines,
-        update_interval=int(state_obj["update_interval"]),
+        predictor=load_checkpoint(bundle_dir / "predictor.ckpt"),
+        clusters=clusters,
+        thresholds={c: read(ThresholdPair, thresholds_obj[str(c)], f"{thresholds_path}: {c}",
+                            error=error) for c in range(k)},
+        observations=_load_observations(bundle_dir / "observations.csv", k,
+                                        setting("observation_capacity", 512)),
+        weights=section(UtilityWeights, "weights"),
+        bo_config=section(BoConfig, "bo_config"),
+        cost_model=CostModel.read(state_obj.get("cost_model", MISSING),
+                                  f"{state_path}: cost_model", error),
+        cloud_baselines=section(CloudBaselines, "cloud_baselines"),
+        update_interval=setting("update_interval"),
     )
     state.validate()
     expected = manifest.get("checksum")
     if expected is not None and state_checksum(state) != expected:
-        raise BundleIntegrityError(f"{bundle_dir}: reconstructed state checksum mismatch")
+        raise error(f"{bundle_dir}: reconstructed state checksum mismatch")
     return state

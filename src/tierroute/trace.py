@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
 
 from .errors import TraceFormatError, TraceValidationError
+from .fields import bad_value, read
+# The per-record readers under private names, which tracers of public functions skip.
+from .fields import json_bool as _json_bool, json_int as _json_int, json_number as _json_number
 
 BYTES_PER_TOKEN = 4  # UTF-8 proxy used when byte sizes are not given explicitly
 
@@ -39,13 +42,6 @@ class TierId(IntEnum):
     @property
     def label(self) -> str:
         return self.name.lower()
-
-    @classmethod
-    def from_label(cls, label: str) -> TierId:
-        try:
-            return cls[label.upper()]
-        except KeyError:
-            raise ValueError(f"unknown tier {label!r}") from None
 
 
 TIERS: tuple[TierId, TierId, TierId] = (TierId.DEVICE, TierId.EDGE, TierId.CLOUD)
@@ -140,6 +136,15 @@ class Trace:
         return self.correct.astype(np.float64)
 
 
+@dataclass
+class TraceHeader:
+    """Line 1 of a trace file."""
+
+    embedding_dim: int
+    prompt_text: str = ""
+    metadata: dict = field(default_factory=dict)
+
+
 _ARRAY_COLUMNS = tuple(f.name for f in fields(Trace)
                        if f.name not in ("ids", "prompt_text", "metadata"))
 
@@ -155,11 +160,7 @@ def _empty_columns(n: int, dim: int) -> dict[str, np.ndarray]:
 def save_trace(trace: Trace, path: str | Path) -> None:
     """Write a trace in the line-delimited format described in the module docstring."""
     path = Path(path)
-    header = {
-        "embedding_dim": trace.embedding_dim,
-        "prompt_text": trace.prompt_text,
-        "metadata": trace.metadata,
-    }
+    header = asdict(TraceHeader(trace.embedding_dim, trace.prompt_text, trace.metadata))
     ints = [getattr(trace, name).tolist() for name in _INT_FIELDS]
     compute, correct = trace.compute_s.tolist(), trace.correct.tolist()
     scores = [(name, getattr(trace, name).tolist()) for name in _SCORE_FIELDS]
@@ -182,55 +183,22 @@ def save_trace(trace: Trace, path: str | Path) -> None:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _bad_field(obj: dict, key: str, kind: str) -> TraceValidationError:
-    found = repr(obj[key]) if key in obj else "nothing"
-    return TraceValidationError(f"{key} must be {kind}; got {found}")
-
-
-def _json_int(obj: dict, key: str, default: int | None = None) -> int:
-    """A JSON integer field (booleans excluded); absent gives ``default`` if there is one."""
-    value = obj.get(key, default)
-    if type(value) is not int:
-        raise _bad_field(obj, key, "a JSON integer")
-    return value
-
-
-def _json_number(obj: dict, key: str, default: float | None = None) -> float:
-    """A finite JSON number field (booleans excluded); absent gives ``default`` if there is one."""
-    if key not in obj and default is not None:
-        return default
-    value = obj.get(key)
-    if type(value) is float and math.isfinite(value) or type(value) is int:
-        return value
-    raise _bad_field(obj, key, "a finite number")
-
-
-def _json_bool(obj: dict, key: str, default: bool) -> bool:
-    value = obj.get(key, default)
-    if type(value) is not bool:
-        raise _bad_field(obj, key, "true or false")
-    return value
-
-
 def _correct_code(tier_obj: dict) -> int:
     if "correct" not in tier_obj:
         return CORRECT_ABSENT
-    value = tier_obj["correct"]
-    if value is None:
+    if tier_obj["correct"] is None:
         return CORRECT_NULL
-    if type(value) is not bool:
-        raise TraceValidationError(f"correct must be true, false or null; got {value!r}")
-    return int(value)
+    return _json_bool(tier_obj, "correct", TraceValidationError)  # stored as 1 or 0
 
 
 def _read_tier(sub: dict) -> tuple:
     """One tier's values, in _TIER_COLUMNS order."""
-    generated = _json_int(sub, "generated_tokens")
-    prompt = _json_int(sub, "prompt_tokens", 0)
+    generated = _json_int(sub, "generated_tokens", TraceValidationError)
+    prompt = _json_int(sub, "prompt_tokens", TraceValidationError, 0)
     return (generated, prompt,
-            _json_int(sub, "request_bytes", BYTES_PER_TOKEN * prompt),
-            _json_int(sub, "response_bytes", BYTES_PER_TOKEN * generated),
-            _json_number(sub, "compute_seconds"), _correct_code(sub))
+            _json_int(sub, "request_bytes", TraceValidationError, BYTES_PER_TOKEN * prompt),
+            _json_int(sub, "response_bytes", TraceValidationError, BYTES_PER_TOKEN * generated),
+            _json_number(sub, "compute_seconds", TraceValidationError), _correct_code(sub))
 
 
 def _read_record(obj: dict, i: int, cols: dict[str, np.ndarray]) -> None:
@@ -253,8 +221,8 @@ def _read_record(obj: dict, i: int, cols: dict[str, np.ndarray]) -> None:
     for name, values in zip(_TIER_COLUMNS, zip(*tiers)):
         cols[name][i] = values
     for name in _SCORE_FIELDS:
-        cols[name][i] = _json_number(obj, name, math.nan)
-    cols["has_reference"][i] = _json_bool(obj, "has_reference", default=False)
+        cols[name][i] = _json_number(obj, name, TraceValidationError, math.nan)
+    cols["has_reference"][i] = _json_bool(obj, "has_reference", TraceValidationError, False)
 
 
 def load_trace(path: str | Path) -> Trace:
@@ -267,12 +235,10 @@ def load_trace(path: str | Path) -> Trace:
         if not first:
             raise TraceFormatError(f"{path}: empty trace file (missing header line)")
         try:
-            header = json.loads(first)
-            embedding_dim = int(header["embedding_dim"])
-            prompt_text = str(header.get("prompt_text", ""))
-            metadata = dict(header.get("metadata", {}))
-            cols = _empty_columns(capacity, embedding_dim)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, MemoryError) as exc:
+            header = read(TraceHeader, json.loads(first), f"{path}: line 1: header",
+                          error=TraceFormatError)
+            cols = _empty_columns(capacity, header.embedding_dim)
+        except (ValueError, MemoryError) as exc:  # bad JSON, or no room for the columns
             raise TraceFormatError(f"{path}: line 1: bad header ({exc})") from exc
         ids: list[str] = []
         for lineno, line in enumerate(fh, start=2):
@@ -280,7 +246,9 @@ def load_trace(path: str | Path) -> Trace:
                 continue
             try:
                 obj = json.loads(line)
-                rid = str(obj["id"])
+                rid = obj["id"]
+                if type(rid) is not str:
+                    raise bad_value("id", rid, "a string", TypeError)
                 _read_record(obj, len(ids), cols)
             except TraceValidationError as exc:
                 raise TraceValidationError(f"{path}: line {lineno}: record {rid!r}: {exc}") from exc
@@ -289,7 +257,7 @@ def load_trace(path: str | Path) -> Trace:
                 raise TraceFormatError(f"{path}: line {lineno}: malformed record ({exc})") from exc
             ids.append(rid)
     n = len(ids)
-    trace = Trace(ids=ids, prompt_text=prompt_text, metadata=metadata,
+    trace = Trace(ids=ids, prompt_text=header.prompt_text, metadata=header.metadata,
                   **{name: col[:n] for name, col in cols.items()})
     try:
         trace.validate()
@@ -380,8 +348,8 @@ class SyntheticConfig:
     def validate(self) -> None:
         if self.n_queries <= 0 or self.embedding_dim <= 0 or self.n_latent_clusters <= 0:
             raise ValueError("n_queries, embedding_dim, n_latent_clusters must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if self.noise_sigma < 0 or self.seed < 0:
+            raise ValueError("noise_sigma and seed must be >= 0")
         if not (0.0 <= self.reference_fraction <= 1.0):
             raise ValueError("reference_fraction must lie in [0, 1]")
         self.resolved_accuracy_profile()

@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from helpers import rehash
 from tierroute import router
 from tierroute.cli import main
 
@@ -96,6 +97,26 @@ class TestTrain:
         assert "empty.jsonl: trace holds no records" in capsys.readouterr().err
         assert not (tmp / "t" / "predictor.ckpt").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("embedding_dim", "10"), ("embedding_dim", 10.5), ("metadata", [["a", 1]]),
+        ("prompt_text", 5), ("id", 5),
+    ])
+    def test_trace_fields_typed(self, workdir, capsys, key, value):
+        tmp, cfg = workdir
+        assert run("gen", "--config", cfg, "--out", tmp / "g") == 0
+        path = tmp / "g" / "trace.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        line = 1 if key == "id" else 0
+        obj = json.loads(lines[line])
+        obj[key] = value
+        lines[line] = json.dumps(obj) + "\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run("train", "--trace", path, "--out", tmp / "t") == 2
+        named = "line 2: malformed record (id" if key == "id" else f"line 1: header.{key}"
+        assert f"{path}: {named} must be" in capsys.readouterr().err
+        assert not (tmp / "t" / "predictor.ckpt").exists()
+
 
 class TestTune:
     def test_bundle_has_feasible_pairs_per_cluster(self, workdir):
@@ -130,6 +151,26 @@ class TestTune:
         code = run("stream", "--config", cfg, "--bundle", tmp / "b", "--out", tmp / "s")
         assert code == 2
         assert "bundle_manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, keys, value, message", [
+        ("state.json", ["observation_capacity"], "x", "observation_capacity must be an integer"),
+        ("state.json", ["k"], 5, "k=5, but centroids.bin holds 2 centroids"),
+        ("thresholds.json", ["0", "tau1"], "0.9", "0.tau1 must be a finite number; got '0.9'"),
+    ])
+    def test_bundle_values_checked(self, workdir, capsys, name, keys, value, message):
+        # The manifest hash is rewritten, so the content checks are what reject the value.
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+        path = tmp / "b" / name
+        obj = json.loads(path.read_text())
+        target = obj if len(keys) == 1 else obj[keys[0]]
+        target[keys[-1]] = value
+        path.write_text(json.dumps(obj))
+        rehash(tmp / "b", name)
+        capsys.readouterr()
+        assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--out", tmp / "s") == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not (tmp / "s" / "stream_report.json").exists()
 
     @pytest.mark.parametrize("source", ["file", "set", "flag"])
     def test_parallel_clusters_rejected(self, workdir, capsys, source):
@@ -170,6 +211,44 @@ class TestTune:
         assert code == 2
         assert f"{key} must be an integer >= 1; got" in capsys.readouterr().err
         assert not (tmp / "b" / "thresholds.json").exists()
+
+    @pytest.mark.parametrize("command, setting, message", [
+        ("tune", "bo.offline_budget=2.7", "bo.offline_budget must be an integer; got 2.7"),
+        ("tune", 'bo.candidate_pool_size="64"',
+         "bo.candidate_pool_size must be an integer; got '64'"),
+        ("tune", "mlp.max_epochs=3.9", "mlp.max_epochs must be an integer; got 3.9"),
+        ("tune", "mlp.batch_size=true", "mlp.batch_size must be an integer; got True"),
+        ("tune", "mlp.hidden_dims=[16.5]", "mlp.hidden_dims[0] must be an integer; got 16.5"),
+        ("tune", "mlp.learning_rate=NaN", "mlp.learning_rate must be a finite number; got nan"),
+        ("tune", "weights.lambda1=true", "weights.lambda1 must be a finite number; got True"),
+        ("tune", 'weights.kappa1="5"', "weights.kappa1 must be a finite number; got '5'"),
+        ("tune", "labels.alpha=true", "labels.alpha must be a finite number; got True"),
+        ("tune", 'cost.edge="14"', "cost.edge must be a finite number; got '14'"),
+        ("tune", "network.switch_window=2.5",
+         "network.switch_window must be an integer; got 2.5"),
+        ("tune", "network.scenario=7", "network.scenario must be a string; got 7"),
+        ("tune", "run.seed=1.5", "run.seed must be an integer >= 0; got 1.5"),
+        ("tune", "run.trace=5", "run.trace must be a string; got 5"),
+        ("gen", "synthetic.n_queries=50.5", "synthetic.n_queries must be an integer; got 50.5"),
+        ("gen", "synthetic.prompt_token_range=[30]",
+         "synthetic.prompt_token_range must be a JSON array of 2 values; got [30]"),
+        ("gen", 'synthetic.drift_at="0.5"', "synthetic.drift_at must be a finite number; got '0.5'"),
+    ])
+    def test_typed_fields_checked(self, workdir, capsys, command, setting, message):
+        # A value of the wrong JSON type exits 2 naming section.key; it is never coerced.
+        tmp, cfg = workdir
+        out = tmp / "o"
+        assert run(command, "--config", cfg, "--out", out, "--set", setting) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "thresholds.json").exists() and not (out / "trace.jsonl").exists()
+
+    @pytest.mark.parametrize("grid, named", [("1,x", "'x'"), ("1,0", "kappas must be positive"),
+                                             ("inf", "'inf'")])
+    def test_kappa_grid_checked(self, workdir, capsys, grid, named):
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b", "--kappa-grid", grid) == 2
+        err = capsys.readouterr().err
+        assert "--kappa-grid" in err and named in err
 
     @pytest.mark.parametrize("settings, named", [
         (["cluster.fixed_k=null", "cluster.k_min=1"], "cluster.k_min=1"),
@@ -363,6 +442,13 @@ class TestBaseline:
                    "--out", tmp / "g")
         assert code == 2
         assert "tau1" in capsys.readouterr().err
+
+    def test_global_static_missing_bundle_exit_2(self, workdir, capsys):
+        tmp, cfg = workdir
+        code = run("baseline", "--config", cfg, "--policy", "global-static",
+                   "--tau1", "0.7", "--tau2", "0.3", "--bundle", tmp / "nope", "--out", tmp / "g")
+        assert code == 2
+        assert f"{tmp / 'nope' / 'predictor.ckpt'}: cannot read" in capsys.readouterr().err
 
     def test_infeasible_pair_is_config_error(self, workdir):
         tmp, cfg = workdir

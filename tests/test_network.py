@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -151,3 +152,46 @@ class TestScenarioFiles:
         path.write_text('{"name": "x"}\n{"tier": "edge"}\n')
         with pytest.raises(TraceFormatError, match="scenario"):
             load_scenario(path)
+
+
+def edited_scenario(tmp_path, line, key, value):
+    """A bad2good scenario file whose ``line`` (1 is the header) has ``key``
+    set to the raw JSON text ``value``, or removed when ``value`` is None."""
+    path = tmp_path / "scn.jsonl"
+    save_scenario(scenario_by_name("bad2good", switch_at=4), path)
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[line - 1])
+    if value is None:
+        del lines[line - 1]
+    else:
+        obj[key] = "@"
+        lines[line - 1] = json.dumps(obj).replace('"@"', value)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestScenarioFields:
+    """Every scenario value is type-checked; an error names the file, the line and the key."""
+
+    @pytest.mark.parametrize("line, key, value, message", [
+        (2, "dns_ms", "1e999", "scenario line 2: edge.dns_ms must be a finite number; got inf"),
+        (3, "uplink_kbps", '"5000"',
+         "scenario line 3: cloud.uplink_kbps must be a finite number; got '5000'"),
+        (4, "loss_rate", "true", "scenario line 4: edge.loss_rate must be a finite number"),
+        (1, "switch_at", "2.5", "scenario line 1: header.switch_at must be an integer; got 2.5"),
+        (1, "switch_at", '"7"', "scenario line 1: header.switch_at must be an integer; got '7'"),
+        (1, "name", "[]", "scenario line 1: header.name must be a string; got []"),
+        (2, "tier", '"fog"', "scenario line 2: tier must be edge or cloud"),
+        (3, None, None, "scenario has no line for tier cloud, phase pre"),
+    ])
+    def test_bad_value_named(self, tmp_path, line, key, value, message):
+        path = edited_scenario(tmp_path, line, key, value)
+        with pytest.raises(TraceFormatError) as info:
+            load_scenario(path)
+        assert f"{path}: {message}" in str(info.value)
+
+    def test_integers_read_as_floats(self, tmp_path):
+        path = edited_scenario(tmp_path, 2, "dns_ms", "200")
+        loaded = load_scenario(path)
+        assert type(loaded.edge.dns_ms) is float and loaded.edge == BAD_EDGE
+        assert type(loaded.switch_at) is int

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    rehash,
     build_state,
     hetero_config,
     nested_correctness,
@@ -36,7 +37,6 @@ from tierroute.router import (
     fit_representation,
     load_bundle,
     route_tiers,
-    run_offline_phase,
     run_stream,
     save_bundle,
     state_checksum,
@@ -188,8 +188,7 @@ class TestOfflinePhase:
         labels = build_labels(trace, LabelConfig())
         labels.ids[0] = "other"
         with pytest.raises(ValueError, match="id mismatch"):
-            run_offline_phase(trace, labels, mlp_config=quick_mlp(8), scenario=GOOD,
-                              k_min=2, k_max=4)
+            fit_representation(trace, labels, mlp_config=quick_mlp(8), k_min=2, k_max=4)
 
 
 class TestRepresentationOnce:
@@ -203,7 +202,7 @@ class TestRepresentationOnce:
         trace, _ = generate_synthetic_trace(cfg)
         return trace, build_labels(trace, LabelConfig()), quick_mlp(10, seed=4, max_epochs=15)
 
-    def test_tune_per_weight_equals_offline_phase_per_weight(self, fitted):
+    def test_tune_per_weight_equals_fresh_fit_per_weight(self, fitted):
         trace, labels, mlp_cfg = fitted
         kw = dict(scenario=GOOD, cost_model=CostModel(), seed_points=4,
                   bo_config=quick_bo(seed=4, offline_budget=10))
@@ -213,8 +212,9 @@ class TestRepresentationOnce:
         for kappa in (1.0, 5.0, 20.0):
             weights = UtilityWeights.from_kappas(kappa, kappa)
             shared = tune_thresholds(rep, trace, weights=weights, **kw)
-            full = run_offline_phase(trace, labels, mlp_config=mlp_cfg, weights=weights,
-                                     k_min=2, k_max=6, kmeans_restarts=2, **kw)
+            fresh = fit_representation(trace, labels, mlp_config=mlp_cfg, k_min=2, k_max=6,
+                                       restarts=2)
+            full = tune_thresholds(fresh, trace, weights=weights, **kw)
             assert state_checksum(shared) == state_checksum(full)
             assert shared.cloud_baselines == full.cloud_baselines
             checksums.append(state_checksum(shared))
@@ -457,3 +457,88 @@ class TestBundle:
         loaded = load_bundle(path)
         assert state_checksum(loaded) == state_checksum(state)
         assert loaded.bo_config == state.bo_config
+
+
+def set_json(name, keys, value):
+    """An edit of bundle file ``name`` that sets the value at ``keys``."""
+    def edit(bundle):
+        obj = json.loads((bundle / name).read_text())
+        *parents, last = keys
+        target = obj
+        for key in parents:
+            target = target[key]
+        target[last] = value(target[last]) if callable(value) else value
+        (bundle / name).write_text(json.dumps(obj))
+    return name, edit
+
+
+def set_cell(column, value):
+    """An edit of observations.csv that sets ``column`` of its first row."""
+    def edit(bundle):
+        path = bundle / "observations.csv"
+        lines = path.read_text().splitlines()
+        header, row = lines[0].split(","), lines[1].split(",")
+        row[header.index(column)] = value
+        lines[1] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+    return "observations.csv", edit
+
+
+def relabel_thresholds(keys):
+    def edit(bundle):
+        path = bundle / "thresholds.json"
+        pairs = list(json.loads(path.read_text()).values())
+        path.write_text(json.dumps(dict(zip(keys(len(pairs)), pairs * 2))))
+    return "thresholds.json", edit
+
+
+class TestBundleFields:
+    """A bundle whose files pass the manifest hashes still has every value
+    type-checked and cross-checked; an error names the file and the key."""
+
+    @pytest.mark.parametrize("change, message", [
+        (set_json("state.json", ["k"], "2"), "state.json: k must be an integer >= 1; got '2'"),
+        (set_json("state.json", ["k"], lambda k: k + 3), "state.json: k="),
+        (set_json("state.json", ["weights", "normalize_by_cloud"], "no"),
+         "state.json: weights.normalize_by_cloud must be true or false; got 'no'"),
+        (set_json("state.json", ["bo_config", "seed"], 1.5),
+         "state.json: bo_config.seed must be an integer; got 1.5"),
+        (set_json("state.json", ["cost_model", "edge"], True),
+         "state.json: cost_model.edge must be a finite number; got True"),
+        (set_json("state.json", ["observation_capacity"], "x"),
+         "state.json: observation_capacity must be an integer >= 1; got 'x'"),
+        (set_json("state.json", ["cloud_baselines"], [1.0, 2.0]),
+         "state.json: cloud_baselines must be a JSON object"),
+        (set_json("thresholds.json", ["0", "tau1"], "0.9"),
+         "thresholds.json: 0.tau1 must be a finite number; got '0.9'"),
+        (relabel_thresholds(lambda k: ["0" + str(c) for c in range(k)]),
+         "thresholds.json: keys must be the clusters 0.."),
+        (relabel_thresholds(lambda k: [str(c) for c in range(k + 1)]),
+         "thresholds.json: keys must be the clusters 0.."),
+        (set_cell("cluster", "99"), "observations.csv: line 2: cluster 99 outside 0.."),
+        (set_cell("cluster", "-1"), "observations.csv: line 2: cluster -1 outside 0.."),
+        (set_cell("cluster", "0.5"), "observations.csv: line 2: cluster must be an integer"),
+        (set_cell("utility", "nan"),
+         "observations.csv: line 2: utility must be a finite number; got 'nan'"),
+        (set_cell("tau1", "inf"), "observations.csv: line 2: tau1 must be a finite number"),
+        (set_cell("tau2", "0.99999"), "observations.csv: line 2: threshold pair must satisfy"),
+    ])
+    def test_bad_value_named(self, small_state, tmp_path, change, message):
+        _, _, state = small_state
+        bundle = save_bundle(state, tmp_path / "bundle")
+        name, edit = change
+        edit(bundle)
+        rehash(bundle, name)
+        with pytest.raises(BundleIntegrityError) as info:
+            load_bundle(bundle)
+        assert f"{bundle}/{message}" in str(info.value)
+
+    def test_integer_float_fields_read_as_floats(self, small_state, tmp_path):
+        _, _, state = small_state
+        bundle = save_bundle(state, tmp_path / "bundle")
+        name, edit = set_json("state.json", ["cost_model", "edge"], 14)
+        edit(bundle)
+        rehash(bundle, name)
+        loaded = load_bundle(bundle)
+        assert type(loaded.cost_model.activated_params[TierId.EDGE]) is float
+        assert loaded.bo_config == state.bo_config and loaded.weights == state.weights
