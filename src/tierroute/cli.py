@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import hashlib
 import json
 import os
@@ -28,6 +27,7 @@ from .accounting import CostModel, UtilityWeights
 from .bayesopt import BoConfig, ThresholdPair
 from .errors import ConfigError, TierRouteError, TraceValidationError
 from .fields import MISSING, building, cell, read, typed
+from .formats import table_columns, write_json, write_json_lines, write_table
 from .labels import ConsistencyLabels, LabelConfig, build_labels
 from .mlp import MlpConfig, TrainReport, init_model, load_checkpoint, save_checkpoint, train
 from .network import load_scenario, scenario_by_name
@@ -176,15 +176,13 @@ def write_manifest(config: dict, command: str, outdir: Path) -> None:
     scrubbed = copy.deepcopy(config)
     scrubbed["run"].pop("output_dir", None)
     canonical = json.dumps(scrubbed, sort_keys=True)
-    manifest = {
+    write_json(outdir / "manifest.json", {
         "command": command,
         "config": json.loads(canonical),
         "config_sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
         "seed": config["run"]["seed"],
         "tierroute_version": __version__,
-    }
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +296,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
         trace.metadata["drift_at_record"] = cut
 
     save_trace(trace, outdir / "trace.jsonl")
-    truth_obj = {
-        "cluster_of": [int(c) for c in truth.cluster_of],
-        "tier_probs": [[float(v) for v in row] for row in truth.tier_probs],
-        "consistency_edge": [float(v) for v in truth.consistency_edge],
-        "consistency_cloud": [float(v) for v in truth.consistency_cloud],
-    }
-    (outdir / "trace_truth.json").write_text(
-        json.dumps(truth_obj, sort_keys=True) + "\n", encoding="utf-8")
+    truth_obj = {name: getattr(truth, name).tolist() for name in
+                 ("cluster_of", "tier_probs", "consistency_edge", "consistency_cloud")}
+    write_json_lines(outdir / "trace_truth.json", [truth_obj])  # one compact line
     write_manifest(config, "gen", outdir)
     print(f"wrote {outdir / 'trace.jsonl'} ({len(trace)} records)")
     return 0
@@ -326,11 +319,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     _, labels, model, report = _train_parts(config)
     save_checkpoint(model, outdir / "predictor.ckpt")
     _write_labels_and_report(labels, report, outdir)
-    with (outdir / "loss_curve.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_mse", "val_mse"])
-        for epoch, train_mse, val_mse in report.loss_curve:
-            writer.writerow([epoch, repr(train_mse), repr(val_mse)])
+    write_table(outdir / "loss_curve.csv",
+                table_columns(("epoch", "train_mse", "val_mse"), report.loss_curve))
     write_manifest(config, "train", outdir)
     print(f"trained predictor: epochs={report.epochs_run} "
           f"val_mse={report.final_val_mse:.6f} -> {outdir}")
@@ -342,8 +332,7 @@ def _write_labels_and_report(labels: ConsistencyLabels, report: TrainReport,
     labels.to_csv(outdir / "labels.csv")
     report_obj = asdict(report)
     del report_obj["loss_curve"]  # a summary, without the per-epoch curve
-    (outdir / "train_report.json").write_text(
-        json.dumps(report_obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(outdir / "train_report.json", report_obj)
 
 
 def _offline_phase(config: dict) -> tuple[Trace, ConsistencyLabels, Representation, partial]:
@@ -512,15 +501,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"kappa={kappa:g}: acc={report.totals.accuracy:.4f} "
               f"cloud_frac={report.totals.tier_fractions['cloud']:.3f}")
 
-    with (outdir / "pareto.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["policy", "kappa", "accuracy", "mean_latency_s", "mean_cost",
-                  "norm_latency", "norm_cost", "norm_score",
-                  "frac_device", "frac_edge", "frac_cloud"]
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row["policy"], row["kappa"]] +
-                            [repr(float(row[k])) for k in header[2:]])
+    write_table(outdir / "pareto.csv", {key: [row[key] for row in rows] for key in rows[0]})
     write_manifest(config, "sweep", outdir)
     print(f"wrote {outdir / 'pareto.csv'} ({len(rows)} rows)")
     return 0

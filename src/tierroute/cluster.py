@@ -3,14 +3,13 @@
 Centroids are fitted once offline and frozen; the online phase only reads them
 for nearest-centroid lookup.
 
-Centroid file layout (``tierroute-centroids-v1``): one UTF-8 JSON header line
-(k, dim, seed, inertia), then the centroid matrix as row-major little-endian
-64-bit floats.
+Centroid file layout (``tierroute-centroids-v1``): an arrays file (see
+``formats``) whose header holds k, dim, seed and inertia, and whose payload is
+the k x dim centroid matrix.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BundleIntegrityError, DimensionMismatchError
-from .fields import MISSING, header_line, read, typed
+from .fields import MISSING, read, typed
+from .formats import header_line, write_arrays
 
 
 @dataclass
@@ -264,16 +264,9 @@ _CENTROID_FORMAT = "tierroute-centroids-v1"
 
 
 def save_centroids(model: ClusterModel, path: str | Path) -> None:
-    header = {
-        "format": _CENTROID_FORMAT,
-        "k": model.k,
-        "dim": model.dim,
-        "seed": model.seed,
-        "inertia": model.inertia,
-    }
-    with Path(path).open("wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        fh.write(np.ascontiguousarray(model.centroids).astype("<f8").tobytes())
+    header = {"format": _CENTROID_FORMAT, "k": model.k, "dim": model.dim, "seed": model.seed,
+              "inertia": model.inertia}
+    write_arrays(path, header, model.centroids)
 
 
 def load_centroids(path: str | Path) -> ClusterModel:

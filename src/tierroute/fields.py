@@ -18,13 +18,11 @@ subclass), with a message naming where the value came from and its key.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import sys
 import types
 import typing
 from contextlib import contextmanager
-from pathlib import Path
 
 MISSING = dataclasses.MISSING  # an absent key
 
@@ -124,21 +122,3 @@ def cell(text, hint, name: str, error: type[Exception]):
     except (TypeError, ValueError, error):
         raise bad_value(name, text, _KINDS[hint], error) from None
 
-
-def header_line(path: str | Path, fmt: str, error: type[Exception]) -> tuple[dict, bytes]:
-    """Split a binary file into its JSON header line, whose ``format`` must be
-    ``fmt``, and the payload after it."""
-    try:
-        head, newline, body = Path(path).read_bytes().partition(b"\n")
-    except OSError as exc:
-        raise error(f"{path}: cannot read ({exc.strerror})") from exc
-    if not newline:
-        raise error(f"{path}: missing header line")
-    try:
-        header = json.loads(head.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise error(f"{path}: bad header ({exc})") from exc
-    header = typed(header, dict, f"{path}: header", error)
-    if header.get("format") != fmt:
-        raise error(f"{path}: unknown format {header.get('format')!r}")
-    return header, body

@@ -9,16 +9,14 @@ The building blocks work elementwise on scalars and arrays alike.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import MissingScoreError
+from .formats import write_table
 from .trace import TierId, Trace
-
-_CSV_CHUNK = 4096  # rows converted to Python floats at a time by ConsistencyLabels.to_csv
 
 
 @dataclass(frozen=True)
@@ -51,16 +49,8 @@ class ConsistencyLabels:
         return len(self.ids)
 
     def to_csv(self, path: str | Path) -> None:
-        columns = [self.sim_cloud, self.sim_edge, self.aug_cloud, self.aug_edge,
-                   self.s_cloud, self.s_edge, self.s_fused]
-        with Path(path).open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "sim_cloud", "sim_edge", "aug_cloud", "aug_edge",
-                             "s_cloud", "s_edge", "s_fused"])
-            for start in range(0, len(self.ids), _CSV_CHUNK):
-                rows = slice(start, start + _CSV_CHUNK)
-                for rid, *values in zip(self.ids[rows], *(col[rows].tolist() for col in columns)):
-                    writer.writerow([rid] + [repr(v) for v in values])
+        names = ("sim_cloud", "sim_edge", "aug_cloud", "aug_edge", "s_cloud", "s_edge", "s_fused")
+        write_table(path, {"id": self.ids, **{name: getattr(self, name) for name in names}})
 
 
 def aug_with_reference(device_correct, other_correct):

@@ -7,25 +7,23 @@ Inputs are standardized per dimension with statistics fitted on the training
 split and stored with the model, so embedding scale never saturates the
 logistic output.
 
-Checkpoint byte layout (``tierroute-mlp-v1``):
-  * one UTF-8 JSON header line (config fields plus ``param_count``), newline
-    terminated;
-  * little-endian 64-bit floats: the input mean vector (input_dim), the input
-    scale vector (input_dim), then the flat parameter array ordered layer by
-    layer from input to output, weight matrix first (C row-major, shape
-    ``(fan_in, fan_out)``) then bias vector.
+Checkpoint layout (``tierroute-mlp-v1``): an arrays file (see ``formats``)
+whose header holds the config fields plus ``param_count``, and whose payload is
+the input mean vector (input_dim), the input scale vector (input_dim), then the
+flat parameter array ordered layer by layer from input to output, weight matrix
+first (shape ``(fan_in, fan_out)``) then bias vector.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BundleIntegrityError, DimensionMismatchError, TrainingDivergedError
-from .fields import MISSING, header_line, read, typed
+from .fields import MISSING, read, typed
+from .formats import header_line, write_arrays
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -332,11 +330,7 @@ _CKPT_FORMAT = "tierroute-mlp-v1"
 
 def save_checkpoint(model: MlpModel, path: str | Path) -> None:
     header = {"format": _CKPT_FORMAT, **asdict(model.config), "param_count": model.param_count()}
-    with Path(path).open("wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        fh.write(model.input_mean.astype("<f8").tobytes())
-        fh.write(model.input_scale.astype("<f8").tobytes())
-        fh.write(model.flat_params().astype("<f8").tobytes())
+    write_arrays(path, header, model.input_mean, model.input_scale, model.flat_params())
 
 
 def load_checkpoint(path: str | Path) -> MlpModel:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import TraceFormatError
 from .fields import MISSING, read, typed
+from .formats import write_json_lines
 from .trace import TierId
 
 
@@ -110,24 +111,19 @@ def scenario_link(scenario: NetworkScenario, tier: TierId, window_index: int) ->
     return scenario.cloud_after if switched else scenario.cloud
 
 
+# Scenario file lines by (tier, phase), and the NetworkScenario field each sets.
+_LINK_FIELDS = {("edge", "pre"): "edge", ("cloud", "pre"): "cloud",
+                ("edge", "post"): "edge_after", ("cloud", "post"): "cloud_after"}
+
+
 def save_scenario(scenario: NetworkScenario, path: str | Path) -> None:
     header: dict = {"name": scenario.name}
     if scenario.switch_at is not None:
         header["switch_at"] = scenario.switch_at
-    lines = [json.dumps(header, sort_keys=True)]
-    links = [("edge", "pre", scenario.edge), ("cloud", "pre", scenario.cloud)]
-    if scenario.switch_at is not None:
-        links += [("edge", "post", scenario.edge_after),
-                  ("cloud", "post", scenario.cloud_after)]
-    for tier, phase, link in links:
-        obj = {"tier": tier, "phase": phase, **asdict(link)}
-        lines.append(json.dumps(obj, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-# Scenario file lines by (tier, phase), and the NetworkScenario field each sets.
-_LINK_FIELDS = {("edge", "pre"): "edge", ("cloud", "pre"): "cloud",
-                ("edge", "post"): "edge_after", ("cloud", "post"): "cloud_after"}
+    write_json_lines(path, [header] + [
+        {"tier": tier, "phase": phase, **asdict(getattr(scenario, name))}
+        for (tier, phase), name in _LINK_FIELDS.items()
+        if phase == "pre" or scenario.switch_at is not None])
 
 
 def load_scenario(path: str | Path) -> NetworkScenario:

@@ -44,6 +44,7 @@ from .cluster import (
 )
 from .errors import BundleIntegrityError, CorruptStateError, DimensionMismatchError
 from .fields import MISSING, building, cell, read, typed
+from .formats import table_columns, write_json, write_table, write_tables
 from .labels import ConsistencyLabels
 from .mlp import (
     MlpConfig,
@@ -401,87 +402,43 @@ def baseline_route(policy: str, trace: Trace, scenario: NetworkScenario, *,
 # Report serialization
 # ---------------------------------------------------------------------------
 
-def report_to_json_obj(report: StreamReport) -> dict:
-    def window_obj(w: WindowStats) -> dict:
-        return {
-            "index": w.index, "count": w.count, "accuracy": w.accuracy,
-            "mean_latency_s": w.mean_latency_s, "mean_cost": w.mean_cost,
-            "mean_utility": w.mean_utility, "tier_fractions": w.tier_fractions,
-        }
-
-    return {
-        "policy": report.policy,
-        "window_size": report.window_size,
-        "latency_model": LATENCY_MODEL_NOTE,
-        "totals": window_obj(report.totals),
-        "windows": [window_obj(w) for w in report.windows],
-        "threshold_history": {
-            str(k): [{"window": w, "tau1": t1, "tau2": t2} for w, t1, t2 in hist]
-            for k, hist in sorted(report.threshold_history.items())
-        },
-    }
-
-
 def write_report_files(report: StreamReport, outdir: str | Path, prefix: str = "stream") -> list[Path]:
     """Write report.json plus per-window, threshold-history, and decision CSVs."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
+    paths = [outdir / f"{prefix}_{name}" for name in
+             ("report.json", "windows.csv", "thresholds.csv", "decisions.csv", "utilities.csv")]
+    history = sorted(report.threshold_history.items())
+    write_json(paths[0], {
+        "policy": report.policy,
+        "window_size": report.window_size,
+        "latency_model": LATENCY_MODEL_NOTE,
+        "totals": asdict(report.totals),
+        "windows": [asdict(w) for w in report.windows],
+        "threshold_history": {str(c): [{"window": w, "tau1": t1, "tau2": t2} for w, t1, t2 in hist]
+                              for c, hist in history},
+    })
 
-    json_path = outdir / f"{prefix}_report.json"
-    json_path.write_text(json.dumps(report_to_json_obj(report), sort_keys=True, indent=2) + "\n",
-                         encoding="utf-8")
-    written.append(json_path)
-
-    windows_path = outdir / f"{prefix}_windows.csv"
-    with windows_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window", "count", "accuracy", "mean_latency_s", "mean_cost",
-                         "mean_utility", "frac_device", "frac_edge", "frac_cloud"])
-        for w in report.windows:
-            writer.writerow([w.index, w.count, repr(w.accuracy), repr(w.mean_latency_s),
-                             repr(w.mean_cost), repr(w.mean_utility),
-                             repr(w.tier_fractions["device"]), repr(w.tier_fractions["edge"]),
-                             repr(w.tier_fractions["cloud"])])
-    written.append(windows_path)
-
-    thresholds_path = outdir / f"{prefix}_thresholds.csv"
-    with thresholds_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster", "window", "tau1", "tau2"])
-        for k, hist in sorted(report.threshold_history.items()):
-            for window, tau1, tau2 in hist:
-                writer.writerow([k, window, repr(tau1), repr(tau2)])
-    written.append(thresholds_path)
+    windows = report.windows
+    write_table(paths[1], {
+        "window": [w.index for w in windows],
+        **{name: [getattr(w, name) for w in windows]
+           for name in ("count", "accuracy", "mean_latency_s", "mean_cost", "mean_utility")},
+        **{f"frac_{t.label}": [w.tier_fractions[t.label] for w in windows] for t in TIERS},
+    })
+    write_table(paths[2], table_columns(("cluster", "window", "tau1", "tau2"),
+                                        [(c, *entry) for c, hist in history for entry in hist]))
 
     d = report.decisions
-    n = len(d.ids)
-
-    def cells(column: np.ndarray | None, fmt=repr) -> list:
-        return [""] * n if column is None else [fmt(v) for v in column.tolist()]
-
-    tiers = [TIERS[t].label for t in d.tier.tolist()]
-    ids, windows, clusters = d.ids, d.window.tolist(), cells(d.cluster, str)
-    correct = [int(v) for v in d.correct.tolist()]
-    lats, costs, utilities = cells(d.latency_s), cells(d.cost), cells(d.utility)
-
-    decisions_path = outdir / f"{prefix}_decisions.csv"
-    with decisions_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_id", "window", "cluster", "tier", "score", "tau1", "tau2",
-                         "correct", "latency_s", "cost", "utility"])
-        writer.writerows(zip(ids, windows, clusters, tiers, cells(d.score), cells(d.tau1),
-                             cells(d.tau2), correct, lats, costs, utilities))
-    written.append(decisions_path)
-
-    utilities_path = outdir / f"{prefix}_utilities.csv"
-    with utilities_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_id", "cluster", "tier", "correct",
-                         "latency_s", "cost", "utility"])
-        writer.writerows(zip(ids, clusters, tiers, correct, lats, costs, utilities))
-    written.append(utilities_path)
-    return written
+    columns = {
+        "query_id": d.ids, "window": d.window, "cluster": d.cluster,
+        "tier": [TIERS[t].label for t in d.tier.tolist()], "score": d.score,
+        "tau1": d.tau1, "tau2": d.tau2, "correct": d.correct.astype(np.int64),
+        "latency_s": d.latency_s, "cost": d.cost, "utility": d.utility,
+    }
+    write_tables(columns, {paths[3]: tuple(columns), paths[4]: (
+        "query_id", "cluster", "tier", "correct", "latency_s", "cost", "utility")})
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +446,9 @@ def write_report_files(report: StreamReport, outdir: str | Path, prefix: str = "
 # ---------------------------------------------------------------------------
 
 _BUNDLE_FORMAT = "tierroute-bundle-v1"
+# The files save_bundle writes, each hashed in the manifest; load_bundle requires them all.
+_BUNDLE_FILES = ("predictor.ckpt", "centroids.bin", "thresholds.json", "observations.csv",
+                 "state.json")
 
 
 def state_checksum(state: RouterState) -> str:
@@ -513,22 +473,13 @@ def save_bundle(state: RouterState, outdir: str | Path) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(state.predictor, outdir / "predictor.ckpt")
     save_centroids(state.clusters, outdir / "centroids.bin")
-
-    thresholds_obj = {
-        str(k): {"tau1": pair.tau1, "tau2": pair.tau2}
-        for k, pair in sorted(state.thresholds.items())
-    }
-    (outdir / "thresholds.json").write_text(
-        json.dumps(thresholds_obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-    with (outdir / "observations.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster", "tau1", "tau2", "utility", "order_index"])
-        for k in sorted(state.observations):
-            for idx, (pair, u) in enumerate(state.observations[k].points):
-                writer.writerow([k, repr(pair.tau1), repr(pair.tau2), repr(u), idx])
-
-    state_obj = {
+    write_json(outdir / "thresholds.json", {str(k): {"tau1": pair.tau1, "tau2": pair.tau2}
+                                            for k, pair in sorted(state.thresholds.items())})
+    write_table(outdir / "observations.csv", table_columns(
+        ("cluster", "tau1", "tau2", "utility", "order_index"),
+        [(k, pair.tau1, pair.tau2, u, idx) for k in sorted(state.observations)
+         for idx, (pair, u) in enumerate(state.observations[k].points)]))
+    write_json(outdir / "state.json", {
         "format": _BUNDLE_FORMAT,
         "weights": asdict(state.weights),
         "bo_config": asdict(state.bo_config),
@@ -537,22 +488,13 @@ def save_bundle(state: RouterState, outdir: str | Path) -> Path:
         "update_interval": state.update_interval,
         "observation_capacity": max(o.capacity for o in state.observations.values()),
         "k": state.clusters.k,
-    }
-    (outdir / "state.json").write_text(
-        json.dumps(state_obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-    files = ["predictor.ckpt", "centroids.bin", "thresholds.json",
-             "observations.csv", "state.json"]
-    manifest = {
+    })
+    write_json(outdir / "bundle_manifest.json", {
         "format": _BUNDLE_FORMAT,
-        "files": {
-            name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
-            for name in files
-        },
+        "files": {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+                  for name in _BUNDLE_FILES},
         "checksum": state_checksum(state),
-    }
-    (outdir / "bundle_manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    })
     return outdir
 
 
@@ -566,17 +508,20 @@ def _json_file(path: Path) -> dict:
 
 def _load_observations(path: Path, k: int, capacity: int) -> dict[int, ObservationSet]:
     observations = {c: ObservationSet(capacity=capacity) for c in range(k)}
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.DictReader(fh), start=2):
-            where = f"{path}: line {lineno}"
-            c = cell(row.get("cluster"), int, f"{where}: cluster", BundleIntegrityError)
-            if c not in observations:
-                raise BundleIntegrityError(f"{where}: cluster {c} outside 0..{k - 1}")
-            tau1, tau2, utility = (cell(row.get(key), float, f"{where}: {key}",
-                                        BundleIntegrityError)
-                                   for key in ("tau1", "tau2", "utility"))
-            with building(where, BundleIntegrityError):
-                observations[c].append(ThresholdPair(tau1=tau1, tau2=tau2), utility)
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise BundleIntegrityError(f"{path}: not a readable CSV file ({exc})") from exc
+    for lineno, row in enumerate(rows, start=2):
+        where = f"{path}: line {lineno}"
+        c = cell(row.get("cluster"), int, f"{where}: cluster", BundleIntegrityError)
+        if c not in observations:
+            raise BundleIntegrityError(f"{where}: cluster {c} outside 0..{k - 1}")
+        tau1, tau2, utility = (cell(row.get(key), float, f"{where}: {key}", BundleIntegrityError)
+                               for key in ("tau1", "tau2", "utility"))
+        with building(where, BundleIntegrityError):
+            observations[c].append(ThresholdPair(tau1=tau1, tau2=tau2), utility)
     return observations
 
 
@@ -589,10 +534,13 @@ def load_bundle(bundle_dir: str | Path) -> RouterState:
     manifest = _json_file(manifest_path)
     if manifest.get("format") != _BUNDLE_FORMAT:
         raise error(f"{bundle_dir}: unknown bundle format")
-    for name, expected in typed(manifest.get("files", {}), dict, f"{manifest_path}: files",
-                                error).items():
+    files = typed(manifest.get("files", {}), dict, f"{manifest_path}: files", error)
+    for name in _BUNDLE_FILES:
+        if name not in files:
+            raise error(f"{manifest_path}: files does not list {name}")
+    for name, expected in files.items():
         path = bundle_dir / name
-        if not path.exists():
+        if not path.is_file():
             raise error(f"{bundle_dir}: missing bundle file {name}")
         actual = hashlib.sha256(path.read_bytes()).hexdigest()
         if actual != expected:

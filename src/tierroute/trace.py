@@ -26,6 +26,7 @@ from .errors import TraceFormatError, TraceValidationError
 from .fields import bad_value, read
 # The per-record readers under private names, which tracers of public functions skip.
 from .fields import json_bool as _json_bool, json_int as _json_int, json_number as _json_number
+from .formats import write_json_lines
 
 BYTES_PER_TOKEN = 4  # UTF-8 proxy used when byte sizes are not given explicitly
 
@@ -159,14 +160,13 @@ def _empty_columns(n: int, dim: int) -> dict[str, np.ndarray]:
 
 def save_trace(trace: Trace, path: str | Path) -> None:
     """Write a trace in the line-delimited format described in the module docstring."""
-    path = Path(path)
-    header = asdict(TraceHeader(trace.embedding_dim, trace.prompt_text, trace.metadata))
     ints = [getattr(trace, name).tolist() for name in _INT_FIELDS]
     compute, correct = trace.compute_s.tolist(), trace.correct.tolist()
     scores = [(name, getattr(trace, name).tolist()) for name in _SCORE_FIELDS]
     has_reference = trace.has_reference.tolist()
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
+
+    def lines():
+        yield asdict(TraceHeader(trace.embedding_dim, trace.prompt_text, trace.metadata))
         for i, rid in enumerate(trace.ids):
             tier_info = {}
             for t, label in enumerate(_TIER_LABELS):
@@ -180,7 +180,9 @@ def save_trace(trace: Trace, path: str | Path) -> None:
             for name, col in scores:
                 if not math.isnan(col[i]):
                     obj[name] = col[i]
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            yield obj
+
+    write_json_lines(path, lines())
 
 
 def _correct_code(tier_obj: dict) -> int:
@@ -207,6 +209,9 @@ def _read_record(obj: dict, i: int, cols: dict[str, np.ndarray]) -> None:
     dim = cols["embeddings"].shape[1]
     if len(embedding) != dim:
         raise TraceValidationError(f"embedding has length {len(embedding)}, expected {dim}")
+    if not {float, int}.issuperset(map(type, embedding)):  # NumPy would take "0.5" and true
+        j, value = next((j, v) for j, v in enumerate(embedding) if type(v) not in (float, int))
+        raise bad_value(f"embedding[{j}]", value, "a JSON number", TraceValidationError)
     cols["embeddings"][i] = embedding
     tier_info = obj["tier_info"]
     if tier_info.keys() != set(_TIER_LABELS):

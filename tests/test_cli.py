@@ -117,6 +117,23 @@ class TestTrain:
         assert f"{path}: {named} must be" in capsys.readouterr().err
         assert not (tmp / "t" / "predictor.ckpt").exists()
 
+    @pytest.mark.parametrize("element", ['"0.5"', "true", "null", "[0.5]"])
+    def test_embedding_elements_typed(self, workdir, capsys, element):
+        # NumPy would take "0.5" and true as floats; a JSON number is required.
+        tmp, cfg = workdir
+        assert run("gen", "--config", cfg, "--out", tmp / "g") == 0
+        path = tmp / "g" / "trace.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        obj = json.loads(lines[1])
+        obj["embedding"][1] = json.loads(element)
+        lines[1] = json.dumps(obj) + "\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run("train", "--trace", path, "--out", tmp / "t") == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line 2: record {obj['id']!r}: embedding[1] must be a JSON number" in err
+        assert not (tmp / "t" / "predictor.ckpt").exists()
+
 
 class TestTune:
     def test_bundle_has_feasible_pairs_per_cluster(self, workdir):
@@ -171,6 +188,32 @@ class TestTune:
         assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--out", tmp / "s") == 2
         assert f"{path}: {message}" in capsys.readouterr().err
         assert not (tmp / "s" / "stream_report.json").exists()
+
+    def test_undecodable_observations_exit_2(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+        path = tmp / "b" / "observations.csv"
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] = 0xFF
+        path.write_bytes(bytes(data))
+        rehash(tmp / "b", "observations.csv")
+        capsys.readouterr()
+        assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--out", tmp / "s") == 2
+        assert f"{path}: not a readable CSV file" in capsys.readouterr().err
+
+    def test_manifest_must_list_every_bundle_file(self, workdir, capsys):
+        # A file dropped from the manifest and from the directory is named, not a crash.
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+        manifest_path = tmp / "b" / "bundle_manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["files"]["observations.csv"]
+        manifest_path.write_text(json.dumps(manifest))
+        (tmp / "b" / "observations.csv").unlink()
+        capsys.readouterr()
+        assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--out", tmp / "s") == 2
+        assert (f"{manifest_path}: files does not list observations.csv"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("source", ["file", "set", "flag"])
     def test_parallel_clusters_rejected(self, workdir, capsys, source):
