@@ -43,7 +43,6 @@ from .mlp import (
     gradient_check,
     init_model,
     load_checkpoint,
-    predict,
     predict_batch,
     save_checkpoint,
     train,

@@ -114,11 +114,11 @@ def utility_matrix(correct, latency, cost, weights: UtilityWeights,
 
 
 def cloud_reference_means(trace: Trace, scenario: NetworkScenario,
-                          cost_model: CostModel, window_index: int = 0) -> CloudBaselines:
+                          cost_model: CostModel) -> CloudBaselines:
     """Mean cloud-tier latency and cost over the trace, used as normalization scales."""
     if len(trace) == 0:
         raise ValueError("cannot compute cloud baselines on an empty trace")
-    latency = tier_latency(trace, scenario, window_index)[:, TierId.CLOUD]
+    latency = tier_latency(trace, scenario, 0)[:, TierId.CLOUD]
     cost = tier_cost(trace, cost_model)[:, TierId.CLOUD]
     return CloudBaselines(mean_latency_s=float(np.mean(latency)),
                           mean_cost=float(np.mean(cost)))

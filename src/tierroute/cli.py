@@ -134,27 +134,31 @@ def apply_overrides(config: dict, settings: list[str]) -> None:
         config[section][field] = value
 
 
-def resolve_config(args: argparse.Namespace, defaults: dict = DEFAULT_CONFIG) -> dict:
-    config = copy.deepcopy(defaults)
-    if getattr(args, "config", None):
-        for name, body in load_config_file(args.config).items():
-            if name not in config or config[name] is None:
-                config[name] = {}
-            config[name].update(body)
-    apply_overrides(config, getattr(args, "set", None) or [])
-    if getattr(args, "seed", None) is not None:
-        config["run"]["seed"] = args.seed
+# The config key each flag sets, by its argparse name.
+_FLAG_KEYS = {"seed": "run.seed", "trace": "run.trace", "out": "run.output_dir",
+              "network": "network.scenario", "switch_window": "network.switch_window",
+              "update_interval": "stream.update_interval"}
+
+
+def _given_config(args: argparse.Namespace) -> dict:
+    """The sections that the config file, then --set, then the flags give."""
+    given = load_config_file(args.config) if getattr(args, "config", None) else {}
+    apply_overrides(given, getattr(args, "set", None) or [])
+    for flag, key in _FLAG_KEYS.items():
+        value = getattr(args, flag, None)
+        if value not in (None, ""):
+            section, _, name = key.partition(".")
+            given.setdefault(section, {})[name] = value
     if getattr(args, "trace", None):
-        config["run"]["trace"] = args.trace
-        config["synthetic"] = None  # explicit trace flag overrides a synthetic section
-    if getattr(args, "out", None):
-        config["run"]["output_dir"] = args.out
-    if getattr(args, "network", None):
-        config["network"]["scenario"] = args.network
-    if getattr(args, "switch_window", None) is not None:
-        config["network"]["switch_window"] = args.switch_window
-    if getattr(args, "update_interval", None) is not None:
-        config["stream"]["update_interval"] = args.update_interval
+        given["synthetic"] = None  # explicit trace flag overrides a synthetic section
+    return given
+
+
+def resolve_config(args: argparse.Namespace, given: dict | None = None) -> dict:
+    """DEFAULT_CONFIG under ``given`` (by default ``_given_config(args)``)."""
+    config = copy.deepcopy(DEFAULT_CONFIG)
+    for name, body in (_given_config(args) if given is None else given).items():
+        config[name] = None if body is None else {**(config.get(name) or {}), **body}
     for section, body in config.items():
         for key in body or ():
             if key not in CONFIG_KEYS.get(section, ()):
@@ -253,12 +257,6 @@ def cost_model(config: dict) -> CostModel:
 
 def update_interval(config: dict) -> int:
     return _setting(config, "stream.update_interval", minimum=1)
-
-
-def _update_interval_is_set(args: argparse.Namespace) -> bool:
-    """Whether --update-interval, --set or the config file gives stream.update_interval."""
-    bare = dict(DEFAULT_CONFIG, stream={"online": DEFAULT_CONFIG["stream"]["online"]})
-    return "update_interval" in resolve_config(args, bare)["stream"]
 
 
 def network_scenario(config: dict):
@@ -388,13 +386,15 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 
 def cmd_stream(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+    given = _given_config(args)
+    config = resolve_config(args, given)
     outdir = output_dir(config)
     if not args.bundle:
         raise ConfigError("stream needs --bundle from a previous tune run")
     interval = update_interval(config)
     state = load_bundle(args.bundle)
-    if _update_interval_is_set(args):
+    # --update-interval, --set or the config file overrides the bundle's interval.
+    if "update_interval" in (given.get("stream") or {}):
         state.update_interval = interval
     else:  # the bundle's interval applies, and the manifest records it
         config["stream"]["update_interval"] = state.update_interval
@@ -422,7 +422,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     seed = _setting(config, "run.seed", minimum=0)
     trace = resolve_trace(config, seed)
     scenario = network_scenario(config)
-    policy = args.policy.replace("-", "_")
+    policy = args.policy
     pair = None
     predictor = None
     if policy == "global_static":
@@ -456,13 +456,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     outdir = output_dir(config)
     grid = _kappa_grid(args, (1.0, 2.0, 5.0, 10.0, 20.0))
     trace, _, _, tune = _offline_phase(config)
-    scenario = network_scenario(config)
-    costs = cost_model(config)
-
+    scenario = tune.keywords["scenario"]  # as _offline_phase read them
     anchors = {
         name: baseline_route(name, trace, scenario, weights=UtilityWeights(),
-                             cost_model=costs,
-                             window_size=update_interval(config))
+                             cost_model=tune.keywords["cost_model"],
+                             window_size=tune.keywords["update_interval"])
         for name in ("device_only", "edge_only", "cloud_only")
     }
     dlm, clm = anchors["device_only"].totals, anchors["cloud_only"].totals
@@ -587,9 +585,6 @@ def main(argv: list[str] | None = None) -> int:
         args.policy = _POLICY_ALIASES.get(normalized, normalized)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TierRouteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

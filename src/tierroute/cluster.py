@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BundleIntegrityError, DimensionMismatchError
 from .fields import MISSING, read, typed
-from .formats import header_line, write_arrays
+from .formats import header_line, payload_arrays, write_arrays
 
 
 @dataclass
@@ -96,11 +96,11 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
-def _lloyd(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray,
-           max_iter: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _lloyd(points: np.ndarray, sq_norms: np.ndarray,
+           centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     k = centroids.shape[0]
     labels = np.full(points.shape[0], -1)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         new_labels = _nearest(points, sq_norms, centroids)
         if np.array_equal(new_labels, labels):
             break
@@ -142,7 +142,7 @@ def _checked_points(embeddings: np.ndarray, restarts: int) -> np.ndarray:
     return points
 
 
-def _fit(points: np.ndarray, k: int, seed: int, restarts: int, max_iter: int) -> ClusterModel:
+def _fit(points: np.ndarray, k: int, seed: int, restarts: int) -> ClusterModel:
     """``kmeans_fit`` on checked points; calls only private helpers, so it may run on any thread."""
     sq_norms = np.einsum("nd,nd->n", points, points)
     rng = np.random.default_rng(seed)
@@ -150,21 +150,20 @@ def _fit(points: np.ndarray, k: int, seed: int, restarts: int, max_iter: int) ->
     best_inertia = np.inf
     for _ in range(restarts):
         centroids = _kmeanspp_init(points, k, rng).copy()
-        centroids, _, inertia = _lloyd(points, sq_norms, centroids, max_iter)
+        centroids, _, inertia = _lloyd(points, sq_norms, centroids)
         if inertia < best_inertia:
             best_inertia = inertia
             best_centroids = centroids
     return ClusterModel(k=k, centroids=best_centroids, inertia=best_inertia, seed=seed)
 
 
-def kmeans_fit(embeddings: np.ndarray, k: int, seed: int, *,
-               restarts: int = 5, max_iter: int = _MAX_ITER) -> ClusterModel:
+def kmeans_fit(embeddings: np.ndarray, k: int, seed: int, *, restarts: int = 5) -> ClusterModel:
     """Best-of-``restarts`` Lloyd runs from k-means++ seeding; seed-deterministic."""
     points = _checked_points(embeddings, restarts)
     n = points.shape[0]
     if k < 1 or k > n:
         raise ValueError(f"k={k} must lie in [1, n={n}]")
-    return _fit(points, k, seed, restarts, max_iter)
+    return _fit(points, k, seed, restarts)
 
 
 # Embedding entries (n * d) per sweep thread. With less work per Lloyd step
@@ -206,7 +205,7 @@ def _sweep(points: np.ndarray, ks: range, seed: int, restarts: int) -> list[Clus
     """
     workers = _sweep_workers(len(ks), points.size)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda k: _fit(points, k, seed, restarts, _MAX_ITER), ks))
+        return list(pool.map(lambda k: _fit(points, k, seed, restarts), ks))
 
 
 def knee_point(ks: np.ndarray, inertias: np.ndarray) -> int:
@@ -274,7 +273,6 @@ def load_centroids(path: str | Path) -> ClusterModel:
     header, body = header_line(path, _CENTROID_FORMAT, error)
     k, dim = (typed(header.get(key, MISSING), int, f"{path}: header.{key}", error, minimum=1)
               for key in ("k", "dim"))
-    if len(body) != k * dim * 8:
-        raise error(f"{path}: centroid payload holds {len(body)} bytes, expected {k * dim * 8}")
-    centroids = np.frombuffer(body, dtype="<f8").reshape(k, dim).astype(np.float64)
-    return read(ClusterModel, header, f"{path}: header", error=error, centroids=centroids)
+    (centroids,) = payload_arrays(path, body, error, centroids=k * dim)
+    return read(ClusterModel, header, f"{path}: header", error=error,
+                centroids=centroids.reshape(k, dim))

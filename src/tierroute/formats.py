@@ -109,3 +109,23 @@ def header_line(path: str | Path, fmt: str, error: type[Exception]) -> tuple[dic
     if header.get("format") != fmt:
         raise error(f"{path}: unknown format {header.get('format')!r}")
     return header, body
+
+
+def payload_arrays(path: str | Path, body: bytes, error: type[Exception],
+                   **sizes: int) -> list[np.ndarray]:
+    """Split the payload after ``header_line`` into float64 arrays of the given
+    sizes, in order. The sizes must add up to the payload, and every entry
+    must be finite."""
+    total = sum(sizes.values())
+    if len(body) != total * 8:
+        raise error(f"{path}: payload holds {len(body)} bytes, expected {total * 8}")
+    flat = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    arrays, offset = [], 0
+    for name, size in sizes.items():
+        array = flat[offset:offset + size]
+        bad = np.flatnonzero(~np.isfinite(array))
+        if bad.size:
+            raise error(f"{path}: {name}[{bad[0]}] is {array[bad[0]]}, not a finite number")
+        arrays.append(array)
+        offset += size
+    return arrays

@@ -7,11 +7,15 @@ Inputs are standardized per dimension with statistics fitted on the training
 split and stored with the model, so embedding scale never saturates the
 logistic output.
 
+The parameters live in one float64 array, ``MlpModel.params``: layer by layer
+from input to output, each weight matrix (shape ``(fan_in, fan_out)``,
+row-major) followed by its bias vector. ``MlpModel.layers`` gives views of it.
+
 Checkpoint layout (``tierroute-mlp-v1``): an arrays file (see ``formats``)
 whose header holds the config fields plus ``param_count``, and whose payload is
 the input mean vector (input_dim), the input scale vector (input_dim), then the
-flat parameter array ordered layer by layer from input to output, weight matrix
-first (shape ``(fan_in, fan_out)``) then bias vector.
+in-memory ``params`` array as it is. Loading rejects a non-finite entry or an
+input scale that is not positive.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .errors import BundleIntegrityError, DimensionMismatchError, TrainingDivergedError
 from .fields import MISSING, read, typed
-from .formats import header_line, write_arrays
+from .formats import header_line, payload_arrays, write_arrays
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -58,44 +62,22 @@ class MlpConfig:
 
 @dataclass
 class MlpModel:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    """``params`` holds every weight and bias in one float64 array, in the
+    checkpoint's order; ``layers`` gives views of it."""
+
+    params: np.ndarray
     config: MlpConfig
-    input_mean: np.ndarray | None = None
-    input_scale: np.ndarray | None = None
+    input_mean: np.ndarray
+    input_scale: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.input_mean is None:
-            self.input_mean = np.zeros(self.config.input_dim)
-        if self.input_scale is None:
-            self.input_scale = np.ones(self.config.input_dim)
-
-    def param_count(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+    @property
+    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weight, bias) views of ``params`` per layer, input layer first."""
+        return _layer_views(self.params, self.config)
 
     def copy(self) -> MlpModel:
-        return MlpModel(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            config=self.config,
-            input_mean=self.input_mean.copy(),
-            input_scale=self.input_scale.copy(),
-        )
-
-    def flat_params(self) -> np.ndarray:
-        chunks = []
-        for w, b in zip(self.weights, self.biases):
-            chunks.append(w.ravel(order="C"))
-            chunks.append(b.ravel())
-        return np.concatenate(chunks)
-
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        offset = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = flat[offset:offset + w.size].reshape(w.shape).copy()
-            offset += w.size
-            self.biases[i] = flat[offset:offset + b.size].copy()
-            offset += b.size
+        return MlpModel(params=self.params.copy(), config=self.config,
+                        input_mean=self.input_mean.copy(), input_scale=self.input_scale.copy())
 
 
 @dataclass
@@ -106,21 +88,37 @@ class TrainReport:
     loss_curve: list[tuple[int, float, float]] = field(default_factory=list)
 
 
-def _layer_dims(cfg: MlpConfig) -> list[int]:
-    return [cfg.input_dim, *cfg.hidden_dims, 1]
+def _layer_shapes(cfg: MlpConfig) -> list[tuple[int, int]]:
+    dims = [cfg.input_dim, *cfg.hidden_dims, 1]
+    return list(zip(dims[:-1], dims[1:]))
+
+
+def _param_count(cfg: MlpConfig) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in _layer_shapes(cfg))
+
+
+def _layer_views(flat: np.ndarray, cfg: MlpConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) views of an array laid out like ``params``; a weight has
+    shape ``(fan_in, fan_out)``."""
+    views, offset = [], 0
+    for fan_in, fan_out in _layer_shapes(cfg):
+        weight = flat[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        offset += fan_in * fan_out
+        views.append((weight, flat[offset:offset + fan_out]))
+        offset += fan_out
+    return views
 
 
 def init_model(cfg: MlpConfig) -> MlpModel:
     """Glorot-uniform weights, zero biases; deterministic under cfg.seed."""
     rng = np.random.default_rng(cfg.seed)
-    dims = _layer_dims(cfg)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    model = MlpModel(params=np.zeros(_param_count(cfg)), config=cfg,
+                     input_mean=np.zeros(cfg.input_dim), input_scale=np.ones(cfg.input_dim))
+    for weight, _ in model.layers:
+        fan_in, fan_out = weight.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(weights=weights, biases=biases, config=cfg)
+        weight[...] = rng.uniform(-limit, limit, size=weight.shape)
+    return model
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -148,14 +146,12 @@ def _forward(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], list[np.
     x = (x - model.input_mean) / model.input_scale
     activations = [x]
     pre = []
-    a = x
-    n_layers = len(model.weights)
-    for i in range(n_layers - 1):
-        z = a @ model.weights[i] + model.biases[i]
-        a = _activate(z, kind)
+    *hidden, (w_out, b_out) = model.layers
+    for weight, bias in hidden:
+        z = activations[-1] @ weight + bias
         pre.append(z)
-        activations.append(a)
-    z_out = a @ model.weights[-1] + model.biases[-1]
+        activations.append(_activate(z, kind))
+    z_out = activations[-1] @ w_out + b_out
     pre.append(z_out)
     y = _sigmoid(z_out[:, 0])
     return activations, pre, y
@@ -172,13 +168,9 @@ def predict_batch(model: MlpModel, embeddings: np.ndarray) -> np.ndarray:
     return y
 
 
-def predict(model: MlpModel, embedding: np.ndarray) -> float:
-    return float(predict_batch(model, np.asarray(embedding).reshape(1, -1))[0])
-
-
-def _backward(model: MlpModel, x: np.ndarray, targets: np.ndarray
-              ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-    """Gradients of mean squared error over the batch; returns (dW, db, loss)."""
+def _backward(model: MlpModel, x: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float]:
+    """Gradient of mean squared error over the batch, laid out like ``params``;
+    returns (gradient, loss)."""
     kind = model.config.activation
     activations, pre, y = _forward(model, x)
     batch = x.shape[0]
@@ -187,14 +179,15 @@ def _backward(model: MlpModel, x: np.ndarray, targets: np.ndarray
     # d loss / d z_out, with sigmoid' = y (1 - y)
     delta = (2.0 / batch) * err * y * (1.0 - y)
     delta = delta[:, None]
-    d_weights: list[np.ndarray] = [np.empty(0)] * len(model.weights)
-    d_biases: list[np.ndarray] = [np.empty(0)] * len(model.biases)
-    for i in range(len(model.weights) - 1, -1, -1):
-        d_weights[i] = activations[i].T @ delta
-        d_biases[i] = delta.sum(axis=0)
+    grad = np.empty_like(model.params)
+    layers, d_layers = model.layers, _layer_views(grad, model.config)
+    for i in range(len(layers) - 1, -1, -1):
+        d_weight, d_bias = d_layers[i]
+        d_weight[...] = activations[i].T @ delta
+        d_bias[...] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ model.weights[i].T) * _activate_grad(pre[i - 1], activations[i], kind)
-    return d_weights, d_biases, loss
+            delta = (delta @ layers[i][0].T) * _activate_grad(pre[i - 1], activations[i], kind)
+    return grad, loss
 
 
 def _mse(model: MlpModel, x: np.ndarray, targets: np.ndarray) -> float:
@@ -230,10 +223,8 @@ def train(model: MlpModel, embeddings: np.ndarray, targets: np.ndarray,
     work.input_mean = x_train.mean(axis=0)
     scale = x_train.std(axis=0)
     work.input_scale = np.where(scale < 1e-12, 1.0, scale)
-    m_w = [np.zeros_like(w) for w in work.weights]
-    v_w = [np.zeros_like(w) for w in work.weights]
-    m_b = [np.zeros_like(b) for b in work.biases]
-    v_b = [np.zeros_like(b) for b in work.biases]
+    m = np.zeros_like(work.params)  # Adam's first and second moments
+    v = np.zeros_like(work.params)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
@@ -249,17 +240,13 @@ def train(model: MlpModel, embeddings: np.ndarray, targets: np.ndarray,
         order = rng.permutation(n_train) if cfg.shuffle_each_epoch else np.arange(n_train)
         for start in range(0, n_train, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            d_w, d_b, _ = _backward(work, x_train[idx], t_train[idx])
+            grad, _ = _backward(work, x_train[idx], t_train[idx])
             step += 1
             corr1 = 1.0 - beta1 ** step
             corr2 = 1.0 - beta2 ** step
-            for i in range(len(work.weights)):
-                m_w[i] = beta1 * m_w[i] + (1 - beta1) * d_w[i]
-                v_w[i] = beta2 * v_w[i] + (1 - beta2) * d_w[i] ** 2
-                work.weights[i] -= cfg.learning_rate * (m_w[i] / corr1) / (np.sqrt(v_w[i] / corr2) + eps)
-                m_b[i] = beta1 * m_b[i] + (1 - beta1) * d_b[i]
-                v_b[i] = beta2 * v_b[i] + (1 - beta2) * d_b[i] ** 2
-                work.biases[i] -= cfg.learning_rate * (m_b[i] / corr1) / (np.sqrt(v_b[i] / corr2) + eps)
+            m = beta1 * m + (1 - beta1) * grad
+            v = beta2 * v + (1 - beta2) * grad ** 2
+            work.params -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + eps)
 
         train_mse = _mse(work, x_train, t_train)
         val_mse = _mse(work, x_val, t_val)
@@ -293,29 +280,23 @@ def gradient_check(model: MlpModel, embedding: np.ndarray, target: float,
     Uses the per-example squared error; the model must be tiny (<= 10^4
     parameters) since the finite-difference sweep is O(params) forward passes.
     """
-    if model.param_count() > 10_000:
+    if _param_count(model.config) > 10_000:
         raise ValueError("gradient_check requires a model with <= 10^4 parameters")
     x = np.asarray(embedding, dtype=np.float64).reshape(1, -1)
     t = np.asarray([target], dtype=np.float64)
-    d_w, d_b, _ = _backward(model, x, t)
-    analytic = np.concatenate([
-        np.concatenate([dw.ravel(order="C"), db.ravel()]) for dw, db in zip(d_w, d_b)
-    ])
+    analytic, _ = _backward(model, x, t)
 
-    flat = model.flat_params()
     probe = model.copy()
-    numeric = np.empty_like(flat)
-    for j in range(flat.size):
-        saved = flat[j]
-        flat[j] = saved + step
-        probe.set_flat_params(flat)
+    params = probe.params
+    numeric = np.empty_like(params)
+    for j in range(params.size):
+        saved = params[j]
+        params[j] = saved + step
         up = _mse(probe, x, t)
-        flat[j] = saved - step
-        probe.set_flat_params(flat)
+        params[j] = saved - step
         down = _mse(probe, x, t)
-        flat[j] = saved
+        params[j] = saved
         numeric[j] = (up - down) / (2.0 * step)
-    probe.set_flat_params(flat)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
@@ -329,25 +310,22 @@ _CKPT_FORMAT = "tierroute-mlp-v1"
 
 
 def save_checkpoint(model: MlpModel, path: str | Path) -> None:
-    header = {"format": _CKPT_FORMAT, **asdict(model.config), "param_count": model.param_count()}
-    write_arrays(path, header, model.input_mean, model.input_scale, model.flat_params())
+    header = {"format": _CKPT_FORMAT, **asdict(model.config), "param_count": model.params.size}
+    write_arrays(path, header, model.input_mean, model.input_scale, model.params)
 
 
 def load_checkpoint(path: str | Path) -> MlpModel:
     error = BundleIntegrityError
     header, body = header_line(path, _CKPT_FORMAT, error)
     cfg = read(MlpConfig, header, f"{path}: header", error=error)
-    dims = _layer_dims(cfg)
-    expected = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+    expected = _param_count(cfg)
     count = typed(header.get("param_count", MISSING), int, f"{path}: header.param_count", error)
     if count != expected:
         raise error(f"{path}: header param_count {count}, but the architecture has {expected}")
-    total = expected + 2 * cfg.input_dim
-    if len(body) != total * 8:
-        raise error(f"{path}: parameter payload holds {len(body)} bytes, expected {total * 8}")
-    flat = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    model = init_model(cfg)
-    model.input_mean = flat[: cfg.input_dim].copy()
-    model.input_scale = flat[cfg.input_dim: 2 * cfg.input_dim].copy()
-    model.set_flat_params(flat[2 * cfg.input_dim:])
-    return model
+    input_mean, input_scale, params = payload_arrays(
+        path, body, error, input_mean=cfg.input_dim, input_scale=cfg.input_dim, params=expected)
+    bad = np.flatnonzero(input_scale <= 0.0)
+    if bad.size:
+        raise error(f"{path}: input_scale[{bad[0]}] is {input_scale[bad[0]]}; "
+                    "it must be positive")
+    return MlpModel(params=params, config=cfg, input_mean=input_mean, input_scale=input_scale)

@@ -189,7 +189,7 @@ def tune_thresholds(rep: Representation, trace: Trace, *,
     cost_model = cost_model or CostModel()
     bo_config = bo_config or BoConfig()
 
-    baselines = cloud_reference_means(trace, scenario, cost_model, window_index=0)
+    baselines = cloud_reference_means(trace, scenario, cost_model)
     *_, tier_utilities = _tier_outcomes(trace, scenario, cost_model, weights, baselines,
                                         windows=np.zeros(len(trace), dtype=int))
 
@@ -365,7 +365,6 @@ def run_stream(state: RouterState, stream: Trace, scenario: NetworkScenario,
 def baseline_route(policy: str, trace: Trace, scenario: NetworkScenario, *,
                    weights: UtilityWeights | None = None,
                    cost_model: CostModel | None = None,
-                   baselines: CloudBaselines | None = None,
                    pair: ThresholdPair | None = None,
                    predictor: MlpModel | None = None,
                    window_size: int = 200) -> StreamReport:
@@ -385,8 +384,7 @@ def baseline_route(policy: str, trace: Trace, scenario: NetworkScenario, *,
     n = len(trace)
     if n == 0:
         raise ValueError("cannot stream an empty trace")
-    if baselines is None:
-        baselines = cloud_reference_means(trace, scenario, cost_model, window_index=0)
+    baselines = cloud_reference_means(trace, scenario, cost_model)
     outcomes = _tier_outcomes(trace, scenario, cost_model, weights, baselines,
                               np.arange(n) // window_size)
     if policy != "global_static":
@@ -456,7 +454,7 @@ def state_checksum(state: RouterState) -> str:
     digest = hashlib.sha256()
     digest.update(state.predictor.input_mean.astype("<f8").tobytes())
     digest.update(state.predictor.input_scale.astype("<f8").tobytes())
-    digest.update(state.predictor.flat_params().astype("<f8").tobytes())
+    digest.update(state.predictor.params.astype("<f8").tobytes())
     digest.update(np.ascontiguousarray(state.clusters.centroids).astype("<f8").tobytes())
     for k in sorted(state.thresholds):
         pair = state.thresholds[k]

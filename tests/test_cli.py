@@ -1,4 +1,5 @@
 import json
+import struct
 import warnings
 
 import pytest
@@ -32,6 +33,14 @@ def header_only_trace(tmp, cfg):
     path = tmp / "empty.jsonl"
     path.write_text((tmp / "g" / "trace.jsonl").read_text().splitlines()[0] + "\n")
     return path
+
+
+def set_payload_entry(path, index, value):
+    """Overwrite float64 number ``index`` of an arrays file's payload."""
+    head, _, body = path.read_bytes().partition(b"\n")
+    body = bytearray(body)
+    body[8 * index:8 * index + 8] = struct.pack("<d", value)
+    path.write_bytes(head + b"\n" + bytes(body))
 
 
 def run_strict(*argv):
@@ -200,6 +209,27 @@ class TestTune:
         capsys.readouterr()
         assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--out", tmp / "s") == 2
         assert f"{path}: not a readable CSV file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index, value, message", [
+        (0, float("nan"), "centroids[0] is nan, not a finite number"),
+        (13, float("-inf"), "centroids[13] is -inf, not a finite number"),
+    ])
+    def test_non_finite_centroid_exit_2(self, workdir, capsys, index, value, message):
+        # Hash rewritten and no state checksum: only the payload check can stop it.
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+        path = tmp / "b" / "centroids.bin"
+        set_payload_entry(path, index, value)
+        rehash(tmp / "b", "centroids.bin")
+        manifest_path = tmp / "b" / "bundle_manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["checksum"]
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--static",
+                   "--out", tmp / "s") == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not (tmp / "s" / "stream_report.json").exists()
 
     def test_manifest_must_list_every_bundle_file(self, workdir, capsys):
         # A file dropped from the manifest and from the directory is named, not a crash.
@@ -492,6 +522,24 @@ class TestBaseline:
                    "--tau1", "0.7", "--tau2", "0.3", "--bundle", tmp / "nope", "--out", tmp / "g")
         assert code == 2
         assert f"{tmp / 'nope' / 'predictor.ckpt'}: cannot read" in capsys.readouterr().err
+
+    # The payload holds input_mean (10), input_scale (10), then the parameters.
+    @pytest.mark.parametrize("index, value, message", [
+        (20, float("nan"), "params[0] is nan, not a finite number"),
+        (3, float("inf"), "input_mean[3] is inf, not a finite number"),
+        (12, 0.0, "input_scale[2] is 0.0; it must be positive"),
+        (10, -1.5, "input_scale[0] is -1.5; it must be positive"),
+    ])
+    def test_bad_checkpoint_payload_exit_2(self, workdir, capsys, index, value, message):
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+        path = tmp / "b" / "predictor.ckpt"
+        set_payload_entry(path, index, value)
+        capsys.readouterr()
+        assert run("baseline", "--config", cfg, "--policy", "global-static", "--tau1", "0.8",
+                   "--tau2", "0.4", "--bundle", tmp / "b", "--out", tmp / "g") == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not (tmp / "g" / "baseline_global_static_report.json").exists()
 
     def test_infeasible_pair_is_config_error(self, workdir):
         tmp, cfg = workdir

@@ -353,8 +353,8 @@ class TestProgramFiles:
         model, clusters = state.predictor, state.clusters
         save_checkpoint(model, tmp_path / "p.ckpt")
         old_arrays(tmp_path / "p.ref", {"format": "tierroute-mlp-v1", **asdict(model.config),
-                                           "param_count": model.param_count()},
-                      model.input_mean, model.input_scale, model.flat_params())
+                                           "param_count": model.params.size},
+                      model.input_mean, model.input_scale, model.params)
         save_centroids(clusters, tmp_path / "c.bin")
         old_arrays(tmp_path / "c.ref", {"format": "tierroute-centroids-v1", "k": clusters.k,
                                            "dim": clusters.dim, "seed": clusters.seed,

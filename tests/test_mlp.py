@@ -1,3 +1,7 @@
+import copy
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -5,10 +9,12 @@ from tierroute.errors import DimensionMismatchError, TrainingDivergedError
 from tierroute.labels import LabelConfig, build_labels
 from tierroute.mlp import (
     MlpConfig,
+    _activate,
+    _activate_grad,
+    _sigmoid,
     gradient_check,
     init_model,
     load_checkpoint,
-    predict,
     predict_batch,
     save_checkpoint,
     train,
@@ -28,31 +34,31 @@ class TestInit:
     def test_deterministic(self):
         a = init_model(tiny_cfg(seed=1))
         b = init_model(tiny_cfg(seed=1))
-        assert np.array_equal(a.flat_params(), b.flat_params())
+        assert np.array_equal(a.params, b.params)
 
     def test_empty_hidden_is_logistic_regression(self):
         model = init_model(tiny_cfg(input_dim=7, hidden_dims=()))
-        assert model.param_count() == 7 + 1
-        assert len(model.weights) == 1
+        assert model.params.size == 7 + 1
+        assert len(model.layers) == 1
 
     def test_param_count_chain(self):
         # 2048*256+256 + 256*64+64 + 64*1+1
         model = init_model(tiny_cfg(input_dim=2048, hidden_dims=(256, 64)))
         expected = 2048 * 256 + 256 + 256 * 64 + 64 + 64 * 1 + 1
         assert expected == 541_057
-        assert model.param_count() == expected
+        assert model.params.size == expected
 
 
 class TestPredict:
     def test_zero_weights_give_half(self):
         model = init_model(tiny_cfg())
-        model.set_flat_params(np.zeros(model.param_count()))
-        assert predict(model, np.array([3.0, -1.0, 2.0])) == pytest.approx(0.5)
+        model.params[:] = 0.0
+        assert predict_batch(model, np.array([3.0, -1.0, 2.0]))[0] == pytest.approx(0.5)
 
     def test_deterministic(self):
         model = init_model(tiny_cfg(seed=4))
         x = np.array([0.3, -0.7, 1.1])
-        assert predict(model, x) == predict(model, x)
+        assert np.array_equal(predict_batch(model, x), predict_batch(model, x))
 
     def test_open_unit_interval(self):
         model = init_model(tiny_cfg(seed=2))
@@ -63,7 +69,7 @@ class TestPredict:
     def test_dim_mismatch(self):
         model = init_model(tiny_cfg())
         with pytest.raises(DimensionMismatchError):
-            predict(model, np.zeros(5))
+            predict_batch(model, np.zeros(5))
 
 
 class TestGradientCheck:
@@ -75,7 +81,7 @@ class TestGradientCheck:
 
     def test_zero_everything_special_point(self):
         model = init_model(tiny_cfg(activation="relu"))
-        model.set_flat_params(np.zeros(model.param_count()))
+        model.params[:] = 0.0
         err = gradient_check(model, np.zeros(3), 0.0)
         assert err < 1e-6
 
@@ -131,7 +137,7 @@ class TestTrain:
         m1, r1 = train(init_model(cfg), x, t, cfg)
         m2, r2 = train(init_model(cfg), x, t, cfg)
         assert r1.epochs_run == r2.epochs_run
-        assert np.array_equal(m1.flat_params(), m2.flat_params())
+        assert np.array_equal(m1.params, m2.params)
 
     def test_best_val_not_worse_than_first_epoch(self):
         rng = np.random.default_rng(5)
@@ -147,7 +153,7 @@ class TestTrain:
         t = rng.random(40)
         cfg = tiny_cfg(max_epochs=5)
         model = init_model(cfg)
-        model.weights[0][0, 0] = np.nan
+        model.layers[0][0][0, 0] = np.nan
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
             train(model, x, t, cfg)
 
@@ -201,7 +207,7 @@ class TestCheckpoint:
         save_checkpoint(model, p1)
         loaded = load_checkpoint(p1)
         assert loaded.config == model.config
-        assert np.array_equal(loaded.flat_params(), model.flat_params())
+        assert np.array_equal(loaded.params, model.params)
         p2 = tmp_path / "m2.ckpt"
         save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
@@ -215,3 +221,209 @@ class TestCheckpoint:
         from tierroute.errors import BundleIntegrityError
         with pytest.raises(BundleIntegrityError, match="payload"):
             load_checkpoint(path)
+
+
+class TestLayers:
+    def test_layers_are_views_of_params(self):
+        model = init_model(tiny_cfg(input_dim=3, hidden_dims=(4, 2)))
+        shapes = [(w.shape, b.shape) for w, b in model.layers]
+        assert shapes == [((3, 4), (4,)), ((4, 2), (2,)), ((2, 1), (1,))]
+        assert np.array_equal(np.concatenate([a.ravel() for layer in model.layers
+                                              for a in layer]), model.params)
+        model.layers[1][1][0] = 7.0
+        assert model.params[3 * 4 + 4 + 4 * 2] == 7.0
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda m: m.copy()])
+    def test_copies_do_not_share_parameters(self, duplicate):
+        model = init_model(tiny_cfg())
+        twin = duplicate(model)
+        if duplicate is copy.copy:  # shares ``params``; its layers follow a new array
+            twin.params = twin.params.copy()
+        twin.layers[0][0][0, 0] += 1.0
+        assert twin.params[0] == model.params[0] + 1.0
+        assert model.layers[0][0][0, 0] == model.params[0]
+
+
+# ---------------------------------------------------------------------------
+# The list-based predictor that the one ``params`` array replaced, kept as a
+# reference: per-layer weight and bias lists, each layer's gradient its own
+# array, and four lists of per-layer Adam moments.
+# ---------------------------------------------------------------------------
+
+class ListModel:
+    def __init__(self, weights, biases, config, input_mean=None, input_scale=None):
+        self.weights, self.biases, self.config = weights, biases, config
+        self.input_mean = np.zeros(config.input_dim) if input_mean is None else input_mean
+        self.input_scale = np.ones(config.input_dim) if input_scale is None else input_scale
+
+    def copy(self):
+        return ListModel([w.copy() for w in self.weights], [b.copy() for b in self.biases],
+                         self.config, self.input_mean.copy(), self.input_scale.copy())
+
+    def flat_params(self):
+        return np.concatenate([a.ravel() for w, b in zip(self.weights, self.biases)
+                               for a in (w, b)])
+
+    def set_flat_params(self, flat):
+        offset = 0
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            self.weights[i] = flat[offset:offset + w.size].reshape(w.shape).copy()
+            offset += w.size
+            self.biases[i] = flat[offset:offset + b.size].copy()
+            offset += b.size
+
+
+def ref_init(cfg):
+    rng = np.random.default_rng(cfg.seed)
+    dims = [cfg.input_dim, *cfg.hidden_dims, 1]
+    weights, biases = [], []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    return ListModel(weights, biases, cfg)
+
+
+def ref_forward(model, x):
+    kind = model.config.activation
+    x = (x - model.input_mean) / model.input_scale
+    activations, pre, a = [x], [], x
+    for i in range(len(model.weights) - 1):
+        z = a @ model.weights[i] + model.biases[i]
+        a = _activate(z, kind)
+        pre.append(z)
+        activations.append(a)
+    z_out = a @ model.weights[-1] + model.biases[-1]
+    pre.append(z_out)
+    return activations, pre, _sigmoid(z_out[:, 0])
+
+
+def ref_backward(model, x, targets):
+    kind = model.config.activation
+    activations, pre, y = ref_forward(model, x)
+    err = y - targets
+    delta = ((2.0 / x.shape[0]) * err * y * (1.0 - y))[:, None]
+    d_weights = [None] * len(model.weights)
+    d_biases = [None] * len(model.biases)
+    for i in range(len(model.weights) - 1, -1, -1):
+        d_weights[i] = activations[i].T @ delta
+        d_biases[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ model.weights[i].T) * _activate_grad(pre[i - 1], activations[i], kind)
+    return d_weights, d_biases
+
+
+def ref_mse(model, x, targets):
+    return float(np.mean((ref_forward(model, x)[2] - targets) ** 2))
+
+
+def ref_train(model, x, t, cfg):
+    rng = np.random.default_rng(cfg.seed)
+    n = x.shape[0]
+    split_order = rng.permutation(n) if cfg.shuffle_each_epoch else np.arange(n)
+    n_val = min(max(int(round(cfg.validation_fraction * n)), 1), n - 1)
+    x_train, t_train = x[split_order[:n - n_val]], t[split_order[:n - n_val]]
+    x_val, t_val = x[split_order[n - n_val:]], t[split_order[n - n_val:]]
+    work = model.copy()
+    work.input_mean = x_train.mean(axis=0)
+    scale = x_train.std(axis=0)
+    work.input_scale = np.where(scale < 1e-12, 1.0, scale)
+    m_w = [np.zeros_like(w) for w in work.weights]
+    v_w = [np.zeros_like(w) for w in work.weights]
+    m_b = [np.zeros_like(b) for b in work.biases]
+    v_b = [np.zeros_like(b) for b in work.biases]
+    beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, cfg.learning_rate
+    step, best, best_val, since_improve, curve = 0, work.copy(), np.inf, 0, []
+    n_train = x_train.shape[0]
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = rng.permutation(n_train) if cfg.shuffle_each_epoch else np.arange(n_train)
+        for start in range(0, n_train, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            d_w, d_b = ref_backward(work, x_train[idx], t_train[idx])
+            step += 1
+            corr1, corr2 = 1.0 - beta1 ** step, 1.0 - beta2 ** step
+            for i in range(len(work.weights)):
+                m_w[i] = beta1 * m_w[i] + (1 - beta1) * d_w[i]
+                v_w[i] = beta2 * v_w[i] + (1 - beta2) * d_w[i] ** 2
+                work.weights[i] -= lr * (m_w[i] / corr1) / (np.sqrt(v_w[i] / corr2) + eps)
+                m_b[i] = beta1 * m_b[i] + (1 - beta1) * d_b[i]
+                v_b[i] = beta2 * v_b[i] + (1 - beta2) * d_b[i] ** 2
+                work.biases[i] -= lr * (m_b[i] / corr1) / (np.sqrt(v_b[i] / corr2) + eps)
+        train_mse, val_mse = ref_mse(work, x_train, t_train), ref_mse(work, x_val, t_val)
+        curve.append((epoch, train_mse, val_mse))
+        if val_mse < best_val:
+            best_val, best, since_improve = val_mse, work.copy(), 0
+        else:
+            since_improve += 1
+            if since_improve > cfg.early_stop_patience:
+                break
+    return best, curve
+
+
+def ref_gradient_check(model, x, t, step=1e-5):
+    x, t = x.reshape(1, -1), np.array([t])
+    d_w, d_b = ref_backward(model, x, t)
+    analytic = np.concatenate([a.ravel() for dw, db in zip(d_w, d_b) for a in (dw, db)])
+    flat = model.flat_params()
+    probe = model.copy()
+    numeric = np.empty_like(flat)
+    for j in range(flat.size):
+        saved = flat[j]
+        flat[j] = saved + step
+        probe.set_flat_params(flat)
+        up = ref_mse(probe, x, t)
+        flat[j] = saved - step
+        probe.set_flat_params(flat)
+        down = ref_mse(probe, x, t)
+        flat[j] = saved
+        numeric[j] = (up - down) / (2.0 * step)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def ref_checkpoint_bytes(model):
+    flat = model.flat_params()
+    header = {"format": "tierroute-mlp-v1", **asdict(model.config), "param_count": flat.size}
+    return (json.dumps(header, sort_keys=True) + "\n").encode("utf-8") + b"".join(
+        a.astype("<f8").tobytes() for a in (model.input_mean, model.input_scale, flat))
+
+
+class TestMatchesListReference:
+    """The one-array predictor gives the list-based one's results bit for bit."""
+
+    @pytest.mark.parametrize("shuffle", [True, False])
+    @pytest.mark.parametrize("hidden", [(), (4,), (64, 32)])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_train_gradient_check_and_checkpoint(self, tmp_path, activation, hidden, shuffle):
+        rng = np.random.default_rng(len(hidden) + 10 * shuffle)
+        x = rng.normal(size=(121, 5)) * 3.0 + 1.0
+        t = rng.random(121)
+        # 109 training rows in batches of 16: the last batch is short.
+        cfg = MlpConfig(input_dim=5, hidden_dims=hidden, activation=activation,
+                        learning_rate=1e-2, batch_size=16, max_epochs=12,
+                        early_stop_patience=3, seed=3, validation_fraction=0.1,
+                        shuffle_each_epoch=shuffle)
+        assert np.array_equal(init_model(cfg).params, ref_init(cfg).flat_params())
+
+        model, report = train(init_model(cfg), x, t, cfg)
+        ref, curve = ref_train(ref_init(cfg), x, t, cfg)
+        assert np.array_equal(model.params, ref.flat_params())
+        assert np.array_equal(model.input_mean, ref.input_mean)
+        assert np.array_equal(model.input_scale, ref.input_scale)
+        assert report.loss_curve == curve
+        assert report.epochs_run == len(curve)
+        assert np.array_equal(predict_batch(model, x), ref_forward(ref, x)[2])
+
+        assert gradient_check(model, x[0], 0.3) == ref_gradient_check(ref, x[0], 0.3)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        assert path.read_bytes() == ref_checkpoint_bytes(ref)
+
+    @pytest.mark.parametrize("entry", [0, -1])
+    def test_nan_parameter_diverges_at_epoch_1(self, entry):
+        cfg = tiny_cfg(hidden_dims=(4, 3))
+        model = init_model(cfg)
+        model.params[entry] = np.nan
+        rng = np.random.default_rng(4)
+        with pytest.raises(TrainingDivergedError, match="non-finite loss at epoch 1"):
+            train(model, rng.normal(size=(40, 3)), rng.random(40), cfg)
