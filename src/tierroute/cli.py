@@ -29,7 +29,7 @@ from .errors import ConfigError, TierRouteError, TraceValidationError
 from .fields import MISSING, building, cell, read, typed
 from .formats import table_columns, write_json, write_json_lines, write_table
 from .labels import ConsistencyLabels, LabelConfig, build_labels
-from .mlp import MlpConfig, TrainReport, init_model, load_checkpoint, save_checkpoint, train
+from .mlp import MlpConfig, TrainReport, init_model, save_checkpoint, train
 from .network import load_scenario, scenario_by_name
 from .router import (
     Representation,
@@ -428,21 +428,16 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     if policy == "global_static":
         if args.tau1 is None or args.tau2 is None:
             raise ConfigError("global-static needs --tau1 and --tau2")
-        try:
+        with building("--tau1/--tau2", ConfigError):
             pair = ThresholdPair(tau1=args.tau1, tau2=args.tau2)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         if not args.bundle:
             raise ConfigError("global-static needs --bundle for the predictor")
-        predictor = load_checkpoint(Path(args.bundle) / "predictor.ckpt")
-    try:
-        report = baseline_route(policy, trace, scenario,
-                                weights=utility_weights(config),
-                                cost_model=cost_model(config),
-                                pair=pair, predictor=predictor,
-                                window_size=update_interval(config))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        predictor = load_bundle(args.bundle).predictor
+    report = baseline_route(policy, trace, scenario,
+                            weights=utility_weights(config),
+                            cost_model=cost_model(config),
+                            pair=pair, predictor=predictor,
+                            window_size=update_interval(config))
     write_report_files(report, outdir, prefix=f"baseline_{policy}")
     write_manifest(config, "baseline", outdir)
     totals = report.totals

@@ -11,6 +11,9 @@ The parameters live in one float64 array, ``MlpModel.params``: layer by layer
 from input to output, each weight matrix (shape ``(fan_in, fan_out)``,
 row-major) followed by its bias vector. ``MlpModel.layers`` gives views of it.
 
+Inference keeps one activation at a time, made in place on its layer's fresh
+matrix product; training keeps only the activations the backward pass reads.
+
 Checkpoint layout (``tierroute-mlp-v1``): an arrays file (see ``formats``)
 whose header holds the config fields plus ``param_count``, and whose payload is
 the input mean vector (input_dim), the input scale vector (input_dim), then the
@@ -133,28 +136,25 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
-
-
-def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    return (z > 0).astype(z.dtype) if kind == "relu" else 1.0 - a * a
-
-
-def _forward(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    kind = model.config.activation
-    x = (x - model.input_mean) / model.input_scale
-    activations = [x]
-    pre = []
+def _forward(model: MlpModel, x: np.ndarray, kept: list[np.ndarray] | None = None) -> np.ndarray:
+    """Scores for the rows of ``x``; ``kept``, if given, collects the activations, input first."""
+    a = x - model.input_mean
+    a /= model.input_scale
     *hidden, (w_out, b_out) = model.layers
     for weight, bias in hidden:
-        z = activations[-1] @ weight + bias
-        pre.append(z)
-        activations.append(_activate(z, kind))
-    z_out = activations[-1] @ w_out + b_out
-    pre.append(z_out)
-    y = _sigmoid(z_out[:, 0])
-    return activations, pre, y
+        if kept is not None:
+            kept.append(a)
+        a = a @ weight
+        a += bias
+        if model.config.activation == "relu":
+            np.maximum(a, 0.0, out=a)
+        else:
+            np.tanh(a, out=a)
+    if kept is not None:
+        kept.append(a)
+    z = a @ w_out
+    z += b_out
+    return _sigmoid(z[:, 0])
 
 
 def predict_batch(model: MlpModel, embeddings: np.ndarray) -> np.ndarray:
@@ -164,15 +164,15 @@ def predict_batch(model: MlpModel, embeddings: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"embedding dim {embeddings.shape[1]} != model input_dim {model.config.input_dim}"
         )
-    _, _, y = _forward(model, embeddings)
-    return y
+    return _forward(model, embeddings)
 
 
 def _backward(model: MlpModel, x: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float]:
     """Gradient of mean squared error over the batch, laid out like ``params``;
     returns (gradient, loss)."""
-    kind = model.config.activation
-    activations, pre, y = _forward(model, x)
+    relu = model.config.activation == "relu"
+    activations: list[np.ndarray] = []
+    y = _forward(model, x, activations)
     batch = x.shape[0]
     err = y - targets
     loss = float(np.mean(err ** 2))
@@ -186,13 +186,13 @@ def _backward(model: MlpModel, x: np.ndarray, targets: np.ndarray) -> tuple[np.n
         d_weight[...] = activations[i].T @ delta
         d_bias[...] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ layers[i][0].T) * _activate_grad(pre[i - 1], activations[i], kind)
+            a = activations[i]  # relu' from a: max(z, 0) > 0 exactly where z > 0
+            delta = (delta @ layers[i][0].T) * ((a > 0).astype(a.dtype) if relu else 1.0 - a * a)
     return grad, loss
 
 
 def _mse(model: MlpModel, x: np.ndarray, targets: np.ndarray) -> float:
-    _, _, y = _forward(model, x)
-    return float(np.mean((y - targets) ** 2))
+    return float(np.mean((_forward(model, x) - targets) ** 2))
 
 
 def train(model: MlpModel, embeddings: np.ndarray, targets: np.ndarray,

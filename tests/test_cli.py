@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from helpers import rehash
-from tierroute import router
+from tierroute import cli, router
 from tierroute.cli import main
 
 SMALL_CONFIG = """\
@@ -41,6 +41,12 @@ def set_payload_entry(path, index, value):
     body = bytearray(body)
     body[8 * index:8 * index + 8] = struct.pack("<d", value)
     path.write_bytes(head + b"\n" + bytes(body))
+
+
+def payload_entry(path, index):
+    """Float64 number ``index`` of an arrays file's payload."""
+    body = path.read_bytes().partition(b"\n")[2]
+    return struct.unpack("<d", body[8 * index:8 * index + 8])[0]
 
 
 def run_strict(*argv):
@@ -521,7 +527,27 @@ class TestBaseline:
         code = run("baseline", "--config", cfg, "--policy", "global-static",
                    "--tau1", "0.7", "--tau2", "0.3", "--bundle", tmp / "nope", "--out", tmp / "g")
         assert code == 2
-        assert f"{tmp / 'nope' / 'predictor.ckpt'}: cannot read" in capsys.readouterr().err
+        assert f"{tmp / 'nope'}: missing bundle_manifest.json" in capsys.readouterr().err
+
+    def test_tampered_predictor_exit_2(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+        path = tmp / "b" / "predictor.ckpt"
+        set_payload_entry(path, 20, payload_entry(path, 20) + 100.0)  # params[0], still finite
+        capsys.readouterr()
+        assert run("baseline", "--config", cfg, "--policy", "global-static", "--tau1", "0.8",
+                   "--tau2", "0.4", "--bundle", tmp / "b", "--out", tmp / "g") == 2
+        assert "checksum mismatch for predictor.ckpt" in capsys.readouterr().err
+        assert not (tmp / "g" / "baseline_global_static_report.json").exists()
+
+    def test_value_error_in_baseline_route_is_a_bug(self, workdir, monkeypatch):
+        tmp, cfg = workdir
+
+        def broken(*args, **kwargs):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(cli, "baseline_route", broken)
+        assert run("baseline", "--config", cfg, "--policy", "clm-only", "--out", tmp / "c") == 1
 
     # The payload holds input_mean (10), input_scale (10), then the parameters.
     @pytest.mark.parametrize("index, value, message", [
@@ -535,6 +561,7 @@ class TestBaseline:
         assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
         path = tmp / "b" / "predictor.ckpt"
         set_payload_entry(path, index, value)
+        rehash(tmp / "b", "predictor.ckpt")
         capsys.readouterr()
         assert run("baseline", "--config", cfg, "--policy", "global-static", "--tau1", "0.8",
                    "--tau2", "0.4", "--bundle", tmp / "b", "--out", tmp / "g") == 2

@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -9,8 +10,6 @@ from tierroute.errors import DimensionMismatchError, TrainingDivergedError
 from tierroute.labels import LabelConfig, build_labels
 from tierroute.mlp import (
     MlpConfig,
-    _activate,
-    _activate_grad,
     _sigmoid,
     gradient_check,
     init_model,
@@ -70,6 +69,22 @@ class TestPredict:
         model = init_model(tiny_cfg())
         with pytest.raises(DimensionMismatchError):
             predict_batch(model, np.zeros(5))
+
+    @pytest.mark.parametrize("hidden", [(64, 32), (8,), ()])
+    def test_peak_memory_is_two_adjacent_activations(self, hidden):
+        # One call holds at most one layer's input and output at a time.
+        n, d = 20_000, 32
+        model = init_model(MlpConfig(input_dim=d, hidden_dims=hidden))
+        x = np.random.default_rng(0).normal(size=(n, d))
+        widths = [d, *hidden, 1]
+        bound = 8 * n * max(a + b for a, b in zip(widths, widths[1:])) + 2 ** 20
+        tracemalloc.start()
+        try:
+            predict_batch(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestGradientCheck:
@@ -247,8 +262,17 @@ class TestLayers:
 # ---------------------------------------------------------------------------
 # The list-based predictor that the one ``params`` array replaced, kept as a
 # reference: per-layer weight and bias lists, each layer's gradient its own
-# array, and four lists of per-layer Adam moments.
+# array, four lists of per-layer Adam moments, and a forward pass that keeps
+# every pre-activation and activation.
 # ---------------------------------------------------------------------------
+
+def _activate(z, kind):
+    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
+
+
+def _activate_grad(z, a, kind):
+    return (z > 0).astype(z.dtype) if kind == "relu" else 1.0 - a * a
+
 
 class ListModel:
     def __init__(self, weights, biases, config, input_mean=None, input_scale=None):
@@ -427,3 +451,31 @@ class TestMatchesListReference:
         rng = np.random.default_rng(4)
         with pytest.raises(TrainingDivergedError, match="non-finite loss at epoch 1"):
             train(model, rng.normal(size=(40, 3)), rng.random(40), cfg)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_predict_batch_inputs(self, activation):
+        cfg = MlpConfig(input_dim=5, hidden_dims=(64, 32), activation=activation, seed=6)
+        model = init_model(cfg)
+        rng = np.random.default_rng(8)
+        model.params[:] = rng.normal(size=model.params.size)
+        model.input_mean = rng.normal(size=5)
+        model.input_scale = rng.random(5) + 0.5
+        ref = ref_init(cfg)
+        ref.set_flat_params(model.params)
+        ref.input_mean, ref.input_scale = model.input_mean, model.input_scale
+        wide = rng.normal(size=(4097, 10)) * 3.0
+        with_nan = rng.normal(size=(6, 5))
+        with_nan[2, 3] = np.nan
+        inputs = [
+            wide[:1, :5],  # one row: the matrix-vector product path
+            wide[:, :5].copy(),
+            wide[7, :5].copy(),  # 1-D
+            wide[:50, :5].astype(np.float32),
+            np.round(wide[:50, :5]).astype(np.int64),
+            wide[::3, 1::2],  # non-contiguous view
+            with_nan,
+        ]
+        for x in inputs:
+            expected = ref_forward(ref, np.atleast_2d(np.asarray(x, dtype=np.float64)))[2]
+            assert np.array_equal(predict_batch(model, x), expected, equal_nan=True)
+        assert np.isnan(predict_batch(model, with_nan)[2])
