@@ -4,12 +4,16 @@ A trace replaces live model / reranker / judge calls with recorded outcomes:
 per-tier correctness, token counts, compute times, and agreement scores. In
 memory a trace is a set of columns with one row per query.
 
-File format (UTF-8, one JSON object per line):
+File format (UTF-8, one JSON object per line; a line ends at LF, and CRLF reads the same):
   line 1    header: {"embedding_dim": int, "prompt_text": str, "metadata": {...}}
   line 2..  one record per line: id, embedding, has_reference, the optional
             scores (omitted when absent) and tier_info with all three tiers.
             Floats use Python's shortest round-trip representation (well above
             6 significant digits).
+
+A record line is decoded by orjson. Stdlib ``json`` is the reference: a line
+that orjson refuses, or whose object fails a typed read, is decoded again by
+``json.loads`` and read again, and that outcome stands.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .errors import TraceFormatError, TraceValidationError
 from .fields import bad_value, read
@@ -203,8 +208,24 @@ def _read_tier(sub: dict) -> tuple:
             _json_number(sub, "compute_seconds", TraceValidationError), _correct_code(sub))
 
 
-def _read_record(obj: dict, i: int, cols: dict[str, np.ndarray]) -> None:
-    """Parse one record object into row ``i`` of the columns."""
+def _read_record(obj: dict, i: int, cols: dict[str, np.ndarray]) -> str:
+    """Parse one record object into row ``i`` of the columns; returns its id."""
+    rid = obj["id"]
+    if type(rid) is not str:
+        raise bad_value("id", rid, "a string", TypeError)
+    try:
+        rid.encode()  # json.loads passes a lone surrogate escape, which no UTF-8 file can hold
+    except UnicodeEncodeError:
+        raise bad_value("id", rid, "a string without lone surrogates", ValueError) from None
+    try:
+        _read_fields(obj, i, cols)
+    except TraceValidationError as exc:
+        raise TraceValidationError(f"record {rid!r}: {exc}") from exc
+    return rid
+
+
+def _read_fields(obj: dict, i: int, cols: dict[str, np.ndarray]) -> None:
+    """Every field of a record but its id, into row ``i`` of the columns."""
     embedding = obj["embedding"]
     dim = cols["embeddings"].shape[1]
     if len(embedding) != dim:
@@ -230,37 +251,47 @@ def _read_record(obj: dict, i: int, cols: dict[str, np.ndarray]) -> None:
     cols["has_reference"][i] = _json_bool(obj, "has_reference", TraceValidationError, False)
 
 
+def _text(line: bytes) -> str:
+    """A line as text-mode reading gave it: UTF-8, with a final CRLF read as LF."""
+    return line.decode("utf-8").replace("\r\n", "\n")
+
+
+# What reading a malformed record line raises, besides TraceValidationError.
+# JSONDecodeError (json's and orjson's) and UnicodeDecodeError are ValueErrors.
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError, RecursionError)
+
+
 def load_trace(path: str | Path) -> Trace:
     """Parse and validate a trace file; errors name the offending line or record."""
     path = Path(path)
     with path.open("rb") as fh:  # a line count bounds the rows to preallocate
         capacity = sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b""))
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:  # lines split at b"\n", as counted
         first = fh.readline()
         if not first:
             raise TraceFormatError(f"{path}: empty trace file (missing header line)")
         try:
-            header = read(TraceHeader, json.loads(first), f"{path}: line 1: header",
-                          error=TraceFormatError)
+            header = read(TraceHeader, json.loads(_text(first)),
+                          f"{path}: line 1: header", error=TraceFormatError)
             cols = _empty_columns(capacity, header.embedding_dim)
-        except (ValueError, MemoryError) as exc:  # bad JSON, or no room for the columns
+        except (ValueError, MemoryError, RecursionError) as exc:  # bad JSON, or no room
             raise TraceFormatError(f"{path}: line 1: bad header ({exc})") from exc
         ids: list[str] = []
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
             try:
-                obj = json.loads(line)
-                rid = obj["id"]
-                if type(rid) is not str:
-                    raise bad_value("id", rid, "a string", TypeError)
-                _read_record(obj, len(ids), cols)
+                ids.append(_read_record(orjson.loads(line), len(ids), cols))
+                continue
+            except (TraceValidationError, *_MALFORMED):
+                pass  # refused, or read into a bad row: stdlib json decides the line
+            try:
+                text = _text(line)
+                if not text.strip():
+                    continue
+                ids.append(_read_record(json.loads(text), len(ids), cols))
             except TraceValidationError as exc:
-                raise TraceValidationError(f"{path}: line {lineno}: record {rid!r}: {exc}") from exc
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, AttributeError,
-                    OverflowError) as exc:
+                raise TraceValidationError(f"{path}: line {lineno}: {exc}") from exc
+            except _MALFORMED as exc:
                 raise TraceFormatError(f"{path}: line {lineno}: malformed record ({exc})") from exc
-            ids.append(rid)
     n = len(ids)
     trace = Trace(ids=ids, prompt_text=header.prompt_text, metadata=header.metadata,
                   **{name: col[:n] for name, col in cols.items()})
