@@ -70,20 +70,23 @@ class BoConfig:
 
 
 class ObservationSet:
-    """Bounded history of ((tau1, tau2), utility) samples with oldest-first eviction."""
+    """Bounded history, oldest evicted first: ``pairs`` rows [tau1, tau2], ``utilities``."""
 
     def __init__(self, capacity: int = 512):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._points: list[tuple[ThresholdPair, float]] = []
+        self.pairs = np.empty((0, 2))
+        self.utilities = np.empty(0)
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self.utilities)
 
     @property
     def points(self) -> list[tuple[ThresholdPair, float]]:
-        return list(self._points)
+        # Records made from the columns, only for the benchmark's gp_fit probe.
+        return [(ThresholdPair(*pair), u)
+                for pair, u in zip(self.pairs.tolist(), self.utilities.tolist())]
 
     def append(self, pair: ThresholdPair, utility: float) -> None:
         self.extend(pair, [utility])
@@ -93,23 +96,16 @@ class ObservationSet:
         utilities = np.asarray(utilities, dtype=np.float64)[-self.capacity:]
         if not np.all(np.isfinite(utilities)):
             raise ValueError(f"utility must be finite; got {utilities}")
-        self._points.extend((pair, u) for u in utilities.tolist())
-        if len(self._points) > self.capacity:
-            del self._points[: len(self._points) - self.capacity]
+        drop = max(len(self) + len(utilities) - self.capacity, 0)
+        rows = np.full((len(utilities), 2), (pair.tau1, pair.tau2), dtype=np.float64)
+        self.pairs = np.concatenate([self.pairs[drop:], rows])
+        self.utilities = np.concatenate([self.utilities[drop:], utilities])
 
     def best(self) -> tuple[ThresholdPair, float]:
-        if not self._points:
+        if not len(self):
             raise ValueError("observation set is empty")
-        best_pair, best_u = self._points[0]
-        for pair, u in self._points[1:]:
-            if u > best_u:
-                best_pair, best_u = pair, u
-        return best_pair, best_u
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        x = np.array([[p.tau1, p.tau2] for p, _ in self._points])
-        y = np.array([u for _, u in self._points])
-        return x, y
+        i = int(np.argmax(self.utilities))
+        return ThresholdPair(*self.pairs[i].tolist()), float(self.utilities[i])
 
 
 @dataclass
@@ -152,15 +148,17 @@ def gp_fit(obs: ObservationSet, hypers: GpHyperparameters = DEFAULT_OFFLINE_HYPE
     """
     if len(obs) < 1:
         raise ValueError("gp_fit needs at least one observation")
-    x, y = obs.arrays()
-    y_mean = float(y.mean())
-    y_std = float(y.std())
+    y_mean = float(obs.utilities.mean())
+    y_std = float(obs.utilities.std())
     if y_std < 1e-12:
         y_std = 1.0
-    z = (y - y_mean) / y_std
-    slot: dict[tuple[float, float], int] = {}
-    inverse = np.array([slot.setdefault(key, len(slot)) for key in map(tuple, x.tolist())])
-    x_distinct = np.array(list(slot))
+    z = (obs.utilities - y_mean) / y_std
+    # One complex number per row makes the pairs 1-D for np.unique; it compares
+    # them as floats, so -0.0 and 0.0 are one pair, the first one seen.
+    _, first, inverse = np.unique(obs.pairs.view(np.complex128).ravel(),
+                                  return_index=True, return_inverse=True)
+    x_distinct = obs.pairs[np.sort(first)]
+    inverse = np.argsort(np.argsort(first))[inverse]  # slots in order of first appearance
     counts = np.bincount(inverse)
     z_bar = np.bincount(inverse, weights=z) / counts
     k = _kernel(hypers, x_distinct, x_distinct)

@@ -460,9 +460,8 @@ def state_checksum(state: RouterState) -> str:
         pair = state.thresholds[k]
         digest.update(f"{k}:{pair.tau1!r}:{pair.tau2!r};".encode())
     for k in sorted(state.observations):
-        x, y = state.observations[k].arrays()
-        digest.update(x.astype("<f8").tobytes())
-        digest.update(y.astype("<f8").tobytes())
+        digest.update(state.observations[k].pairs.astype("<f8").tobytes())
+        digest.update(state.observations[k].utilities.astype("<f8").tobytes())
     return digest.hexdigest()
 
 
@@ -473,10 +472,13 @@ def save_bundle(state: RouterState, outdir: str | Path) -> Path:
     save_centroids(state.clusters, outdir / "centroids.bin")
     write_json(outdir / "thresholds.json", {str(k): {"tau1": pair.tau1, "tau2": pair.tau2}
                                             for k, pair in sorted(state.thresholds.items())})
-    write_table(outdir / "observations.csv", table_columns(
-        ("cluster", "tau1", "tau2", "utility", "order_index"),
-        [(k, pair.tau1, pair.tau2, u, idx) for k in sorted(state.observations)
-         for idx, (pair, u) in enumerate(state.observations[k].points)]))
+    sets = [state.observations[k] for k in sorted(state.observations)]
+    pairs = np.concatenate([o.pairs for o in sets])
+    write_table(outdir / "observations.csv", {
+        "cluster": np.repeat(sorted(state.observations), [len(o) for o in sets]),
+        "tau1": pairs[:, 0], "tau2": pairs[:, 1],
+        "utility": np.concatenate([o.utilities for o in sets]),
+        "order_index": np.concatenate([np.arange(len(o)) for o in sets])})
     write_json(outdir / "state.json", {
         "format": _BUNDLE_FORMAT,
         "weights": asdict(state.weights),
@@ -518,6 +520,14 @@ def _load_observations(path: Path, k: int, capacity: int) -> dict[int, Observati
             raise BundleIntegrityError(f"{where}: cluster {c} outside 0..{k - 1}")
         tau1, tau2, utility = (cell(row.get(key), float, f"{where}: {key}", BundleIntegrityError)
                                for key in ("tau1", "tau2", "utility"))
+        position = len(observations[c])
+        index = cell(row.get("order_index"), int, f"{where}: order_index", BundleIntegrityError)
+        if index != position:
+            raise BundleIntegrityError(
+                f"{where}: order_index {index} out of order; cluster {c} expects {position}")
+        if position == capacity:
+            raise BundleIntegrityError(
+                f"{where}: cluster {c} holds more rows than observation_capacity {capacity}")
         with building(where, BundleIntegrityError):
             observations[c].append(ThresholdPair(tau1=tau1, tau2=tau2), utility)
     return observations

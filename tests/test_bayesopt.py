@@ -110,9 +110,8 @@ class TestGpFit:
             pair = ThresholdPair(float(row[0]), float(row[1]))
             obs.append(pair, scalar_eval(bowl)(pair))
         gp = gp_fit(obs, hypers)
-        x, y = obs.arrays()
-        mu, _ = gp.predict(x)
-        assert np.max(np.abs(mu - y)) <= 3.0 * np.sqrt(hypers.noise_variance)
+        mu, _ = gp.predict(obs.pairs)
+        assert np.max(np.abs(mu - obs.utilities)) <= 3.0 * np.sqrt(hypers.noise_variance)
 
     def test_posterior_accuracy_on_known_function(self):
         rng = np.random.default_rng(1)
@@ -159,7 +158,7 @@ class TestGpFit:
 
 def expanded_posterior(obs, hypers, candidates):
     """Reference fit on every raw observation, replicates kept as separate rows."""
-    x, y = obs.arrays()
+    x, y = obs.pairs, obs.utilities
     y_std = y.std() if y.std() >= 1e-12 else 1.0
     z = (y - y.mean()) / y_std
 

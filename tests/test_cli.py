@@ -35,6 +35,18 @@ def header_only_trace(tmp, cfg):
     return path
 
 
+def capacity_five(path):
+    """Set state.json's observation_capacity below the rows each cluster holds."""
+    path.write_text(json.dumps({**json.loads(path.read_text()), "observation_capacity": 5}))
+
+
+def swap_first_rows(path):
+    """Swap the first two data rows of observations.csv."""
+    lines = path.read_bytes().split(b"\r\n")
+    lines[1], lines[2] = lines[2], lines[1]
+    path.write_bytes(b"\r\n".join(lines))
+
+
 def set_payload_entry(path, index, value):
     """Overwrite float64 number ``index`` of an arrays file's payload."""
     head, _, body = path.read_bytes().partition(b"\n")
@@ -235,6 +247,30 @@ class TestTune:
         assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--static",
                    "--out", tmp / "s") == 2
         assert f"{path}: {message}" in capsys.readouterr().err
+        assert not (tmp / "s" / "stream_report.json").exists()
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("state.json", capacity_five,
+         "line 7: cluster 0 holds more rows than observation_capacity 5"),
+        ("observations.csv", swap_first_rows,
+         "line 2: order_index 1 out of order; cluster 0 expects 0"),
+    ])
+    def test_observation_rows_checked_without_checksum(self, workdir, capsys, name, edit,
+                                                       message):
+        # Hash rewritten and no state checksum: only the row checks can stop a
+        # capacity that would drop rows, or two rows swapped.
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+        edit(tmp / "b" / name)
+        rehash(tmp / "b", name)
+        manifest_path = tmp / "b" / "bundle_manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["checksum"]
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--static",
+                   "--out", tmp / "s") == 2
+        assert f"{tmp / 'b' / 'observations.csv'}: {message}" in capsys.readouterr().err
         assert not (tmp / "s" / "stream_report.json").exists()
 
     def test_manifest_must_list_every_bundle_file(self, workdir, capsys):

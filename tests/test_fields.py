@@ -317,7 +317,8 @@ def test_fuzz_bundle(tiny_bundle, tmp_path_factory):
         else:
             rows = [line.split(",") for line in path.read_text().splitlines()]
             row = data.draw(st.integers(1, len(rows) - 1))
-            rows[row][data.draw(st.integers(0, 3))] = data.draw(st.sampled_from(NASTY_TEXT))
+            rows[row][data.draw(st.integers(0, len(rows[0]) - 1))] = data.draw(
+                st.sampled_from(NASTY_TEXT))
             path.write_text("".join(",".join(r) + "\n" for r in rows))
         rehash(bundle, name)
         state = expect_typed_or_named(lambda: load_bundle(bundle), str(bundle))

@@ -522,6 +522,10 @@ class TestBundleFields:
          "observations.csv: line 2: utility must be a finite number; got 'nan'"),
         (set_cell("tau1", "inf"), "observations.csv: line 2: tau1 must be a finite number"),
         (set_cell("tau2", "0.99999"), "observations.csv: line 2: threshold pair must satisfy"),
+        (set_cell("order_index", "banana"),
+         "observations.csv: line 2: order_index must be an integer; got 'banana'"),
+        (set_cell("order_index", "7"),
+         "observations.csv: line 2: order_index 7 out of order; cluster 0 expects 0"),
     ])
     def test_bad_value_named(self, small_state, tmp_path, change, message):
         _, _, state = small_state
