@@ -19,15 +19,16 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
-from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .accounting import CostModel, UtilityWeights
 from .bayesopt import BoConfig, ThresholdPair
 from .errors import ConfigError, TierRouteError, TraceValidationError
 from .fields import MISSING, building, cell, read, typed
-from .formats import table_columns, write_json, write_json_lines, write_table
+from .formats import write_json, write_json_lines, write_table
 from .labels import ConsistencyLabels, LabelConfig, build_labels
 from .mlp import MlpConfig, TrainReport, init_model, save_checkpoint, train
 from .network import load_scenario, scenario_by_name
@@ -42,6 +43,7 @@ from .router import (
     write_report_files,
 )
 from .trace import (
+    TIERS,
     SyntheticConfig,
     Trace,
     concat_traces,
@@ -307,7 +309,7 @@ def _train_parts(config: dict):
     trace = resolve_trace(config, seed)
     labels = build_labels(trace, label_config(config))
     cfg = mlp_config(config, trace.embedding_dim, seed)
-    model, report = train(init_model(cfg), trace.embeddings, labels.s_fused, cfg)
+    model, report = train(init_model(cfg), trace.embeddings, labels.s_fused)
     return trace, labels, model, report
 
 
@@ -318,7 +320,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_checkpoint(model, outdir / "predictor.ckpt")
     _write_labels_and_report(labels, report, outdir)
     write_table(outdir / "loss_curve.csv",
-                table_columns(("epoch", "train_mse", "val_mse"), report.loss_curve))
+                dict(zip(("epoch", "train_mse", "val_mse"), zip(*report.loss_curve))))
     write_manifest(config, "train", outdir)
     print(f"trained predictor: epochs={report.epochs_run} "
           f"val_mse={report.final_val_mse:.6f} -> {outdir}")
@@ -333,9 +335,9 @@ def _write_labels_and_report(labels: ConsistencyLabels, report: TrainReport,
     write_json(outdir / "train_report.json", report_obj)
 
 
-def _offline_phase(config: dict) -> tuple[Trace, ConsistencyLabels, Representation, partial]:
+def _offline_phase(config: dict) -> tuple[Trace, ConsistencyLabels, Representation, dict]:
     """Read the cluster and bo sections and fit the representation once. Returns the trace,
-    its labels, the representation and ``tune_thresholds`` bound to all but the weights."""
+    its labels, the representation and ``tune_thresholds``' keywords but the weights."""
     seed = _setting(config, "run.seed", minimum=0)
     k_min, k_max, restarts = (_setting(config, f"cluster.{key}", minimum=1)
                               for key in ("k_min", "k_max", "restarts"))
@@ -358,13 +360,13 @@ def _offline_phase(config: dict) -> tuple[Trace, ConsistencyLabels, Representati
     rep = fit_representation(trace, labels,
                              mlp_config=mlp_config(config, trace.embedding_dim, seed),
                              k_min=k_min, k_max=k_max, restarts=restarts, fixed_k=fixed_k)
-    return trace, labels, rep, partial(tune_thresholds, rep, trace, **tune_kw)
+    return trace, labels, rep, tune_kw
 
 
 def _kappa_grid(args: argparse.Namespace, default=()) -> list[tuple[float, UtilityWeights]]:
     """(kappa, weights) for each --kappa-grid value, or for ``default`` without one."""
     raw = getattr(args, "kappa_grid", None) or ""
-    grid = [cell(v, float, "--kappa-grid value", ConfigError)
+    grid = [cell(v.strip(), float, "--kappa-grid value", ConfigError)
             for v in raw.split(",") if v.strip()]
     with building("--kappa-grid", ConfigError):
         return [(kappa, UtilityWeights.from_kappas(kappa, kappa)) for kappa in grid or default]
@@ -375,9 +377,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
     outdir = output_dir(config)
     runs = [(outdir / f"kappa_{kappa:g}", weights) for kappa, weights in _kappa_grid(args)]
     runs = runs or [(outdir, utility_weights(config))]
-    _, labels, rep, tune = _offline_phase(config)
+    trace, labels, rep, tune_kw = _offline_phase(config)
     for bundle_dir, weights in runs:
-        state = tune(weights=weights)
+        state = tune_thresholds(rep, trace, weights=weights, **tune_kw)
         save_bundle(state, bundle_dir)
         _write_labels_and_report(labels, rep.train_report, bundle_dir)
         print(f"tuned {state.clusters.k} clusters -> {bundle_dir}")
@@ -450,53 +452,34 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     outdir = output_dir(config)
     grid = _kappa_grid(args, (1.0, 2.0, 5.0, 10.0, 20.0))
-    trace, _, _, tune = _offline_phase(config)
-    scenario = tune.keywords["scenario"]  # as _offline_phase read them
-    anchors = {
-        name: baseline_route(name, trace, scenario, weights=UtilityWeights(),
-                             cost_model=tune.keywords["cost_model"],
-                             window_size=tune.keywords["update_interval"])
-        for name in ("device_only", "edge_only", "cloud_only")
-    }
-    dlm, clm = anchors["device_only"].totals, anchors["cloud_only"].totals
-    lat_span = clm.mean_latency_s - dlm.mean_latency_s
-    cost_span = clm.mean_cost - dlm.mean_cost
-    acc_span = clm.accuracy - dlm.accuracy
-
-    def norm(value: float, lo: float, span: float) -> float:
-        return 100.0 * (value - lo) / span if span != 0 else 0.0
-
-    rows = []
-
-    def add_row(policy: str, kappa: float | None, totals) -> None:
-        rows.append({
-            "policy": policy,
-            "kappa": "" if kappa is None else f"{kappa:g}",
-            "accuracy": totals.accuracy,
-            "mean_latency_s": totals.mean_latency_s,
-            "mean_cost": totals.mean_cost,
-            "norm_latency": norm(totals.mean_latency_s, dlm.mean_latency_s, lat_span),
-            "norm_cost": norm(totals.mean_cost, dlm.mean_cost, cost_span),
-            "norm_score": norm(totals.accuracy, dlm.accuracy, acc_span),
-            "frac_device": totals.tier_fractions["device"],
-            "frac_edge": totals.tier_fractions["edge"],
-            "frac_cloud": totals.tier_fractions["cloud"],
-        })
-
-    add_row("device_only", None, dlm)
-    add_row("edge_only", None, anchors["edge_only"].totals)
-    add_row("cloud_only", None, clm)
-
+    trace, _, rep, tune_kw = _offline_phase(config)
+    policies = ["device_only", "edge_only", "cloud_only"]
+    totals = [baseline_route(name, trace, tune_kw["scenario"], weights=UtilityWeights(),
+                             cost_model=tune_kw["cost_model"],
+                             window_size=tune_kw["update_interval"]).totals
+              for name in policies]
     for kappa, weights in grid:
-        state = tune(weights=weights)
-        report = run_stream(state, trace, scenario, online=False)
-        add_row("router_static", kappa, report.totals)
+        state = tune_thresholds(rep, trace, weights=weights, **tune_kw)
+        report = run_stream(state, trace, tune_kw["scenario"], online=False)
+        policies.append("router_static")
+        totals.append(report.totals)
         print(f"kappa={kappa:g}: acc={report.totals.accuracy:.4f} "
               f"cloud_frac={report.totals.tier_fractions['cloud']:.3f}")
 
-    write_table(outdir / "pareto.csv", {key: [row[key] for row in rows] for key in rows[0]})
+    columns = {"policy": policies, "kappa": [""] * 3 + [f"{kappa:g}" for kappa, _ in grid],
+               **{name: np.array([getattr(t, name) for t in totals])
+                  for name in ("accuracy", "mean_latency_s", "mean_cost")}}
+    # Normalized from device_only (0) to cloud_only (100), rows 0 and 2.
+    for norm, name in (("norm_latency", "mean_latency_s"), ("norm_cost", "mean_cost"),
+                       ("norm_score", "accuracy")):
+        col = columns[name]
+        span = col[2] - col[0]
+        columns[norm] = 100.0 * (col - col[0]) / span if span != 0 else np.zeros(len(col))
+    for tier in TIERS:
+        columns[f"frac_{tier.label}"] = np.array([t.tier_fractions[tier.label] for t in totals])
+    write_table(outdir / "pareto.csv", columns)
     write_manifest(config, "sweep", outdir)
-    print(f"wrote {outdir / 'pareto.csv'} ({len(rows)} rows)")
+    print(f"wrote {outdir / 'pareto.csv'} ({len(policies)} rows)")
     return 0
 
 

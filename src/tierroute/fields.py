@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import sys
 import types
 import typing
@@ -28,6 +29,9 @@ MISSING = dataclasses.MISSING  # an absent key
 
 _KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
           str: "a string", dict: "a JSON object", tuple: "a JSON array"}
+# A cell's number text, in JSON's ASCII syntax: no "1_0", " 2", "+1", "007", "1." or ".5".
+_NUMBER_TEXT = {int: re.compile(r"-?(?:0|[1-9][0-9]*)"),
+                float: re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")}
 
 
 def bad_value(name: str, value, kind: str, error: type[Exception]) -> Exception:
@@ -117,8 +121,8 @@ def read(cls, obj, where: str, *, error: type[Exception], **given):
 
 def cell(text, hint, name: str, error: type[Exception]):
     """A number written as text, in a CSV cell or a flag, checked like a JSON one."""
-    try:
-        return typed(hint(text), hint, name, error)
+    try:  # a mismatch is None, which cannot be indexed
+        return typed(hint(_NUMBER_TEXT[hint].fullmatch(text)[0]), hint, name, error)
     except (TypeError, ValueError, error):
         raise bad_value(name, text, _KINDS[hint], error) from None
 

@@ -39,11 +39,6 @@ def write_json_lines(path: str | Path, objs) -> None:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def table_columns(header, rows) -> dict:
-    """A table given row by row (tuples in ``header`` order) as ``write_table``'s columns."""
-    return dict(zip(header, list(zip(*rows)) or [()] * len(header)))
-
-
 def write_table(path: str | Path, columns: dict) -> None:
     """A CSV table from ``{header: column}``, in order. A column is a NumPy array,
     a sequence, or None for empty cells; all others have one length."""

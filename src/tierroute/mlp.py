@@ -195,10 +195,10 @@ def _mse(model: MlpModel, x: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean((_forward(model, x) - targets) ** 2))
 
 
-def train(model: MlpModel, embeddings: np.ndarray, targets: np.ndarray,
-          cfg: MlpConfig | None = None) -> tuple[MlpModel, TrainReport]:
-    """Mini-batch Adam with early stopping; returns the best-validation snapshot."""
-    cfg = cfg or model.config
+def train(model: MlpModel, embeddings: np.ndarray,
+          targets: np.ndarray) -> tuple[MlpModel, TrainReport]:
+    """Adam under ``model.config``, stopped early; returns the best-validation snapshot."""
+    cfg = model.config
     x = np.asarray(embeddings, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != t.shape[0]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,7 @@ from .cluster import (
 )
 from .errors import BundleIntegrityError, CorruptStateError, DimensionMismatchError
 from .fields import MISSING, building, cell, read, typed
-from .formats import table_columns, write_json, write_table, write_tables
+from .formats import write_json, write_table, write_tables
 from .labels import ConsistencyLabels
 from .mlp import (
     MlpConfig,
@@ -164,8 +164,7 @@ def fit_representation(trace: Trace, labels: ConsistencyLabels, *,
         raise ValueError("labels do not cover the trace (record id mismatch)")
 
     embeddings = trace.embeddings
-    predictor, train_report = train(init_model(mlp_config), embeddings, labels.s_fused,
-                                    mlp_config)
+    predictor, train_report = train(init_model(mlp_config), embeddings, labels.s_fused)
     scores = predict_batch(predictor, embeddings)
     if fixed_k is not None:
         clusters = kmeans_fit(embeddings, fixed_k, mlp_config.seed, restarts=restarts)
@@ -257,12 +256,14 @@ class WindowStats:
 
 @dataclass
 class StreamReport:
+    """``thresholds[w, c]``: cluster c's (tau1, tau2) in window w; fixed policies have no c."""
+
     policy: str
     window_size: int
     windows: list[WindowStats]
     totals: WindowStats
     decisions: Decisions
-    threshold_history: dict[int, list[tuple[int, float, float]]] = field(default_factory=dict)
+    thresholds: np.ndarray
 
 
 def _window_stats(index: int, d: Decisions, rows: slice) -> WindowStats:
@@ -280,8 +281,7 @@ def _window_stats(index: int, d: Decisions, rows: slice) -> WindowStats:
 
 
 def _build_report(policy: str, window_size: int, trace: Trace, tier: np.ndarray,
-                  outcomes: tuple[np.ndarray, ...],
-                  threshold_history: dict[int, list[tuple[int, float, float]]],
+                  outcomes: tuple[np.ndarray, ...], thresholds: np.ndarray | None = None,
                   **routing: np.ndarray) -> StreamReport:
     """Pick each query's tier out of the (n, 3) outcome matrices and summarize
     every window, which is a contiguous slice of ``window_size`` queries."""
@@ -294,7 +294,8 @@ def _build_report(policy: str, window_size: int, trace: Trace, tier: np.ndarray,
                for w, start in enumerate(range(0, n, window_size))]
     return StreamReport(policy=policy, window_size=window_size, windows=windows,
                         totals=_window_stats(-1, d, slice(None)), decisions=d,
-                        threshold_history=threshold_history)
+                        thresholds=np.empty((len(windows), 0, 2)) if thresholds is None
+                        else thresholds)
 
 
 def run_stream(state: RouterState, stream: Trace, scenario: NetworkScenario,
@@ -318,29 +319,26 @@ def run_stream(state: RouterState, stream: Trace, scenario: NetworkScenario,
     k = state.clusters.k
     scores = predict_batch(state.predictor, stream.embeddings)
     membership = assign_batch(state.clusters, stream.embeddings)
+    windows = np.arange(n) // m
     outcomes = _tier_outcomes(stream, scenario, state.cost_model, state.weights,
-                              state.cloud_baselines, np.arange(n) // m)
+                              state.cloud_baselines, windows)
     tier_utilities = outcomes[3]
     members = [np.flatnonzero(membership == c) for c in range(k)]
     refresh_rngs = [np.random.default_rng(_derived_seed(state.bo_config.seed, 2, c))
                     for c in range(k)]
-    threshold_history: dict[int, list[tuple[int, float, float]]] = {c: [] for c in range(k)}
 
-    tau1, tau2 = np.empty(n), np.empty(n)
+    thresholds = np.empty((windows[-1] + 1, k, 2))
     tier = np.empty(n, dtype=np.int64)
     for window, start in enumerate(range(0, n, m)):
         rows = slice(start, min(start + m, n))
-        pairs = [state.thresholds[c] for c in range(k)]
-        for c, pair in enumerate(pairs):
-            threshold_history[c].append((window, pair.tau1, pair.tau2))
+        thresholds[window] = [astuple(state.thresholds[c]) for c in range(k)]
         clusters = membership[rows]
-        tau1[rows] = np.array([p.tau1 for p in pairs])[clusters]
-        tau2[rows] = np.array([p.tau2 for p in pairs])[clusters]
-        tier[rows] = route_tiers(scores[rows], tau1[rows], tau2[rows])
+        taus = thresholds[window, clusters]
+        tier[rows] = route_tiers(scores[rows], taus[:, 0], taus[:, 1])
         routed = tier_utilities[np.arange(start, rows.stop), tier[rows]]
         active = np.unique(clusters).tolist()
         for c in active:
-            state.observations[c].extend(pairs[c], routed[clusters == c])
+            state.observations[c].extend(state.thresholds[c], routed[clusters == c])
         if not online or rows.stop - start < m:
             continue
         for c in active:
@@ -354,8 +352,9 @@ def run_stream(state: RouterState, stream: Trace, scenario: NetworkScenario,
             )
 
     policy = "router_online" if online else "router_static"
-    return _build_report(policy, m, stream, tier, outcomes, threshold_history,
-                         cluster=membership, score=scores, tau1=tau1, tau2=tau2)
+    taus = thresholds[windows, membership]
+    return _build_report(policy, m, stream, tier, outcomes, thresholds, cluster=membership,
+                         score=scores, tau1=taus[:, 0], tau2=taus[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +388,10 @@ def baseline_route(policy: str, trace: Trace, scenario: NetworkScenario, *,
                               np.arange(n) // window_size)
     if policy != "global_static":
         tier = np.full(n, FIXED_POLICIES[policy], dtype=np.int64)
-        return _build_report(policy, window_size, trace, tier, outcomes, {})
+        return _build_report(policy, window_size, trace, tier, outcomes)
     scores = predict_batch(predictor, trace.embeddings)
     tier = route_tiers(scores, pair.tau1, pair.tau2)
-    return _build_report(policy, window_size, trace, tier, outcomes, {}, score=scores,
+    return _build_report(policy, window_size, trace, tier, outcomes, score=scores,
                          tau1=np.full(n, pair.tau1), tau2=np.full(n, pair.tau2))
 
 
@@ -406,15 +405,17 @@ def write_report_files(report: StreamReport, outdir: str | Path, prefix: str = "
     outdir.mkdir(parents=True, exist_ok=True)
     paths = [outdir / f"{prefix}_{name}" for name in
              ("report.json", "windows.csv", "thresholds.csv", "decisions.csv", "utilities.csv")]
-    history = sorted(report.threshold_history.items())
+    n_windows, k, _ = report.thresholds.shape
+    by_cluster = report.thresholds.transpose(1, 0, 2)
     write_json(paths[0], {
         "policy": report.policy,
         "window_size": report.window_size,
         "latency_model": LATENCY_MODEL_NOTE,
         "totals": asdict(report.totals),
         "windows": [asdict(w) for w in report.windows],
-        "threshold_history": {str(c): [{"window": w, "tau1": t1, "tau2": t2} for w, t1, t2 in hist]
-                              for c, hist in history},
+        "threshold_history": {str(c): [{"window": w, "tau1": t1, "tau2": t2}
+                                       for w, (t1, t2) in enumerate(pairs)]
+                              for c, pairs in enumerate(by_cluster.tolist())},
     })
 
     windows = report.windows
@@ -424,8 +425,9 @@ def write_report_files(report: StreamReport, outdir: str | Path, prefix: str = "
            for name in ("count", "accuracy", "mean_latency_s", "mean_cost", "mean_utility")},
         **{f"frac_{t.label}": [w.tier_fractions[t.label] for w in windows] for t in TIERS},
     })
-    write_table(paths[2], table_columns(("cluster", "window", "tau1", "tau2"),
-                                        [(c, *entry) for c, hist in history for entry in hist]))
+    write_table(paths[2], {"cluster": np.repeat(np.arange(k), n_windows),
+                           "window": np.tile(np.arange(n_windows), k),
+                           "tau1": by_cluster[..., 0].ravel(), "tau2": by_cluster[..., 1].ravel()})
 
     d = report.decisions
     columns = {

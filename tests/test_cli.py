@@ -47,6 +47,11 @@ def swap_first_rows(path):
     path.write_bytes(b"\r\n".join(lines))
 
 
+def pad_first_cluster(path):
+    """Write the first data row's cluster as " 0", which int() reads as 0 but JSON does not."""
+    path.write_bytes(path.read_bytes().replace(b"\r\n0,", b"\r\n 0,", 1))
+
+
 def set_payload_entry(path, index, value):
     """Overwrite float64 number ``index`` of an arrays file's payload."""
     head, _, body = path.read_bytes().partition(b"\n")
@@ -173,7 +178,7 @@ class TestTune:
 
     def test_kappa_grid_makes_one_bundle_each(self, workdir):
         tmp, cfg = workdir
-        assert run("tune", "--config", cfg, "--out", tmp / "k", "--kappa-grid", "1,5") == 0
+        assert run("tune", "--config", cfg, "--out", tmp / "k", "--kappa-grid", " 1, 5") == 0
         assert (tmp / "k" / "kappa_1" / "thresholds.json").exists()
         assert (tmp / "k" / "kappa_5" / "thresholds.json").exists()
 
@@ -254,11 +259,12 @@ class TestTune:
          "line 7: cluster 0 holds more rows than observation_capacity 5"),
         ("observations.csv", swap_first_rows,
          "line 2: order_index 1 out of order; cluster 0 expects 0"),
+        ("observations.csv", pad_first_cluster, "line 2: cluster must be an integer; got ' 0'"),
     ])
     def test_observation_rows_checked_without_checksum(self, workdir, capsys, name, edit,
                                                        message):
         # Hash rewritten and no state checksum: only the row checks can stop a
-        # capacity that would drop rows, or two rows swapped.
+        # capacity that would drop rows, two rows swapped, or a padded number.
         tmp, cfg = workdir
         assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
         edit(tmp / "b" / name)
@@ -358,7 +364,7 @@ class TestTune:
         assert not (out / "thresholds.json").exists() and not (out / "trace.jsonl").exists()
 
     @pytest.mark.parametrize("grid, named", [("1,x", "'x'"), ("1,0", "kappas must be positive"),
-                                             ("inf", "'inf'")])
+                                             ("inf", "'inf'"), ("1_0", "'1_0'")])
     def test_kappa_grid_checked(self, workdir, capsys, grid, named):
         tmp, cfg = workdir
         assert run("tune", "--config", cfg, "--out", tmp / "b", "--kappa-grid", grid) == 2
@@ -631,6 +637,17 @@ class TestSweep:
                           for p in ("device_only", "edge_only", "cloud_only"))
         for row in rows:
             assert anchors_min - 5.0 <= float(row["norm_latency"]) <= 105.0
+
+    def test_zero_accuracy_span_reads_zero(self, workdir):
+        # Every tier is always right, so cloud_only's accuracy equals device_only's.
+        tmp, cfg = workdir
+        assert run("sweep", "--config", cfg, "--kappa-grid", "1,5", "--out", tmp / "sw",
+                   "--set", "synthetic.tier_accuracy_profile=[[1,1,1],[1,1,1]]") == 0
+        lines = (tmp / "sw" / "pareto.csv").read_text().splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert len(rows) == 5 and {row["accuracy"] for row in rows} == {"1.0"}
+        assert [row["norm_score"] for row in rows] == ["0.0"] * 5
+        assert rows[2]["norm_latency"] == rows[2]["norm_cost"] == "100.0"
 
     def test_deterministic(self, workdir):
         tmp, cfg = workdir

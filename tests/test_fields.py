@@ -5,13 +5,17 @@ The fuzz mutates one value of a valid trace, config, scenario or bundle file
 rewrites the bundle's manifest hashes so that the content checks run, and
 calls the loaders and materializers directly. Each mutation must either load
 with correctly typed values or raise a TierRouteError naming the file (the
-config section, for a config). Any other exception fails the test.
+config section, for a config). Any other exception fails the test. A second
+bundle fuzz edits one byte or one value and runs the commands that read a
+bundle through ``cli.main``, with and without rehashing, and never allows
+exit 1.
 """
 
 import argparse
 import dataclasses
 import json
 import math
+import re
 import shutil
 import typing
 from dataclasses import dataclass
@@ -70,6 +74,23 @@ class TestTyped:
         for text in ("inf", "1.5", "", None):
             with pytest.raises(ConfigError, match=f"c must be an integer; got {text!r}"):
                 cell(text, int, "c", ConfigError)
+
+    @pytest.mark.parametrize("text, hint", [
+        ("1_0", int), ("\u0663", int), (" 2 ", float), ("2 ", int), ("+1", int), ("007", int),
+        ("1.", float), (".5", float), ("+1.5", float), ("01.5", float), ("0_0.5e0_1", float),
+        ("\u0663.5", float), ("1e5_0", float), ("\t3", int),
+    ])
+    def test_cell_takes_only_json_number_text(self, text, hint):
+        # int() and float() accept each of these; a JSON number is none of them.
+        kind = "an integer" if hint is int else "a finite number"
+        with pytest.raises(ConfigError, match=f"^c must be {kind}; got {re.escape(repr(text))}$"):
+            cell(text, hint, "c", ConfigError)
+
+    @pytest.mark.parametrize("text", ["1e-05", "-0.0", "1e+16", "5e-324", "1E5", "-7", "0.1",
+                                      "1.7976931348623157e+308"])
+    def test_cell_reads_every_float_repr(self, text):
+        value = cell(text, float, "c", ConfigError)
+        assert type(value) is float and value.hex() == float(text).hex()
 
 
 class TestRead:
@@ -328,5 +349,93 @@ def test_fuzz_bundle(tiny_bundle, tmp_path_factory):
                 state.clusters, *state.thresholds.values()))
             assert all(type(p) is float for p in state.cost_model.activated_params.values())
             assert type(state.update_interval) is int and state.update_interval >= 1
+
+    check()
+
+
+# The bundle files a command reads and the manifest hashes; the state checksum
+# covers the learned ones, so a rehashed edit of those may fail that check instead.
+BUNDLE_FILES = ["predictor.ckpt", "centroids.bin", "thresholds.json", "observations.csv",
+                "state.json"]
+LEARNED = BUNDLE_FILES[:4]
+TAMPER = settings(max_examples=200, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.too_slow])
+
+
+def edit_value(data, path):
+    """Change one value of a bundle file, written back as the program writes it."""
+    name, raw = path.name, path.read_bytes()
+    if name.endswith(".json"):
+        return (json.dumps(mutate(data, json.loads(raw)), sort_keys=True, indent=2) + "\n").encode()
+    if name in BUNDLE_HEADERS:
+        head, _, body = raw.partition(b"\n")
+        return json.dumps(mutate(data, json.loads(head)), sort_keys=True).encode() + b"\n" + body
+    rows = [line.split(",") for line in raw.decode().split("\r\n")[:-1]]
+    row = data.draw(st.integers(1, len(rows) - 1))
+    rows[row][data.draw(st.integers(0, len(rows[0]) - 1))] = data.draw(
+        st.sampled_from(NASTY_TEXT + ["0", "1", "0.5", "1e-05", "-0.0", "1_0"]))
+    return "".join(",".join(r) + "\r\n" for r in rows).encode()
+
+
+def test_fuzz_bundle_commands(tiny_trace, tiny_bundle, tmp_path_factory, capsys):
+    """One byte or one value of one bundle file changed, through ``stream`` and
+    ``baseline --policy global-static``. Unhashed, any change exits 2 naming the
+    file. Rehashed, the bundle may be valid and run; otherwise it exits 2 naming
+    the file, or the state checksum for a learned file. Nothing exits 1."""
+    base = tmp_path_factory.mktemp("tamper")
+    trace = base / "t.jsonl"
+    save_trace(tiny_trace, trace)
+    bundle, out = base / "b", base / "out"
+    commands = {
+        "stream": ["stream", "--bundle", bundle, "--trace", trace, "--online",
+                   "--update-interval", "20", "--out", out],
+        "baseline": ["baseline", "--policy", "global-static", "--tau1", "0.8", "--tau2", "0.4",
+                     "--bundle", bundle, "--trace", trace, "--out", out],
+    }
+    reports = {"stream": "stream_report.json", "baseline": "baseline_global_static_report.json"}
+    reference = {}
+    for command, argv in commands.items():
+        shutil.copytree(tiny_bundle, bundle, dirs_exist_ok=True)
+        assert cli.main([str(a) for a in argv]) == 0
+        reference[command] = (out / reports[command]).read_bytes()
+
+    @TAMPER
+    @given(st.data())
+    def check(data):
+        shutil.rmtree(bundle, ignore_errors=True)
+        shutil.rmtree(out, ignore_errors=True)
+        shutil.copytree(tiny_bundle, bundle)
+        name = data.draw(st.sampled_from(BUNDLE_FILES))
+        path = bundle / name
+        before = path.read_bytes()
+        if data.draw(st.booleans()):
+            edited = bytearray(before)
+            edited[data.draw(st.integers(0, len(before) - 1))] = data.draw(st.integers(0, 255))
+            path.write_bytes(bytes(edited))
+        else:
+            path.write_bytes(edit_value(data, path))
+        changed = path.read_bytes() != before
+        rehashed = data.draw(st.sampled_from(["no", "files", "files and checksum"]))
+        if rehashed != "no":
+            rehash(bundle, name)
+        if rehashed == "files and checksum":
+            manifest = json.loads((bundle / "bundle_manifest.json").read_text())
+            del manifest["checksum"]
+            (bundle / "bundle_manifest.json").write_text(json.dumps(manifest))
+        command = data.draw(st.sampled_from(sorted(commands)))
+        capsys.readouterr()
+        code = cli.main([str(a) for a in commands[command]])
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        if rehashed == "no":
+            assert code == (2 if changed else 0), err
+            if code == 2:
+                assert f"checksum mismatch for {name}" in err, err
+            else:
+                assert (out / reports[command]).read_bytes() == reference[command]
+        elif code == 2:
+            assert str(path) in err or (
+                rehashed == "files" and name in LEARNED
+                and f"{bundle}: reconstructed state checksum mismatch" in err), err
 
     check()

@@ -83,6 +83,10 @@ def old_arrays(path, header, *arrays):  # save_checkpoint's idiom
 
 
 def old_report_files(report, outdir, prefix):
+    n_windows, k = report.thresholds.shape[:2]
+    history = {c: [(w, *report.thresholds[w, c].tolist()) for w in range(n_windows)]
+               for c in range(k)}
+
     def window_obj(w):
         return {
             "index": w.index, "count": w.count, "accuracy": w.accuracy,
@@ -98,7 +102,7 @@ def old_report_files(report, outdir, prefix):
         "windows": [window_obj(w) for w in report.windows],
         "threshold_history": {
             str(k): [{"window": w, "tau1": t1, "tau2": t2} for w, t1, t2 in hist]
-            for k, hist in sorted(report.threshold_history.items())
+            for k, hist in sorted(history.items())
         },
     }
     (outdir / f"{prefix}_report.json").write_text(
@@ -115,7 +119,7 @@ def old_report_files(report, outdir, prefix):
     with (outdir / f"{prefix}_thresholds.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cluster", "window", "tau1", "tau2"])
-        for k, hist in sorted(report.threshold_history.items()):
+        for k, hist in sorted(history.items()):
             for window, tau1, tau2 in hist:
                 writer.writerow([k, window, repr(tau1), repr(tau2)])
     d = report.decisions

@@ -126,7 +126,7 @@ class TestTrain:
         x = rng.normal(size=(200, 3))
         t = np.full(200, 0.7)
         cfg = tiny_cfg(max_epochs=300, early_stop_patience=300, learning_rate=5e-3)
-        model, report = train(init_model(cfg), x, t, cfg)
+        model, report = train(init_model(cfg), x, t)
         preds = predict_batch(model, rng.normal(size=(50, 3)))
         assert np.all(np.abs(preds - 0.7) < 0.02)
         assert report.final_val_mse <= report.loss_curve[0][2]
@@ -140,7 +140,7 @@ class TestTrain:
         cfg = MlpConfig(input_dim=4, hidden_dims=(16,), activation="tanh",
                         learning_rate=5e-3, batch_size=32, max_epochs=200,
                         early_stop_patience=200, seed=0, validation_fraction=0.2)
-        model, _ = train(init_model(cfg), x[:500], t[:500], cfg)
+        model, _ = train(init_model(cfg), x[:500], t[:500])
         held_mse = float(np.mean((predict_batch(model, x[500:]) - t[500:]) ** 2))
         assert held_mse < 0.01
 
@@ -149,8 +149,8 @@ class TestTrain:
         x = rng.normal(size=(120, 3))
         t = rng.random(120)
         cfg = tiny_cfg(max_epochs=30, early_stop_patience=3)
-        m1, r1 = train(init_model(cfg), x, t, cfg)
-        m2, r2 = train(init_model(cfg), x, t, cfg)
+        m1, r1 = train(init_model(cfg), x, t)
+        m2, r2 = train(init_model(cfg), x, t)
         assert r1.epochs_run == r2.epochs_run
         assert np.array_equal(m1.params, m2.params)
 
@@ -159,7 +159,7 @@ class TestTrain:
         x = rng.normal(size=(150, 3))
         t = rng.random(150)
         cfg = tiny_cfg(max_epochs=40, early_stop_patience=40)
-        _, report = train(init_model(cfg), x, t, cfg)
+        _, report = train(init_model(cfg), x, t)
         assert report.final_val_mse <= report.loss_curve[0][2] + 1e-12
 
     def test_divergence_raises_with_epoch(self):
@@ -170,7 +170,7 @@ class TestTrain:
         model = init_model(cfg)
         model.layers[0][0][0, 0] = np.nan
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
-            train(model, x, t, cfg)
+            train(model, x, t)
 
     def test_full_batch_permutation_invariance(self):
         # With shuffling disabled and full-batch updates, permuting the
@@ -180,19 +180,19 @@ class TestTrain:
         t = rng.random(40)
         cfg = tiny_cfg(max_epochs=25, early_stop_patience=25, batch_size=64,
                        shuffle_each_epoch=False, validation_fraction=0.1)
-        m1, _ = train(init_model(cfg), x, t, cfg)
+        m1, _ = train(init_model(cfg), x, t)
         perm = rng.permutation(36)
         x2 = x.copy()
         t2 = t.copy()
         x2[:36], t2[:36] = x[:36][perm], t[:36][perm]
-        m2, _ = train(init_model(cfg), x2, t2, cfg)
+        m2, _ = train(init_model(cfg), x2, t2)
         probe = rng.normal(size=(20, 3))
         assert np.max(np.abs(predict_batch(m1, probe) - predict_batch(m2, probe))) < 1e-9
 
     def test_rejects_out_of_range_targets(self):
         cfg = tiny_cfg()
         with pytest.raises(ValueError, match="targets"):
-            train(init_model(cfg), np.zeros((4, 3)), np.array([0.1, 0.5, 1.2, 0.0]), cfg)
+            train(init_model(cfg), np.zeros((4, 3)), np.array([0.1, 0.5, 1.2, 0.0]))
 
 
 class TestSyntheticPredictor:
@@ -208,7 +208,7 @@ class TestSyntheticPredictor:
         mlp_cfg = MlpConfig(input_dim=16, hidden_dims=(32,), activation="relu",
                             learning_rate=3e-3, batch_size=64, max_epochs=60,
                             early_stop_patience=10, seed=1, validation_fraction=0.15)
-        model, _ = train(init_model(mlp_cfg), x[:split], labels.s_fused[:split], mlp_cfg)
+        model, _ = train(init_model(mlp_cfg), x[:split], labels.s_fused[:split])
         held = np.abs(predict_batch(model, x[split:]) - labels.s_fused[split:])
         assert float(held.mean()) < 0.05
 
@@ -217,7 +217,7 @@ class TestCheckpoint:
     def test_round_trip_bytes(self, tmp_path):
         cfg = tiny_cfg(seed=8)
         rng = np.random.default_rng(0)
-        model, _ = train(init_model(cfg), rng.normal(size=(60, 3)), rng.random(60), cfg)
+        model, _ = train(init_model(cfg), rng.normal(size=(60, 3)), rng.random(60))
         p1 = tmp_path / "m.ckpt"
         save_checkpoint(model, p1)
         loaded = load_checkpoint(p1)
@@ -429,7 +429,7 @@ class TestMatchesListReference:
                         shuffle_each_epoch=shuffle)
         assert np.array_equal(init_model(cfg).params, ref_init(cfg).flat_params())
 
-        model, report = train(init_model(cfg), x, t, cfg)
+        model, report = train(init_model(cfg), x, t)
         ref, curve = ref_train(ref_init(cfg), x, t, cfg)
         assert np.array_equal(model.params, ref.flat_params())
         assert np.array_equal(model.input_mean, ref.input_mean)
@@ -450,7 +450,7 @@ class TestMatchesListReference:
         model.params[entry] = np.nan
         rng = np.random.default_rng(4)
         with pytest.raises(TrainingDivergedError, match="non-finite loss at epoch 1"):
-            train(model, rng.normal(size=(40, 3)), rng.random(40), cfg)
+            train(model, rng.normal(size=(40, 3)), rng.random(40))
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_predict_batch_inputs(self, activation):

@@ -250,9 +250,9 @@ class TestRunStream:
         initial = dict(clone.thresholds)
         report = run_stream(clone, trace, GOOD, online=False)
         assert clone.thresholds == initial
-        for hist in report.threshold_history.values():
-            taus = {(t1, t2) for _, t1, t2 in hist}
-            assert len(taus) == 1
+        pairs = [[initial[c].tau1, initial[c].tau2] for c in range(state.clusters.k)]
+        assert report.thresholds.shape == (len(report.windows), state.clusters.k, 2)
+        assert all(row.tolist() == pairs for row in report.thresholds)
 
     def test_conservation(self, small_state):
         trace, _, state = small_state
@@ -278,9 +278,9 @@ class TestRunStream:
 
     def test_online_matches_per_query_reference(self, small_state):
         # The windowed stream equals a query-at-a-time replay of the same rule:
-        # same tiers, refreshed thresholds and observation logs, with a
-        # partial last window that triggers no refresh. Each cluster sees more
-        # queries than the replay depth.
+        # same tiers, pairs in force, refreshed thresholds and observation logs,
+        # with a partial last window that triggers no refresh. Each cluster sees
+        # more queries than the replay depth.
         trace, _, state = small_state
         stream = concat_traces(concat_traces(trace, trace), trace).subset(slice(0, 1450))
         ref = deepcopy(state)
@@ -299,8 +299,11 @@ class TestRunStream:
         recent = {c: deque(maxlen=RECENT_REPLAY_DEPTH) for c in range(ref.clusters.k)}
         rngs = {c: np.random.default_rng(_derived_seed(ref.bo_config.seed, 2, c))
                 for c in range(ref.clusters.k)}
-        fresh, tiers = set(), []
+        fresh, tiers, in_force = set(), [], []
         for i in range(len(stream)):
+            if i % m == 0:
+                in_force.append([(ref.thresholds[c].tau1, ref.thresholds[c].tau2)
+                                 for c in range(ref.clusters.k)])
             c = int(membership[i])
             pair = ref.thresholds[c]
             tiers.append(int(route_tiers(float(scores[i]), pair.tau1, pair.tau2)))
@@ -316,6 +319,9 @@ class TestRunStream:
                         rng=rngs[c], hypers=DEFAULT_ONLINE_HYPERS)
                 fresh.clear()
         assert report.decisions.tier.tolist() == tiers
+        expected = np.array(in_force)  # (windows, clusters, 2), compared bit for bit
+        assert report.thresholds.shape == expected.shape
+        assert report.thresholds.tobytes() == expected.tobytes()
         assert clone.thresholds == ref.thresholds
         grown = sum(len(clone.observations[c]) - len(state.observations[c])
                     for c in range(ref.clusters.k))
