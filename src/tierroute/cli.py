@@ -28,7 +28,7 @@ from .accounting import CostModel, UtilityWeights
 from .bayesopt import BoConfig, ThresholdPair
 from .errors import ConfigError, TierRouteError, TraceValidationError
 from .fields import MISSING, building, cell, read, typed
-from .formats import write_json, write_json_lines, write_table
+from .formats import read_json_lines, write_json, write_json_lines, write_table
 from .labels import ConsistencyLabels, LabelConfig, build_labels
 from .mlp import MlpConfig, TrainReport, init_model, save_checkpoint, train
 from .network import load_scenario, scenario_by_name
@@ -101,20 +101,11 @@ CONFIG_KEYS["weights"] |= {"kappa1", "kappa2"}
 # ---------------------------------------------------------------------------
 
 def load_config_file(path: str | Path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     sections: dict = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: line {lineno}: bad JSON ({exc})") from exc
-        if not isinstance(obj, dict) or "section" not in obj:
-            raise ConfigError(f"{path}: line {lineno}: expected an object with a 'section' key")
-        name = typed(obj.pop("section"), str, f"{path}: line {lineno}: section", ConfigError)
+    for where, obj in read_json_lines(path, ConfigError):
+        if "section" not in obj:
+            raise ConfigError(f"{where}: expected an object with a 'section' key")
+        name = typed(obj.pop("section"), str, f"{where}: section", ConfigError)
         sections.setdefault(name, {}).update(obj)
     return sections
 
@@ -131,6 +122,8 @@ def apply_overrides(config: dict, settings: list[str]) -> None:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw  # bare strings allowed
+        except RecursionError as exc:
+            raise ConfigError(f"--set {key}: value nested too deep to decode") from exc
         if config.get(section) is None:
             config[section] = {}
         config[section][field] = value
@@ -156,10 +149,10 @@ def _given_config(args: argparse.Namespace) -> dict:
     return given
 
 
-def resolve_config(args: argparse.Namespace, given: dict | None = None) -> dict:
-    """DEFAULT_CONFIG under ``given`` (by default ``_given_config(args)``)."""
+def resolve_config(given: dict) -> dict:
+    """DEFAULT_CONFIG under ``given``, the sections ``_given_config`` returns."""
     config = copy.deepcopy(DEFAULT_CONFIG)
-    for name, body in (_given_config(args) if given is None else given).items():
+    for name, body in given.items():
         config[name] = None if body is None else {**(config.get(name) or {}), **body}
     for section, body in config.items():
         for key in body or ():
@@ -179,16 +172,18 @@ def output_dir(config: dict) -> Path:
 
 def write_manifest(config: dict, command: str, outdir: Path) -> None:
     # The output location is not part of the experiment identity.
-    scrubbed = copy.deepcopy(config)
-    scrubbed["run"].pop("output_dir", None)
-    canonical = json.dumps(scrubbed, sort_keys=True)
-    write_json(outdir / "manifest.json", {
-        "command": command,
-        "config": json.loads(canonical),
-        "config_sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
-        "seed": config["run"]["seed"],
-        "tierroute_version": __version__,
-    })
+    scrubbed = {**config, "run": {k: v for k, v in config["run"].items() if k != "output_dir"}}
+    try:  # a value that json could decode may still nest too deep to encode here
+        canonical = json.dumps(scrubbed, sort_keys=True)
+        write_json(outdir / "manifest.json", {
+            "command": command,
+            "config": scrubbed,
+            "config_sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+            "seed": config["run"]["seed"],
+            "tierroute_version": __version__,
+        })
+    except RecursionError as exc:
+        raise ConfigError(f"{outdir / 'manifest.json'}: the config nests too deep to write") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +212,9 @@ def resolve_trace(config: dict, seed: int) -> Trace:
     if trace_path and has_synth:
         raise ConfigError("provide either a trace path or a synthetic config, not both")
     if trace_path:
-        path = Path(trace_path)
-        if not path.exists():
-            raise ConfigError(f"trace file not found: {path}")
-        trace = load_trace(path)
+        trace = load_trace(trace_path)
         if len(trace) == 0:
-            raise TraceValidationError(f"{path}: trace holds no records")
+            raise TraceValidationError(f"{trace_path}: trace holds no records")
         return trace
     if has_synth:
         trace, _ = generate_synthetic_trace(synthetic_config(config, seed))
@@ -263,7 +255,7 @@ def update_interval(config: dict) -> int:
 
 def network_scenario(config: dict):
     name = _setting(config, "network.scenario", str)
-    switch_at = _setting(config, "network.switch_window")
+    switch_at = _setting(config, "network.switch_window", minimum=0)
     try:
         return scenario_by_name(name, switch_at=switch_at)
     except ValueError as exc:
@@ -276,13 +268,10 @@ def network_scenario(config: dict):
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+def cmd_gen(args: argparse.Namespace, config: dict, outdir: Path) -> None:
     if config.get("synthetic") is None:
         config["synthetic"] = {}
     seed = _setting(config, "run.seed", minimum=0)
-    outdir = output_dir(config)
-
     drift = read(SyntheticDrift, config["synthetic"], "synthetic", error=ConfigError)
     cfg = synthetic_config(config, seed)
     trace, truth = generate_synthetic_trace(cfg)
@@ -299,9 +288,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     truth_obj = {name: getattr(truth, name).tolist() for name in
                  ("cluster_of", "tier_probs", "consistency_edge", "consistency_cloud")}
     write_json_lines(outdir / "trace_truth.json", [truth_obj])  # one compact line
-    write_manifest(config, "gen", outdir)
     print(f"wrote {outdir / 'trace.jsonl'} ({len(trace)} records)")
-    return 0
 
 
 def _train_parts(config: dict):
@@ -313,18 +300,14 @@ def _train_parts(config: dict):
     return trace, labels, model, report
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
-    outdir = output_dir(config)
+def cmd_train(args: argparse.Namespace, config: dict, outdir: Path) -> None:
     _, labels, model, report = _train_parts(config)
     save_checkpoint(model, outdir / "predictor.ckpt")
     _write_labels_and_report(labels, report, outdir)
     write_table(outdir / "loss_curve.csv",
                 dict(zip(("epoch", "train_mse", "val_mse"), zip(*report.loss_curve))))
-    write_manifest(config, "train", outdir)
     print(f"trained predictor: epochs={report.epochs_run} "
           f"val_mse={report.final_val_mse:.6f} -> {outdir}")
-    return 0
 
 
 def _write_labels_and_report(labels: ConsistencyLabels, report: TrainReport,
@@ -364,17 +347,21 @@ def _offline_phase(config: dict) -> tuple[Trace, ConsistencyLabels, Representati
 
 
 def _kappa_grid(args: argparse.Namespace, default=()) -> list[tuple[float, UtilityWeights]]:
-    """(kappa, weights) for each --kappa-grid value, or for ``default`` without one."""
+    """(kappa, weights) for each --kappa-grid value, or for ``default`` without one.
+    Two values may not print alike, since the text names a bundle or a row."""
     raw = getattr(args, "kappa_grid", None) or ""
-    grid = [cell(v.strip(), float, "--kappa-grid value", ConfigError)
-            for v in raw.split(",") if v.strip()]
+    texts = [v.strip() for v in raw.split(",") if v.strip()]
+    grid = [cell(text, float, "--kappa-grid value", ConfigError) for text in texts]
+    names = [f"{kappa:g}" for kappa in grid]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"--kappa-grid values {texts[names.index(name)]!r} and "
+                              f"{texts[i]!r} both print as {name}")
     with building("--kappa-grid", ConfigError):
         return [(kappa, UtilityWeights.from_kappas(kappa, kappa)) for kappa in grid or default]
 
 
-def cmd_tune(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
-    outdir = output_dir(config)
+def cmd_tune(args: argparse.Namespace, config: dict, outdir: Path) -> None:
     runs = [(outdir / f"kappa_{kappa:g}", weights) for kappa, weights in _kappa_grid(args)]
     runs = runs or [(outdir, utility_weights(config))]
     trace, labels, rep, tune_kw = _offline_phase(config)
@@ -383,20 +370,13 @@ def cmd_tune(args: argparse.Namespace) -> int:
         save_bundle(state, bundle_dir)
         _write_labels_and_report(labels, rep.train_report, bundle_dir)
         print(f"tuned {state.clusters.k} clusters -> {bundle_dir}")
-    write_manifest(config, "tune", outdir)
-    return 0
 
 
-def cmd_stream(args: argparse.Namespace) -> int:
-    given = _given_config(args)
-    config = resolve_config(args, given)
-    outdir = output_dir(config)
-    if not args.bundle:
-        raise ConfigError("stream needs --bundle from a previous tune run")
+def cmd_stream(args: argparse.Namespace, config: dict, outdir: Path) -> None:
     interval = update_interval(config)
     state = load_bundle(args.bundle)
     # --update-interval, --set or the config file overrides the bundle's interval.
-    if "update_interval" in (given.get("stream") or {}):
+    if args.update_interval_given:
         state.update_interval = interval
     else:  # the bundle's interval applies, and the manifest records it
         config["stream"]["update_interval"] = state.update_interval
@@ -410,17 +390,13 @@ def cmd_stream(args: argparse.Namespace) -> int:
         online = True
     report = run_stream(state, stream_trace, scenario, online=online)
     write_report_files(report, outdir, prefix="stream")
-    write_manifest(config, "stream", outdir)
     totals = report.totals
     print(f"{report.policy}: acc={totals.accuracy:.4f} "
           f"latency={totals.mean_latency_s:.3f}s cost={totals.mean_cost:.1f} "
           f"utility={totals.mean_utility:.4f}")
-    return 0
 
 
-def cmd_baseline(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
-    outdir = output_dir(config)
+def cmd_baseline(args: argparse.Namespace, config: dict, outdir: Path) -> None:
     seed = _setting(config, "run.seed", minimum=0)
     trace = resolve_trace(config, seed)
     scenario = network_scenario(config)
@@ -441,16 +417,12 @@ def cmd_baseline(args: argparse.Namespace) -> int:
                             pair=pair, predictor=predictor,
                             window_size=update_interval(config))
     write_report_files(report, outdir, prefix=f"baseline_{policy}")
-    write_manifest(config, "baseline", outdir)
     totals = report.totals
     print(f"{policy}: acc={totals.accuracy:.4f} latency={totals.mean_latency_s:.3f}s "
           f"cost={totals.mean_cost:.1f}")
-    return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
-    outdir = output_dir(config)
+def cmd_sweep(args: argparse.Namespace, config: dict, outdir: Path) -> None:
     grid = _kappa_grid(args, (1.0, 2.0, 5.0, 10.0, 20.0))
     trace, _, rep, tune_kw = _offline_phase(config)
     policies = ["device_only", "edge_only", "cloud_only"]
@@ -478,9 +450,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for tier in TIERS:
         columns[f"frac_{tier.label}"] = np.array([t.tier_fractions[tier.label] for t in totals])
     write_table(outdir / "pareto.csv", columns)
-    write_manifest(config, "sweep", outdir)
     print(f"wrote {outdir / 'pareto.csv'} ({len(policies)} rows)")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -556,13 +526,22 @@ _POLICY_ALIASES = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Resolve the command's config, make its output directory, run it, then
+    write its manifest; a TierRouteError exits 2, any other exception 1."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "policy", None):
         normalized = args.policy.replace("-", "_")
         args.policy = _POLICY_ALIASES.get(normalized, normalized)
     try:
-        return args.func(args)
+        given = _given_config(args)
+        # stream keeps its bundle's update interval unless one is given.
+        args.update_interval_given = "update_interval" in (given.get("stream") or {})
+        config = resolve_config(given)
+        outdir = output_dir(config)
+        args.func(args, config, outdir)
+        write_manifest(config, args.command, outdir)
+        return 0
     except TierRouteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -35,7 +35,10 @@ _NUMBER_TEXT = {int: re.compile(r"-?(?:0|[1-9][0-9]*)"),
 
 
 def bad_value(name: str, value, kind: str, error: type[Exception]) -> Exception:
-    found = "nothing" if value is MISSING else repr(value)
+    try:  # a value that json decoded may nest too deep for repr
+        found = "nothing" if value is MISSING else repr(value)
+    except RecursionError:
+        found = "a value nested too deep to show"
     return error(f"{name} must be {kind}; got {found}")
 
 

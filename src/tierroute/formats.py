@@ -1,4 +1,5 @@
-"""Every file the program writes, in one of four formats.
+"""Every file the program writes, in one of four formats, and the reader of
+the JSON files that come from outside.
 
 * JSON (``write_json``): one value, keys sorted, indented by 2, a final newline.
 * JSON lines (``write_json_lines``): one compact, key-sorted value per line.
@@ -10,6 +11,12 @@
   arrays, little-endian and row-major, one after another.
 
 Text is UTF-8, and JSON escapes every non-ASCII character.
+
+A JSON file the program reads (``read_json``, or ``read_json_lines`` for one
+object per line) and an arrays file's header (``header_line``) are decoded
+here. A file that cannot be read, is not UTF-8 or is not JSON, or nests too
+deep to decode, raises the caller's error class naming the file, and the line
+as ``<file>: line N``. Trace records are decoded in ``trace``.
 """
 
 from __future__ import annotations
@@ -87,20 +94,44 @@ def write_arrays(path: str | Path, header: dict, *arrays) -> None:
             fh.write(np.asarray(array, dtype="<f8").tobytes())
 
 
+def read_file(path: str | Path, error: type[Exception]) -> bytes:
+    """A file's bytes; an OSError raises ``error`` naming the file."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"{path}: cannot read ({exc.strerror})") from exc
+
+
+def _object(data: bytes, where: str, error: type[Exception]) -> dict:
+    """The JSON object that the UTF-8 ``data`` holds; errors name ``where``."""
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{where}: bad JSON ({exc})") from exc
+    return typed(obj, dict, where, error)
+
+
+def read_json(path: str | Path, error: type[Exception]) -> dict:
+    """The JSON object a file holds."""
+    return _object(read_file(path, error), str(path), error)
+
+
+def read_json_lines(path: str | Path, error: type[Exception]) -> list[tuple[str, dict]]:
+    """The JSON objects of a file that holds one per line, each with its name
+    ``<file>: line N``. A line ends at LF; blank lines are skipped."""
+    lines = read_file(path, error).split(b"\n")
+    named = [(f"{path}: line {lineno}", line)
+             for lineno, line in enumerate(lines, start=1) if line.strip()]
+    return [(where, _object(line, where, error)) for where, line in named]
+
+
 def header_line(path: str | Path, fmt: str, error: type[Exception]) -> tuple[dict, bytes]:
     """Split a file that ``write_arrays`` wrote into its JSON header line, whose
     ``format`` must be ``fmt``, and the payload after it."""
-    try:
-        head, newline, body = Path(path).read_bytes().partition(b"\n")
-    except OSError as exc:
-        raise error(f"{path}: cannot read ({exc.strerror})") from exc
+    head, newline, body = read_file(path, error).partition(b"\n")
     if not newline:
         raise error(f"{path}: missing header line")
-    try:
-        header = json.loads(head.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise error(f"{path}: bad header ({exc})") from exc
-    header = typed(header, dict, f"{path}: header", error)
+    header = _object(head, f"{path}: header", error)
     if header.get("format") != fmt:
         raise error(f"{path}: unknown format {header.get('format')!r}")
     return header, body

@@ -16,7 +16,6 @@ Scenario files use the traces' line-delimited convention: a header object
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import TraceFormatError
 from .fields import MISSING, read, typed
-from .formats import write_json_lines
+from .formats import read_json_lines, write_json_lines
 from .trace import TierId
 
 
@@ -58,6 +57,8 @@ class NetworkScenario:
     def __post_init__(self) -> None:
         if self.switch_at is not None and (self.edge_after is None or self.cloud_after is None):
             raise ValueError("a switching scenario needs post-switch edge and cloud profiles")
+        if self.switch_at is not None and self.switch_at < 0:
+            raise ValueError(f"switch_at must be >= 0; got {self.switch_at}")
 
 
 GOOD_EDGE = LinkProfile(downlink_kbps=10_000, uplink_kbps=5_000, loss_rate=0.001,
@@ -128,14 +129,7 @@ def save_scenario(scenario: NetworkScenario, path: str | Path) -> None:
 
 def load_scenario(path: str | Path) -> NetworkScenario:
     path, error = Path(path), TraceFormatError
-    lines = [(f"{path}: scenario line {lineno}", line) for lineno, line
-             in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1) if line.strip()]
-    objs = []
-    for where, line in lines:
-        try:
-            objs.append((where, typed(json.loads(line), dict, where, error)))
-        except json.JSONDecodeError as exc:
-            raise error(f"{where}: bad JSON ({exc})") from exc
+    objs = read_json_lines(path, error)
     if not objs:
         raise error(f"{path}: empty scenario file")
     links = dict.fromkeys(_LINK_FIELDS.values())

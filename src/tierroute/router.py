@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 
@@ -44,7 +43,7 @@ from .cluster import (
 )
 from .errors import BundleIntegrityError, CorruptStateError, DimensionMismatchError
 from .fields import MISSING, building, cell, read, typed
-from .formats import write_json, write_table, write_tables
+from .formats import read_file, read_json, write_json, write_table, write_tables
 from .labels import ConsistencyLabels
 from .mlp import (
     MlpConfig,
@@ -500,14 +499,6 @@ def save_bundle(state: RouterState, outdir: str | Path) -> Path:
     return outdir
 
 
-def _json_file(path: Path) -> dict:
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise BundleIntegrityError(f"{path}: not a readable JSON file ({exc})") from exc
-    return typed(obj, dict, str(path), BundleIntegrityError)
-
-
 def _load_observations(path: Path, k: int, capacity: int) -> dict[int, ObservationSet]:
     observations = {c: ObservationSet(capacity=capacity) for c in range(k)}
     try:
@@ -541,24 +532,19 @@ def load_bundle(bundle_dir: str | Path) -> RouterState:
     manifest_path = bundle_dir / "bundle_manifest.json"
     if not manifest_path.exists():
         raise error(f"{bundle_dir}: missing bundle_manifest.json")
-    manifest = _json_file(manifest_path)
+    manifest = read_json(manifest_path, error)
     if manifest.get("format") != _BUNDLE_FORMAT:
         raise error(f"{bundle_dir}: unknown bundle format")
     files = typed(manifest.get("files", {}), dict, f"{manifest_path}: files", error)
-    for name in _BUNDLE_FILES:
+    for name in _BUNDLE_FILES:  # other entries are ignored, like other unknown keys
         if name not in files:
             raise error(f"{manifest_path}: files does not list {name}")
-    for name, expected in files.items():
-        path = bundle_dir / name
-        if not path.is_file():
-            raise error(f"{bundle_dir}: missing bundle file {name}")
-        actual = hashlib.sha256(path.read_bytes()).hexdigest()
-        if actual != expected:
+        if hashlib.sha256(read_file(bundle_dir / name, error)).hexdigest() != files[name]:
             raise error(f"{bundle_dir}: checksum mismatch for {name}")
 
     clusters = load_centroids(bundle_dir / "centroids.bin")
     state_path = bundle_dir / "state.json"
-    state_obj = _json_file(state_path)
+    state_obj = read_json(state_path, error)
 
     def setting(key, default=MISSING):
         return typed(state_obj.get(key, default), int, f"{state_path}: {key}", error, 1)
@@ -570,7 +556,7 @@ def load_bundle(bundle_dir: str | Path) -> RouterState:
     if k != clusters.k:
         raise error(f"{state_path}: k={k}, but centroids.bin holds {clusters.k} centroids")
     thresholds_path = bundle_dir / "thresholds.json"
-    thresholds_obj = _json_file(thresholds_path)
+    thresholds_obj = read_json(thresholds_path, error)
     if sorted(thresholds_obj) != sorted(map(str, range(k))):
         raise error(f"{thresholds_path}: keys must be the clusters 0..{k - 1}; "
                     f"got {sorted(thresholds_obj)}")

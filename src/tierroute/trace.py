@@ -264,8 +264,11 @@ _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError, Re
 def load_trace(path: str | Path) -> Trace:
     """Parse and validate a trace file; errors name the offending line or record."""
     path = Path(path)
-    with path.open("rb") as fh:  # a line count bounds the rows to preallocate
-        capacity = sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b""))
+    try:
+        with path.open("rb") as fh:  # a line count bounds the rows to preallocate
+            capacity = sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b""))
+    except OSError as exc:
+        raise TraceFormatError(f"{path}: cannot read ({exc.strerror})") from exc
     with path.open("rb") as fh:  # lines split at b"\n", as counted
         first = fh.readline()
         if not first:

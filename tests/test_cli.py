@@ -1,6 +1,7 @@
 import json
 import struct
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -293,6 +294,34 @@ class TestTune:
         assert (f"{manifest_path}: files does not list observations.csv"
                 in capsys.readouterr().err)
 
+    def test_manifest_entries_outside_the_bundle_ignored(self, workdir, capsys):
+        # Only the bundle's own files are hashed: an extra entry is never read.
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+        (tmp / "outside.txt").write_text("not part of the bundle\n")
+        manifest_path = tmp / "b" / "bundle_manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["files"]["../outside.txt"] = "0" * 64
+        manifest["files"]["../absent.txt"] = "0" * 64
+        manifest_path.write_text(json.dumps(manifest))
+        assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--out", tmp / "s") == 0
+
+    def test_bundle_file_read_error_exit_2(self, workdir, capsys, monkeypatch):
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+        read_bytes = Path.read_bytes
+
+        def refused(path):
+            if path.name == "thresholds.json":
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", refused)
+        capsys.readouterr()
+        assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--out", tmp / "s") == 2
+        assert (f"{tmp / 'b' / 'thresholds.json'}: cannot read (Permission denied)"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("source", ["file", "set", "flag"])
     def test_parallel_clusters_rejected(self, workdir, capsys, source):
         # The key and the flag were removed; an old config must not be ignored.
@@ -346,7 +375,9 @@ class TestTune:
         ("tune", "labels.alpha=true", "labels.alpha must be a finite number; got True"),
         ("tune", 'cost.edge="14"', "cost.edge must be a finite number; got '14'"),
         ("tune", "network.switch_window=2.5",
-         "network.switch_window must be an integer; got 2.5"),
+         "network.switch_window must be an integer >= 0; got 2.5"),
+        ("tune", "network.switch_window=-3",
+         "network.switch_window must be an integer >= 0; got -3"),
         ("tune", "network.scenario=7", "network.scenario must be a string; got 7"),
         ("tune", "run.seed=1.5", "run.seed must be an integer >= 0; got 1.5"),
         ("tune", "run.trace=5", "run.trace must be a string; got 5"),
@@ -363,8 +394,12 @@ class TestTune:
         assert message in capsys.readouterr().err
         assert not (out / "thresholds.json").exists() and not (out / "trace.jsonl").exists()
 
-    @pytest.mark.parametrize("grid, named", [("1,x", "'x'"), ("1,0", "kappas must be positive"),
-                                             ("inf", "'inf'"), ("1_0", "'1_0'")])
+    @pytest.mark.parametrize("grid, named", [
+        ("1,x", "'x'"), ("1,0", "kappas must be positive"), ("inf", "'inf'"), ("1_0", "'1_0'"),
+        # Values that print alike would name one bundle directory twice.
+        ("0.1234567,0.1234568", "'0.1234567' and '0.1234568' both print as 0.123457"),
+        ("2,1, 2.0", "'2' and '2.0' both print as 2"),
+    ])
     def test_kappa_grid_checked(self, workdir, capsys, grid, named):
         tmp, cfg = workdir
         assert run("tune", "--config", cfg, "--out", tmp / "b", "--kappa-grid", grid) == 2

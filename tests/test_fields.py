@@ -259,7 +259,7 @@ def load_config(config, path):
     """Write ``config`` as a config file and materialize it."""
     path.write_text("".join(json.dumps({"section": name, **body}) + "\n"
                             for name, body in config.items() if type(body) is dict))
-    materialize(cli.resolve_config(argparse.Namespace(config=path)))
+    materialize(cli.resolve_config(cli._given_config(argparse.Namespace(config=path))))
 
 
 def test_fuzz_config(tmp_path_factory):

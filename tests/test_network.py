@@ -150,8 +150,10 @@ class TestScenarioFiles:
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"name": "x"}\n{"tier": "edge"}\n')
-        with pytest.raises(TraceFormatError, match="scenario"):
+        with pytest.raises(TraceFormatError) as info:
             load_scenario(path)
+        assert str(info.value) == (
+            f"{path}: line 2: edge.downlink_kbps must be a finite number; got nothing")
 
 
 def edited_scenario(tmp_path, line, key, value):
@@ -174,14 +176,15 @@ class TestScenarioFields:
     """Every scenario value is type-checked; an error names the file, the line and the key."""
 
     @pytest.mark.parametrize("line, key, value, message", [
-        (2, "dns_ms", "1e999", "scenario line 2: edge.dns_ms must be a finite number; got inf"),
+        (2, "dns_ms", "1e999", "line 2: edge.dns_ms must be a finite number; got inf"),
         (3, "uplink_kbps", '"5000"',
-         "scenario line 3: cloud.uplink_kbps must be a finite number; got '5000'"),
-        (4, "loss_rate", "true", "scenario line 4: edge.loss_rate must be a finite number"),
-        (1, "switch_at", "2.5", "scenario line 1: header.switch_at must be an integer; got 2.5"),
-        (1, "switch_at", '"7"', "scenario line 1: header.switch_at must be an integer; got '7'"),
-        (1, "name", "[]", "scenario line 1: header.name must be a string; got []"),
-        (2, "tier", '"fog"', "scenario line 2: tier must be edge or cloud"),
+         "line 3: cloud.uplink_kbps must be a finite number; got '5000'"),
+        (4, "loss_rate", "true", "line 4: edge.loss_rate must be a finite number"),
+        (1, "switch_at", "2.5", "line 1: header.switch_at must be an integer; got 2.5"),
+        (1, "switch_at", '"7"', "line 1: header.switch_at must be an integer; got '7'"),
+        (1, "switch_at", "-3", "line 1: header: switch_at must be >= 0; got -3"),
+        (1, "name", "[]", "line 1: header.name must be a string; got []"),
+        (2, "tier", '"fog"', "line 2: tier must be edge or cloud"),
         (3, None, None, "scenario has no line for tier cloud, phase pre"),
     ])
     def test_bad_value_named(self, tmp_path, line, key, value, message):
