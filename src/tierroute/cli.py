@@ -28,7 +28,8 @@ from .accounting import CostModel, UtilityWeights
 from .bayesopt import BoConfig, ThresholdPair
 from .errors import ConfigError, TierRouteError, TraceValidationError
 from .fields import MISSING, building, cell, read, typed
-from .formats import read_json_lines, write_json, write_json_lines, write_table
+from .formats import (json_text, read_json_lines, write_json, write_json_lines, write_lines,
+                      write_table)
 from .labels import ConsistencyLabels, LabelConfig, build_labels
 from .mlp import MlpConfig, TrainReport, init_model, save_checkpoint, train
 from .network import load_scenario, scenario_by_name
@@ -170,12 +171,13 @@ def output_dir(config: dict) -> Path:
     return path
 
 
-def write_manifest(config: dict, command: str, outdir: Path) -> None:
-    # The output location is not part of the experiment identity.
+def manifest_text(config: dict, command: str) -> str:
+    """The text of a run's manifest.json. It records the config without the
+    output location, which is not part of the experiment identity."""
     scrubbed = {**config, "run": {k: v for k, v in config["run"].items() if k != "output_dir"}}
     try:  # a value that json could decode may still nest too deep to encode here
         canonical = json.dumps(scrubbed, sort_keys=True)
-        write_json(outdir / "manifest.json", {
+        return json_text({
             "command": command,
             "config": scrubbed,
             "config_sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
@@ -183,7 +185,7 @@ def write_manifest(config: dict, command: str, outdir: Path) -> None:
             "tierroute_version": __version__,
         })
     except RecursionError as exc:
-        raise ConfigError(f"{outdir / 'manifest.json'}: the config nests too deep to write") from exc
+        raise ConfigError("the config nests too deep to record in manifest.json") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +528,9 @@ _POLICY_ALIASES = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Resolve the command's config, make its output directory, run it, then
-    write its manifest; a TierRouteError exits 2, any other exception 1."""
+    """Resolve the command's config and check that its manifest can be made,
+    make its output directory, run it, then write its manifest; a
+    TierRouteError exits 2, any other exception 1."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "policy", None):
@@ -538,9 +541,13 @@ def main(argv: list[str] | None = None) -> int:
         # stream keeps its bundle's update interval unless one is given.
         args.update_interval_given = "update_interval" in (given.get("stream") or {})
         config = resolve_config(given)
+        # A command edits the config only at its top two levels, so a config
+        # that encodes here, from the same stack depth, encodes after it too:
+        # one the manifest cannot hold is refused before any output.
+        manifest_text(config, args.command)
         outdir = output_dir(config)
         args.func(args, config, outdir)
-        write_manifest(config, args.command, outdir)
+        write_lines(outdir / "manifest.json", [manifest_text(config, args.command)])
         return 0
     except TierRouteError as exc:
         print(f"error: {exc}", file=sys.stderr)

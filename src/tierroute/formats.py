@@ -1,8 +1,10 @@
 """Every file the program writes, in one of four formats, and the reader of
 the JSON files that come from outside.
 
-* JSON (``write_json``): one value, keys sorted, indented by 2, a final newline.
-* JSON lines (``write_json_lines``): one compact, key-sorted value per line.
+* JSON (``write_json``, whose text is ``json_text``): one value, keys sorted,
+  indented by 2, a final newline.
+* JSON lines (``write_json_lines``): one compact, key-sorted value per line;
+  ``write_lines`` writes lines that a caller made in that form (``trace``).
 * Tables (``write_table``, or ``write_tables`` for several that take columns
   from one mapping): CSV with a header row and the ``csv`` module's
   ``\\r\\n`` line ends. A float cell is Python's shortest round-trip text
@@ -11,6 +13,12 @@ the JSON files that come from outside.
   arrays, little-endian and row-major, one after another.
 
 Text is UTF-8, and JSON escapes every non-ASCII character.
+
+Float text in bulk (``float_texts``): the text of every value of a float64
+array, from one ``orjson`` call. For ±0.0 and 1e-4 <= |x| < 1e16 orjson's
+shortest round-trip digits are exactly ``repr``'s; any other value, NaN and
+±inf included, takes the text of the format it goes into (``repr`` in a CSV
+cell, ``json.dumps``' in JSON), so the bytes are those of the plain writers.
 
 A JSON file the program reads (``read_json``, or ``read_json_lines`` for one
 object per line) and an arrays file's header (``header_line``) are decoded
@@ -28,22 +36,55 @@ from itertools import repeat
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .fields import typed
 
-# Rows formatted at a time, so a table's text never sits in memory at once.
-_TABLE_CHUNK = 4096
+# Rows formatted at a time, so a file's text never sits in memory at once. A
+# float's text cell takes about 70 bytes, so a chunk of a seven-float table
+# (labels.csv) holds under 0.5 MiB of cells.
+CHUNK_ROWS = 1024
+
+
+def exact_floats(values: np.ndarray) -> np.ndarray:
+    """Where orjson's text of a float is ``repr``'s: ±0.0 and 1e-4 <= |x| < 1e16.
+    Outside that range it lays the same value out otherwise (``0.00001`` for
+    ``1e-05``, ``1e16`` for ``1e+16``), and it writes ``null`` for NaN and ±inf."""
+    magnitude = np.abs(values)
+    return (values == 0) | ((magnitude >= 1e-4) & (magnitude < 1e16))
+
+
+def float_texts(values: np.ndarray, reference=repr) -> list[str]:
+    """The text of every value of a float64 array, in row-major order: orjson's
+    where ``exact_floats`` holds, ``reference(value)`` elsewhere."""
+    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    if not flat.size:
+        return []
+    texts = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    for i in np.flatnonzero(~exact_floats(flat)).tolist():
+        texts[i] = reference(flat[i].item())
+    return texts
+
+
+def json_text(obj) -> str:
+    """The text ``write_json`` writes for ``obj``."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def write_json(path: str | Path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json_text(obj), encoding="utf-8")
 
 
 def write_json_lines(path: str | Path, objs) -> None:
     """One line per value of the iterable ``objs``, written as it is produced."""
+    write_lines(path, (json.dumps(obj, sort_keys=True) + "\n" for obj in objs))
+
+
+def write_lines(path: str | Path, texts) -> None:
+    """The strings of the iterable ``texts``, each written as it is produced;
+    each holds whole lines, every one ending in LF."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for obj in objs:
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        fh.writelines(texts)
 
 
 def write_table(path: str | Path, columns: dict) -> None:
@@ -66,25 +107,25 @@ def write_tables(columns: dict, tables: dict) -> None:
             writers[path] = csv.writer(stack.enter_context(
                 Path(path).open("w", encoding="utf-8", newline="")))
             writers[path].writerow(headers)
-        for start in range(0, n, _TABLE_CHUNK):
-            rows = slice(start, start + _TABLE_CHUNK)
-            cells = {name: _cells(col, rows, len(tables) > 1) for name, col in columns.items()}
+        for start in range(0, n, CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            cells = {name: _cells(col, rows) for name, col in columns.items()}
             for path, headers in tables.items():
                 writers[path].writerows(zip(*(cells[name] for name in headers)))
             del cells  # before the next chunk's are made
 
 
-def _cells(col, rows: slice, shared: bool):
-    """One chunk of a column as cells: an array's as Python scalars, converted in
-    bulk; an absent column's empty. A float array's cells are ``repr`` text, the
-    form ``csv`` gives a float, when several tables write them, so that the text
-    is made once; one table keeps the floats, which take less memory."""
+def _cells(col, rows: slice):
+    """One chunk of a column as cells: a float array's as text, ``repr``'s as
+    ``csv`` would write it, made in bulk by ``float_texts``; another array's as
+    Python scalars; an absent column's empty."""
     if col is None:
         return repeat("")
     if not isinstance(col, np.ndarray):
         return col[rows]
-    values = col[rows].tolist()
-    return list(map(repr, values)) if shared and col.dtype.kind == "f" else values
+    if col.dtype.kind == "f":
+        return float_texts(col[rows])
+    return col[rows].tolist()
 
 
 def write_arrays(path: str | Path, header: dict, *arrays) -> None:

@@ -11,7 +11,13 @@ File format (UTF-8, one JSON object per line; a line ends at LF, and CRLF reads 
             Floats use Python's shortest round-trip representation (well above
             6 significant digits).
 
-A record line is decoded by orjson. Stdlib ``json`` is the reference: a line
+A record line is written as the text ``json.dumps(record, sort_keys=True)``
+gives, laid out here column by column: the floats' text comes in bulk from
+orjson through ``formats.float_texts``, and a record with a float outside the
+range where orjson's text is ``repr``'s is ``json.dumps`` of its object. The
+bytes are the same either way.
+
+A record line is read by orjson. Stdlib ``json`` is the reference: a line
 that orjson refuses, or whose object fails a typed read, is decoded again by
 ``json.loads`` and read again, and that outcome stands.
 """
@@ -22,6 +28,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import IntEnum
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +39,7 @@ from .errors import TraceFormatError, TraceValidationError
 from .fields import bad_value, read
 # The per-record readers under private names, which tracers of public functions skip.
 from .fields import json_bool as _json_bool, json_int as _json_int, json_number as _json_number
-from .formats import write_json_lines
+from .formats import CHUNK_ROWS, exact_floats, float_texts, write_lines
 
 BYTES_PER_TOKEN = 4  # UTF-8 proxy used when byte sizes are not given explicitly
 
@@ -165,29 +173,73 @@ def _empty_columns(n: int, dim: int) -> dict[str, np.ndarray]:
 
 def save_trace(trace: Trace, path: str | Path) -> None:
     """Write a trace in the line-delimited format described in the module docstring."""
-    ints = [getattr(trace, name).tolist() for name in _INT_FIELDS]
-    compute, correct = trace.compute_s.tolist(), trace.correct.tolist()
-    scores = [(name, getattr(trace, name).tolist()) for name in _SCORE_FIELDS]
-    has_reference = trace.has_reference.tolist()
+    header = asdict(TraceHeader(trace.embedding_dim, trace.prompt_text, trace.metadata))
+    chunks = (_record_lines(trace, slice(start, start + CHUNK_ROWS))
+              for start in range(0, len(trace), CHUNK_ROWS))
+    write_lines(path, chain([json.dumps(header, sort_keys=True) + "\n"], chunks))
 
-    def lines():
-        yield asdict(TraceHeader(trace.embedding_dim, trace.prompt_text, trace.metadata))
-        for i, rid in enumerate(trace.ids):
-            tier_info = {}
-            for t, label in enumerate(_TIER_LABELS):
-                sub = {name: col[i][t] for name, col in zip(_INT_FIELDS, ints)}
-                sub["compute_seconds"] = compute[i][t]
-                if correct[i][t] != CORRECT_ABSENT:
-                    sub["correct"] = None if correct[i][t] == CORRECT_NULL else bool(correct[i][t])
-                tier_info[label] = sub
-            obj = {"id": rid, "embedding": trace.embeddings[i].tolist(),
-                   "tier_info": tier_info, "has_reference": has_reference[i]}
-            for name, col in scores:
-                if not math.isnan(col[i]):
-                    obj[name] = col[i]
-            yield obj
 
-    write_json_lines(path, lines())
+# A record line as json.dumps(obj, sort_keys=True) writes it: keys sorted, so the
+# scores come as judge_*, sim_* and the tiers as cloud, device, edge.
+_RECORD_LINE = ('{"embedding": [%s], "has_reference": %s, "id": %s%s%s%s%s, '
+                '"tier_info": {%s, %s, %s}}\n')
+_TIER_ITEM = ('"%s": {"compute_seconds": %s, %s"generated_tokens": %d, "prompt_tokens": %d, '
+              '"request_bytes": %d, "response_bytes": %d}')
+_SORTED_SCORES = tuple(sorted(_SCORE_FIELDS))
+_SORTED_TIERS = tuple(sorted(range(len(TIERS)), key=_TIER_LABELS.__getitem__))
+# The "correct" item of a tier by its code; any other code is written as true.
+_CORRECT_ITEM = {CORRECT_ABSENT: "", CORRECT_NULL: '"correct": null, ', 0: '"correct": false, '}
+
+
+def _record_lines(trace: Trace, rows: slice) -> str:
+    """The record lines of ``rows``, laid out column by column from ``float_texts``.
+    A row with a written float outside ``exact_floats`` is ``json.dumps`` of its
+    record object instead, the reference."""
+    embeddings = trace.embeddings[rows]
+    n, dim = embeddings.shape
+    scores = np.stack([getattr(trace, name)[rows] for name in _SORTED_SCORES], axis=1)
+    floats = np.concatenate([embeddings, trace.compute_s[rows], scores], axis=1)
+    width = floats.shape[1]
+    texts = float_texts(floats, json.dumps)  # row-major: a column's texts are ``width`` apart
+    present = ~np.isnan(scores)
+    items = [[", ".join(texts[i:i + dim]) for i in range(0, n * width, width)],
+             ["true" if given else "false" for given in trace.has_reference[rows].tolist()],
+             list(map(encode_basestring_ascii, trace.ids[rows]))]
+    for j, name in enumerate(_SORTED_SCORES):
+        items.append([f', "{name}": {text}' if given else "" for text, given
+                      in zip(texts[dim + 3 + j::width], present[:, j].tolist())])
+    for t in _SORTED_TIERS:
+        label = _TIER_LABELS[t]
+        columns = (getattr(trace, name)[rows, t].tolist() for name in ("correct", *_INT_FIELDS))
+        items.append([_TIER_ITEM % (label, text, _CORRECT_ITEM.get(code, '"correct": true, '),
+                                    generated, prompt, request, response)
+                      for text, code, generated, prompt, request, response
+                      in zip(texts[dim + t::width], *columns)])
+    lines = [_RECORD_LINE % row for row in zip(*items)]
+    exact = exact_floats(floats)
+    exact[:, dim + 3:] |= ~present  # an absent score is not written
+    for r in np.flatnonzero(~exact.all(axis=1)).tolist():
+        lines[r] = json.dumps(_record(trace, rows.start + r), sort_keys=True) + "\n"
+    return "".join(lines)
+
+
+def _record(trace: Trace, i: int) -> dict:
+    """Row ``i`` as the object its record line encodes."""
+    tier_info = {}
+    for t, label in enumerate(_TIER_LABELS):
+        sub = {name: getattr(trace, name)[i, t].item() for name in _INT_FIELDS}
+        sub["compute_seconds"] = trace.compute_s[i, t].item()
+        code = trace.correct[i, t].item()
+        if code != CORRECT_ABSENT:
+            sub["correct"] = None if code == CORRECT_NULL else bool(code)
+        tier_info[label] = sub
+    obj = {"id": trace.ids[i], "embedding": trace.embeddings[i].tolist(),
+           "tier_info": tier_info, "has_reference": trace.has_reference[i].item()}
+    for name in _SCORE_FIELDS:
+        value = getattr(trace, name)[i].item()
+        if not math.isnan(value):
+            obj[name] = value
+    return obj
 
 
 def _correct_code(tier_obj: dict) -> int:

@@ -5,6 +5,7 @@ import ast
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -20,6 +21,9 @@ from helpers import build_state
 from tierroute.cluster import save_centroids
 from tierroute.errors import BundleIntegrityError
 from tierroute.formats import (
+    CHUNK_ROWS,
+    exact_floats,
+    float_texts,
     header_line,
     write_arrays,
     write_json,
@@ -37,7 +41,20 @@ from tierroute.router import (
     state_checksum,
     write_report_files,
 )
-from tierroute.trace import TIERS, SyntheticConfig, generate_synthetic_trace, save_trace
+from tierroute.trace import (
+    _ARRAY_COLUMNS,
+    _INT_FIELDS,
+    _SCORE_FIELDS,
+    _TIER_LABELS,
+    CORRECT_ABSENT,
+    CORRECT_NULL,
+    TIERS,
+    SyntheticConfig,
+    TraceHeader,
+    generate_synthetic_trace,
+    load_trace,
+    save_trace,
+)
 
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture,
@@ -45,7 +62,7 @@ FUZZ = settings(max_examples=40, deadline=None, derandomize=True,
 
 SPECIAL_FLOATS = [5e-324, -0.0, 1e16, sys.float_info.max, 1 / 3, 0.1, -2.5, 1e-300]
 AWKWARD_TEXT = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "é中🙂", "", " ", "x;y\t'"]
-ROW_COUNTS = [0, 1, 2, 4095, 4096, 4097]
+ROW_COUNTS = [0, 1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 4095, 4096, 4097]
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +90,32 @@ def old_table(path, columns):  # write_report_files' idiom: formatted cells, zip
         writer = csv.writer(fh)
         writer.writerow(list(columns))
         writer.writerows(zip(*(cells(col) for col in columns.values())))
+
+
+def old_save_trace(trace, path):  # json.dumps of one object per record, from the columns
+    ints = [getattr(trace, name).tolist() for name in _INT_FIELDS]
+    compute, correct = trace.compute_s.tolist(), trace.correct.tolist()
+    scores = [(name, getattr(trace, name).tolist()) for name in _SCORE_FIELDS]
+    has_reference = trace.has_reference.tolist()
+
+    def lines():
+        yield asdict(TraceHeader(trace.embedding_dim, trace.prompt_text, trace.metadata))
+        for i, rid in enumerate(trace.ids):
+            tier_info = {}
+            for t, label in enumerate(_TIER_LABELS):
+                sub = {name: col[i][t] for name, col in zip(_INT_FIELDS, ints)}
+                sub["compute_seconds"] = compute[i][t]
+                if correct[i][t] != CORRECT_ABSENT:
+                    sub["correct"] = None if correct[i][t] == CORRECT_NULL else bool(correct[i][t])
+                tier_info[label] = sub
+            obj = {"id": rid, "embedding": trace.embeddings[i].tolist(),
+                   "tier_info": tier_info, "has_reference": has_reference[i]}
+            for name, col in scores:
+                if not math.isnan(col[i]):
+                    obj[name] = col[i]
+            yield obj
+
+    old_json_lines(path, lines())
 
 
 def old_arrays(path, header, *arrays):  # save_checkpoint's idiom
@@ -255,8 +298,8 @@ class TestFormatsMatchReference:
             data = (tmp_path / "ours.csv").read_bytes()
             assert data == (tmp_path / "theirs.csv").read_bytes()
             assert data.count(b"\r\n") == n + 1  # a newline inside a quoted id stays bare
-            if n > 4096:  # the first row of the second chunk
-                assert b'\r\n"a,b",5e-324,4094,\r\n' in data
+            if n > CHUNK_ROWS:  # the first row of the second chunk
+                assert f'\r\n"a,b",5e-324,{CHUNK_ROWS - 2},\r\n'.encode() in data
             if n >= len(SPECIAL_FLOATS):
                 for text in (b"-0.0", b"1e+16", b"1.7976931348623157e+308", b"0.3333333333333333"):
                     assert b"," + text + b"," in data
@@ -307,6 +350,74 @@ class TestFormatsMatchReference:
         write_arrays(tmp_path / "a.bin", {"format": "other"}, np.ones(2))
         with pytest.raises(BundleIntegrityError, match="unknown format 'other'"):
             header_line(tmp_path / "a.bin", "fmt-v1", BundleIntegrityError)
+
+
+# ---------------------------------------------------------------------------
+# Float text: orjson's where it is repr's, the format's own text elsewhere
+# ---------------------------------------------------------------------------
+
+def neighbours(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+# Both range edges and their neighbours, the extremes, and every kind of value.
+EDGE_FLOATS = [v for x in (1e-4, 1e16) for v in neighbours(x)] + [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    sys.float_info.max, 1e-300, 1e300, 1 / 3, 0.1, 1.0, 123456789.125, 1e15, 9007199254740993.0]
+EDGE_FLOATS += [-v for v in EDGE_FLOATS]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def json_float(value):
+    return json.dumps(value)
+
+
+def bit_patterns(n_min=0):
+    return st.lists(st.integers(0, 2**64 - 1), min_size=n_min, max_size=40).map(
+        lambda bits: np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+float_arrays = (
+    bit_patterns()
+    | st.lists(st.floats(allow_subnormal=True) | st.sampled_from(EDGE_FLOATS + NON_FINITE),
+               max_size=40).map(lambda v: np.array(v, dtype=np.float64))
+    | st.lists(st.floats(-1e-3, 1e-3), max_size=40).map(lambda v: np.array(v, dtype=np.float64)))
+
+
+class TestFloatTexts:
+    @FUZZ
+    @given(values=float_arrays)
+    def test_matches_repr_and_json(self, values):
+        assert float_texts(values) == [repr(v) for v in values.tolist()]
+        assert float_texts(values, json_float) == [json.dumps(v) for v in values.tolist()]
+
+    @FUZZ
+    @given(values=float_arrays)
+    def test_reference_only_outside_the_range(self, values):
+        # orjson's own text inside the range, so a release that prints those
+        # floats otherwise fails above instead of changing files.
+        texts = float_texts(values, lambda v: "ref")
+        exact = exact_floats(values).tolist()
+        for value, text, inside in zip(values.tolist(), texts, exact):
+            assert (text == "ref") != inside, (value, text)
+            inside_range = value == 0 or 1e-4 <= abs(value) < 1e16
+            assert inside == inside_range, value
+
+    def test_edges_specials_and_shapes(self):
+        values = np.array(EDGE_FLOATS + NON_FINITE)
+        assert float_texts(values) == [repr(v) for v in values.tolist()]
+        assert float_texts(values, json_float) == [json.dumps(v) for v in values.tolist()]
+        assert float_texts(values[::-3]) == [repr(v) for v in values[::-3].tolist()]
+        assert float_texts(np.empty(0)) == []
+        assert float_texts(np.array([1e-4])) == ["0.0001"]
+        assert float_texts(np.array([1e-5]), json_float) == ["1e-05"]
+        assert float_texts(np.array([math.nan, math.inf]), json_float) == ["NaN", "Infinity"]
+        assert float_texts(np.empty((3, 0))) == []
+        grid = values[:12].reshape(3, 4)
+        assert float_texts(grid) == [repr(v) for v in grid.ravel().tolist()]
+        assert float_texts(grid.T) == [repr(v) for v in grid.T.ravel().tolist()]
+        assert float_texts(np.float32([0.1, 3e-5])) == [repr(v) for v in
+                                                       np.float32([0.1, 3e-5]).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +478,11 @@ class TestProgramFiles:
             assert (tmp_path / ours).read_bytes() == (tmp_path / ref).read_bytes()
 
     def test_trace_and_scenario(self, tmp_path, streamed):
-        trace, _, _ = streamed
-        save_trace(trace, tmp_path / "t.jsonl")
-        lines = (tmp_path / "t.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
-        assert len(lines) == len(trace) + 1 and all(line.endswith("}\n") for line in lines)
-        objs = [json.loads(line) for line in lines]
-        old_json_lines(tmp_path / "t.ref", objs)
-        assert (tmp_path / "t.jsonl").read_bytes() == (tmp_path / "t.ref").read_bytes()
+        trace, stream, _ = streamed
+        for t in (trace, stream):
+            save_trace(t, tmp_path / "t.jsonl")
+            old_save_trace(t, tmp_path / "t.ref")
+            assert (tmp_path / "t.jsonl").read_bytes() == (tmp_path / "t.ref").read_bytes()
         scenario = scenario_by_name("bad2good", switch_at=4)
         save_scenario(scenario, tmp_path / "s.jsonl")
         header = {"name": scenario.name, "switch_at": 4}
@@ -382,6 +491,77 @@ class TestProgramFiles:
             ("edge", "post", scenario.edge_after), ("cloud", "post", scenario.cloud_after))]
         old_json_lines(tmp_path / "s.ref", [header] + links)
         assert (tmp_path / "s.jsonl").read_bytes() == (tmp_path / "s.ref").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# save_trace against the json.dumps writer it replaced
+# ---------------------------------------------------------------------------
+
+AWKWARD_IDS = ["é中🙂", 'say "hi"', "back\\slash", "tab\tnew\nline\x00", "a,b", ""]
+SCORE_EDGES = [0.0, -0.0, 1e-4, *neighbours(1e-4)[::2], 5e-324, 1e-300, 1.0,
+               np.nextafter(1.0, 0), math.nan]
+
+
+def edge_trace(n, seed, loadable):
+    """A synthetic trace of ``n`` records with edge values sprinkled into every
+    float column, awkward ids, and absent, null and odd ``correct`` codes. A
+    loadable one keeps what ``load_trace`` validates; another also holds NaN,
+    ±inf, scores outside [0, 1] and ids with lone surrogates."""
+    trace, _ = generate_synthetic_trace(SyntheticConfig(
+        n_queries=max(n, 1), embedding_dim=5, n_latent_clusters=2, seed=seed))
+    trace = trace.subset(slice(0, n))
+    rng = np.random.default_rng(seed)
+    odd = [] if loadable else NON_FINITE + [2.0, 1e16, -1e-5]
+
+    def sprinkle(column, values):
+        mask = rng.random(column.shape) < 0.05
+        column[mask] = rng.choice(np.array(values), size=int(mask.sum()))
+
+    sprinkle(trace.embeddings, EDGE_FLOATS + odd)
+    sprinkle(trace.compute_s, [abs(v) for v in EDGE_FLOATS] + odd)
+    for name in _SCORE_FIELDS:
+        sprinkle(getattr(trace, name), SCORE_EDGES + odd)
+    getattr(trace, _SCORE_FIELDS[seed % 4])[:] = math.nan  # one score absent throughout
+    trace.correct[:] = rng.choice(np.array([CORRECT_ABSENT, CORRECT_NULL, 0, 1]
+                                           + ([] if loadable else [3, -7]), dtype=np.int8),
+                                  size=trace.correct.shape)
+    if loadable:
+        trace.has_reference &= (trace.correct >= 0).all(axis=1)
+    ids = AWKWARD_IDS + ([] if loadable else ["lone\ud800"])
+    trace.ids = [f"{ids[i % len(ids)]}{i}" for i in range(n)]
+    trace.metadata["note"] = "ünïcode"
+    return trace
+
+
+class TestSaveTrace:
+    @pytest.mark.parametrize("loadable", [True, False], ids=["loadable", "any"])
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_matches_the_json_writer(self, tmp_path, n, loadable):
+        trace = edge_trace(n, seed=n, loadable=loadable)
+        save_trace(trace, tmp_path / "ours.jsonl")
+        old_save_trace(trace, tmp_path / "theirs.jsonl")
+        ours = (tmp_path / "ours.jsonl").read_bytes()
+        assert ours == (tmp_path / "theirs.jsonl").read_bytes()
+        assert ours.count(b"\n") == n + 1
+        if not loadable:
+            return
+        loaded = load_trace(tmp_path / "ours.jsonl")
+        assert loaded.ids == trace.ids and loaded.metadata == trace.metadata
+        for name in _ARRAY_COLUMNS:
+            ours, theirs = getattr(loaded, name), getattr(trace, name)
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
+            assert ours.tobytes() == theirs.tobytes(), name  # bit for bit
+
+    def test_both_paths_taken(self, tmp_path):
+        # Rows whose floats are all in orjson's exact range, and rows with one
+        # outside it (written by json.dumps), side by side.
+        trace = edge_trace(200, seed=3, loadable=True)
+        floats = np.concatenate([trace.embeddings, trace.compute_s], axis=1)
+        outside = ~exact_floats(floats).all(axis=1)
+        assert 0 < outside.sum() < len(trace)
+        save_trace(trace, tmp_path / "ours.jsonl")
+        old_save_trace(trace, tmp_path / "theirs.jsonl")
+        assert (tmp_path / "ours.jsonl").read_bytes() == (tmp_path / "theirs.jsonl").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -102,12 +102,22 @@ def deepest_decodable():
 
 @pytest.mark.parametrize("command", ["gen", "train"])
 def test_set_value_near_the_decode_limit_never_exits_1(made, tmp_path, capsys, command):
-    # json decodes the value at the flag; from deeper in the stack, gen encodes it
-    # into manifest.json (an unread key) and train shows it in an error.
+    # json decodes the value at the flag; from deeper in the stack, the
+    # manifest cannot encode it (an unread key for gen), or train shows it in
+    # an error. A refused config leaves no output.
     cfg, _, _ = made
     limit = deepest_decodable()
+    refused = []
     for depth in range(limit - 20, limit + 2):
         deep = "[" * depth + "]" * depth
-        code = run(command, "--config", cfg, "--set", f"mlp.hidden_dims={deep}",
-                   "--out", tmp_path / str(depth))
-        assert code in (0, 2), (depth, capsys.readouterr().err[-200:])
+        out = tmp_path / str(depth)
+        code = run(command, "--config", cfg, "--set", f"mlp.hidden_dims={deep}", "--out", out)
+        err = capsys.readouterr().err
+        written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        if code == 0:
+            assert "manifest.json" in written
+            continue
+        assert code == 2 and written == [], (depth, written, err[-200:])
+        if "manifest.json" in err:
+            refused.append(depth)
+    assert refused, "no depth reached the manifest's encoding"
