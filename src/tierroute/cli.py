@@ -28,8 +28,7 @@ from .accounting import CostModel, UtilityWeights
 from .bayesopt import BoConfig, ThresholdPair
 from .errors import ConfigError, TierRouteError, TraceValidationError
 from .fields import MISSING, building, cell, read, typed
-from .formats import (json_text, read_json_lines, write_json, write_json_lines, write_lines,
-                      write_table)
+from .formats import json_text, read_json_lines, write_json, write_json_lines, write_table
 from .labels import ConsistencyLabels, LabelConfig, build_labels
 from .mlp import MlpConfig, TrainReport, init_model, save_checkpoint, train
 from .network import load_scenario, scenario_by_name
@@ -171,21 +170,24 @@ def output_dir(config: dict) -> Path:
     return path
 
 
-def manifest_text(config: dict, command: str) -> str:
-    """The text of a run's manifest.json. It records the config without the
+def manifest(config: dict, command: str) -> dict:
+    """A run's manifest.json, checked to encode from the stack depth of a
+    ``write_json`` call beside this one. It records the config without the
     output location, which is not part of the experiment identity."""
     scrubbed = {**config, "run": {k: v for k, v in config["run"].items() if k != "output_dir"}}
     try:  # a value that json could decode may still nest too deep to encode here
         canonical = json.dumps(scrubbed, sort_keys=True)
-        return json_text({
+        obj = {
             "command": command,
             "config": scrubbed,
             "config_sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
             "seed": config["run"]["seed"],
             "tierroute_version": __version__,
-        })
+        }
+        json_text(obj)
     except RecursionError as exc:
         raise ConfigError("the config nests too deep to record in manifest.json") from exc
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +546,10 @@ def main(argv: list[str] | None = None) -> int:
         # A command edits the config only at its top two levels, so a config
         # that encodes here, from the same stack depth, encodes after it too:
         # one the manifest cannot hold is refused before any output.
-        manifest_text(config, args.command)
+        manifest(config, args.command)
         outdir = output_dir(config)
         args.func(args, config, outdir)
-        write_lines(outdir / "manifest.json", [manifest_text(config, args.command)])
+        write_json(outdir / "manifest.json", manifest(config, args.command))
         return 0
     except TierRouteError as exc:
         print(f"error: {exc}", file=sys.stderr)

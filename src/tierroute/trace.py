@@ -12,10 +12,9 @@ File format (UTF-8, one JSON object per line; a line ends at LF, and CRLF reads 
             6 significant digits).
 
 A record line is written as the text ``json.dumps(record, sort_keys=True)``
-gives, laid out here column by column: the floats' text comes in bulk from
-orjson through ``formats.float_texts``, and a record with a float outside the
-range where orjson's text is ``repr``'s is ``json.dumps`` of its object. The
-bytes are the same either way.
+gives, laid out here column by column. The floats' text comes in bulk from
+``formats.float_texts``: orjson's inside the range where it is ``repr``'s, and
+``json.dumps``' outside it, so the bytes are the same.
 
 A record line is read by orjson. Stdlib ``json`` is the reference: a line
 that orjson refuses, or whose object fails a typed read, is decoded again by
@@ -39,7 +38,7 @@ from .errors import TraceFormatError, TraceValidationError
 from .fields import bad_value, read
 # The per-record readers under private names, which tracers of public functions skip.
 from .fields import json_bool as _json_bool, json_int as _json_int, json_number as _json_number
-from .formats import CHUNK_ROWS, exact_floats, float_texts, write_lines
+from .formats import CHUNK_ROWS, float_texts, write_lines
 
 BYTES_PER_TOKEN = 4  # UTF-8 proxy used when byte sizes are not given explicitly
 
@@ -192,9 +191,7 @@ _CORRECT_ITEM = {CORRECT_ABSENT: "", CORRECT_NULL: '"correct": null, ', 0: '"cor
 
 
 def _record_lines(trace: Trace, rows: slice) -> str:
-    """The record lines of ``rows``, laid out column by column from ``float_texts``.
-    A row with a written float outside ``exact_floats`` is ``json.dumps`` of its
-    record object instead, the reference."""
+    """The record lines of ``rows``, laid out column by column from ``float_texts``."""
     embeddings = trace.embeddings[rows]
     n, dim = embeddings.shape
     scores = np.stack([getattr(trace, name)[rows] for name in _SORTED_SCORES], axis=1)
@@ -215,31 +212,7 @@ def _record_lines(trace: Trace, rows: slice) -> str:
                                     generated, prompt, request, response)
                       for text, code, generated, prompt, request, response
                       in zip(texts[dim + t::width], *columns)])
-    lines = [_RECORD_LINE % row for row in zip(*items)]
-    exact = exact_floats(floats)
-    exact[:, dim + 3:] |= ~present  # an absent score is not written
-    for r in np.flatnonzero(~exact.all(axis=1)).tolist():
-        lines[r] = json.dumps(_record(trace, rows.start + r), sort_keys=True) + "\n"
-    return "".join(lines)
-
-
-def _record(trace: Trace, i: int) -> dict:
-    """Row ``i`` as the object its record line encodes."""
-    tier_info = {}
-    for t, label in enumerate(_TIER_LABELS):
-        sub = {name: getattr(trace, name)[i, t].item() for name in _INT_FIELDS}
-        sub["compute_seconds"] = trace.compute_s[i, t].item()
-        code = trace.correct[i, t].item()
-        if code != CORRECT_ABSENT:
-            sub["correct"] = None if code == CORRECT_NULL else bool(code)
-        tier_info[label] = sub
-    obj = {"id": trace.ids[i], "embedding": trace.embeddings[i].tolist(),
-           "tier_info": tier_info, "has_reference": trace.has_reference[i].item()}
-    for name in _SCORE_FIELDS:
-        value = getattr(trace, name)[i].item()
-        if not math.isnan(value):
-            obj[name] = value
-    return obj
+    return "".join(_RECORD_LINE % row for row in zip(*items))
 
 
 def _correct_code(tier_obj: dict) -> int:
