@@ -43,7 +43,7 @@ from .router import (
     write_report_files,
 )
 from .trace import (
-    TIERS,
+    TIER_LABELS,
     SyntheticConfig,
     Trace,
     concat_traces,
@@ -132,7 +132,7 @@ def apply_overrides(config: dict, settings: list[str]) -> None:
 # The config key each flag sets, by its argparse name.
 _FLAG_KEYS = {"seed": "run.seed", "trace": "run.trace", "out": "run.output_dir",
               "network": "network.scenario", "switch_window": "network.switch_window",
-              "update_interval": "stream.update_interval"}
+              "update_interval": "stream.update_interval", "online": "stream.online"}
 
 
 def _given_config(args: argparse.Namespace) -> dict:
@@ -388,16 +388,12 @@ def cmd_stream(args: argparse.Namespace, config: dict, outdir: Path) -> None:
     stream_trace = resolve_trace(config, seed)
     scenario = network_scenario(config)
     online = _setting(config, "stream.online", bool)
-    if getattr(args, "static", False):
-        online = False
-    if getattr(args, "online", False):
-        online = True
     report = run_stream(state, stream_trace, scenario, online=online)
     write_report_files(report, outdir, prefix="stream")
     totals = report.totals
-    print(f"{report.policy}: acc={totals.accuracy:.4f} "
-          f"latency={totals.mean_latency_s:.3f}s cost={totals.mean_cost:.1f} "
-          f"utility={totals.mean_utility:.4f}")
+    print(f"{report.policy}: acc={totals['accuracy']:.4f} "
+          f"latency={totals['mean_latency_s']:.3f}s cost={totals['mean_cost']:.1f} "
+          f"utility={totals['mean_utility']:.4f}")
 
 
 def cmd_baseline(args: argparse.Namespace, config: dict, outdir: Path) -> None:
@@ -422,8 +418,8 @@ def cmd_baseline(args: argparse.Namespace, config: dict, outdir: Path) -> None:
                             window_size=update_interval(config))
     write_report_files(report, outdir, prefix=f"baseline_{policy}")
     totals = report.totals
-    print(f"{policy}: acc={totals.accuracy:.4f} latency={totals.mean_latency_s:.3f}s "
-          f"cost={totals.mean_cost:.1f}")
+    print(f"{policy}: acc={totals['accuracy']:.4f} latency={totals['mean_latency_s']:.3f}s "
+          f"cost={totals['mean_cost']:.1f}")
 
 
 def cmd_sweep(args: argparse.Namespace, config: dict, outdir: Path) -> None:
@@ -439,11 +435,11 @@ def cmd_sweep(args: argparse.Namespace, config: dict, outdir: Path) -> None:
         report = run_stream(state, trace, tune_kw["scenario"], online=False)
         policies.append("router_static")
         totals.append(report.totals)
-        print(f"kappa={kappa:g}: acc={report.totals.accuracy:.4f} "
-              f"cloud_frac={report.totals.tier_fractions['cloud']:.3f}")
+        print(f"kappa={kappa:g}: acc={report.totals['accuracy']:.4f} "
+              f"cloud_frac={report.totals['frac_cloud']:.3f}")
 
     columns = {"policy": policies, "kappa": [""] * 3 + [f"{kappa:g}" for kappa, _ in grid],
-               **{name: np.array([getattr(t, name) for t in totals])
+               **{name: np.array([t[name] for t in totals])
                   for name in ("accuracy", "mean_latency_s", "mean_cost")}}
     # Normalized from device_only (0) to cloud_only (100), rows 0 and 2.
     for norm, name in (("norm_latency", "mean_latency_s"), ("norm_cost", "mean_cost"),
@@ -451,8 +447,8 @@ def cmd_sweep(args: argparse.Namespace, config: dict, outdir: Path) -> None:
         col = columns[name]
         span = col[2] - col[0]
         columns[norm] = 100.0 * (col - col[0]) / span if span != 0 else np.zeros(len(col))
-    for tier in TIERS:
-        columns[f"frac_{tier.label}"] = np.array([t.tier_fractions[tier.label] for t in totals])
+    for label in TIER_LABELS:
+        columns[f"frac_{label}"] = np.array([t[f"frac_{label}"] for t in totals])
     write_table(outdir / "pareto.csv", columns)
     print(f"wrote {outdir / 'pareto.csv'} ({len(policies)} rows)")
 
@@ -500,8 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_stream)
     p_stream.add_argument("--bundle", required=True, help="bundle directory from tune")
     mode = p_stream.add_mutually_exclusive_group()
-    mode.add_argument("--online", action="store_true", help="refresh thresholds online")
-    mode.add_argument("--static", action="store_true", help="keep offline thresholds fixed")
+    mode.add_argument("--online", action="store_const", const=True,
+                      help="refresh thresholds online")
+    mode.add_argument("--static", action="store_const", const=False, dest="online",
+                      help="keep offline thresholds fixed")
     p_stream.set_defaults(func=cmd_stream)
 
     p_base = sub.add_parser("baseline", help="fixed-policy baselines")

@@ -56,7 +56,7 @@ from .mlp import (
     train,
 )
 from .network import NetworkScenario
-from .trace import TIERS, TierId, Trace
+from .trace import TIER_LABELS, TierId, Trace
 
 # Counterfactual replay depth per cluster for the online refresh evaluator.
 RECENT_REPLAY_DEPTH = 256
@@ -243,40 +243,35 @@ class Decisions:
 
 
 @dataclass
-class WindowStats:
-    index: int
-    count: int
-    accuracy: float
-    mean_latency_s: float
-    mean_cost: float
-    mean_utility: float
-    tier_fractions: dict[str, float]
-
-
-@dataclass
 class StreamReport:
-    """``thresholds[w, c]``: cluster c's (tau1, tau2) in window w; fixed policies have no c."""
+    """``windows`` is the ``*_windows.csv`` table as columns, one row per window;
+    ``totals`` is the same summary of the whole stream, without ``window``.
+    ``thresholds[w, c]``: cluster c's (tau1, tau2) in window w; fixed policies have no c."""
 
     policy: str
     window_size: int
-    windows: list[WindowStats]
-    totals: WindowStats
+    windows: dict[str, np.ndarray]
+    totals: dict[str, int | float]
     decisions: Decisions
     thresholds: np.ndarray
 
 
-def _window_stats(index: int, d: Decisions, rows: slice) -> WindowStats:
-    tiers = d.tier[rows]
-    fractions = np.bincount(tiers, minlength=len(TIERS)) / len(tiers)
-    return WindowStats(
-        index=index,
-        count=len(tiers),
-        accuracy=float(np.mean(d.correct[rows])),
-        mean_latency_s=float(np.mean(d.latency_s[rows])),
-        mean_cost=float(np.mean(d.cost[rows])),
-        mean_utility=float(np.mean(d.utility[rows])),
-        tier_fractions={t.label: float(fractions[t]) for t in TIERS},
-    )
+# The per-window means, each over one Decisions column.
+_MEANS = {"accuracy": "correct", "mean_latency_s": "latency_s", "mean_cost": "cost",
+          "mean_utility": "utility"}
+
+
+def _summary(d: Decisions, size: int) -> dict[str, np.ndarray]:
+    """The ``*_windows.csv`` columns of ``d`` in windows of ``size`` rows: the
+    count, ``np.mean`` of each column's slice, and each tier's share."""
+    n, k = len(d.tier), len(TIER_LABELS)
+    starts = range(0, n, size)
+    count = np.minimum(size, n - np.array(starts))
+    shares = np.bincount(np.arange(n) // size * k + d.tier, minlength=len(starts) * k)
+    return {"window": np.arange(len(starts)), "count": count,
+            **{name: np.array([np.mean(getattr(d, column)[s:s + size]) for s in starts])
+               for name, column in _MEANS.items()},
+            **{f"frac_{label}": shares[t::k] / count for t, label in enumerate(TIER_LABELS)}}
 
 
 def _build_report(policy: str, window_size: int, trace: Trace, tier: np.ndarray,
@@ -289,12 +284,11 @@ def _build_report(policy: str, window_size: int, trace: Trace, tier: np.ndarray,
     correct, lats, costs, utilities = (m[rows, tier] for m in outcomes)
     d = Decisions(ids=trace.ids, window=rows // window_size, tier=tier, correct=correct,
                   latency_s=lats, cost=costs, utility=utilities, **routing)
-    windows = [_window_stats(w, d, slice(start, start + window_size))
-               for w, start in enumerate(range(0, n, window_size))]
-    return StreamReport(policy=policy, window_size=window_size, windows=windows,
-                        totals=_window_stats(-1, d, slice(None)), decisions=d,
-                        thresholds=np.empty((len(windows), 0, 2)) if thresholds is None
-                        else thresholds)
+    windows = _summary(d, window_size)
+    totals = {name: column.item() for name, column in _summary(d, n).items() if name != "window"}
+    return StreamReport(policy=policy, window_size=window_size, windows=windows, totals=totals,
+                        decisions=d, thresholds=np.empty((len(windows["window"]), 0, 2))
+                        if thresholds is None else thresholds)
 
 
 def run_stream(state: RouterState, stream: Trace, scenario: NetworkScenario,
@@ -398,6 +392,13 @@ def baseline_route(policy: str, trace: Trace, scenario: NetworkScenario, *,
 # Report serialization
 # ---------------------------------------------------------------------------
 
+def _stats_object(row: dict) -> dict:
+    """report.json's object for one row of the windows table, or for the totals
+    (index -1)."""
+    return {"index": row.get("window", -1), **{name: row[name] for name in ("count", *_MEANS)},
+            "tier_fractions": {label: row[f"frac_{label}"] for label in TIER_LABELS}}
+
+
 def write_report_files(report: StreamReport, outdir: str | Path, prefix: str = "stream") -> list[Path]:
     """Write report.json plus per-window, threshold-history, and decision CSVs."""
     outdir = Path(outdir)
@@ -406,24 +407,18 @@ def write_report_files(report: StreamReport, outdir: str | Path, prefix: str = "
              ("report.json", "windows.csv", "thresholds.csv", "decisions.csv", "utilities.csv")]
     n_windows, k, _ = report.thresholds.shape
     by_cluster = report.thresholds.transpose(1, 0, 2)
+    windows = {name: column.tolist() for name, column in report.windows.items()}
     write_json(paths[0], {
         "policy": report.policy,
         "window_size": report.window_size,
         "latency_model": LATENCY_MODEL_NOTE,
-        "totals": asdict(report.totals),
-        "windows": [asdict(w) for w in report.windows],
+        "totals": _stats_object(report.totals),
+        "windows": [_stats_object(dict(zip(windows, row))) for row in zip(*windows.values())],
         "threshold_history": {str(c): [{"window": w, "tau1": t1, "tau2": t2}
                                        for w, (t1, t2) in enumerate(pairs)]
                               for c, pairs in enumerate(by_cluster.tolist())},
     })
-
-    windows = report.windows
-    write_table(paths[1], {
-        "window": [w.index for w in windows],
-        **{name: [getattr(w, name) for w in windows]
-           for name in ("count", "accuracy", "mean_latency_s", "mean_cost", "mean_utility")},
-        **{f"frac_{t.label}": [w.tier_fractions[t.label] for w in windows] for t in TIERS},
-    })
+    write_table(paths[1], report.windows)
     write_table(paths[2], {"cluster": np.repeat(np.arange(k), n_windows),
                            "window": np.tile(np.arange(n_windows), k),
                            "tau1": by_cluster[..., 0].ravel(), "tau2": by_cluster[..., 1].ravel()})
@@ -431,7 +426,7 @@ def write_report_files(report: StreamReport, outdir: str | Path, prefix: str = "
     d = report.decisions
     columns = {
         "query_id": d.ids, "window": d.window, "cluster": d.cluster,
-        "tier": [TIERS[t].label for t in d.tier.tolist()], "score": d.score,
+        "tier": [TIER_LABELS[t] for t in d.tier.tolist()], "score": d.score,
         "tau1": d.tau1, "tau2": d.tau2, "correct": d.correct.astype(np.int64),
         "latency_s": d.latency_s, "cost": d.cost, "utility": d.utility,
     }

@@ -58,10 +58,10 @@ class TierId(IntEnum):
 
 
 TIERS: tuple[TierId, TierId, TierId] = (TierId.DEVICE, TierId.EDGE, TierId.CLOUD)
+TIER_LABELS = tuple(tier.label for tier in TIERS)
 
 
 _SCORE_FIELDS = ("sim_cloud", "sim_edge", "judge_cloud", "judge_edge")
-_TIER_LABELS = tuple(tier.label for tier in TIERS)
 _INT_FIELDS = ("generated_tokens", "prompt_tokens", "request_bytes", "response_bytes")
 _TIER_COLUMNS = _INT_FIELDS + ("compute_s", "correct")
 
@@ -134,7 +134,7 @@ class Trace:
             if bad.any():
                 row, tier = np.argwhere(bad)[0]
                 raise TraceValidationError(
-                    f"record {self.ids[row]!r}: tier {TIERS[tier].label}: {what}")
+                    f"record {self.ids[row]!r}: tier {TIER_LABELS[tier]}: {what}")
 
     def correctness_matrix(self) -> np.ndarray:
         """Per-record, per-tier correct bits as an (n, 3) float array.
@@ -145,7 +145,7 @@ class Trace:
         if missing.any():
             row, tier = np.argwhere(missing)[0]
             raise TraceValidationError(
-                f"record {self.ids[row]!r}: missing correct bit for tier {TIERS[tier].label}")
+                f"record {self.ids[row]!r}: missing correct bit for tier {TIER_LABELS[tier]}")
         return self.correct.astype(np.float64)
 
 
@@ -185,7 +185,7 @@ _RECORD_LINE = ('{"embedding": [%s], "has_reference": %s, "id": %s%s%s%s%s, '
 _TIER_ITEM = ('"%s": {"compute_seconds": %s, %s"generated_tokens": %d, "prompt_tokens": %d, '
               '"request_bytes": %d, "response_bytes": %d}')
 _SORTED_SCORES = tuple(sorted(_SCORE_FIELDS))
-_SORTED_TIERS = tuple(sorted(range(len(TIERS)), key=_TIER_LABELS.__getitem__))
+_SORTED_TIERS = tuple(sorted(range(len(TIERS)), key=TIER_LABELS.__getitem__))
 # The "correct" item of a tier by its code; any other code is written as true.
 _CORRECT_ITEM = {CORRECT_ABSENT: "", CORRECT_NULL: '"correct": null, ', 0: '"correct": false, '}
 
@@ -206,7 +206,7 @@ def _record_lines(trace: Trace, rows: slice) -> str:
         items.append([f', "{name}": {text}' if given else "" for text, given
                       in zip(texts[dim + 3 + j::width], present[:, j].tolist())])
     for t in _SORTED_TIERS:
-        label = _TIER_LABELS[t]
+        label = TIER_LABELS[t]
         columns = (getattr(trace, name)[rows, t].tolist() for name in ("correct", *_INT_FIELDS))
         items.append([_TIER_ITEM % (label, text, _CORRECT_ITEM.get(code, '"correct": true, '),
                                     generated, prompt, request, response)
@@ -260,11 +260,11 @@ def _read_fields(obj: dict, i: int, cols: dict[str, np.ndarray]) -> None:
         raise bad_value(f"embedding[{j}]", value, "a JSON number", TraceValidationError)
     cols["embeddings"][i] = embedding
     tier_info = obj["tier_info"]
-    if tier_info.keys() != set(_TIER_LABELS):
+    if tier_info.keys() != set(TIER_LABELS):
         raise TraceValidationError(
             f"tier_info must hold exactly device, edge and cloud; got {sorted(tier_info)}")
     tiers = []
-    for label in _TIER_LABELS:
+    for label in TIER_LABELS:
         try:
             tiers.append(_read_tier(tier_info[label]))
         except TraceValidationError as exc:

@@ -247,12 +247,12 @@ def test_criterion_7_end_to_end_tradeoff():
         state = build_state(offline, scenario, seed=seed, k_min=2, k_max=8)
         routed = run_stream(deepcopy(state), evaluation, scenario, online=False)
         clm = baseline_route("cloud_only", evaluation, scenario)
-        acc_ratio = routed.totals.accuracy / clm.totals.accuracy
-        lat_ratio = routed.totals.mean_latency_s / clm.totals.mean_latency_s
-        cost_ratio = routed.totals.mean_cost / clm.totals.mean_cost
+        acc_ratio = routed.totals["accuracy"] / clm.totals["accuracy"]
+        lat_ratio = routed.totals["mean_latency_s"] / clm.totals["mean_latency_s"]
+        cost_ratio = routed.totals["mean_cost"] / clm.totals["mean_cost"]
         static_lat = _global_static_best_latency(
-            evaluation, state.predictor, routed.totals.accuracy, scenario)
-        static_ratio = routed.totals.mean_latency_s / static_lat
+            evaluation, state.predictor, routed.totals["accuracy"], scenario)
+        static_ratio = routed.totals["mean_latency_s"] / static_lat
         ok = (acc_ratio >= 0.95 and lat_ratio <= 0.75 and cost_ratio <= 0.80
               and static_ratio <= 0.95)
         passes.append(ok)
@@ -288,8 +288,8 @@ def test_criterion_8_online_adaptation_under_drift():
                             update_interval=200)
         static = run_stream(deepcopy(state), stream, scenario, online=False)
         online = run_stream(deepcopy(state), stream, scenario, online=True)
-        static_tail = float(np.mean([w.mean_utility for w in static.windows[-5:]]))
-        online_tail = float(np.mean([w.mean_utility for w in online.windows[-5:]]))
+        static_tail = float(np.mean(static.windows["mean_utility"][-5:]))
+        online_tail = float(np.mean(online.windows["mean_utility"][-5:]))
         gap = online_tail - static_tail
         gaps.append(gap)
         passes.append(gap >= 0.02)
@@ -318,8 +318,8 @@ def test_criterion_9_network_shift_adaptation():
                             update_interval=200,
                             bo_overrides={"online_steps_per_refresh": 3})
         rep = run_stream(deepcopy(state), stream, scenario, online=True)
-        cloud = [w.tier_fractions["cloud"] for w in rep.windows]
-        lat = [w.mean_latency_s for w in rep.windows]
+        cloud = rep.windows["frac_cloud"]
+        lat = rep.windows["mean_latency_s"]
         pre_cloud, post_cloud = float(np.mean(cloud[4:7])), float(np.mean(cloud[8:11]))
         pre_lat, post_lat = float(np.mean(lat[4:7])), float(np.mean(lat[8:11]))
         passes.append(post_cloud > pre_cloud and post_lat < pre_lat)
@@ -346,8 +346,8 @@ def test_criterion_10_utility_weight_sweep():
         weights = UtilityWeights.from_kappas(kappa, kappa)
         state = build_state(trace, scenario, seed=0, weights=weights, fixed_k=5)
         rep = run_stream(deepcopy(state), trace, scenario, online=False)
-        clouds.append(rep.totals.tier_fractions["cloud"])
-        accs.append(rep.totals.accuracy)
+        clouds.append(rep.totals["frac_cloud"])
+        accs.append(rep.totals["accuracy"])
     mono_cloud = all(b >= a - 1e-12 for a, b in zip(clouds, clouds[1:]))
     mono_acc = all(b >= a - 1e-12 for a, b in zip(accs, accs[1:]))
     report(10, mono_cloud and mono_acc,

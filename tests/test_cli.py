@@ -705,6 +705,24 @@ class TestManifests:
                      "observations.csv", "bundle_manifest.json"):
             assert (m1 / name).read_bytes() == (m2 / name).read_bytes()
 
+    def test_stream_mode_recorded(self, workdir):
+        # --online and --static set stream.online (the config file says true),
+        # so the two modes' manifests differ there and in the config hash only.
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+        manifests, policies = [], []
+        for mode in ("online", "static"):
+            assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--out", tmp / mode,
+                       f"--{mode}") == 0
+            manifests.append(json.loads((tmp / mode / "manifest.json").read_text()))
+            policies.append(json.loads((tmp / mode / "stream_report.json").read_text())["policy"])
+        assert policies == ["router_online", "router_static"]
+        assert [m["config"]["stream"]["online"] for m in manifests] == [True, False]
+        assert manifests[0]["config_sha256"] != manifests[1]["config_sha256"]
+        for m in manifests:
+            del m["config"]["stream"]["online"], m["config_sha256"]
+        assert manifests[0] == manifests[1]
+
     def test_unknown_scenario_exit_2(self, workdir, capsys):
         tmp, cfg = workdir
         code = run("baseline", "--config", cfg, "--policy", "clm-only",

@@ -45,9 +45,9 @@ from tierroute.trace import (
     _ARRAY_COLUMNS,
     _INT_FIELDS,
     _SCORE_FIELDS,
-    _TIER_LABELS,
     CORRECT_ABSENT,
     CORRECT_NULL,
+    TIER_LABELS,
     TIERS,
     SyntheticConfig,
     TraceHeader,
@@ -102,7 +102,7 @@ def old_save_trace(trace, path):  # json.dumps of one object per record, from th
         yield asdict(TraceHeader(trace.embedding_dim, trace.prompt_text, trace.metadata))
         for i, rid in enumerate(trace.ids):
             tier_info = {}
-            for t, label in enumerate(_TIER_LABELS):
+            for t, label in enumerate(TIER_LABELS):
                 sub = {name: col[i][t] for name, col in zip(_INT_FIELDS, ints)}
                 sub["compute_seconds"] = compute[i][t]
                 if correct[i][t] != CORRECT_ABSENT:
@@ -130,19 +130,23 @@ def old_report_files(report, outdir, prefix):
     history = {c: [(w, *report.thresholds[w, c].tolist()) for w in range(n_windows)]
                for c in range(k)}
 
-    def window_obj(w):
+    windows = [dict(zip(report.windows, row))
+               for row in zip(*(col.tolist() for col in report.windows.values()))]
+
+    def window_obj(w, index):
         return {
-            "index": w.index, "count": w.count, "accuracy": w.accuracy,
-            "mean_latency_s": w.mean_latency_s, "mean_cost": w.mean_cost,
-            "mean_utility": w.mean_utility, "tier_fractions": w.tier_fractions,
+            "index": index, "count": w["count"], "accuracy": w["accuracy"],
+            "mean_latency_s": w["mean_latency_s"], "mean_cost": w["mean_cost"],
+            "mean_utility": w["mean_utility"],
+            "tier_fractions": {label: w[f"frac_{label}"] for label in TIER_LABELS},
         }
 
     obj = {
         "policy": report.policy,
         "window_size": report.window_size,
         "latency_model": LATENCY_MODEL_NOTE,
-        "totals": window_obj(report.totals),
-        "windows": [window_obj(w) for w in report.windows],
+        "totals": window_obj(report.totals, -1),
+        "windows": [window_obj(w, w["window"]) for w in windows],
         "threshold_history": {
             str(k): [{"window": w, "tau1": t1, "tau2": t2} for w, t1, t2 in hist]
             for k, hist in sorted(history.items())
@@ -154,11 +158,11 @@ def old_report_files(report, outdir, prefix):
         writer = csv.writer(fh)
         writer.writerow(["window", "count", "accuracy", "mean_latency_s", "mean_cost",
                          "mean_utility", "frac_device", "frac_edge", "frac_cloud"])
-        for w in report.windows:
-            writer.writerow([w.index, w.count, repr(w.accuracy), repr(w.mean_latency_s),
-                             repr(w.mean_cost), repr(w.mean_utility),
-                             repr(w.tier_fractions["device"]), repr(w.tier_fractions["edge"]),
-                             repr(w.tier_fractions["cloud"])])
+        for w in windows:
+            writer.writerow([w["window"], w["count"], repr(w["accuracy"]),
+                             repr(w["mean_latency_s"]), repr(w["mean_cost"]),
+                             repr(w["mean_utility"]), repr(w["frac_device"]),
+                             repr(w["frac_edge"]), repr(w["frac_cloud"])])
     with (outdir / f"{prefix}_thresholds.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cluster", "window", "tau1", "tau2"])

@@ -41,8 +41,11 @@ from tierroute.router import (
     save_bundle,
     state_checksum,
     tune_thresholds,
+    write_report_files,
 )
 from tierroute.trace import (
+    TIER_LABELS,
+    TIERS,
     SyntheticConfig,
     TierId,
     concat_traces,
@@ -251,15 +254,16 @@ class TestRunStream:
         report = run_stream(clone, trace, GOOD, online=False)
         assert clone.thresholds == initial
         pairs = [[initial[c].tau1, initial[c].tau2] for c in range(state.clusters.k)]
-        assert report.thresholds.shape == (len(report.windows), state.clusters.k, 2)
+        assert report.thresholds.shape == (len(report.windows["window"]), state.clusters.k, 2)
         assert all(row.tolist() == pairs for row in report.thresholds)
 
     def test_conservation(self, small_state):
         trace, _, state = small_state
         report = run_stream(deepcopy(state), trace, GOOD, online=False)
-        assert sum(w.count for w in report.windows) == len(trace)
-        for w in report.windows + [report.totals]:
-            assert sum(w.tier_fractions.values()) == pytest.approx(1.0, abs=1e-9)
+        assert sum(report.windows["count"]) == len(trace)
+        for table in (report.windows, report.totals):
+            fractions = sum(table[f"frac_{label}"] for label in TIER_LABELS)
+            assert fractions == pytest.approx(1.0, abs=1e-9)
 
     def test_update_interval_below_one_is_corrupt_state(self, small_state):
         trace, _, state = small_state
@@ -365,9 +369,65 @@ class TestRunStream:
         static_report = run_stream(deepcopy(state), stream, GOOD, online=False)
         online_report = run_stream(deepcopy(state), stream, GOOD, online=True)
         tail = slice(-3, None)
-        static_tail = np.mean([w.mean_utility for w in static_report.windows[tail]])
-        online_tail = np.mean([w.mean_utility for w in online_report.windows[tail]])
+        static_tail = np.mean(static_report.windows["mean_utility"][tail])
+        online_tail = np.mean(online_report.windows["mean_utility"][tail])
         assert online_tail > static_tail + 0.02
+
+
+WINDOWS_HEADER = ["window", "count", "accuracy", "mean_latency_s", "mean_cost",
+                  "mean_utility", "frac_device", "frac_edge", "frac_cloud"]
+
+
+def reference_window_stats(index, d, rows):
+    """One window's summary as the per-window objects of earlier versions made
+    it, with the same arithmetic: np.mean of the slice, bincount / count."""
+    tiers = d.tier[rows]
+    fractions = np.bincount(tiers, minlength=len(TIERS)) / len(tiers)
+    return {"window": index, "count": len(tiers),
+            "accuracy": float(np.mean(d.correct[rows])),
+            "mean_latency_s": float(np.mean(d.latency_s[rows])),
+            "mean_cost": float(np.mean(d.cost[rows])),
+            "mean_utility": float(np.mean(d.utility[rows])),
+            **{f"frac_{t.label}": float(fractions[t]) for t in TIERS}}
+
+
+class TestSummary:
+    @pytest.fixture(scope="class")
+    def stream(self):
+        # 4500 queries: in windows of 700 the last holds 300.
+        cfg = SyntheticConfig(n_queries=4500, embedding_dim=12, n_latent_clusters=2,
+                              seed=52, noise_sigma=0.03)
+        return generate_synthetic_trace(cfg)[0]
+
+    @pytest.mark.parametrize("policy, window_size", [
+        ("router_online", 700), ("router_static", 10_000), ("router_static", 1),
+        ("device_only", 700), ("global_static", 700)])
+    def test_matches_per_window_reference(self, small_state, stream, tmp_path, policy,
+                                          window_size):
+        _, _, state = small_state
+        if policy.startswith("router"):
+            clone = deepcopy(state)
+            clone.update_interval = window_size
+            report = run_stream(clone, stream, GOOD, online=policy == "router_online")
+        else:
+            report = baseline_route(policy, stream, GOOD, window_size=window_size,
+                                    pair=state.thresholds[0], predictor=state.predictor)
+        assert report.policy == policy
+        d, n = report.decisions, len(stream)
+        expected = [reference_window_stats(w, d, slice(start, start + window_size))
+                    for w, start in enumerate(range(0, n, window_size))]
+        assert expected[-1]["count"] == (n % window_size or window_size)
+        assert list(report.windows) == WINDOWS_HEADER
+        for name, column in report.windows.items():
+            # repr tells -0.0 from 0.0 and an int from a float; == alone does not.
+            assert [repr(v) for v in column.tolist()] == [repr(w[name]) for w in expected]
+        totals = reference_window_stats(-1, d, slice(None))
+        del totals["window"]
+        assert list(report.totals) == WINDOWS_HEADER[1:]
+        assert {k: repr(v) for k, v in report.totals.items()} == {
+            k: repr(v) for k, v in totals.items()}
+        written = write_report_files(report, tmp_path, "s")[1].read_text().splitlines()
+        assert written[0].split(",") == list(report.windows)
 
 
 @pytest.fixture(scope="module")
@@ -386,20 +446,20 @@ class TestBaselines:
     def test_cloud_only_accuracy_is_cloud_rate(self, trace):
         report = baseline_route("cloud_only", trace, GOOD)
         rate = trace.correctness_matrix()[:, TierId.CLOUD].mean()
-        assert report.totals.accuracy == pytest.approx(rate, abs=1e-12)
-        assert report.totals.tier_fractions["cloud"] == 1.0
+        assert report.totals["accuracy"] == pytest.approx(rate, abs=1e-12)
+        assert report.totals["frac_cloud"] == 1.0
 
     def test_device_only_latency_is_mean_compute(self, trace):
         report = baseline_route("device-only", trace, GOOD)
         mean_compute = np.mean(trace.compute_s[:, TierId.DEVICE])
-        assert report.totals.mean_latency_s == pytest.approx(mean_compute, rel=1e-12)
+        assert report.totals["mean_latency_s"] == pytest.approx(mean_compute, rel=1e-12)
 
     def test_global_static_near_one_never_uses_device(self, trace):
         predictor = init_model(quick_mlp(trace.embedding_dim, seed=0))
         report = baseline_route("global_static", trace, GOOD,
                                 pair=ThresholdPair(1.0 - 1e-9, 0.5),
                                 predictor=predictor)
-        assert report.totals.tier_fractions["device"] == 0.0
+        assert report.totals["frac_device"] == 0.0
 
     def test_global_static_requires_pair_and_predictor(self, trace):
         with pytest.raises(ValueError, match="global_static"):
@@ -419,8 +479,8 @@ class TestBaselines:
         routed = run_stream(deepcopy(state), trace, GOOD, online=False)
         clm = baseline_route("cloud_only", trace, GOOD)
         dlm = baseline_route("device_only", trace, GOOD)
-        assert clm.totals.accuracy >= routed.totals.accuracy - 1e-12
-        assert routed.totals.accuracy >= dlm.totals.accuracy - 1e-12
+        assert clm.totals["accuracy"] >= routed.totals["accuracy"] - 1e-12
+        assert routed.totals["accuracy"] >= dlm.totals["accuracy"] - 1e-12
 
 
 class TestBundle:
