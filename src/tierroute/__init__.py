@@ -56,7 +56,6 @@ from .network import (
     scenario_link,
 )
 from .router import (
-    Decisions,
     Representation,
     RouterState,
     StreamReport,

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .fields import MISSING, building, typed
 from .network import NetworkScenario, round_trip_latency, scenario_link
 from .trace import TIERS, TierId, Trace
@@ -104,13 +105,20 @@ def tier_latency(trace: Trace, scenario: NetworkScenario, windows) -> np.ndarray
 
 def utility_matrix(correct, latency, cost, weights: UtilityWeights,
                    cloud_baselines: CloudBaselines | None = None):
-    """lambda1 * I[correct] - lambda2 * latency - lambda3 * cost (normalized by default)."""
+    """lambda1 * I[correct] - lambda2 * latency - lambda3 * cost (normalized by default).
+    Weights that overflow it, or the sum of its magnitudes, are a ConfigError."""
     if weights.normalize_by_cloud:
         if cloud_baselines is None:
             raise ValueError("normalize_by_cloud requires cloud baselines")
         latency = latency / cloud_baselines.mean_latency_s
         cost = cost / cloud_baselines.mean_cost
-    return weights.lambda1 * correct - weights.lambda2 * latency - weights.lambda3 * cost
+    with np.errstate(over="ignore", invalid="ignore"):
+        utility = weights.lambda1 * correct - weights.lambda2 * latency - weights.lambda3 * cost
+        if not np.isfinite(np.abs(utility).sum()):
+            raise ConfigError(
+                f"weights lambda1={weights.lambda1!r}, lambda2={weights.lambda2!r} and "
+                f"lambda3={weights.lambda3!r} overflow the utility of this trace")
+    return utility
 
 
 def cloud_reference_means(trace: Trace, scenario: NetworkScenario,

@@ -44,6 +44,7 @@ from .router import (
 )
 from .trace import (
     TIER_LABELS,
+    GroundTruth,
     SyntheticConfig,
     Trace,
     concat_traces,
@@ -170,15 +171,24 @@ def output_dir(config: dict) -> Path:
     return path
 
 
-def manifest(config: dict, command: str) -> dict:
+# The command flags that set no config key; a manifest records each that the
+# command's parser defines, null where it is not given.
+_ARG_FLAGS = ("bundle", "policy", "tau1", "tau2", "kappa_grid")
+
+
+def manifest(config: dict, args: argparse.Namespace) -> dict:
     """A run's manifest.json, checked to encode from the stack depth of a
     ``write_json`` call beside this one. It records the config without the
     output location, which is not part of the experiment identity."""
     scrubbed = {**config, "run": {k: v for k, v in config["run"].items() if k != "output_dir"}}
+    flags = {name: getattr(args, name) for name in _ARG_FLAGS if hasattr(args, name)}
+    for name in ("tau1", "tau2"):
+        typed(flags.get(name), float | None, f"--{name}", ConfigError)
     try:  # a value that json could decode may still nest too deep to encode here
         canonical = json.dumps(scrubbed, sort_keys=True)
         obj = {
-            "command": command,
+            **({"args": flags} if flags else {}),
+            "command": args.command,
             "config": scrubbed,
             "config_sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
             "seed": config["run"]["seed"],
@@ -204,10 +214,15 @@ def synthetic_config(config: dict, seed: int, **given) -> SyntheticConfig:
     body = {**SYNTHETIC_DEFAULTS, **(config.get("synthetic") or {})}
     if body["seed"] is None:
         body["seed"] = seed
-    cfg = read(SyntheticConfig, body, "synthetic", error=ConfigError, **given)
+    return read(SyntheticConfig, body, "synthetic", error=ConfigError, **given)
+
+
+def synthetic_trace(config: dict, seed: int, **given) -> tuple[Trace, GroundTruth]:
+    """The synthetic section's trace; the generator checks the section before
+    it uses a value, and a value it refuses is a ConfigError."""
+    cfg = synthetic_config(config, seed, **given)
     with building("bad synthetic config", ConfigError):
-        cfg.validate()
-    return cfg
+        return generate_synthetic_trace(cfg)
 
 
 def resolve_trace(config: dict, seed: int) -> Trace:
@@ -221,8 +236,7 @@ def resolve_trace(config: dict, seed: int) -> Trace:
             raise TraceValidationError(f"{trace_path}: trace holds no records")
         return trace
     if has_synth:
-        trace, _ = generate_synthetic_trace(synthetic_config(config, seed))
-        return trace
+        return synthetic_trace(config, seed)[0]
     raise ConfigError("no trace: set run.trace or a synthetic section")
 
 
@@ -277,13 +291,14 @@ def cmd_gen(args: argparse.Namespace, config: dict, outdir: Path) -> None:
         config["synthetic"] = {}
     seed = _setting(config, "run.seed", minimum=0)
     drift = read(SyntheticDrift, config["synthetic"], "synthetic", error=ConfigError)
-    cfg = synthetic_config(config, seed)
-    trace, truth = generate_synthetic_trace(cfg)
+    trace, truth = synthetic_trace(config, seed)
     if drift.drift_at is not None:
         if drift.drift_tier_accuracy_profile is None:
             raise ConfigError("drift_at needs drift_tier_accuracy_profile")
-        shifted, _ = generate_synthetic_trace(synthetic_config(
-            config, seed, tier_accuracy_profile=drift.drift_tier_accuracy_profile))
+        if not 0 <= drift.drift_at <= 1:
+            raise ConfigError(f"synthetic.drift_at must lie in [0, 1]; got {drift.drift_at}")
+        shifted, _ = synthetic_trace(
+            config, seed, tier_accuracy_profile=drift.drift_tier_accuracy_profile)
         cut = round(drift.drift_at * len(trace))
         trace = concat_traces(trace.subset(slice(None, cut)), shifted.subset(slice(cut, None)))
         trace.metadata["drift_at_record"] = cut
@@ -544,10 +559,10 @@ def main(argv: list[str] | None = None) -> int:
         # A command edits the config only at its top two levels, so a config
         # that encodes here, from the same stack depth, encodes after it too:
         # one the manifest cannot hold is refused before any output.
-        manifest(config, args.command)
+        manifest(config, args)
         outdir = output_dir(config)
         args.func(args, config, outdir)
-        write_json(outdir / "manifest.json", manifest(config, args.command))
+        write_json(outdir / "manifest.json", manifest(config, args))
         return 0
     except TierRouteError as exc:
         print(f"error: {exc}", file=sys.stderr)

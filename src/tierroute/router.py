@@ -225,65 +225,51 @@ def tune_thresholds(rep: Representation, trace: Trace, *,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Decisions:
-    """Per-query decision columns in stream order; a column is None where the
-    policy has no value for it (fixed policies have no score or cluster)."""
-
-    ids: list[str]
-    window: np.ndarray
-    tier: np.ndarray
-    correct: np.ndarray
-    latency_s: np.ndarray
-    cost: np.ndarray
-    utility: np.ndarray
-    cluster: np.ndarray | None = None
-    score: np.ndarray | None = None
-    tau1: np.ndarray | None = None
-    tau2: np.ndarray | None = None
-
-
-@dataclass
 class StreamReport:
-    """``windows`` is the ``*_windows.csv`` table as columns, one row per window;
-    ``totals`` is the same summary of the whole stream, without ``window``.
-    ``thresholds[w, c]``: cluster c's (tau1, tau2) in window w; fixed policies have no c."""
+    """``decisions`` is the ``*_decisions.csv`` table as columns, one row per query
+    in stream order, with tiers as TierId codes; a fixed policy's ``cluster``,
+    ``score``, ``tau1`` and ``tau2`` are None. ``windows`` is the ``*_windows.csv``
+    table, one row per window; ``totals`` is the same summary of the whole stream,
+    without ``window``. ``thresholds[w, c]``: cluster c's (tau1, tau2) in window w;
+    fixed policies have no c."""
 
     policy: str
     window_size: int
     windows: dict[str, np.ndarray]
     totals: dict[str, int | float]
-    decisions: Decisions
+    decisions: dict[str, np.ndarray | list | None]
     thresholds: np.ndarray
 
 
-# The per-window means, each over one Decisions column.
+# The per-window means, each over one decisions column.
 _MEANS = {"accuracy": "correct", "mean_latency_s": "latency_s", "mean_cost": "cost",
           "mean_utility": "utility"}
 
 
-def _summary(d: Decisions, size: int) -> dict[str, np.ndarray]:
+def _summary(d: dict, size: int) -> dict[str, np.ndarray]:
     """The ``*_windows.csv`` columns of ``d`` in windows of ``size`` rows: the
     count, ``np.mean`` of each column's slice, and each tier's share."""
-    n, k = len(d.tier), len(TIER_LABELS)
+    n, k = len(d["tier"]), len(TIER_LABELS)
     starts = range(0, n, size)
     count = np.minimum(size, n - np.array(starts))
-    shares = np.bincount(np.arange(n) // size * k + d.tier, minlength=len(starts) * k)
+    shares = np.bincount(np.arange(n) // size * k + d["tier"], minlength=len(starts) * k)
     return {"window": np.arange(len(starts)), "count": count,
-            **{name: np.array([np.mean(getattr(d, column)[s:s + size]) for s in starts])
+            **{name: np.array([np.mean(d[column][s:s + size]) for s in starts])
                for name, column in _MEANS.items()},
             **{f"frac_{label}": shares[t::k] / count for t, label in enumerate(TIER_LABELS)}}
 
 
 def _build_report(policy: str, window_size: int, trace: Trace, tier: np.ndarray,
-                  outcomes: tuple[np.ndarray, ...], thresholds: np.ndarray | None = None,
-                  **routing: np.ndarray) -> StreamReport:
+                  outcomes: tuple[np.ndarray, ...], thresholds: np.ndarray | None = None, *,
+                  cluster=None, score=None, tau1=None, tau2=None) -> StreamReport:
     """Pick each query's tier out of the (n, 3) outcome matrices and summarize
     every window, which is a contiguous slice of ``window_size`` queries."""
     n = len(trace)
     rows = np.arange(n)
     correct, lats, costs, utilities = (m[rows, tier] for m in outcomes)
-    d = Decisions(ids=trace.ids, window=rows // window_size, tier=tier, correct=correct,
-                  latency_s=lats, cost=costs, utility=utilities, **routing)
+    d = {"query_id": trace.ids, "window": rows // window_size, "cluster": cluster, "tier": tier,
+         "score": score, "tau1": tau1, "tau2": tau2, "correct": correct.astype(np.int64),
+         "latency_s": lats, "cost": costs, "utility": utilities}
     windows = _summary(d, window_size)
     totals = {name: column.item() for name, column in _summary(d, n).items() if name != "window"}
     return StreamReport(policy=policy, window_size=window_size, windows=windows, totals=totals,
@@ -424,13 +410,8 @@ def write_report_files(report: StreamReport, outdir: str | Path, prefix: str = "
                            "tau1": by_cluster[..., 0].ravel(), "tau2": by_cluster[..., 1].ravel()})
 
     d = report.decisions
-    columns = {
-        "query_id": d.ids, "window": d.window, "cluster": d.cluster,
-        "tier": [TIER_LABELS[t] for t in d.tier.tolist()], "score": d.score,
-        "tau1": d.tau1, "tau2": d.tau2, "correct": d.correct.astype(np.int64),
-        "latency_s": d.latency_s, "cost": d.cost, "utility": d.utility,
-    }
-    write_tables(columns, {paths[3]: tuple(columns), paths[4]: (
+    labels = [TIER_LABELS[t] for t in d["tier"].tolist()]
+    write_tables({**d, "tier": labels}, {paths[3]: tuple(d), paths[4]: (
         "query_id", "cluster", "tier", "correct", "latency_s", "cost", "utility")})
     return paths
 

@@ -125,7 +125,8 @@ class Trace:
         per_tier = [
             (self.generated_tokens < 1, "generated_tokens must be >= 1 for a produced response"),
             (self.prompt_tokens < 0, "prompt_tokens must be >= 0"),
-            (self.compute_s < 0, "compute_seconds must be >= 0"),
+            (~np.isfinite(self.compute_s) | (self.compute_s < 0),
+             "compute_seconds must be finite and >= 0"),
             ((self.request_bytes < 0) | (self.response_bytes < 0), "byte counts must be >= 0"),
             (self.has_reference[:, None] & (self.correct < 0),
              "has_reference requires a correct bit"),
@@ -416,6 +417,14 @@ class SyntheticConfig:
             raise ValueError("noise_sigma and seed must be >= 0")
         if not (0.0 <= self.reference_fraction <= 1.0):
             raise ValueError("reference_fraction must lie in [0, 1]")
+        if not (0.0 <= self.token_jitter <= 1.0):
+            raise ValueError("token_jitter must lie in [0, 1]")
+        if not (0 <= self.prompt_token_range[0] <= self.prompt_token_range[1]):
+            raise ValueError("prompt_token_range must be (lo, hi) with 0 <= lo <= hi")
+        if self.cluster_std < 0 or self.cluster_separation < 0:
+            raise ValueError("cluster_std and cluster_separation must be >= 0")
+        if not all(speed > 0 for speed in self.tier_tokens_per_second):
+            raise ValueError("tier_tokens_per_second must be positive")
         self.resolved_accuracy_profile()
         self.resolved_token_profile()
 
@@ -450,7 +459,7 @@ def _separated_centers(rng: np.random.Generator, k: int, dim: int,
         np.fill_diagonal(dists, np.inf)
         if dists.min() >= min_dist:
             return centers
-    raise RuntimeError("failed to place separated cluster centers; lower the separation")
+    raise ValueError("failed to place separated cluster centers; lower the separation")
 
 
 def generate_synthetic_trace(cfg: SyntheticConfig) -> tuple[Trace, GroundTruth]:

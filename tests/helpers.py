@@ -77,7 +77,7 @@ def build_state(trace, scenario, seed=0, weights=None, label_cfg=None,
 
 def truth_fractions(report, truth, tier):
     """Fraction of each latent cluster's queries routed to the given tier."""
-    tiers = report.decisions.tier
+    tiers = report.decisions["tier"]
     return {int(k): float(np.mean(tiers[truth.cluster_of == k] == tier))
             for k in np.unique(truth.cluster_of)}
 

@@ -83,12 +83,22 @@ class TestGen:
         manifest = json.loads((tmp / "g" / "manifest.json").read_text())
         assert manifest["command"] == "gen" and manifest["seed"] == 3
 
-    @pytest.mark.parametrize("setting", ["synthetic.n_queries=0",
-                                         "synthetic.reference_fraction=1.5"])
-    def test_invalid_synthetic_config_exit_2(self, workdir, capsys, setting):
+    @pytest.mark.parametrize("setting, message", [pytest.param(*case, id=case[0]) for case in (
+        *((setting, "bad synthetic config") for setting in (
+            "synthetic.n_queries=0", "synthetic.reference_fraction=1.5",
+            "synthetic.token_jitter=-1", "synthetic.token_jitter=1e308",
+            "synthetic.prompt_token_range=[50,10]", "synthetic.cluster_std=-1",
+            "synthetic.cluster_separation=-1", "synthetic.cluster_std=1e308",
+            "synthetic.tier_tokens_per_second=[0,30,25]")),
+        # A positive speed so small that the compute time overflows.
+        ("synthetic.tier_tokens_per_second=[1e-320,30,25]",
+         "compute_seconds must be finite and >= 0"),
+    )])
+    def test_invalid_synthetic_config_exit_2(self, workdir, capsys, setting, message):
         tmp, cfg = workdir
         assert run("gen", "--config", cfg, "--out", tmp / "g", "--set", setting) == 2
-        assert "bad synthetic config" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert not (tmp / "g" / "trace.jsonl").exists()
 
     def test_drift_trace(self, workdir):
         tmp, cfg = workdir
@@ -99,6 +109,45 @@ class TestGen:
         from tierroute.trace import load_trace
         trace = load_trace(tmp / "g" / "trace.jsonl")
         assert trace.metadata["drift_at_record"] == 200
+
+
+# Edge values for every synthetic key, each tried alone over gen's defaults:
+# -1 and 0 for an integer; -1, 0 and 1e308 for a float; a pair or triple
+# reversed, zeroed and negated (per latent cluster for a profile). A drift
+# key is tried beside a valid value of the other drift key, which it needs.
+_PROFILE = [0.3, 0.6, 0.9]
+SYNTHETIC_SCAN = {
+    **{key: [-1, 0] for key in ("n_queries", "embedding_dim", "n_latent_clusters", "seed")},
+    **{key: [-1, 0, 1e308] for key in ("noise_sigma", "token_jitter", "cluster_std",
+                                       "cluster_separation", "reference_fraction", "drift_at")},
+    "prompt_token_range": [[120, 30], [0, 0], [-30, -120]],
+    "tier_tokens_per_second": [[25, 30, 40], [0, 0, 0], [-40, -30, -25]],
+    **{key: [[triple] * 4 for triple in (base[::-1], [0] * 3, [-v for v in base])]
+       for key, base in (("tier_accuracy_profile", _PROFILE),
+                         ("token_mean_profile", [80, 100, 120]),
+                         ("drift_tier_accuracy_profile", _PROFILE))},
+}
+_DRIFT_PAIR = {"drift_at": f"synthetic.drift_tier_accuracy_profile={[_PROFILE] * 4}",
+               "drift_tier_accuracy_profile": "synthetic.drift_at=0.5"}
+
+
+def test_synthetic_scan_covers_every_key():
+    assert set(SYNTHETIC_SCAN) == cli.CONFIG_KEYS["synthetic"]
+
+
+@pytest.mark.parametrize("key, value", [pytest.param(key, value, id=f"{key}={json.dumps(value)}")
+                                        for key, values in SYNTHETIC_SCAN.items()
+                                        for value in values])
+def test_synthetic_scan_exits_0_or_2(tmp_path, capsys, key, value):
+    # A value gen does not refuse makes a trace that load_trace reads back.
+    from tierroute.trace import load_trace
+
+    extra = ["--set", _DRIFT_PAIR[key]] if key in _DRIFT_PAIR else []
+    code = run("gen", "--set", "synthetic.n_queries=50", *extra,
+               "--set", f"synthetic.{key}={json.dumps(value)}", "--out", tmp_path)
+    assert code in (0, 2), capsys.readouterr().err
+    if code == 0:
+        assert len(load_trace(tmp_path / "trace.jsonl")) == 50
 
 
 class TestTrain:
@@ -584,6 +633,17 @@ class TestStream:
         assert not (tmp / "s" / "stream_report.json").exists()
 
 
+class TestOverflowingWeights:
+    @pytest.mark.parametrize("command", [("baseline", "--policy", "dlm-only"), ("tune",)])
+    def test_exit_2_without_outputs(self, workdir, capsys, command):
+        tmp, cfg = workdir
+        out = tmp / "w"
+        code = run(*command, "--config", cfg, "--set", "weights.lambda2=1e308", "--out", out)
+        assert code == 2
+        assert "lambda1=1.0, lambda2=1e+308 and lambda3=0.2" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+
 class TestBaseline:
     def test_clm_only_smoke(self, workdir):
         tmp, cfg = workdir
@@ -722,6 +782,36 @@ class TestManifests:
         for m in manifests:
             del m["config"]["stream"]["online"], m["config_sha256"]
         assert manifests[0] == manifests[1]
+
+    def test_baseline_policy_recorded(self, workdir):
+        # --policy sets no config key; the manifest records it under args.
+        tmp, cfg = workdir
+        manifests = []
+        for policy in ("clm-only", "dlm-only"):
+            assert run("baseline", "--config", cfg, "--policy", policy, "--out", tmp / policy) == 0
+            manifests.append(json.loads((tmp / policy / "manifest.json").read_text()))
+        assert [m["args"] for m in manifests] == [
+            {"bundle": None, "policy": policy, "tau1": None, "tau2": None}
+            for policy in ("cloud_only", "device_only")]
+        for m in manifests:
+            del m["args"]["policy"]
+        assert manifests[0] == manifests[1]
+
+    def test_flags_recorded_where_defined(self, workdir):
+        tmp, cfg = workdir
+        assert run("gen", "--config", cfg, "--out", tmp / "g") == 0
+        assert "args" not in json.loads((tmp / "g" / "manifest.json").read_text())
+        assert run("tune", "--config", cfg, "--out", tmp / "t", "--kappa-grid", "1,5") == 0
+        assert json.loads((tmp / "t" / "manifest.json").read_text())["args"] == {
+            "kappa_grid": "1,5"}
+
+    def test_non_finite_flag_exit_2(self, workdir, capsys):
+        tmp, cfg = workdir
+        code = run("baseline", "--config", cfg, "--policy", "dlm-only", "--tau1", "nan",
+                   "--out", tmp / "n")
+        assert code == 2
+        assert "--tau1 must be a finite number; got nan" in capsys.readouterr().err
+        assert not (tmp / "n" / "manifest.json").exists()
 
     def test_unknown_scenario_exit_2(self, workdir, capsys):
         tmp, cfg = workdir

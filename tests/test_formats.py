@@ -170,21 +170,21 @@ def old_report_files(report, outdir, prefix):
             for window, tau1, tau2 in hist:
                 writer.writerow([k, window, repr(tau1), repr(tau2)])
     d = report.decisions
-    n = len(d.ids)
+    n = len(d["query_id"])
 
     def cells(column, fmt=repr):
         return [""] * n if column is None else [fmt(v) for v in column.tolist()]
 
-    tiers = [TIERS[t].label for t in d.tier.tolist()]
-    ids, windows, clusters = d.ids, d.window.tolist(), cells(d.cluster, str)
-    correct = [int(v) for v in d.correct.tolist()]
-    lats, costs, utilities = cells(d.latency_s), cells(d.cost), cells(d.utility)
+    tiers = [TIERS[t].label for t in d["tier"].tolist()]
+    ids, windows, clusters = d["query_id"], d["window"].tolist(), cells(d["cluster"], str)
+    correct = [int(v) for v in d["correct"].tolist()]
+    lats, costs, utilities = cells(d["latency_s"]), cells(d["cost"]), cells(d["utility"])
     with (outdir / f"{prefix}_decisions.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["query_id", "window", "cluster", "tier", "score", "tau1", "tau2",
                          "correct", "latency_s", "cost", "utility"])
-        writer.writerows(zip(ids, windows, clusters, tiers, cells(d.score), cells(d.tau1),
-                             cells(d.tau2), correct, lats, costs, utilities))
+        writer.writerows(zip(ids, windows, clusters, tiers, cells(d["score"]), cells(d["tau1"]),
+                             cells(d["tau2"]), correct, lats, costs, utilities))
     with (outdir / f"{prefix}_utilities.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["query_id", "cluster", "tier", "correct",

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 from collections import deque
@@ -113,8 +114,8 @@ class TestRouteQuery:
     def test_decision_consistent_with_rule(self, small_state):
         trace, _, state = small_state
         d = run_stream(deepcopy(state), trace.subset(slice(0, 50)), GOOD, online=False).decisions
-        assert np.array_equal(d.tier, route_tiers(d.score, d.tau1, d.tau2))
-        assert set(d.cluster.tolist()) <= set(state.thresholds)
+        assert np.array_equal(d["tier"], route_tiers(d["score"], d["tau1"], d["tau2"]))
+        assert set(d["cluster"].tolist()) <= set(state.thresholds)
 
     def test_dimension_mismatch(self, small_state):
         trace, _, state = small_state
@@ -171,7 +172,7 @@ class TestOfflinePhase:
             mask = truth.cluster_of == latent
             rates = correct[mask].mean(axis=0)
             best = set(np.flatnonzero(rates >= rates.max() - 1e-6))
-            ok += int(np.isin(report.decisions.tier[mask], list(best)).sum())
+            ok += int(np.isin(report.decisions["tier"][mask], list(best)).sum())
             total += int(mask.sum())
         assert ok / total >= 0.95
 
@@ -322,7 +323,7 @@ class TestRunStream:
                         _make_evaluator(scores[rows], utilities[rows]), ref.bo_config,
                         rng=rngs[c], hypers=DEFAULT_ONLINE_HYPERS)
                 fresh.clear()
-        assert report.decisions.tier.tolist() == tiers
+        assert report.decisions["tier"].tolist() == tiers
         expected = np.array(in_force)  # (windows, clusters, 2), compared bit for bit
         assert report.thresholds.shape == expected.shape
         assert report.thresholds.tobytes() == expected.tobytes()
@@ -376,18 +377,20 @@ class TestRunStream:
 
 WINDOWS_HEADER = ["window", "count", "accuracy", "mean_latency_s", "mean_cost",
                   "mean_utility", "frac_device", "frac_edge", "frac_cloud"]
+DECISIONS_HEADER = ["query_id", "window", "cluster", "tier", "score", "tau1", "tau2",
+                    "correct", "latency_s", "cost", "utility"]
 
 
 def reference_window_stats(index, d, rows):
     """One window's summary as the per-window objects of earlier versions made
     it, with the same arithmetic: np.mean of the slice, bincount / count."""
-    tiers = d.tier[rows]
+    tiers = d["tier"][rows]
     fractions = np.bincount(tiers, minlength=len(TIERS)) / len(tiers)
     return {"window": index, "count": len(tiers),
-            "accuracy": float(np.mean(d.correct[rows])),
-            "mean_latency_s": float(np.mean(d.latency_s[rows])),
-            "mean_cost": float(np.mean(d.cost[rows])),
-            "mean_utility": float(np.mean(d.utility[rows])),
+            "accuracy": float(np.mean(d["correct"][rows])),
+            "mean_latency_s": float(np.mean(d["latency_s"][rows])),
+            "mean_cost": float(np.mean(d["cost"][rows])),
+            "mean_utility": float(np.mean(d["utility"][rows])),
             **{f"frac_{t.label}": float(fractions[t]) for t in TIERS}}
 
 
@@ -428,6 +431,29 @@ class TestSummary:
             k: repr(v) for k, v in totals.items()}
         written = write_report_files(report, tmp_path, "s")[1].read_text().splitlines()
         assert written[0].split(",") == list(report.windows)
+
+    @pytest.mark.parametrize("policy", ["router_online", "router_static", "device_only",
+                                        "edge_only", "cloud_only", "global_static"])
+    def test_decisions_are_the_written_table(self, small_state, stream, tmp_path, policy):
+        _, _, state = small_state
+        if policy.startswith("router"):
+            report = run_stream(deepcopy(state), stream, GOOD, online=policy == "router_online")
+        else:
+            report = baseline_route(policy, stream, GOOD, pair=state.thresholds[0],
+                                    predictor=state.predictor)
+        d = report.decisions
+        with write_report_files(report, tmp_path, "s")[3].open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert list(d) == DECISIONS_HEADER == rows[0]
+        assert d["query_id"] == [row[0] for row in rows[1:]] == stream.ids
+        assert [TIER_LABELS[t] for t in d["tier"].tolist()] == [row[3] for row in rows[1:]]
+        assert d["correct"].dtype == np.int64
+        assert [str(v) for v in d["correct"].tolist()] == [row[7] for row in rows[1:]]
+        # Only the router has clusters; a fixed tier has no score or thresholds either.
+        assert (d["cluster"] is None) != policy.startswith("router")
+        fixed = policy in ("device_only", "edge_only", "cloud_only")
+        assert [d[name] is None for name in ("score", "tau1", "tau2")] == [fixed] * 3
+        assert all(len(column) == len(stream) for column in d.values() if column is not None)
 
 
 @pytest.fixture(scope="module")
