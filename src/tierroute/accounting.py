@@ -106,7 +106,8 @@ def tier_latency(trace: Trace, scenario: NetworkScenario, windows) -> np.ndarray
 def utility_matrix(correct, latency, cost, weights: UtilityWeights,
                    cloud_baselines: CloudBaselines | None = None):
     """lambda1 * I[correct] - lambda2 * latency - lambda3 * cost (normalized by default).
-    Weights that overflow it, or the sum of its magnitudes, are a ConfigError."""
+    Weights that overflow it, or the sum of its squares, are a ConfigError: that
+    sum bounds every spread of the utilities that the GP fit standardizes by."""
     if weights.normalize_by_cloud:
         if cloud_baselines is None:
             raise ValueError("normalize_by_cloud requires cloud baselines")
@@ -114,7 +115,7 @@ def utility_matrix(correct, latency, cost, weights: UtilityWeights,
         cost = cost / cloud_baselines.mean_cost
     with np.errstate(over="ignore", invalid="ignore"):
         utility = weights.lambda1 * correct - weights.lambda2 * latency - weights.lambda3 * cost
-        if not np.isfinite(np.abs(utility).sum()):
+        if not np.isfinite(np.square(utility).sum()):
             raise ConfigError(
                 f"weights lambda1={weights.lambda1!r}, lambda2={weights.lambda2!r} and "
                 f"lambda3={weights.lambda3!r} overflow the utility of this trace")

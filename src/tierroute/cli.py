@@ -176,6 +176,18 @@ def output_dir(config: dict) -> Path:
 _ARG_FLAGS = ("bundle", "policy", "tau1", "tau2", "kappa_grid")
 
 
+def _finite(value, name: str) -> None:
+    """Refuse a non-finite float anywhere in a config value, which JSON cannot hold."""
+    if type(value) is float:
+        typed(value, float, name, ConfigError)
+    elif type(value) is dict:
+        for key, item in value.items():
+            _finite(item, f"{name}.{key}" if name else key)
+    elif type(value) is list:
+        for i, item in enumerate(value):
+            _finite(item, f"{name}[{i}]")
+
+
 def manifest(config: dict, args: argparse.Namespace) -> dict:
     """A run's manifest.json, checked to encode from the stack depth of a
     ``write_json`` call beside this one. It records the config without the
@@ -185,6 +197,7 @@ def manifest(config: dict, args: argparse.Namespace) -> dict:
     for name in ("tau1", "tau2"):
         typed(flags.get(name), float | None, f"--{name}", ConfigError)
     try:  # a value that json could decode may still nest too deep to encode here
+        _finite(scrubbed, "")
         canonical = json.dumps(scrubbed, sort_keys=True)
         obj = {
             **({"args": flags} if flags else {}),

@@ -6,9 +6,12 @@ the JSON files that come from outside.
 * JSON lines (``write_json_lines``): one compact, key-sorted value per line;
   ``write_lines`` writes lines that a caller made in that form (``trace``).
 * Tables (``write_table``, or ``write_tables`` for several that take columns
-  from one mapping): CSV with a header row and the ``csv`` module's
-  ``\\r\\n`` line ends. A float cell is Python's shortest round-trip text
-  (``repr``), an int its digits, an absent column empty cells.
+  from one mapping): CSV with a header row, cells joined by ``,`` and rows
+  ended by ``\\r\\n``. A float cell is Python's shortest round-trip text
+  (``repr``), an int its digits, None or an absent column an empty cell, any
+  other value its ``str``. A cell that holds ``,``, ``"``, CR or LF is wrapped
+  in ``"`` with each ``"`` doubled, and a row of one empty cell is ``""``:
+  the bytes the ``csv`` module writes with its default dialect.
 * Arrays (``write_arrays``): one JSON header line (keys sorted), then float64
   arrays, little-endian and row-major, one after another.
 
@@ -29,10 +32,9 @@ as ``<file>: line N``. Trace records are decoded in ``trace``.
 
 from __future__ import annotations
 
-import csv
 import json
+import re
 from contextlib import ExitStack
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -102,30 +104,53 @@ def write_tables(columns: dict, tables: dict) -> None:
         raise ValueError(f"table columns need one common length; got {sorted(lengths)}")
     (n,) = lengths
     with ExitStack() as stack:
-        writers = {}
+        files = {}
         for path, headers in tables.items():
-            writers[path] = csv.writer(stack.enter_context(
-                Path(path).open("w", encoding="utf-8", newline="")))
-            writers[path].writerow(headers)
+            files[path] = stack.enter_context(Path(path).open("w", encoding="utf-8", newline=""))
+            header = _texts(headers)
+            files[path].write(_rows([[text] for text in header]) if header else "\r\n")
         for start in range(0, n, CHUNK_ROWS):
             rows = slice(start, start + CHUNK_ROWS)
-            cells = {name: _cells(col, rows) for name, col in columns.items()}
+            size = min(CHUNK_ROWS, n - start)
+            cells = {name: _cells(col, rows, size) for name, col in columns.items()}
             for path, headers in tables.items():
-                writers[path].writerows(zip(*(cells[name] for name in headers)))
+                files[path].write(_rows([cells[name] for name in headers]))
             del cells  # before the next chunk's are made
 
 
-def _cells(col, rows: slice):
-    """One chunk of a column as cells: a float array's as text, ``repr``'s as
-    ``csv`` would write it, made in bulk by ``float_texts``; another array's as
-    Python scalars; an absent column's empty."""
+# A cell that holds one of these is quoted.
+_SPECIAL = re.compile(r'[,"\r\n]')
+
+
+def _rows(columns: list[list[str]]) -> str:
+    """The CSV lines of the rows that columns of cell texts make."""
+    if len(columns) == 1:  # a row of one empty cell is written quoted
+        columns = [[cell or '""' for cell in columns[0]]]
+    return "\r\n".join(map(",".join, zip(*columns))) + "\r\n" if columns else ""
+
+
+def _texts(values) -> list[str]:
+    """Cell texts of a sequence of values, each quoted where it must be."""
+    texts = values if {str}.issuperset(map(type, values)) else [
+        "" if value is None else str(value) for value in values]  # str is repr for a float
+    if not _SPECIAL.search("".join(texts)):
+        return texts
+    return ['"' + text.replace('"', '""') + '"' if _SPECIAL.search(text) else text
+            for text in texts]
+
+
+def _cells(col, rows: slice, size: int) -> list[str]:
+    """The ``size`` cells of one chunk of a column: a float array's made in bulk
+    by ``float_texts``, an int array's its digits, an absent column's empty."""
     if col is None:
-        return repeat("")
+        return [""] * size
     if not isinstance(col, np.ndarray):
-        return col[rows]
+        return _texts(col[rows])
     if col.dtype.kind == "f":
         return float_texts(col[rows])
-    return col[rows].tolist()
+    if col.dtype.kind in "iu":
+        return list(map(str, col[rows].tolist()))
+    return _texts(col[rows].tolist())
 
 
 def write_arrays(path: str | Path, header: dict, *arrays) -> None:

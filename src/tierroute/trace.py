@@ -19,6 +19,12 @@ gives, laid out here column by column. The floats' text comes in bulk from
 A record line is read by orjson. Stdlib ``json`` is the reference: a line
 that orjson refuses, or whose object fails a typed read, is decoded again by
 ``json.loads`` and read again, and that outcome stands.
+
+Record lines are read ``_CHUNK_LINES`` at a time. A chunk whose every line
+orjson decodes to the full form ``save_trace`` writes goes into the columns
+with one slice assignment per column. That check is narrower than the typed
+reads, so a chunk it refuses goes through the per-line reads above, which
+decide every other line.
 """
 
 from __future__ import annotations
@@ -27,8 +33,9 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import IntEnum
-from itertools import chain
+from itertools import chain, count, islice, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +294,59 @@ def _text(line: bytes) -> str:
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError, RecursionError)
 
 
+# Record lines read at a time: a few hundred decoded objects alive at once.
+_CHUNK_LINES = 256
+_RECORD_ITEMS = itemgetter("id", "embedding", "has_reference", "tier_info", *_SCORE_FIELDS)
+_TIER_OBJECTS = itemgetter(*TIER_LABELS)
+_TIER_ITEMS = itemgetter(*_INT_FIELDS, "compute_seconds", "correct")  # _TIER_COLUMNS order
+
+
+def _only(kind: type, values) -> bool:
+    """Whether every value is of exactly the type ``kind``."""
+    return {kind}.issuperset(map(type, values))
+
+
+def _read_chunk(lines: list[bytes], ids: list[str], cols: dict[str, np.ndarray]) -> bool:
+    """Read record lines into the rows after ``ids``, one slice assignment per
+    column, and extend ``ids``, if orjson decodes every line to the full form
+    ``save_trace`` writes: every field present, every number of its exact type
+    and finite. Otherwise False, with ``ids`` as it was; its rows may hold
+    part of the chunk, which the per-line reads overwrite."""
+    try:
+        objs = list(map(orjson.loads, lines))  # orjson refuses lone surrogates, as ids must
+        if not _only(dict, objs):
+            return False
+        rids, embeddings, refs, tier_infos, *scores = zip(*map(_RECORD_ITEMS, objs))
+        dim = cols["embeddings"].shape[1]
+        if not (_only(str, rids) and _only(list, embeddings) and _only(bool, refs)
+                and _only(dict, tier_infos) and {dim}.issuperset(map(len, embeddings))
+                and {3}.issuperset(map(len, tier_infos))):
+            return False
+        flat = list(chain.from_iterable(embeddings))
+        if not (_only(float, flat) and all(map(_only, repeat(float), scores))):
+            return False
+        rows = slice(len(ids), len(ids) + len(objs))
+        embedding_rows = np.fromiter(flat, np.float64, len(flat)).reshape(len(objs), dim)
+        cols["embeddings"][rows] = embedding_rows
+        cols["has_reference"][rows] = refs
+        for name, score in zip(_SCORE_FIELDS, scores):
+            cols[name][rows] = score
+        for t, tier in enumerate(zip(*map(_TIER_OBJECTS, tier_infos))):  # KeyError: no tier
+            if not _only(dict, tier):
+                return False
+            values = list(zip(*map(_TIER_ITEMS, tier)))
+            if not all(map(_only, (int, int, int, int, float, bool), values)):
+                return False
+            for name, column in zip(_TIER_COLUMNS, values):
+                cols[name][rows, t] = column  # OverflowError past int64
+    except (orjson.JSONDecodeError, KeyError, OverflowError):
+        return False
+    if not all(np.isfinite(cols[name][rows]).all() for name in ("compute_s", *_SCORE_FIELDS)):
+        return False
+    ids += rids
+    return True
+
+
 def load_trace(path: str | Path) -> Trace:
     """Parse and validate a trace file; errors name the offending line or record."""
     path = Path(path)
@@ -306,21 +366,28 @@ def load_trace(path: str | Path) -> Trace:
         except (ValueError, MemoryError, RecursionError) as exc:  # bad JSON, or no room
             raise TraceFormatError(f"{path}: line 1: bad header ({exc})") from exc
         ids: list[str] = []
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                ids.append(_read_record(orjson.loads(line), len(ids), cols))
+        for start in count(2, _CHUNK_LINES):  # every chunk but the last is full
+            lines = list(islice(fh, _CHUNK_LINES))
+            if not lines:
+                break
+            if _read_chunk(lines, ids, cols):
                 continue
-            except (TraceValidationError, *_MALFORMED):
-                pass  # refused, or read into a bad row: stdlib json decides the line
-            try:
-                text = _text(line)
-                if not text.strip():
+            for lineno, line in enumerate(lines, start=start):
+                try:
+                    ids.append(_read_record(orjson.loads(line), len(ids), cols))
                     continue
-                ids.append(_read_record(json.loads(text), len(ids), cols))
-            except TraceValidationError as exc:
-                raise TraceValidationError(f"{path}: line {lineno}: {exc}") from exc
-            except _MALFORMED as exc:
-                raise TraceFormatError(f"{path}: line {lineno}: malformed record ({exc})") from exc
+                except (TraceValidationError, *_MALFORMED):
+                    pass  # refused, or read into a bad row: stdlib json decides the line
+                try:
+                    text = _text(line)
+                    if not text.strip():
+                        continue
+                    ids.append(_read_record(json.loads(text), len(ids), cols))
+                except TraceValidationError as exc:
+                    raise TraceValidationError(f"{path}: line {lineno}: {exc}") from exc
+                except _MALFORMED as exc:
+                    raise TraceFormatError(
+                        f"{path}: line {lineno}: malformed record ({exc})") from exc
     n = len(ids)
     trace = Trace(ids=ids, prompt_text=header.prompt_text, metadata=header.metadata,
                   **{name: col[:n] for name, col in cols.items()})

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import warnings
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from helpers import rehash
-from tierroute import cli, router
+from tierroute import bayesopt, cli, router
 from tierroute.cli import main
 
 SMALL_CONFIG = """\
@@ -642,6 +643,68 @@ class TestOverflowingWeights:
         assert code == 2
         assert "lambda1=1.0, lambda2=1e+308 and lambda3=0.2" in capsys.readouterr().err
         assert not any(out.iterdir())
+
+    def test_overflowing_spread_exit_2(self, workdir, capsys):
+        # Utilities whose magnitudes add up but whose squares do not: the GP
+        # fit's standardization overflowed on them and tuned from NaN.
+        tmp, cfg = workdir
+        out = tmp / "w"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("tune", "--config", cfg, "--set", "synthetic.n_queries=300",
+                       "--set", "weights.lambda2=1e300", "--out", out)
+        assert code == 2
+        assert "lambda1=1.0, lambda2=1e+300 and lambda3=0.2" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("lambda2, code", [("5e152", 0), ("1e153", 2)])
+    def test_spread_at_the_bound(self, workdir, monkeypatch, lambda2, code):
+        # On this trace the bound falls between the two: below it the GP fit's
+        # scale stays finite, with every RuntimeWarning an error.
+        tmp, cfg = workdir
+        scales = []
+        gp_fit = bayesopt.gp_fit
+
+        def spy(*args, **kwargs):
+            gp = gp_fit(*args, **kwargs)
+            scales.append(gp.y_std)
+            return gp
+
+        monkeypatch.setattr(bayesopt, "gp_fit", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("tune", "--config", cfg, "--set", "synthetic.n_queries=300",
+                       "--set", f"weights.lambda2={lambda2}", "--out", tmp / "w") == code
+        assert (len(scales) > 0) == (code == 0)
+        assert all(math.isfinite(scale) and scale > 1e150 for scale in scales)
+
+
+class TestNonFiniteConfig:
+    """manifest.json records the whole config, so a NaN or an infinity in a
+    section the command does not read is refused too: JSON cannot hold it."""
+
+    @pytest.mark.parametrize("setting, message", [
+        ("mlp.learning_rate=NaN", "mlp.learning_rate must be a finite number; got nan"),
+        ("synthetic.tier_accuracy_profile=[[0.3,0.5,Infinity],[0.5,0.8,0.9]]",
+         "synthetic.tier_accuracy_profile[0][2] must be a finite number; got inf"),
+    ])
+    def test_gen_exit_2(self, workdir, capsys, setting, message):
+        tmp, cfg = workdir
+        code = run("gen", "--config", cfg, "--set", "synthetic.n_queries=50",
+                   "--set", setting, "--out", tmp / "g")
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp / "g").exists()
+
+    def test_stream_exit_2(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+        capsys.readouterr()
+        code = run("stream", "--config", cfg, "--bundle", tmp / "b",
+                   "--set", "labels.alpha=-Infinity", "--out", tmp / "s")
+        assert code == 2
+        assert "labels.alpha must be a finite number; got -inf" in capsys.readouterr().err
+        assert not (tmp / "s").exists()
 
 
 class TestBaseline:

@@ -308,6 +308,32 @@ class TestFormatsMatchReference:
                 for text in (b"-0.0", b"1e+16", b"1.7976931348623157e+308", b"0.3333333333333333"):
                     assert b"," + text + b"," in data
 
+    @pytest.mark.parametrize("columns", [
+        {"only": ["", "a", "", 'b"c', "", None]},   # a row of one empty cell is quoted
+        {"": ["", ""]},                             # and so is a header of one
+        {"only": np.array([], dtype=np.float64)},
+        {'say "x"': [1, 2], "a,b": np.array([0.5, -0.0]), "two\nlines": None, "cr\r": ["", ""]},
+        {"id": ["", ""], "absent": None},           # two empty cells are a bare comma
+        {"flag": np.array([True, False]), "word": np.array(["a,b", "c"]), "n": [None, 2**70]},
+    ])
+    def test_table_quoting_cases(self, tmp_path, columns):
+        write_table(tmp_path / "ours.csv", columns)
+        old_table(tmp_path / "theirs.csv", columns)
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "theirs.csv").read_bytes()
+
+    def test_table_of_absent_columns_only(self, tmp_path):
+        # The row count comes from a column another table holds.
+        write_tables({"a": None, "b": [1, 2]},
+                     {tmp_path / "a.csv": ("a",), tmp_path / "aa.csv": ("a", "a")})
+        assert (tmp_path / "a.csv").read_bytes() == b'a\r\n""\r\n""\r\n'
+        assert (tmp_path / "aa.csv").read_bytes() == b"a,a\r\n,\r\n,\r\n"
+
+    def test_formats_does_not_import_csv(self):
+        source = Path(tierroute.formats.__file__).read_text(encoding="utf-8")
+        imported = {alias.name for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.Import) for alias in node.names}
+        assert "csv" not in imported
+
     def test_table_needs_one_length(self, tmp_path):
         with pytest.raises(ValueError, match="one common length"):
             write_table(tmp_path / "t.csv", {"a": [1, 2], "b": np.zeros(3)})

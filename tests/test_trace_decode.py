@@ -3,7 +3,8 @@
 A differential fuzz compares ``load_trace`` with a copy of the json-only loop
 it replaced: on every generated file both must give bit-identical columns and
 ids, or the same exception class and message. The other tests pin the
-malformed files that the json-only loop let through as internal errors.
+malformed files that the json-only loop let through as internal errors, and
+the chunks that are read column by column.
 """
 
 import json
@@ -12,14 +13,17 @@ import random
 import struct
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import column_trace
+from tierroute import trace as trace_module
 from tierroute.cli import main
 from tierroute.errors import TierRouteError, TraceFormatError, TraceValidationError
 from tierroute.fields import bad_value, read
 from tierroute.trace import (
-    _ARRAY_COLUMNS, Trace, TraceHeader, _empty_columns, _read_fields, load_trace, save_trace,
+    _ARRAY_COLUMNS, _CHUNK_LINES, SyntheticConfig, Trace, TraceHeader, _empty_columns,
+    _read_fields, generate_synthetic_trace, load_trace, save_trace,
 )
 
 
@@ -113,13 +117,16 @@ def float64(finite: bool = False):
 
 
 @st.composite
-def float_text(draw, values) -> Raw:
-    """A float from ``values``, in shortest form or a longer one."""
+def float_text(draw, values, exact: bool = False) -> Raw:
+    """A float from ``values``, in shortest form or a longer one; an ``exact``
+    one is never written as an integer literal, which JSON reads as an int."""
     x = draw(values)
     if not math.isfinite(x):
         return Raw(json.dumps(x))  # NaN, Infinity, -Infinity
-    form = draw(st.sampled_from(("{!r}", "{!r}", "{:.17e}", "{:.30e}", "{:.25g}", "{:.17E}",
-                                 "{:.40f}")))
+    forms = ("{!r}", "{!r}", "{:.17e}", "{:.30e}", "{:.25g}", "{:.17E}", "{:.40f}")
+    if exact:
+        forms = tuple(form for form in forms if form != "{:.25g}")
+    form = draw(st.sampled_from(forms))
     return Raw(form.format(x))
 
 
@@ -139,6 +146,10 @@ GENERATED, PROMPT, BYTES = ints(1, 10_000), ints(0, 10_000), ints(0, 10**9)
 SECONDS = float_text(float64(finite=True).map(abs))
 COORDINATE = float_text(float64(finite=True)) | long_int_text(40)
 SCORE = float_text(st.floats(0.0, 1.0))
+# The numbers of a full record: each a float literal.
+FULL = {SECONDS: float_text(float64(finite=True).map(abs), exact=True),
+        COORDINATE: float_text(float64(finite=True), exact=True),
+        SCORE: float_text(st.floats(0.0, 1.0), exact=True)}
 # Number tokens that a field may not hold, or that only stdlib json reads.
 ODD_NUMBER = (float_text(float64()) | long_int_text(400)
               | st.sampled_from(("NaN", "Infinity", "-Infinity", "1e400", "-1e400")).map(Raw))
@@ -146,12 +157,16 @@ ID = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
 
 
 @st.composite
-def record(draw, i: int, dim: int):
+def record(draw, i: int, dim: int, full: bool = False):
     """One record object. Three in four are valid; in the others any number
-    may be an odd one."""
-    odd = draw(st.integers(0, 3)) == 0
+    may be an odd one. A ``full`` one has the form ``save_trace`` writes: every
+    field present, each number of its exact type, but any key order, spacing
+    and float text."""
+    odd = not full and draw(st.integers(0, 3)) == 0
 
     def number(plain):
+        if full:
+            return draw(FULL.get(plain, plain))
         return draw(ODD_NUMBER if odd and draw(st.booleans()) else plain)
 
     has_reference = draw(st.booleans())
@@ -160,9 +175,9 @@ def record(draw, i: int, dim: int):
         sub = Obj([("generated_tokens", number(GENERATED)), ("prompt_tokens", number(PROMPT)),
                    ("compute_seconds", number(SECONDS))])
         for key in ("request_bytes", "response_bytes"):
-            if draw(st.booleans()):
+            if full or draw(st.booleans()):
                 sub.append((key, number(BYTES)))
-        bit = draw(st.booleans() if has_reference and not odd
+        bit = draw(st.booleans() if full or has_reference and not odd
                    else st.sampled_from((True, False, None, "absent")))
         if bit != "absent":
             sub.append(("correct", bit))
@@ -172,7 +187,7 @@ def record(draw, i: int, dim: int):
     obj = Obj([("id", draw(ID) + f"#{i}"), ("embedding", embedding), ("tier_info", tiers),
                ("has_reference", has_reference)])
     for name in ("sim_cloud", "sim_edge", "judge_cloud", "judge_edge"):
-        if draw(st.booleans()):
+        if full or draw(st.booleans()):
             obj.append((name, number(SCORE)))
     extra = draw(st.sampled_from(("none",) * 4 + ("surrogate", "nested", "repeat")))
     if extra == "surrogate":  # json.loads passes a lone surrogate escape, orjson refuses it
@@ -197,6 +212,36 @@ def trace_bytes(draw, dim: int = 3) -> bytes:
         if draw(st.integers(0, 19)) == 0:
             text = text[:draw(st.integers(0, len(text) - 1))]
         lines.append(text)
+    return "".join(line + rnd.choice(["\n", "\n", "\r\n"]) for line in lines).encode("utf-8")
+
+
+@st.composite
+def tiled_trace_bytes(draw, dim: int = 3) -> bytes:
+    """A trace file of at least three chunks, from one to four record templates
+    drawn as in ``trace_bytes``, each written with its own id every time. The
+    full ones are written in turn over and over; each other one is written
+    once, at a drawn place, unless no template is full."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    full, other = [], []
+    for i in range(draw(st.integers(1, 4))):
+        blank = draw(st.sampled_from(("", " \t", " ", "\u3000 "))) if draw(
+            st.integers(0, 9)) == 0 else None
+        cut = draw(st.integers(0, 19)) == 0
+        is_full = draw(st.booleans())
+        template = (draw(record(i, dim, full=is_full)), blank, cut)
+        (full if is_full and blank is None and not cut else other).append(template)
+    tiled, once = (full, other) if full else (other, [])
+    order = [tiled[i % len(tiled)]
+             for i in range(2 * _CHUNK_LINES + draw(st.integers(1, _CHUNK_LINES)))]
+    for template in once:
+        order.insert(draw(st.integers(0, len(order))), template)
+    lines = [json.dumps({"embedding_dim": dim, "metadata": {}, "prompt_text": "p"})]
+    for copy, (obj, blank, cut) in enumerate(order):
+        if blank is not None:
+            lines.append(blank)
+        text = json_text(Obj((key, value + f"~{copy}" if key == "id" else value)
+                             for key, value in obj), rnd)
+        lines.append(text[:len(text) // 2] if cut else text)
     return "".join(line + rnd.choice(["\n", "\n", "\r\n"]) for line in lines).encode("utf-8")
 
 
@@ -268,3 +313,148 @@ class TestMalformedLines:
         crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         want = outcome(load_trace, path)
         assert outcome(load_trace, crlf) == outcome(reference_load, crlf) == want
+
+
+# ---------------------------------------------------------------------------
+# Chunks read column by column
+# ---------------------------------------------------------------------------
+
+N_CHUNKED = 3 * _CHUNK_LINES + 40  # records: the fourth chunk is a short one
+
+
+@pytest.fixture
+def per_line_reads(monkeypatch):
+    """The number of records read one at a time by ``_read_record``."""
+    calls = [0]
+    read_record = trace_module._read_record
+
+    def counted(*args):
+        calls[0] += 1
+        return read_record(*args)
+
+    monkeypatch.setattr(trace_module, "_read_record", counted)
+    return calls
+
+
+def chunked_trace() -> Trace:
+    return generate_synthetic_trace(SyntheticConfig(n_queries=N_CHUNKED, embedding_dim=4,
+                                                    n_latent_clusters=2, seed=5))[0]
+
+
+def chunked_file(tmp_path) -> Path:
+    path = tmp_path / "trace.jsonl"
+    save_trace(chunked_trace(), path)
+    return path
+
+
+def edit_line(path, lineno, edit) -> None:
+    """Rewrite the record on line ``lineno`` as ``edit`` leaves its object."""
+    lines = path.read_bytes().split(b"\n")
+    obj = json.loads(lines[lineno - 1])
+    edit(obj)
+    lines[lineno - 1] = json.dumps(obj, sort_keys=True).encode()
+    path.write_bytes(b"\n".join(lines))
+
+
+def test_saved_trace_loads_without_per_line_reads(tmp_path, per_line_reads):
+    path = chunked_file(tmp_path)
+    got = outcome(load_trace, path)
+    assert per_line_reads[0] == 0
+    assert got == outcome(reference_load, path)
+    assert len(got[0]) == N_CHUNKED
+
+
+def tier(obj, label):
+    return obj["tier_info"][label]
+
+
+# A tier may lack a correct bit only in a record without references.
+LENIENT = {
+    "int score": lambda obj: obj.update(sim_edge=1),
+    "absent score": lambda obj: obj.pop("judge_cloud"),
+    "absent request_bytes": lambda obj: tier(obj, "edge").pop("request_bytes"),
+    "int compute_seconds": lambda obj: tier(obj, "device").update(compute_seconds=2),
+    "correct null": lambda obj: (tier(obj, "cloud").update(correct=None),
+                                 obj.update(has_reference=False)),
+    "absent correct": lambda obj: (tier(obj, "cloud").pop("correct"),
+                                   obj.update(has_reference=False)),
+    "extra key": lambda obj: obj.update(note={"a": [1, None]}),
+}
+
+
+@pytest.mark.parametrize("form", [*LENIENT, "blank line"])
+def test_lenient_record_in_a_middle_chunk(tmp_path, per_line_reads, form):
+    path = chunked_file(tmp_path)
+    lineno = 2 + _CHUNK_LINES + 100  # in the second of four chunks
+    if form == "blank line":
+        lines = path.read_bytes().split(b"\n")
+        path.write_bytes(b"\n".join(lines[:lineno - 1] + [b""] + lines[lineno - 1:]))
+    else:
+        edit_line(path, lineno, LENIENT[form])
+    got = outcome(load_trace, path)
+    assert got == outcome(reference_load, path)
+    assert got[0] == chunked_trace().ids
+    # Only the lenient line's chunk is read one record at a time; a blank line
+    # is no record, and the chunks after it hold one line later each.
+    assert per_line_reads[0] == {"extra key": 0, "blank line": _CHUNK_LINES - 1}.get(
+        form, _CHUNK_LINES)
+
+
+def move_coordinate(obj):
+    obj["embedding"].append(0.5)  # this record's embedding one too long ...
+
+
+def drop_coordinate(obj):
+    obj["embedding"].pop()  # ... and the next one's one too short: the chunk's count holds
+
+
+REFUSED = {
+    "embedding lengths": [move_coordinate, drop_coordinate],
+    "bool token count": [lambda obj: tier(obj, "edge").update(generated_tokens=True)],
+    "int64 overflow": [lambda obj: tier(obj, "cloud").update(response_bytes=2**63)],
+    "number id": [lambda obj: obj.update(id=7.5)],
+    "tiers missing": [lambda obj: obj["tier_info"].pop("edge")],
+}
+
+
+@pytest.mark.parametrize("form", REFUSED)
+def test_refused_record_in_a_middle_chunk(tmp_path, form):
+    path = chunked_file(tmp_path)
+    for offset, edit in enumerate(REFUSED[form]):
+        edit_line(path, 2 + _CHUNK_LINES + 100 + offset, edit)
+    got = outcome(load_trace, path)
+    assert got == outcome(reference_load, path)
+    assert issubclass(got[0], TierRouteError) and f"line {2 + _CHUNK_LINES + 100}:" in got[1]
+
+
+def test_malformed_record_in_the_third_chunk_names_its_line(tmp_path, capsys):
+    path = chunked_file(tmp_path)
+    lineno = 2 + 2 * _CHUNK_LINES + 7
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] = lines[lineno - 1][:40]  # cut short
+    path.write_bytes(b"\n".join(lines))
+    expect_exit_2(tmp_path, capsys, path, f"line {lineno}: malformed record")
+
+
+def test_tiled_records_match_json_reference(tmp_path_factory, per_line_reads):
+    """The fuzz's records, tiled across chunks, some read column by column."""
+    path = tmp_path_factory.mktemp("tiled") / "trace.jsonl"
+    seen = {"chunked": 0, "loaded": 0, "refused": 0}
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(tiled_trace_bytes())
+    def check(data):
+        path.write_bytes(data)
+        per_line_reads[0] = 0
+        got, want = outcome(load_trace, path), outcome(reference_load, path)
+        assert got == want
+        if isinstance(got[0], type):
+            assert issubclass(got[0], TierRouteError)
+            seen["refused"] += 1
+        else:
+            seen["loaded"] += 1
+            seen["chunked"] += per_line_reads[0] < len(got[0])
+
+    check()
+    assert seen["loaded"] > 0 and seen["refused"] > 0 and seen["chunked"] > 0
