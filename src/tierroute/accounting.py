@@ -2,9 +2,8 @@
 
 Cost is activated model parameters (billions) times generated tokens. Utility
 is lambda1 * correctness - lambda2 * latency - lambda3 * cost, with latency and
-cost normalized by cloud-only trace means by default so the weights stay
-dimensionless across traces. Per-tier results are (n, 3) matrices in TierId
-order.
+cost normalized by cloud-only trace means so the weights stay dimensionless
+across traces. Per-tier results are (n, 3) matrices in TierId order.
 """
 
 from __future__ import annotations
@@ -52,20 +51,17 @@ class UtilityWeights:
     lambda1: float = 1.0
     lambda2: float = 0.2
     lambda3: float = 0.2
-    normalize_by_cloud: bool = True
 
     def __post_init__(self) -> None:
         if not all(0 < lam < math.inf for lam in (self.lambda1, self.lambda2, self.lambda3)):
             raise ValueError("all lambda weights must be positive and finite")
 
     @classmethod
-    def from_kappas(cls, kappa1: float, kappa2: float,
-                    normalize_by_cloud: bool = True) -> UtilityWeights:
+    def from_kappas(cls, kappa1: float, kappa2: float) -> UtilityWeights:
         """kappa1 = lambda1/lambda2 and kappa2 = lambda1/lambda3, with lambda1 = 1."""
         if not min(kappa1, kappa2) > 0:
             raise ValueError(f"kappas must be positive; got {kappa1}, {kappa2}")
-        return cls(lambda1=1.0, lambda2=1.0 / kappa1, lambda3=1.0 / kappa2,
-                   normalize_by_cloud=normalize_by_cloud)
+        return cls(lambda1=1.0, lambda2=1.0 / kappa1, lambda3=1.0 / kappa2)
 
 
 @dataclass(frozen=True)
@@ -104,15 +100,12 @@ def tier_latency(trace: Trace, scenario: NetworkScenario, windows) -> np.ndarray
 
 
 def utility_matrix(correct, latency, cost, weights: UtilityWeights,
-                   cloud_baselines: CloudBaselines | None = None):
-    """lambda1 * I[correct] - lambda2 * latency - lambda3 * cost (normalized by default).
+                   cloud_baselines: CloudBaselines):
+    """lambda1 * I[correct] - lambda2 * latency - lambda3 * cost (normalized by cloud means).
     Weights that overflow it, or the sum of its squares, are a ConfigError: that
     sum bounds every spread of the utilities that the GP fit standardizes by."""
-    if weights.normalize_by_cloud:
-        if cloud_baselines is None:
-            raise ValueError("normalize_by_cloud requires cloud baselines")
-        latency = latency / cloud_baselines.mean_latency_s
-        cost = cost / cloud_baselines.mean_cost
+    latency = latency / cloud_baselines.mean_latency_s
+    cost = cost / cloud_baselines.mean_cost
     with np.errstate(over="ignore", invalid="ignore"):
         utility = weights.lambda1 * correct - weights.lambda2 * latency - weights.lambda3 * cost
         if not np.isfinite(np.square(utility).sum()):

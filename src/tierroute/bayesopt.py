@@ -204,9 +204,8 @@ def sample_triangle(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def propose_thresholds(gp: GpSurrogate, obs: ObservationSet, cfg: BoConfig,
-                       rng: np.random.Generator | None = None) -> ThresholdPair:
-    """Argmax of EI over a seeded candidate pool; first candidate wins ties."""
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
+                       rng: np.random.Generator) -> ThresholdPair:
+    """Argmax of EI over a candidate pool drawn from ``rng``; first candidate wins ties."""
     pool = sample_triangle(rng, cfg.candidate_pool_size)
     _, best_u = obs.best()
     mu, sigma = gp.predict(pool)
@@ -219,7 +218,6 @@ Evaluator = Callable[[ThresholdPair], float]
 
 
 def optimize_offline(evaluator: Evaluator, cfg: BoConfig, seed_points: int = 8,
-                     hypers: GpHyperparameters = DEFAULT_OFFLINE_HYPERS,
                      capacity: int = 512) -> tuple[ThresholdPair, ObservationSet]:
     """Seed the observation set, then run fit-propose-evaluate for the offline budget."""
     if seed_points < 1:
@@ -230,7 +228,7 @@ def optimize_offline(evaluator: Evaluator, cfg: BoConfig, seed_points: int = 8,
         pair = ThresholdPair(tau1=float(row[0]), tau2=float(row[1]))
         obs.append(pair, evaluator(pair))
     for _ in range(cfg.offline_budget):
-        gp = gp_fit(obs, hypers)
+        gp = gp_fit(obs, DEFAULT_OFFLINE_HYPERS)
         pair = propose_thresholds(gp, obs, cfg, rng)
         obs.append(pair, evaluator(pair))
     incumbent, _ = obs.best()
@@ -239,22 +237,20 @@ def optimize_offline(evaluator: Evaluator, cfg: BoConfig, seed_points: int = 8,
 
 def refresh_online(obs: ObservationSet, incumbent: ThresholdPair,
                    evaluator: Evaluator, cfg: BoConfig,
-                   rng: np.random.Generator | None = None,
-                   hypers: GpHyperparameters = DEFAULT_ONLINE_HYPERS) -> ThresholdPair:
+                   rng: np.random.Generator) -> ThresholdPair:
     """A few incremental BO steps; the incumbent is replaced only by a strictly
     higher (re-estimated) utility."""
     if len(obs) == 0:
         raise ValueError("refresh_online needs a non-empty observation set")
     if cfg.online_steps_per_refresh == 0:
         return incumbent
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     # Re-estimate the incumbent under the current evaluator so stale utilities
     # cannot pin the thresholds after a drift.
     incumbent_u = evaluator(incumbent)
     obs.append(incumbent, incumbent_u)
     best_pair, best_u = incumbent, incumbent_u
     for _ in range(cfg.online_steps_per_refresh):
-        gp = gp_fit(obs, hypers)
+        gp = gp_fit(obs, DEFAULT_ONLINE_HYPERS)
         pair = propose_thresholds(gp, obs, cfg, rng)
         u = evaluator(pair)
         obs.append(pair, u)

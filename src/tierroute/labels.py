@@ -9,7 +9,7 @@ The building blocks work elementwise on scalars and arrays alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,6 @@ class ConsistencyLabels:
     s_cloud: np.ndarray
     s_edge: np.ndarray
     s_fused: np.ndarray
-    config: LabelConfig = field(default_factory=LabelConfig)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -98,5 +97,4 @@ def build_labels(trace: Trace, cfg: LabelConfig | None = None) -> ConsistencyLab
         ids=list(trace.ids), sim_cloud=trace.sim_cloud.copy(), sim_edge=trace.sim_edge.copy(),
         aug_cloud=aug_cloud, aug_edge=aug_edge,
         s_cloud=s_cloud, s_edge=s_edge, s_fused=fuse_label(s_cloud, s_edge, cfg.beta),
-        config=cfg,
     )

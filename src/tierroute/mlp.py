@@ -46,7 +46,6 @@ class MlpConfig:
     early_stop_patience: int = 10
     seed: int = 0
     validation_fraction: float = 0.1
-    shuffle_each_epoch: bool = True
 
     def __post_init__(self) -> None:
         if self.input_dim <= 0:
@@ -212,7 +211,7 @@ def train(model: MlpModel, embeddings: np.ndarray,
 
     rng = np.random.default_rng(cfg.seed)
     n = x.shape[0]
-    split_order = rng.permutation(n) if cfg.shuffle_each_epoch else np.arange(n)
+    split_order = rng.permutation(n)
     n_val = min(max(int(round(cfg.validation_fraction * n)), 1), n - 1) if n > 1 else 0
     train_idx = split_order[: n - n_val]
     val_idx = split_order[n - n_val:]
@@ -237,7 +236,7 @@ def train(model: MlpModel, embeddings: np.ndarray,
 
     n_train = x_train.shape[0]
     for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(n_train) if cfg.shuffle_each_epoch else np.arange(n_train)
+        order = rng.permutation(n_train)
         for start in range(0, n_train, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             grad, _ = _backward(work, x_train[idx], t_train[idx])

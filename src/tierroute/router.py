@@ -25,7 +25,6 @@ from .accounting import (
     utility_matrix,
 )
 from .bayesopt import (
-    DEFAULT_ONLINE_HYPERS,
     BoConfig,
     ObservationSet,
     ThresholdPair,
@@ -327,7 +326,7 @@ def run_stream(state: RouterState, stream: Trace, scenario: NetworkScenario,
             evaluator = _make_evaluator(scores[replay], tier_utilities[replay])
             state.thresholds[c] = refresh_online(
                 state.observations[c], state.thresholds[c], evaluator,
-                state.bo_config, rng=refresh_rngs[c], hypers=DEFAULT_ONLINE_HYPERS,
+                state.bo_config, rng=refresh_rngs[c],
             )
 
     policy = "router_online" if online else "router_static"
@@ -479,11 +478,14 @@ def _load_observations(path: Path, k: int, capacity: int) -> dict[int, Observati
     observations = {c: ObservationSet(capacity=capacity) for c in range(k)}
     try:
         with path.open("r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)  # skips blank lines; line_num counts them
+            rows = [(reader.line_num, row) for row in reader]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise BundleIntegrityError(f"{path}: not a readable CSV file ({exc})") from exc
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         where = f"{path}: line {lineno}"
+        if None in row:  # DictReader files the cells past the header's under None
+            raise BundleIntegrityError(f"{where}: more cells than the header")
         c = cell(row.get("cluster"), int, f"{where}: cluster", BundleIntegrityError)
         if c not in observations:
             raise BundleIntegrityError(f"{where}: cluster {c} outside 0..{k - 1}")

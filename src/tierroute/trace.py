@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import IntEnum
 from itertools import chain, count, islice, repeat
@@ -501,7 +502,6 @@ class GroundTruth:
     """Latent quantities underlying a synthetic trace, for oracle-based tests."""
 
     cluster_of: np.ndarray          # (n,) latent cluster index per record
-    centers: np.ndarray             # (k, d) latent cluster centers
     tier_probs: np.ndarray          # (k, 3) success probabilities
     consistency_edge: np.ndarray    # (n,) P(device answer agrees with edge)
     consistency_cloud: np.ndarray   # (n,) P(device answer agrees with cloud)
@@ -512,6 +512,16 @@ def agreement_probability(p_device: np.ndarray, p_other: np.ndarray) -> np.ndarr
     return p_device * p_other + (1.0 - p_device) * (1.0 - p_other)
 
 
+@contextmanager
+def _overflow_names(cfg: SyntheticConfig, key: str, what: str):
+    """Raise a float overflow or invalid value inside as a ValueError naming ``key``."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(f"{key}={getattr(cfg, key)!r} overflows the {what}") from None
+
+
 def _separated_centers(rng: np.random.Generator, k: int, dim: int,
                        std: float, separation: float) -> np.ndarray:
     # Gaussian centers, resampled until pairwise distances clear the separation
@@ -519,8 +529,6 @@ def _separated_centers(rng: np.random.Generator, k: int, dim: int,
     min_dist = separation * std
     for _ in range(1000):
         centers = rng.normal(0.0, separation, size=(k, dim))
-        if k == 1:
-            return centers
         diffs = centers[:, None, :] - centers[None, :, :]
         dists = np.sqrt((diffs ** 2).sum(axis=2))
         np.fill_diagonal(dists, np.inf)
@@ -536,9 +544,9 @@ def generate_synthetic_trace(cfg: SyntheticConfig) -> tuple[Trace, GroundTruth]:
     n, dim, k = cfg.n_queries, cfg.embedding_dim, cfg.n_latent_clusters
     acc = cfg.resolved_accuracy_profile()
     tokens_mean = cfg.resolved_token_profile()
-    speeds = np.asarray(cfg.tier_tokens_per_second, dtype=np.float64)
 
-    centers = _separated_centers(rng, k, dim, cfg.cluster_std, cfg.cluster_separation)
+    with _overflow_names(cfg, "cluster_separation", "center distances"):
+        centers = _separated_centers(rng, k, dim, cfg.cluster_std, cfg.cluster_separation)
     cluster_of = rng.integers(0, k, size=n)
     embeddings = centers[cluster_of] + rng.normal(0.0, cfg.cluster_std, size=(n, dim))
 
@@ -554,7 +562,8 @@ def generate_synthetic_trace(cfg: SyntheticConfig) -> tuple[Trace, GroundTruth]:
 
     cons_edge = agreement_probability(acc[cluster_of, 0], acc[cluster_of, 1])
     cons_cloud = agreement_probability(acc[cluster_of, 0], acc[cluster_of, 2])
-    noise = rng.normal(0.0, 1.0, size=(n, 4)) * cfg.noise_sigma
+    with _overflow_names(cfg, "noise_sigma", "score noise"):
+        noise = rng.normal(0.0, 1.0, size=(n, 4)) * cfg.noise_sigma
     sim_cloud = np.clip(cons_cloud + noise[:, 0], 0.0, 1.0)
     sim_edge = np.clip(cons_edge + noise[:, 1], 0.0, 1.0)
     judge_cloud = np.clip(cons_cloud + noise[:, 2], 0.0, 1.0)
@@ -564,6 +573,8 @@ def generate_synthetic_trace(cfg: SyntheticConfig) -> tuple[Trace, GroundTruth]:
 
     width = len(str(max(n - 1, 1)))
     prompt3 = np.repeat(prompt_tokens[:, None], 3, axis=1)
+    with _overflow_names(cfg, "tier_tokens_per_second", "compute time"):
+        compute_s = gen_tokens / np.asarray(cfg.tier_tokens_per_second, dtype=np.float64)
     trace = Trace(
         ids=[f"q{i:0{width}d}" for i in range(n)],
         embeddings=embeddings,
@@ -571,7 +582,7 @@ def generate_synthetic_trace(cfg: SyntheticConfig) -> tuple[Trace, GroundTruth]:
         prompt_tokens=prompt3,
         request_bytes=BYTES_PER_TOKEN * prompt3,
         response_bytes=BYTES_PER_TOKEN * gen_tokens,
-        compute_s=gen_tokens / speeds,
+        compute_s=compute_s,
         correct=correct.astype(np.int8),
         sim_cloud=sim_cloud,
         sim_edge=sim_edge,
@@ -585,7 +596,6 @@ def generate_synthetic_trace(cfg: SyntheticConfig) -> tuple[Trace, GroundTruth]:
     trace.validate()
     truth = GroundTruth(
         cluster_of=cluster_of,
-        centers=centers,
         tier_probs=acc,
         consistency_edge=cons_edge,
         consistency_cloud=cons_cloud,

@@ -91,13 +91,10 @@ class TestPerQueryUtility:
         right_pricey = utility_matrix(True, 500.0, 50_000.0, weights, baselines)
         assert right_pricey > wrong_cheap
 
-    def test_missing_baselines_rejected(self):
-        with pytest.raises(ValueError, match="baselines"):
-            utility_matrix(True, 1.0, 1.0, UtilityWeights(), None)
-
     def test_raw_mode_skips_normalization(self):
-        weights = UtilityWeights(1.0, 0.5, 0.25, normalize_by_cloud=False)
-        assert utility_matrix(True, 2.0, 4.0, weights) == pytest.approx(1.0 - 1.0 - 1.0)
+        weights = UtilityWeights(1.0, 0.5, 0.25)
+        got = utility_matrix(True, 2.0, 4.0, weights, CloudBaselines(1.0, 1.0))
+        assert got == pytest.approx(1.0 - 1.0 - 1.0)
 
     def test_kappa_constructor(self):
         w = UtilityWeights.from_kappas(5.0, 4.0)

@@ -260,7 +260,7 @@ class TestPropose:
         gp = gp_fit(obs)
         cfg = BoConfig(candidate_pool_size=1, seed=5)
         expected = sample_triangle(np.random.default_rng(5), 1)[0]
-        pair = propose_thresholds(gp, obs, cfg)
+        pair = propose_thresholds(gp, obs, cfg, np.random.default_rng(cfg.seed))
         assert pair.tau1 == pytest.approx(expected[0])
         assert pair.tau2 == pytest.approx(expected[1])
 
@@ -313,7 +313,8 @@ class TestRefreshOnline:
         pair = ThresholdPair(0.9, 0.4)
         obs.append(pair, 0.5)
         cfg = BoConfig(online_steps_per_refresh=0, seed=0)
-        assert refresh_online(obs, pair, scalar_eval(bowl), cfg) == pair
+        assert refresh_online(obs, pair, scalar_eval(bowl), cfg,
+                              np.random.default_rng(cfg.seed)) == pair
         assert len(obs) == 1
 
     def test_incumbent_utility_never_decreases(self):

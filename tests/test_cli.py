@@ -93,7 +93,8 @@ class TestGen:
             "synthetic.tier_tokens_per_second=[0,30,25]")),
         # A positive speed so small that the compute time overflows.
         ("synthetic.tier_tokens_per_second=[1e-320,30,25]",
-         "compute_seconds must be finite and >= 0"),
+         "bad synthetic config: tier_tokens_per_second=(1e-320, 30.0, 25.0) overflows the "
+         "compute time"),
     )])
     def test_invalid_synthetic_config_exit_2(self, workdir, capsys, setting, message):
         tmp, cfg = workdir
@@ -558,6 +559,35 @@ class TestStream:
         assert obs_header == "cluster,tau1,tau2,utility,order_index"
         util_header = (tmp / "s" / "stream_utilities.csv").read_text().splitlines()[0]
         assert util_header == "query_id,cluster,tier,correct,latency_s,cost,utility"
+
+    def test_parent_format_bundle_streams_identically(self, workdir):
+        # Bundles written before UtilityWeights.normalize_by_cloud and
+        # MlpConfig.shuffle_each_epoch were removed carry both keys, set true.
+        tmp, cfg = workdir
+        bundle = tmp / "b"
+        assert run("tune", "--config", cfg, "--out", bundle) == 0
+        stream = ("stream", "--config", cfg, "--bundle", bundle, "--online")
+        assert run(*stream, "--out", tmp / "new") == 0
+        state_path = bundle / "state.json"
+        state_obj = json.loads(state_path.read_text())
+        assert "normalize_by_cloud" not in state_obj["weights"]
+        state_obj["weights"]["normalize_by_cloud"] = True
+        state_path.write_text(json.dumps(state_obj, sort_keys=True, indent=2) + "\n")
+        ckpt = bundle / "predictor.ckpt"
+        head, _, body = ckpt.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        assert "shuffle_each_epoch" not in header
+        header["shuffle_each_epoch"] = True
+        ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+        rehash(bundle, "state.json")
+        rehash(bundle, "predictor.ckpt")
+        checksum = json.loads((bundle / "bundle_manifest.json").read_text())["checksum"]
+        assert router.state_checksum(router.load_bundle(bundle)) == checksum
+        assert run(*stream, "--out", tmp / "old") == 0
+        names = sorted(path.name for path in (tmp / "new").iterdir())
+        assert len(names) == 6
+        for name in names:
+            assert (tmp / "old" / name).read_bytes() == (tmp / "new" / name).read_bytes(), name
 
     @pytest.mark.parametrize("value", ['"false"', "0", "null"])
     def test_online_must_be_boolean(self, workdir, capsys, value):

@@ -172,23 +172,6 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
             train(model, x, t)
 
-    def test_full_batch_permutation_invariance(self):
-        # With shuffling disabled and full-batch updates, permuting the
-        # training rows only reorders gradient summation.
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=(40, 3))
-        t = rng.random(40)
-        cfg = tiny_cfg(max_epochs=25, early_stop_patience=25, batch_size=64,
-                       shuffle_each_epoch=False, validation_fraction=0.1)
-        m1, _ = train(init_model(cfg), x, t)
-        perm = rng.permutation(36)
-        x2 = x.copy()
-        t2 = t.copy()
-        x2[:36], t2[:36] = x[:36][perm], t[:36][perm]
-        m2, _ = train(init_model(cfg), x2, t2)
-        probe = rng.normal(size=(20, 3))
-        assert np.max(np.abs(predict_batch(m1, probe) - predict_batch(m2, probe))) < 1e-9
-
     def test_rejects_out_of_range_targets(self):
         cfg = tiny_cfg()
         with pytest.raises(ValueError, match="targets"):
@@ -344,7 +327,7 @@ def ref_mse(model, x, targets):
 def ref_train(model, x, t, cfg):
     rng = np.random.default_rng(cfg.seed)
     n = x.shape[0]
-    split_order = rng.permutation(n) if cfg.shuffle_each_epoch else np.arange(n)
+    split_order = rng.permutation(n)
     n_val = min(max(int(round(cfg.validation_fraction * n)), 1), n - 1)
     x_train, t_train = x[split_order[:n - n_val]], t[split_order[:n - n_val]]
     x_val, t_val = x[split_order[n - n_val:]], t[split_order[n - n_val:]]
@@ -360,7 +343,7 @@ def ref_train(model, x, t, cfg):
     step, best, best_val, since_improve, curve = 0, work.copy(), np.inf, 0, []
     n_train = x_train.shape[0]
     for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(n_train) if cfg.shuffle_each_epoch else np.arange(n_train)
+        order = rng.permutation(n_train)
         for start in range(0, n_train, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             d_w, d_b = ref_backward(work, x_train[idx], t_train[idx])
@@ -415,18 +398,16 @@ def ref_checkpoint_bytes(model):
 class TestMatchesListReference:
     """The one-array predictor gives the list-based one's results bit for bit."""
 
-    @pytest.mark.parametrize("shuffle", [True, False])
     @pytest.mark.parametrize("hidden", [(), (4,), (64, 32)])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_train_gradient_check_and_checkpoint(self, tmp_path, activation, hidden, shuffle):
-        rng = np.random.default_rng(len(hidden) + 10 * shuffle)
+    def test_train_gradient_check_and_checkpoint(self, tmp_path, activation, hidden):
+        rng = np.random.default_rng(len(hidden) + 10)
         x = rng.normal(size=(121, 5)) * 3.0 + 1.0
         t = rng.random(121)
         # 109 training rows in batches of 16: the last batch is short.
         cfg = MlpConfig(input_dim=5, hidden_dims=hidden, activation=activation,
                         learning_rate=1e-2, batch_size=16, max_epochs=12,
-                        early_stop_patience=3, seed=3, validation_fraction=0.1,
-                        shuffle_each_epoch=shuffle)
+                        early_stop_patience=3, seed=3, validation_fraction=0.1)
         assert np.array_equal(init_model(cfg).params, ref_init(cfg).flat_params())
 
         model, report = train(init_model(cfg), x, t)

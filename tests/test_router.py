@@ -24,7 +24,7 @@ from tierroute.accounting import (
     tier_latency,
     utility_matrix,
 )
-from tierroute.bayesopt import DEFAULT_ONLINE_HYPERS, ThresholdPair, refresh_online
+from tierroute.bayesopt import ThresholdPair, refresh_online
 from tierroute.errors import BundleIntegrityError, CorruptStateError, DimensionMismatchError
 from tierroute.cluster import assign_batch, elbow_select_k, elbow_sweep, kmeans_fit
 from tierroute.labels import LabelConfig, build_labels
@@ -321,7 +321,7 @@ class TestRunStream:
                     ref.thresholds[c] = refresh_online(
                         ref.observations[c], ref.thresholds[c],
                         _make_evaluator(scores[rows], utilities[rows]), ref.bo_config,
-                        rng=rngs[c], hypers=DEFAULT_ONLINE_HYPERS)
+                        rng=rngs[c])
                 fresh.clear()
         assert report.decisions["tier"].tolist() == tiers
         expected = np.array(in_force)  # (windows, clusters, 2), compared bit for bit
@@ -576,6 +576,18 @@ def set_cell(column, value):
     return "observations.csv", edit
 
 
+def blank_line_before(change):
+    """``change``, then a blank line after observations.csv's header, which
+    moves the first row to line 3."""
+    name, edit = change
+
+    def edit_then_blank(bundle):
+        edit(bundle)
+        header, rest = (bundle / name).read_text().split("\n", 1)
+        (bundle / name).write_text(f"{header}\n\n{rest}")
+    return name, edit_then_blank
+
+
 def relabel_thresholds(keys):
     def edit(bundle):
         path = bundle / "thresholds.json"
@@ -591,8 +603,8 @@ class TestBundleFields:
     @pytest.mark.parametrize("change, message", [
         (set_json("state.json", ["k"], "2"), "state.json: k must be an integer >= 1; got '2'"),
         (set_json("state.json", ["k"], lambda k: k + 3), "state.json: k="),
-        (set_json("state.json", ["weights", "normalize_by_cloud"], "no"),
-         "state.json: weights.normalize_by_cloud must be true or false; got 'no'"),
+        (set_json("state.json", ["weights", "lambda2"], "0.2"),
+         "state.json: weights.lambda2 must be a finite number; got '0.2'"),
         (set_json("state.json", ["bo_config", "seed"], 1.5),
          "state.json: bo_config.seed must be an integer; got 1.5"),
         (set_json("state.json", ["cost_model", "edge"], True),
@@ -618,6 +630,9 @@ class TestBundleFields:
          "observations.csv: line 2: order_index must be an integer; got 'banana'"),
         (set_cell("order_index", "7"),
          "observations.csv: line 2: order_index 7 out of order; cluster 0 expects 0"),
+        (blank_line_before(set_cell("tau1", "inf")),
+         "observations.csv: line 3: tau1 must be a finite number; got 'inf'"),
+        (set_cell("order_index", "0,0"), "observations.csv: line 2: more cells than the header"),
     ])
     def test_bad_value_named(self, small_state, tmp_path, change, message):
         _, _, state = small_state
