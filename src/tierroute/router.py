@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -309,7 +309,8 @@ def run_stream(state: RouterState, stream: Trace, scenario: NetworkScenario,
     tier = np.empty(n, dtype=np.int64)
     for window, start in enumerate(range(0, n, m)):
         rows = slice(start, min(start + m, n))
-        thresholds[window] = [astuple(state.thresholds[c]) for c in range(k)]
+        thresholds[window] = [(state.thresholds[c].tau1, state.thresholds[c].tau2)
+                              for c in range(k)]
         clusters = membership[rows]
         taus = thresholds[window, clusters]
         tier[rows] = route_tiers(scores[rows], taus[:, 0], taus[:, 1])
@@ -486,6 +487,8 @@ def _load_observations(path: Path, k: int, capacity: int) -> dict[int, Observati
         where = f"{path}: line {lineno}"
         if None in row:  # DictReader files the cells past the header's under None
             raise BundleIntegrityError(f"{where}: more cells than the header")
+        if None in row.values():  # and fills the missing ones with None
+            raise BundleIntegrityError(f"{where}: fewer cells than the header")
         c = cell(row.get("cluster"), int, f"{where}: cluster", BundleIntegrityError)
         if c not in observations:
             raise BundleIntegrityError(f"{where}: cluster {c} outside 0..{k - 1}")

@@ -1,11 +1,16 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tierroute
 from tierroute.errors import DimensionMismatchError, TrainingDivergedError
 from tierroute.labels import LabelConfig, build_labels
 from tierroute.mlp import (
@@ -85,6 +90,65 @@ class TestPredict:
         finally:
             tracemalloc.stop()
         assert peak <= bound
+
+    @pytest.mark.parametrize("n", [40_000, 80_000])
+    def test_peak_memory_is_output_plus_one_block(self, n):
+        # Beyond the (n,) output, a call holds one block of at most 8191 rows'
+        # layer input and output at a time, whatever n is.
+        d, hidden = 32, (64, 32)
+        model = init_model(MlpConfig(input_dim=d, hidden_dims=hidden))
+        x = np.random.default_rng(0).normal(size=(n, d))
+        widths = [d, *hidden, 1]
+        bound = 8 * (2 * 4096 - 1) * max(a + b for a, b in zip(widths, widths[1:])) + 2 ** 20
+        tracemalloc.start()
+        try:
+            predict_batch(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * n < bound
+
+    @pytest.mark.parametrize("hidden", [(), (8,), (64, 32), (256, 64)])
+    def test_blocks_bit_equal_one_forward_pass(self, hidden):
+        """Scores of row counts around the block edges equal, bit for bit, one
+        forward pass over all rows, for both activations and d = 5 and 32.
+
+        The check runs in a child process with one BLAS thread. With more
+        threads, the last bits of any product already depend on how its rows
+        are split between the threads, so one forward pass over n rows need
+        not give the bits of one over a different n either."""
+        one_thread = {name: "1" for name in
+                      ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        src = str(Path(tierroute.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", _BLOCKED_VS_ONE_PASS, *map(str, hidden)],
+            env={**os.environ, **one_thread, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == ""
+
+
+# Prints each (activation, d, n) whose predict_batch bits differ from _forward's.
+_BLOCKED_VS_ONE_PASS = """
+import sys
+import numpy as np
+from tierroute.mlp import MlpConfig, _forward, init_model, predict_batch
+
+hidden = tuple(int(w) for w in sys.argv[1:])
+for activation in ("relu", "tanh"):
+    for d in (5, 32):
+        model = init_model(MlpConfig(input_dim=d, hidden_dims=hidden, activation=activation))
+        rng = np.random.default_rng(d)
+        model.params[:] = rng.normal(size=model.params.size)
+        model.input_mean = rng.normal(size=d)
+        model.input_scale = rng.random(d) + 0.5
+        x = rng.normal(size=(12293, d)) * 3.0
+        for n in (4095, 4096, 4097, 8191, 8192, 8193, 12289, 12293):
+            blocked, one_pass = predict_batch(model, x[:n]), _forward(model, x[:n])
+            if not np.array_equal(blocked.view(np.int64), one_pass.view(np.int64)):
+                print(activation, d, n)
+"""
 
 
 class TestGradientCheck:

@@ -576,6 +576,17 @@ def set_cell(column, value):
     return "observations.csv", edit
 
 
+def cut_row(cells):
+    """An edit of observations.csv that keeps only the first ``cells`` cells of
+    its first row."""
+    def edit(bundle):
+        path = bundle / "observations.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = ",".join(lines[1].split(",")[:cells])
+        path.write_text("\n".join(lines) + "\n")
+    return "observations.csv", edit
+
+
 def blank_line_before(change):
     """``change``, then a blank line after observations.csv's header, which
     moves the first row to line 3."""
@@ -633,6 +644,9 @@ class TestBundleFields:
         (blank_line_before(set_cell("tau1", "inf")),
          "observations.csv: line 3: tau1 must be a finite number; got 'inf'"),
         (set_cell("order_index", "0,0"), "observations.csv: line 2: more cells than the header"),
+        (cut_row(4), "observations.csv: line 2: fewer cells than the header"),
+        (set_cell("order_index", ""),
+         "observations.csv: line 2: order_index must be an integer; got ''"),
     ])
     def test_bad_value_named(self, small_state, tmp_path, change, message):
         _, _, state = small_state
