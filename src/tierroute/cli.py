@@ -305,20 +305,24 @@ def cmd_gen(args: argparse.Namespace, config: dict, outdir: Path) -> None:
     seed = _setting(config, "run.seed", minimum=0)
     drift = read(SyntheticDrift, config["synthetic"], "synthetic", error=ConfigError)
     trace, truth = synthetic_trace(config, seed)
+    truth_obj = {name: getattr(truth, name).tolist() for name in
+                 ("cluster_of", "tier_probs", "consistency_edge", "consistency_cloud")}
     if drift.drift_at is not None:
         if drift.drift_tier_accuracy_profile is None:
             raise ConfigError("drift_at needs drift_tier_accuracy_profile")
         if not 0 <= drift.drift_at <= 1:
             raise ConfigError(f"synthetic.drift_at must lie in [0, 1]; got {drift.drift_at}")
-        shifted, _ = synthetic_trace(
+        shifted, shifted_truth = synthetic_trace(
             config, seed, tier_accuracy_profile=drift.drift_tier_accuracy_profile)
         cut = round(drift.drift_at * len(trace))
         trace = concat_traces(trace.subset(slice(None, cut)), shifted.subset(slice(cut, None)))
         trace.metadata["drift_at_record"] = cut
+        # From the cut on, the rows and their agreement rates are the shifted trace's.
+        for name in ("consistency_edge", "consistency_cloud"):
+            truth_obj[name][cut:] = getattr(shifted_truth, name)[cut:].tolist()
+        truth_obj["drift_tier_probs"] = shifted_truth.tier_probs.tolist()
 
     save_trace(trace, outdir / "trace.jsonl")
-    truth_obj = {name: getattr(truth, name).tolist() for name in
-                 ("cluster_of", "tier_probs", "consistency_edge", "consistency_cloud")}
     write_json_lines(outdir / "trace_truth.json", [truth_obj])  # one compact line
     print(f"wrote {outdir / 'trace.jsonl'} ({len(trace)} records)")
 

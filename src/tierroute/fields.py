@@ -42,34 +42,6 @@ def bad_value(name: str, value, kind: str, error: type[Exception]) -> Exception:
     return error(f"{name} must be {kind}; got {found}")
 
 
-# The trace's per-record primitives run for every field of every record: bare type
-# tests, no type-hint lookup, and a message only on failure.
-
-def json_int(obj: dict, key: str, error: type[Exception], default=MISSING) -> int:
-    """A JSON integer field; absent gives ``default`` if there is one."""
-    value = obj.get(key, default)
-    if type(value) is not int:
-        raise bad_value(key, obj.get(key, MISSING), _KINDS[int], error)
-    return value
-
-
-def json_number(obj: dict, key: str, error: type[Exception], default=MISSING) -> float:
-    """A finite JSON number field, returned as parsed; absent gives ``default``."""
-    if key not in obj and default is not MISSING:
-        return default
-    value = obj.get(key)
-    if type(value) is float and math.isfinite(value) or type(value) is int:
-        return value
-    raise bad_value(key, obj.get(key, MISSING), _KINDS[float], error)
-
-
-def json_bool(obj: dict, key: str, error: type[Exception], default=MISSING) -> bool:
-    value = obj.get(key, default)
-    if type(value) is not bool:
-        raise bad_value(key, obj.get(key, MISSING), _KINDS[bool], error)
-    return value
-
-
 def typed(value, hint, name: str, error: type[Exception], minimum: int | None = None):
     """``value`` as a field of type ``hint`` named ``name``; ints may have a ``minimum``."""
     origin = typing.get_origin(hint)

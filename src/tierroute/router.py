@@ -279,8 +279,9 @@ def _build_report(policy: str, window_size: int, trace: Trace, tier: np.ndarray,
 def run_stream(state: RouterState, stream: Trace, scenario: NetworkScenario,
                online: bool) -> StreamReport:
     """Route a stream one window of ``update_interval`` queries at a time, score
-    utilities, and (if online) refresh after every full window the thresholds
-    of the clusters that saw queries in it."""
+    utilities, and (if online) log each window's utilities as observations and
+    refresh after every full window the thresholds of the clusters that saw
+    queries in it. A static stream leaves ``state`` unchanged."""
     state.validate()
     if stream.embedding_dim != state.predictor.config.input_dim:
         raise DimensionMismatchError(
@@ -314,11 +315,13 @@ def run_stream(state: RouterState, stream: Trace, scenario: NetworkScenario,
         clusters = membership[rows]
         taus = thresholds[window, clusters]
         tier[rows] = route_tiers(scores[rows], taus[:, 0], taus[:, 1])
+        if not online:
+            continue
         routed = tier_utilities[np.arange(start, rows.stop), tier[rows]]
         active = np.unique(clusters).tolist()
         for c in active:
             state.observations[c].extend(state.thresholds[c], routed[clusters == c])
-        if not online or rows.stop - start < m:
+        if rows.stop - start < m:
             continue
         for c in active:
             # Counterfactual replay over the cluster's most recent queries.

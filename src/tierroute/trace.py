@@ -16,15 +16,17 @@ gives, laid out here column by column. The floats' text comes in bulk from
 ``formats.float_texts``: orjson's inside the range where it is ``repr``'s, and
 ``json.dumps``' outside it, so the bytes are the same.
 
-A record line is read by orjson. Stdlib ``json`` is the reference: a line
+A record line is read by orjson. Its fields are read by ``fields.typed``, the
+rule every outside value follows. Stdlib ``json`` is the reference: a line
 that orjson refuses, or whose object fails a typed read, is decoded again by
 ``json.loads`` and read again, and that outcome stands.
 
 Record lines are read ``_CHUNK_LINES`` at a time. A chunk whose every line
-orjson decodes to the full form ``save_trace`` writes goes into the columns
-with one slice assignment per column. That check is narrower than the typed
-reads, so a chunk it refuses goes through the per-line reads above, which
-decide every other line.
+orjson decodes to a form ``save_trace`` writes goes into the columns with one
+slice assignment per column: absent scores and a null or absent ``correct``
+included. That check is narrower than the typed reads, so a chunk it refuses
+goes through the per-line reads above, which decide every hand-edited and
+every malformed line.
 """
 
 from __future__ import annotations
@@ -43,9 +45,7 @@ import numpy as np
 import orjson
 
 from .errors import TraceFormatError, TraceValidationError
-from .fields import bad_value, read
-# The per-record readers under private names, which tracers of public functions skip.
-from .fields import json_bool as _json_bool, json_int as _json_int, json_number as _json_number
+from .fields import MISSING, bad_value, read, typed
 from .formats import CHUNK_ROWS, float_texts, write_lines
 
 BYTES_PER_TOKEN = 4  # UTF-8 proxy used when byte sizes are not given explicitly
@@ -76,6 +76,8 @@ _TIER_COLUMNS = _INT_FIELDS + ("compute_s", "correct")
 # Codes in Trace.correct besides 1 (right) and 0 (wrong).
 CORRECT_ABSENT = -1  # the tier has no "correct" key
 CORRECT_NULL = -2    # the tier has "correct": null
+# A tier's "correct" value by its code; MISSING is an absent key.
+_CORRECT_CODES = {True: 1, False: 0, None: CORRECT_NULL, MISSING: CORRECT_ABSENT}
 
 
 @dataclass(eq=False)
@@ -224,22 +226,26 @@ def _record_lines(trace: Trace, rows: slice) -> str:
     return "".join(_RECORD_LINE % row for row in zip(*items))
 
 
-def _correct_code(tier_obj: dict) -> int:
-    if "correct" not in tier_obj:
-        return CORRECT_ABSENT
-    if tier_obj["correct"] is None:
-        return CORRECT_NULL
-    return _json_bool(tier_obj, "correct", TraceValidationError)  # stored as 1 or 0
+def _field(obj: dict, key: str, hint, default=MISSING):
+    """``obj[key]`` read as a field of type ``hint``; absent gives ``default`` if there is one."""
+    value = obj.get(key, MISSING)
+    if value is MISSING and default is not MISSING:
+        return default
+    return typed(value, hint, key, TraceValidationError)
+
+
+def _correct_code(sub: dict) -> int:
+    bit = sub.get("correct", MISSING)
+    return _CORRECT_CODES[bit if bit is MISSING else _field(sub, "correct", bool | None)]
 
 
 def _read_tier(sub: dict) -> tuple:
     """One tier's values, in _TIER_COLUMNS order."""
-    generated = _json_int(sub, "generated_tokens", TraceValidationError)
-    prompt = _json_int(sub, "prompt_tokens", TraceValidationError, 0)
-    return (generated, prompt,
-            _json_int(sub, "request_bytes", TraceValidationError, BYTES_PER_TOKEN * prompt),
-            _json_int(sub, "response_bytes", TraceValidationError, BYTES_PER_TOKEN * generated),
-            _json_number(sub, "compute_seconds", TraceValidationError), _correct_code(sub))
+    generated = _field(sub, "generated_tokens", int)
+    prompt = _field(sub, "prompt_tokens", int, 0)
+    return (generated, prompt, _field(sub, "request_bytes", int, BYTES_PER_TOKEN * prompt),
+            _field(sub, "response_bytes", int, BYTES_PER_TOKEN * generated),
+            _field(sub, "compute_seconds", float), _correct_code(sub))
 
 
 def _read_record(obj: dict, i: int, cols: dict[str, np.ndarray]) -> str:
@@ -281,8 +287,8 @@ def _read_fields(obj: dict, i: int, cols: dict[str, np.ndarray]) -> None:
     for name, values in zip(_TIER_COLUMNS, zip(*tiers)):
         cols[name][i] = values
     for name in _SCORE_FIELDS:
-        cols[name][i] = _json_number(obj, name, TraceValidationError, math.nan)
-    cols["has_reference"][i] = _json_bool(obj, "has_reference", TraceValidationError, False)
+        cols[name][i] = _field(obj, name, float, math.nan)
+    cols["has_reference"][i] = _field(obj, "has_reference", bool, False)
 
 
 def _text(line: bytes) -> str:
@@ -297,9 +303,10 @@ _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError, Re
 
 # Record lines read at a time: a few hundred decoded objects alive at once.
 _CHUNK_LINES = 256
-_RECORD_ITEMS = itemgetter("id", "embedding", "has_reference", "tier_info", *_SCORE_FIELDS)
+_RECORD_ITEMS = itemgetter("id", "embedding", "has_reference", "tier_info")
 _TIER_OBJECTS = itemgetter(*TIER_LABELS)
-_TIER_ITEMS = itemgetter(*_INT_FIELDS, "compute_seconds", "correct")  # _TIER_COLUMNS order
+_TIER_ITEMS = itemgetter(*_INT_FIELDS, "compute_seconds")  # _TIER_COLUMNS order
+_BIT_TYPES = set(map(type, _CORRECT_CODES))
 
 
 def _only(kind: type, values) -> bool:
@@ -309,15 +316,18 @@ def _only(kind: type, values) -> bool:
 
 def _read_chunk(lines: list[bytes], ids: list[str], cols: dict[str, np.ndarray]) -> bool:
     """Read record lines into the rows after ``ids``, one slice assignment per
-    column, and extend ``ids``, if orjson decodes every line to the full form
-    ``save_trace`` writes: every field present, every number of its exact type
-    and finite. Otherwise False, with ``ids`` as it was; its rows may hold
-    part of the chunk, which the per-line reads overwrite."""
+    column, and extend ``ids``, if orjson decodes every line to a form
+    ``save_trace`` writes: every field present but the scores and ``correct``,
+    every number of its exact type and finite. An absent score reads as NaN,
+    and a null or absent ``correct`` as its code. Otherwise False, with
+    ``ids`` as it was; its rows may hold part of the chunk, which the per-line
+    reads overwrite."""
     try:
         objs = list(map(orjson.loads, lines))  # orjson refuses lone surrogates, as ids must
         if not _only(dict, objs):
             return False
-        rids, embeddings, refs, tier_infos, *scores = zip(*map(_RECORD_ITEMS, objs))
+        rids, embeddings, refs, tier_infos = zip(*map(_RECORD_ITEMS, objs))
+        scores = [[obj.get(name, math.nan) for obj in objs] for name in _SCORE_FIELDS]
         dim = cols["embeddings"].shape[1]
         if not (_only(str, rids) and _only(list, embeddings) and _only(bool, refs)
                 and _only(dict, tier_infos) and {dim}.issuperset(map(len, embeddings))
@@ -336,13 +346,18 @@ def _read_chunk(lines: list[bytes], ids: list[str], cols: dict[str, np.ndarray])
             if not _only(dict, tier):
                 return False
             values = list(zip(*map(_TIER_ITEMS, tier)))
-            if not all(map(_only, (int, int, int, int, float, bool), values)):
+            bits = [sub.get("correct", MISSING) for sub in tier]
+            if not (all(map(_only, (int, int, int, int, float), values))
+                    and _BIT_TYPES.issuperset(map(type, bits))):
                 return False
+            values.append(list(map(_CORRECT_CODES.__getitem__, bits)))
             for name, column in zip(_TIER_COLUMNS, values):
                 cols[name][rows, t] = column  # OverflowError past int64
     except (orjson.JSONDecodeError, KeyError, OverflowError):
         return False
-    if not all(np.isfinite(cols[name][rows]).all() for name in ("compute_s", *_SCORE_FIELDS)):
+    # orjson refuses NaN and overflowing literals, so a score's NaN is an absent score.
+    if not (np.isfinite(cols["compute_s"][rows]).all()
+            and not any(np.isinf(cols[name][rows]).any() for name in _SCORE_FIELDS)):
         return False
     ids += rids
     return True

@@ -112,6 +112,22 @@ class TestGen:
         trace = load_trace(tmp / "g" / "trace.jsonl")
         assert trace.metadata["drift_at_record"] == 200
 
+    def test_drift_truth_follows_the_drift(self, workdir):
+        tmp, cfg = workdir
+        profile = [[0.1, 0.5, 0.9], [0.2, 0.6, 0.95]]
+        code = run("gen", "--config", cfg, "--out", tmp / "g", "--set", "synthetic.noise_sigma=0",
+                   "--set", "synthetic.drift_at=0.5",
+                   "--set", f"synthetic.drift_tier_accuracy_profile={profile}")
+        assert code == 0
+        from tierroute.trace import load_trace
+        trace = load_trace(tmp / "g" / "trace.jsonl")
+        truth = json.loads((tmp / "g" / "trace_truth.json").read_text())
+        # Without score noise each row's scores are its true agreement rates.
+        assert trace.sim_edge.tolist() == truth["consistency_edge"]
+        assert trace.sim_cloud.tolist() == truth["consistency_cloud"]
+        assert truth["drift_tier_probs"] == profile
+        assert truth["tier_probs"] != profile
+
 
 # Edge values for every synthetic key, each tried alone over gen's defaults:
 # -1 and 0 for an integer; -1, 0 and 1e308 for a float; a pair or triple

@@ -258,6 +258,15 @@ class TestRunStream:
         assert report.thresholds.shape == (len(report.windows["window"]), state.clusters.k, 2)
         assert all(row.tolist() == pairs for row in report.thresholds)
 
+    def test_static_leaves_observations_unchanged(self, small_state):
+        trace, _, state = small_state
+        clone = deepcopy(state)
+        run_stream(clone, trace, GOOD, online=False)
+        assert clone.observations.keys() == state.observations.keys()
+        for c, observed in state.observations.items():
+            assert clone.observations[c].pairs.tobytes() == observed.pairs.tobytes()
+            assert clone.observations[c].utilities.tobytes() == observed.utilities.tobytes()
+
     def test_conservation(self, small_state):
         trace, _, state = small_state
         report = run_stream(deepcopy(state), trace, GOOD, online=False)

@@ -2,17 +2,21 @@
 
 A differential fuzz compares ``load_trace`` with a copy of the json-only loop
 it replaced: on every generated file both must give bit-identical columns and
-ids, or the same exception class and message. The other tests pin the
-malformed files that the json-only loop let through as internal errors, and
-the chunks that are read column by column.
+ids, or the same exception class and message. A second one compares the
+record reader with a copy of the per-field readers it replaced. The other
+tests pin the malformed files that the json-only loop let through as internal
+errors, and the chunks that are read column by column.
 """
 
 import json
 import math
 import random
 import struct
+import sys
 from pathlib import Path
 
+import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -20,10 +24,11 @@ from helpers import column_trace
 from tierroute import trace as trace_module
 from tierroute.cli import main
 from tierroute.errors import TierRouteError, TraceFormatError, TraceValidationError
-from tierroute.fields import bad_value, read
+from tierroute.fields import MISSING, bad_value, read
 from tierroute.trace import (
-    _ARRAY_COLUMNS, _CHUNK_LINES, SyntheticConfig, Trace, TraceHeader, _empty_columns,
-    _read_fields, generate_synthetic_trace, load_trace, save_trace,
+    _ARRAY_COLUMNS, _CHUNK_LINES, _SCORE_FIELDS, _TIER_COLUMNS, BYTES_PER_TOKEN, CORRECT_ABSENT,
+    CORRECT_NULL, TIER_LABELS, SyntheticConfig, Trace, TraceHeader, _empty_columns, _read_fields,
+    generate_synthetic_trace, load_trace, save_trace,
 )
 
 
@@ -266,6 +271,115 @@ def test_orjson_path_matches_json_reference(tmp_path_factory):
     assert seen["loaded"] > 0 and seen["refused"] > 0
 
 
+# The per-field readers that ``_read_fields`` used before it read every field
+# through ``fields.typed``, frozen as its reference.
+
+def frozen_int(obj, key, default=MISSING):
+    value = obj.get(key, default)
+    if type(value) is not int:
+        raise bad_value(key, obj.get(key, MISSING), "an integer", TraceValidationError)
+    return value
+
+
+def frozen_number(obj, key, default=MISSING):
+    if key not in obj and default is not MISSING:
+        return default
+    value = obj.get(key)
+    if type(value) is float and math.isfinite(value) or type(value) is int:
+        return value
+    raise bad_value(key, obj.get(key, MISSING), "a finite number", TraceValidationError)
+
+
+def frozen_bool(obj, key, default=MISSING):
+    value = obj.get(key, default)
+    if type(value) is not bool:
+        raise bad_value(key, obj.get(key, MISSING), "true or false", TraceValidationError)
+    return value
+
+
+def frozen_tier(sub):
+    generated = frozen_int(sub, "generated_tokens")
+    prompt = frozen_int(sub, "prompt_tokens", 0)
+    bit = sub.get("correct", MISSING)
+    return (generated, prompt, frozen_int(sub, "request_bytes", BYTES_PER_TOKEN * prompt),
+            frozen_int(sub, "response_bytes", BYTES_PER_TOKEN * generated),
+            frozen_number(sub, "compute_seconds"),
+            CORRECT_ABSENT if bit is MISSING else CORRECT_NULL if bit is None
+            else frozen_bool(sub, "correct"))
+
+
+def frozen_read_fields(obj, i, cols):
+    """``_read_fields`` on the frozen per-field readers."""
+    embedding = obj["embedding"]
+    dim = cols["embeddings"].shape[1]
+    if len(embedding) != dim:
+        raise TraceValidationError(f"embedding has length {len(embedding)}, expected {dim}")
+    if not {float, int}.issuperset(map(type, embedding)):
+        j, value = next((j, v) for j, v in enumerate(embedding) if type(v) not in (float, int))
+        raise bad_value(f"embedding[{j}]", value, "a JSON number", TraceValidationError)
+    cols["embeddings"][i] = embedding
+    tier_info = obj["tier_info"]
+    if tier_info.keys() != set(TIER_LABELS):
+        raise TraceValidationError(
+            f"tier_info must hold exactly device, edge and cloud; got {sorted(tier_info)}")
+    tiers = []
+    for label in TIER_LABELS:
+        try:
+            tiers.append(frozen_tier(tier_info[label]))
+        except TraceValidationError as exc:
+            raise TraceValidationError(f"tier {label}: {exc}") from exc
+    for name, values in zip(_TIER_COLUMNS, zip(*tiers)):
+        cols[name][i] = values
+    for name in _SCORE_FIELDS:
+        cols[name][i] = frozen_number(obj, name, math.nan)
+    cols["has_reference"][i] = frozen_bool(obj, "has_reference", False)
+
+
+def fields_outcome(read_fields, obj, dim):
+    """What ``read_fields`` makes of ``obj``: every column's bytes, or the
+    exception's class and message."""
+    cols = _empty_columns(1, dim)
+    try:
+        read_fields(obj, 0, cols)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    return [(name, col.tobytes()) for name, col in cols.items()]
+
+
+def beyond_float(obj) -> bool:
+    """Whether a number field of ``obj`` holds an integer that no float holds."""
+    values = [sub.get("compute_seconds") for sub in obj["tier_info"].values()]
+    values += [obj.get(name) for name in _SCORE_FIELDS]
+    return any(type(v) is int and abs(v) > sys.float_info.max for v in values)
+
+
+def test_field_reads_match_frozen_reference():
+    seen = {"read": 0, "refused": 0, "beyond float": 0}
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(record(0, 3), st.integers(0, 2**32))
+    def check(obj, seed):
+        text = json_text(obj, random.Random(seed))
+        for decode in (json.loads, orjson.loads):
+            try:
+                decoded = decode(text)
+            except (ValueError, RecursionError):  # the unclosed arrays, or orjson's refusals
+                continue
+            got = fields_outcome(_read_fields, decoded, 3)
+            want = fields_outcome(frozen_read_fields, decoded, 3)
+            if beyond_float(decoded):  # the frozen readers let the column refuse it
+                assert want[0] in (OverflowError, TraceValidationError)
+                assert got[0] is TraceValidationError
+                seen["beyond float"] += 1
+            else:
+                assert got == want
+                seen["refused" if isinstance(got[0], type) else "read"] += 1
+
+    check()
+    assert all(seen.values()), seen
+
+
 def two_record_file(tmp_path) -> Path:
     path = tmp_path / "trace.jsonl"
     save_trace(column_trace([[0.5, 1.0, 2.0], [1.5, 1.0, 2.0]]), path)
@@ -364,11 +478,40 @@ def test_saved_trace_loads_without_per_line_reads(tmp_path, per_line_reads):
     assert len(got[0]) == N_CHUNKED
 
 
+def sparse_trace() -> Trace:
+    """``chunked_trace`` in every form ``save_trace`` writes: in each chunk,
+    each score is absent on some rows, and some rows without references have
+    a tier without a correct bit and a tier with a null one."""
+    trace = chunked_trace()
+    rows = np.arange(len(trace))
+    for j, name in enumerate(_SCORE_FIELDS):
+        getattr(trace, name)[rows % 7 == j] = np.nan
+    picked = rows[rows % 11 == 0]
+    trace.has_reference[picked] = False
+    trace.correct[picked, picked // 11 % 3] = CORRECT_ABSENT
+    trace.correct[picked, (picked // 11 + 1) % 3] = CORRECT_NULL
+    return trace
+
+
+def test_sparse_saved_trace_loads_without_per_line_reads(tmp_path, per_line_reads):
+    trace = sparse_trace()
+    path = tmp_path / "trace.jsonl"
+    save_trace(trace, path)
+    got = outcome(load_trace, path)
+    assert per_line_reads[0] == 0
+    assert got == outcome(reference_load, path) == outcome(lambda _: trace, path)
+    resaved = tmp_path / "resaved.jsonl"
+    save_trace(load_trace(path), resaved)
+    assert resaved.read_bytes() == path.read_bytes()
+
+
 def tier(obj, label):
     return obj["tier_info"][label]
 
 
-# A tier may lack a correct bit only in a record without references.
+# A tier may lack a correct bit only in a record without references. The
+# forms save_trace writes are read column by column.
+COLUMN_FORMS = ("absent score", "correct null", "absent correct", "extra key")
 LENIENT = {
     "int score": lambda obj: obj.update(sim_edge=1),
     "absent score": lambda obj: obj.pop("judge_cloud"),
@@ -394,10 +537,13 @@ def test_lenient_record_in_a_middle_chunk(tmp_path, per_line_reads, form):
     got = outcome(load_trace, path)
     assert got == outcome(reference_load, path)
     assert got[0] == chunked_trace().ids
-    # Only the lenient line's chunk is read one record at a time; a blank line
-    # is no record, and the chunks after it hold one line later each.
-    assert per_line_reads[0] == {"extra key": 0, "blank line": _CHUNK_LINES - 1}.get(
-        form, _CHUNK_LINES)
+    # Only the lenient line's chunk is read one record at a time, unless
+    # save_trace writes that form; a blank line is no record, and the chunks
+    # after it hold one line later each.
+    if form in COLUMN_FORMS:
+        assert per_line_reads[0] == 0
+    else:
+        assert per_line_reads[0] == {"blank line": _CHUNK_LINES - 1}.get(form, _CHUNK_LINES)
 
 
 def move_coordinate(obj):
@@ -425,6 +571,22 @@ def test_refused_record_in_a_middle_chunk(tmp_path, form):
     got = outcome(load_trace, path)
     assert got == outcome(reference_load, path)
     assert issubclass(got[0], TierRouteError) and f"line {2 + _CHUNK_LINES + 100}:" in got[1]
+
+
+@pytest.mark.parametrize("where, edit", [
+    ("tier edge: compute_seconds", lambda obj: tier(obj, "edge").update(compute_seconds=10**400)),
+    ("sim_cloud", lambda obj: obj.update(sim_cloud=-10**309)),
+])
+def test_integer_beyond_float_range_names_record_and_key(tmp_path, capsys, where, edit):
+    path = chunked_file(tmp_path)
+    lineno = 2 + _CHUNK_LINES + 100
+    edit_line(path, lineno, edit)
+    got = outcome(load_trace, path)
+    assert got == outcome(reference_load, path)
+    assert got[0] is TraceValidationError
+    rid = chunked_trace().ids[lineno - 2]
+    expect_exit_2(tmp_path, capsys, path,
+                  f"line {lineno}: record {rid!r}: {where} must be a finite number; got ")
 
 
 def test_malformed_record_in_the_third_chunk_names_its_line(tmp_path, capsys):

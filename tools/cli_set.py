@@ -10,7 +10,8 @@ directory under OUT:
 
 * ``gen``: ``gen`` of 2000 queries;
 * ``drift``: a drifted ``gen`` of 2000 queries, which switches at half of the
-  trace to ``DRIFT_PROFILE``;
+  trace to ``DRIFT_PROFILE``; its truth file follows the drift, with the
+  drifted rows' agreement rates and the profile as ``drift_tier_probs``;
 * ``train``, and an elbow ``tune`` into ``bundle``, on the ``gen`` trace;
 * ``static``: ``stream --static --network good`` on the ``gen`` trace;
 * ``online``: ``stream --online --network bad2good`` on the drifted trace;
