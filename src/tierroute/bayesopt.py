@@ -6,6 +6,12 @@ seeded random candidate pool proposes the next pair. Utilities are
 standardized (zero mean, unit variance over the observation set) before
 fitting and inverse-transformed for prediction, so the fixed kernel
 hyperparameters stay usable across utility scalings.
+
+The linear algebra is NumPy's (Rasmussen & Williams 2006, Algorithm 2.1).
+Each fit factors K + diag(noise / counts) = L L^T with ``np.linalg.cholesky``
+and inverts L once, so ``alpha = L^-T (L^-1 z_bar)`` and each ``predict``
+takes ``v = L^-1 k_*^T`` in one matrix product. The normal CDF in Expected
+Improvement is Phi(z) = erfc(-z / sqrt(2)) / 2, from ``math.erfc``.
 """
 
 from __future__ import annotations
@@ -15,11 +21,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.special import ndtr
 
 from .errors import GpFitError
 
+_SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -116,7 +121,7 @@ class GpSurrogate:
     x_train: np.ndarray       # distinct pairs, in order of first appearance
     y_mean: float
     y_std: float
-    chol: np.ndarray          # lower Cholesky factor of K + diag(noise / counts)
+    chol_inv: np.ndarray      # inverse of the lower Cholesky factor of K + diag(noise / counts)
     alpha: np.ndarray         # (K + diag(noise / counts))^-1 z_bar
     jitter_used: float = 0.0
 
@@ -125,7 +130,7 @@ class GpSurrogate:
         candidates = np.atleast_2d(candidates)
         k_star = _kernel(self.hypers, candidates, self.x_train)
         mu_z = k_star @ self.alpha
-        v = solve_triangular(self.chol, k_star.T, lower=True)
+        v = self.chol_inv @ k_star.T
         var_z = np.maximum(self.hypers.signal_variance - np.sum(v * v, axis=0), 0.0)
         mu = self.y_mean + self.y_std * mu_z
         sigma = self.y_std * np.sqrt(var_z)
@@ -166,7 +171,7 @@ def gp_fit(obs: ObservationSet, hypers: GpHyperparameters = DEFAULT_OFFLINE_HYPE
     while True:
         noise = (hypers.noise_variance + jitter) / counts
         try:
-            chol = cholesky(k + np.diag(noise), lower=True)
+            chol = np.linalg.cholesky(k + np.diag(noise))
             break
         except np.linalg.LinAlgError:
             jitter = 1e-10 if jitter == 0.0 else jitter * 10.0
@@ -174,9 +179,10 @@ def gp_fit(obs: ObservationSet, hypers: GpHyperparameters = DEFAULT_OFFLINE_HYPE
                 raise GpFitError(
                     f"kernel factorization failed even with jitter {max_jitter}"
                 ) from None
-    alpha = cho_solve((chol, True), z_bar)
+    chol_inv = np.linalg.inv(chol)
+    alpha = chol_inv.T @ (chol_inv @ z_bar)
     return GpSurrogate(hypers=hypers, x_train=x_distinct, y_mean=y_mean, y_std=y_std,
-                       chol=chol, alpha=alpha, jitter_used=jitter)
+                       chol_inv=chol_inv, alpha=alpha, jitter_used=jitter)
 
 
 def _ei_values(mu: np.ndarray, sigma: np.ndarray, best_so_far: float) -> np.ndarray:
@@ -187,7 +193,8 @@ def _ei_values(mu: np.ndarray, sigma: np.ndarray, best_so_far: float) -> np.ndar
     if np.any(active):
         z = improve[active] / sigma[active]
         pdf = np.exp(-0.5 * z * z) / _SQRT_2PI
-        out[active] = improve[active] * ndtr(z) + sigma[active] * pdf
+        cdf = 0.5 * np.fromiter(map(math.erfc, (-z / _SQRT_2).tolist()), np.float64, len(z))
+        out[active] = improve[active] * cdf + sigma[active] * pdf
     return np.maximum(out, 0.0)
 
 

@@ -44,6 +44,16 @@ def bad_value(name: str, value, kind: str, error: type[Exception]) -> Exception:
 
 def typed(value, hint, name: str, error: type[Exception], minimum: int | None = None):
     """``value`` as a field of type ``hint`` named ``name``; ints may have a ``minimum``."""
+    if type(hint) is type:  # a plain class, checked before any typing call
+        if hint is float:
+            if (type(value) is float and math.isfinite(value)
+                    or type(value) is int and abs(value) <= sys.float_info.max):
+                return float(value)
+            raise bad_value(name, value, _KINDS[float], error)
+        if type(value) is not hint or minimum is not None and value < minimum:
+            kind = _KINDS[hint] + ("" if minimum is None else f" >= {minimum}")
+            raise bad_value(name, value, kind, error)
+        return value
     origin = typing.get_origin(hint)
     if origin is types.UnionType or origin is typing.Union:  # X | None
         if value is None:
@@ -60,15 +70,7 @@ def typed(value, hint, name: str, error: type[Exception], minimum: int | None = 
             raise bad_value(name, value, f"a JSON array of {len(args)} values", error)
         return tuple(typed(v, arg, f"{name}[{i}]", error)
                      for i, (v, arg) in enumerate(zip(value, args)))
-    if hint is float:
-        if (type(value) is float and math.isfinite(value)
-                or type(value) is int and abs(value) <= sys.float_info.max):
-            return float(value)
-        raise bad_value(name, value, _KINDS[float], error)
-    if type(value) is not hint or minimum is not None and value < minimum:
-        kind = _KINDS[hint] + ("" if minimum is None else f" >= {minimum}")
-        raise bad_value(name, value, kind, error)
-    return value
+    raise TypeError(f"{name}: no typed-read rule for {hint!r}")
 
 
 @contextmanager

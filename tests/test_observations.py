@@ -2,8 +2,9 @@
 
 ``ListObservationSet`` and ``list_gp_fit`` copy the record-based set and the
 dict-based replicate collapse of ``gp_fit`` as they were before the set held
-columns. Every fit, ``best()``, ``points`` and the bundle's
-``observations.csv`` must come out bit for bit the same.
+columns; ``list_gp_fit`` factors and solves with the same NumPy calls as
+``gp_fit``, so only the collapse differs. Every fit, ``best()``, ``points`` and
+the bundle's ``observations.csv`` must come out bit for bit the same.
 """
 
 import csv
@@ -15,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_solve, cholesky
 
 from helpers import build_state
 from tierroute.bayesopt import (
@@ -86,15 +86,16 @@ def list_gp_fit(obs, hypers, max_jitter=1e-4):
     while True:
         noise = (hypers.noise_variance + jitter) / counts
         try:
-            chol = cholesky(k + np.diag(noise), lower=True)
+            chol = np.linalg.cholesky(k + np.diag(noise))
             break
         except np.linalg.LinAlgError:
             jitter = 1e-10 if jitter == 0.0 else jitter * 10.0
             if jitter > max_jitter:
                 raise GpFitError("kernel factorization failed") from None
-    alpha = cho_solve((chol, True), z_bar)
+    chol_inv = np.linalg.inv(chol)
+    alpha = chol_inv.T @ (chol_inv @ z_bar)
     return GpSurrogate(hypers=hypers, x_train=x_distinct, y_mean=y_mean, y_std=y_std,
-                       chol=chol, alpha=alpha, jitter_used=jitter)
+                       chol_inv=chol_inv, alpha=alpha, jitter_used=jitter)
 
 
 def fit_or_error(fit, obs, hypers):
@@ -111,7 +112,7 @@ def assert_same_fit(gp, ref):
     assert gp.x_train.tobytes() == ref.x_train.tobytes()
     assert repr((gp.y_mean, gp.y_std, gp.jitter_used)) == repr(
         (ref.y_mean, ref.y_std, ref.jitter_used))
-    assert gp.chol.tobytes() == ref.chol.tobytes()
+    assert gp.chol_inv.tobytes() == ref.chol_inv.tobytes()
     assert gp.alpha.tobytes() == ref.alpha.tobytes()
 
 

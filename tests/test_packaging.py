@@ -1,4 +1,4 @@
-"""pyproject.toml declares every third-party module the package imports."""
+"""pyproject.toml declares exactly the third-party modules the package imports."""
 
 import ast
 import re
@@ -30,3 +30,4 @@ def test_third_party_imports_are_declared():
     third_party = imported_top_level_modules() - set(sys.stdlib_module_names) - {"tierroute"}
     assert "numpy" in third_party  # the scan sees the imports at all
     assert third_party <= declared, f"imported but not declared: {sorted(third_party - declared)}"
+    assert declared <= third_party, f"declared but not imported: {sorted(declared - third_party)}"
