@@ -258,8 +258,11 @@ def label_config(config: dict) -> LabelConfig:
 
 
 def mlp_config(config: dict, input_dim: int, seed: int) -> MlpConfig:
-    return read(MlpConfig, config["mlp"], "mlp", error=ConfigError, input_dim=input_dim,
-                seed=seed)
+    cfg = read(MlpConfig, config["mlp"], "mlp", error=ConfigError, input_dim=input_dim,
+               seed=seed)
+    with building("mlp", ConfigError):  # a model too large to allocate
+        init_model(cfg)
+    return cfg
 
 
 def bo_config(config: dict, seed: int) -> BoConfig:

@@ -75,11 +75,11 @@ def typed(value, hint, name: str, error: type[Exception], minimum: int | None = 
 
 @contextmanager
 def building(where: str, error: type[Exception]):
-    """Raise a ValueError from building an object out of outside values as
-    ``error``, naming ``where``."""
+    """Raise a ValueError or MemoryError from building an object out of
+    outside values as ``error``, naming ``where``."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise error(f"{where}: {exc}") from exc
 
 

@@ -265,11 +265,12 @@ def _build_report(policy: str, window_size: int, trace: Trace, tier: np.ndarray,
     every window, which is a contiguous slice of ``window_size`` queries."""
     n = len(trace)
     rows = np.arange(n)
+    size = min(window_size, n)  # a window past the stream's end is the whole stream
     correct, lats, costs, utilities = (m[rows, tier] for m in outcomes)
-    d = {"query_id": trace.ids, "window": rows // window_size, "cluster": cluster, "tier": tier,
+    d = {"query_id": trace.ids, "window": rows // size, "cluster": cluster, "tier": tier,
          "score": score, "tau1": tau1, "tau2": tau2, "correct": correct.astype(np.int64),
          "latency_s": lats, "cost": costs, "utility": utilities}
-    windows = _summary(d, window_size)
+    windows = _summary(d, size)
     totals = {name: column.item() for name, column in _summary(d, n).items() if name != "window"}
     return StreamReport(policy=policy, window_size=window_size, windows=windows, totals=totals,
                         decisions=d, thresholds=np.empty((len(windows["window"]), 0, 2))
@@ -298,7 +299,7 @@ def run_stream(state: RouterState, stream: Trace, scenario: NetworkScenario,
     k = state.clusters.k
     scores = predict_batch(state.predictor, stream.embeddings)
     membership = assign_batch(state.clusters, stream.embeddings)
-    windows = np.arange(n) // m
+    windows = np.arange(n) // min(m, n)  # NumPy holds no int past int64
     outcomes = _tier_outcomes(stream, scenario, state.cost_model, state.weights,
                               state.cloud_baselines, windows)
     tier_utilities = outcomes[3]
@@ -367,7 +368,7 @@ def baseline_route(policy: str, trace: Trace, scenario: NetworkScenario, *,
         raise ValueError("cannot stream an empty trace")
     baselines = cloud_reference_means(trace, scenario, cost_model)
     outcomes = _tier_outcomes(trace, scenario, cost_model, weights, baselines,
-                              np.arange(n) // window_size)
+                              np.arange(n) // min(window_size, n))
     if policy != "global_static":
         tier = np.full(n, FIXED_POLICIES[policy], dtype=np.int64)
         return _build_report(policy, window_size, trace, tier, outcomes)

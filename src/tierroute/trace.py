@@ -16,17 +16,13 @@ gives, laid out here column by column. The floats' text comes in bulk from
 ``formats.float_texts``: orjson's inside the range where it is ``repr``'s, and
 ``json.dumps``' outside it, so the bytes are the same.
 
-A record line is read by orjson. Its fields are read by ``fields.typed``, the
-rule every outside value follows. Stdlib ``json`` is the reference: a line
-that orjson refuses, or whose object fails a typed read, is decoded again by
-``json.loads`` and read again, and that outcome stands.
-
-Record lines are read ``_CHUNK_LINES`` at a time. A chunk whose every line
-orjson decodes to a form ``save_trace`` writes goes into the columns with one
-slice assignment per column: absent scores and a null or absent ``correct``
-included. That check is narrower than the typed reads, so a chunk it refuses
-goes through the per-line reads above, which decide every hand-edited and
-every malformed line.
+Record lines are read ``_CHUNK_LINES`` at a time: orjson decodes a chunk's
+non-blank lines, and one column reader applies ``fields.typed``'s rules, which
+every outside value follows, to every field. Stdlib ``json`` is the reference.
+A chunk is read line by line only when it holds a bad line, or a line that
+orjson refuses and ``json.loads`` may read. There a line that fails with
+orjson is decoded again by ``json.loads`` and read again, and that outcome
+stands.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import IntEnum
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, filterfalse, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -226,71 +222,6 @@ def _record_lines(trace: Trace, rows: slice) -> str:
     return "".join(_RECORD_LINE % row for row in zip(*items))
 
 
-def _field(obj: dict, key: str, hint, default=MISSING):
-    """``obj[key]`` read as a field of type ``hint``; absent gives ``default`` if there is one."""
-    value = obj.get(key, MISSING)
-    if value is MISSING and default is not MISSING:
-        return default
-    return typed(value, hint, key, TraceValidationError)
-
-
-def _correct_code(sub: dict) -> int:
-    bit = sub.get("correct", MISSING)
-    return _CORRECT_CODES[bit if bit is MISSING else _field(sub, "correct", bool | None)]
-
-
-def _read_tier(sub: dict) -> tuple:
-    """One tier's values, in _TIER_COLUMNS order."""
-    generated = _field(sub, "generated_tokens", int)
-    prompt = _field(sub, "prompt_tokens", int, 0)
-    return (generated, prompt, _field(sub, "request_bytes", int, BYTES_PER_TOKEN * prompt),
-            _field(sub, "response_bytes", int, BYTES_PER_TOKEN * generated),
-            _field(sub, "compute_seconds", float), _correct_code(sub))
-
-
-def _read_record(obj: dict, i: int, cols: dict[str, np.ndarray]) -> str:
-    """Parse one record object into row ``i`` of the columns; returns its id."""
-    rid = obj["id"]
-    if type(rid) is not str:
-        raise bad_value("id", rid, "a string", TypeError)
-    try:
-        rid.encode()  # json.loads passes a lone surrogate escape, which no UTF-8 file can hold
-    except UnicodeEncodeError:
-        raise bad_value("id", rid, "a string without lone surrogates", ValueError) from None
-    try:
-        _read_fields(obj, i, cols)
-    except TraceValidationError as exc:
-        raise TraceValidationError(f"record {rid!r}: {exc}") from exc
-    return rid
-
-
-def _read_fields(obj: dict, i: int, cols: dict[str, np.ndarray]) -> None:
-    """Every field of a record but its id, into row ``i`` of the columns."""
-    embedding = obj["embedding"]
-    dim = cols["embeddings"].shape[1]
-    if len(embedding) != dim:
-        raise TraceValidationError(f"embedding has length {len(embedding)}, expected {dim}")
-    if not {float, int}.issuperset(map(type, embedding)):  # NumPy would take "0.5" and true
-        j, value = next((j, v) for j, v in enumerate(embedding) if type(v) not in (float, int))
-        raise bad_value(f"embedding[{j}]", value, "a JSON number", TraceValidationError)
-    cols["embeddings"][i] = embedding
-    tier_info = obj["tier_info"]
-    if tier_info.keys() != set(TIER_LABELS):
-        raise TraceValidationError(
-            f"tier_info must hold exactly device, edge and cloud; got {sorted(tier_info)}")
-    tiers = []
-    for label in TIER_LABELS:
-        try:
-            tiers.append(_read_tier(tier_info[label]))
-        except TraceValidationError as exc:
-            raise TraceValidationError(f"tier {label}: {exc}") from exc
-    for name, values in zip(_TIER_COLUMNS, zip(*tiers)):
-        cols[name][i] = values
-    for name in _SCORE_FIELDS:
-        cols[name][i] = _field(obj, name, float, math.nan)
-    cols["has_reference"][i] = _field(obj, "has_reference", bool, False)
-
-
 def _text(line: bytes) -> str:
     """A line as text-mode reading gave it: UTF-8, with a final CRLF read as LF."""
     return line.decode("utf-8").replace("\r\n", "\n")
@@ -303,10 +234,13 @@ _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError, Re
 
 # Record lines read at a time: a few hundred decoded objects alive at once.
 _CHUNK_LINES = 256
-_RECORD_ITEMS = itemgetter("id", "embedding", "has_reference", "tier_info")
+_NUMBERS = {float, int}
 _TIER_OBJECTS = itemgetter(*TIER_LABELS)
-_TIER_ITEMS = itemgetter(*_INT_FIELDS, "compute_seconds")  # _TIER_COLUMNS order
+_TIER_KEYS = (*_INT_FIELDS, "compute_seconds")  # _TIER_COLUMNS order, without correct
+_TIER_ITEMS = itemgetter(*_TIER_KEYS)
+_SCORE_ITEMS = itemgetter(*_SCORE_FIELDS)
 _BIT_TYPES = set(map(type, _CORRECT_CODES))
+_NO_SCORE = float("nan")  # an absent score: a NaN that json.loads reads is another object
 
 
 def _only(kind: type, values) -> bool:
@@ -314,53 +248,110 @@ def _only(kind: type, values) -> bool:
     return {kind}.issuperset(map(type, values))
 
 
-def _read_chunk(lines: list[bytes], ids: list[str], cols: dict[str, np.ndarray]) -> bool:
-    """Read record lines into the rows after ``ids``, one slice assignment per
-    column, and extend ``ids``, if orjson decodes every line to a form
-    ``save_trace`` writes: every field present but the scores and ``correct``,
-    every number of its exact type and finite. An absent score reads as NaN,
-    and a null or absent ``correct`` as its code. Otherwise False, with
-    ``ids`` as it was; its rows may hold part of the chunk, which the per-line
-    reads overwrite."""
+def _exact(values, kind: type, name: str):
+    """A column of ``int`` or ``bool`` values by ``fields.typed``'s rule."""
+    return values if _only(kind, values) else [
+        typed(v, kind, name, TraceValidationError) for v in values]
+
+
+def _floats(values, name: str):
+    """A column of finite numbers by ``fields.typed``'s rule, an int read as
+    ``float(v)``; ``_NO_SCORE`` passes as NaN."""
+    if _only(float, values) and math.isfinite(sum(values)):
+        return values
+    given = [v for v in values if v is not _NO_SCORE]
+    if _only(float, given) and math.isfinite(sum(given)):
+        return values
+    return [v if v is _NO_SCORE else typed(v, float, name, TraceValidationError)
+            for v in values]
+
+
+def _tier_columns(label: str, subs: tuple) -> list:
+    """One tier's columns over its tier objects, in _TIER_COLUMNS order. An
+    absent key reads as its default, made from the fields read before it."""
     try:
-        objs = list(map(orjson.loads, lines))  # orjson refuses lone surrogates, as ids must
-        if not _only(dict, objs):
-            return False
-        rids, embeddings, refs, tier_infos = zip(*map(_RECORD_ITEMS, objs))
-        scores = [[obj.get(name, math.nan) for obj in objs] for name in _SCORE_FIELDS]
-        dim = cols["embeddings"].shape[1]
-        if not (_only(str, rids) and _only(list, embeddings) and _only(bool, refs)
-                and _only(dict, tier_infos) and {dim}.issuperset(map(len, embeddings))
-                and {3}.issuperset(map(len, tier_infos))):
-            return False
-        flat = list(chain.from_iterable(embeddings))
-        if not (_only(float, flat) and all(map(_only, repeat(float), scores))):
-            return False
-        rows = slice(len(ids), len(ids) + len(objs))
-        embedding_rows = np.fromiter(flat, np.float64, len(flat)).reshape(len(objs), dim)
-        cols["embeddings"][rows] = embedding_rows
-        cols["has_reference"][rows] = refs
-        for name, score in zip(_SCORE_FIELDS, scores):
-            cols[name][rows] = score
-        for t, tier in enumerate(zip(*map(_TIER_OBJECTS, tier_infos))):  # KeyError: no tier
-            if not _only(dict, tier):
-                return False
-            values = list(zip(*map(_TIER_ITEMS, tier)))
-            bits = [sub.get("correct", MISSING) for sub in tier]
-            if not (all(map(_only, (int, int, int, int, float), values))
-                    and _BIT_TYPES.issuperset(map(type, bits))):
-                return False
-            values.append(list(map(_CORRECT_CODES.__getitem__, bits)))
-            for name, column in zip(_TIER_COLUMNS, values):
-                cols[name][rows, t] = column  # OverflowError past int64
-    except (orjson.JSONDecodeError, KeyError, OverflowError):
-        return False
-    # orjson refuses NaN and overflowing literals, so a score's NaN is an absent score.
-    if not (np.isfinite(cols["compute_s"][rows]).all()
-            and not any(np.isinf(cols[name][rows]).any() for name in _SCORE_FIELDS)):
-        return False
+        given = list(zip(*map(_TIER_ITEMS, subs)))
+    except (KeyError, TypeError):  # an absent key, or a tier that is no object
+        given = None
+
+    def column(j: int, defaults) -> list:
+        return given[j] if given else [sub.get(_TIER_KEYS[j], d) for sub, d in zip(subs, defaults)]
+
+    where = f"tier {label}: "
+    generated = _exact(column(0, repeat(MISSING)), int, where + "generated_tokens")
+    prompt = _exact(column(1, repeat(0)), int, where + "prompt_tokens")
+    request = _exact(column(2, map(BYTES_PER_TOKEN.__mul__, prompt)), int, where + "request_bytes")
+    response = _exact(column(3, map(BYTES_PER_TOKEN.__mul__, generated)), int,
+                      where + "response_bytes")
+    seconds = _floats(column(4, repeat(MISSING)), where + "compute_seconds")
+    bits = [sub.get("correct", MISSING) for sub in subs]
+    if not _BIT_TYPES.issuperset(map(type, bits)):
+        bits = [v if v is MISSING else typed(v, bool | None, where + "correct",
+                                             TraceValidationError) for v in bits]
+    return [generated, prompt, request, response, seconds,
+            list(map(_CORRECT_CODES.__getitem__, bits))]
+
+
+def _read_rows(objs: list, ids: list[str], cols: dict[str, np.ndarray]) -> None:
+    """Read decoded record objects into the rows after ``ids``, and extend
+    ``ids``. Each field is read as a column, in a record's field order, by
+    ``fields.typed``'s rules: one check over the column, and a read of each
+    value only where it fails. So the first bad field raises, and one object
+    gives the error its record gives alone. On a raise ``ids`` is as it was,
+    and the rows may hold part of ``objs``."""
+    rows = slice(len(ids), len(ids) + len(objs))
+    rids = [obj["id"] for obj in objs]
+    for rid in () if _only(str, rids) and "".join(rids).isascii() else rids:
+        if type(rid) is not str:
+            raise bad_value("id", rid, "a string", TypeError)
+        try:
+            rid.encode()  # json.loads passes a lone surrogate escape, which no UTF-8 file can hold
+        except UnicodeEncodeError:
+            raise bad_value("id", rid, "a string without lone surrogates", ValueError) from None
+    embeddings = [obj["embedding"] for obj in objs]
+    dim = cols["embeddings"].shape[1]
+    # Exact types, since NumPy would take "0.5" and true.
+    if ({dim}.issuperset(map(len, embeddings)) and _only(list, embeddings)
+            and _NUMBERS.issuperset(map(type, flat := list(chain.from_iterable(embeddings))))):
+        cols["embeddings"][rows] = np.fromiter(flat, np.float64, len(flat)).reshape(len(objs), dim)
+    else:
+        for i, embedding in enumerate(embeddings, rows.start):
+            if len(embedding) != dim:
+                raise TraceValidationError(f"embedding has length {len(embedding)}, expected {dim}")
+            for j, value in enumerate(embedding):
+                if type(value) not in _NUMBERS:
+                    raise bad_value(f"embedding[{j}]", value, "a JSON number", TraceValidationError)
+            cols["embeddings"][i] = embedding
+    infos = [obj["tier_info"] for obj in objs]
+    try:  # a KeyError or TypeError leaves the loop below to name the bad object
+        tiers = list(zip(*map(_TIER_OBJECTS, infos))) if {3}.issuperset(map(len, infos)) else ()
+    except (KeyError, TypeError):
+        tiers = ()
+    for info in () if tiers else infos:
+        if info.keys() != set(TIER_LABELS):
+            raise TraceValidationError(
+                f"tier_info must hold exactly device, edge and cloud; got {sorted(info)}")
+    columns = [_tier_columns(label, subs) for label, subs in zip(TIER_LABELS, tiers)]
+    for t, tier in enumerate(columns):
+        for name, column in zip(_TIER_COLUMNS, tier):
+            cols[name][rows, t] = column  # OverflowError past int64
+    try:
+        scores = list(zip(*map(_SCORE_ITEMS, objs)))
+    except KeyError:
+        scores = [[obj.get(name, _NO_SCORE) for obj in objs] for name in _SCORE_FIELDS]
+    for name, values in zip(_SCORE_FIELDS, scores):
+        cols[name][rows] = _floats(values, name)
+    cols["has_reference"][rows] = _exact([obj.get("has_reference", False) for obj in objs],
+                                         bool, "has_reference")
     ids += rids
-    return True
+
+
+def _read_record(obj, ids: list[str], cols: dict[str, np.ndarray]) -> None:
+    """One record object into the row after ``ids``; an error names its id."""
+    try:
+        _read_rows([obj], ids, cols)
+    except TraceValidationError as exc:
+        raise TraceValidationError(f"record {obj['id']!r}: {exc}") from exc
 
 
 def load_trace(path: str | Path) -> Trace:
@@ -386,11 +377,14 @@ def load_trace(path: str | Path) -> Trace:
             lines = list(islice(fh, _CHUNK_LINES))
             if not lines:
                 break
-            if _read_chunk(lines, ids, cols):
+            try:
+                _read_rows(list(map(orjson.loads, filterfalse(bytes.isspace, lines))), ids, cols)
                 continue
+            except (TraceValidationError, *_MALFORMED):
+                pass  # a bad line, or one only json.loads reads: each line on its own
             for lineno, line in enumerate(lines, start=start):
                 try:
-                    ids.append(_read_record(orjson.loads(line), len(ids), cols))
+                    _read_record(orjson.loads(line), ids, cols)
                     continue
                 except (TraceValidationError, *_MALFORMED):
                     pass  # refused, or read into a bad row: stdlib json decides the line
@@ -398,7 +392,7 @@ def load_trace(path: str | Path) -> Trace:
                     text = _text(line)
                     if not text.strip():
                         continue
-                    ids.append(_read_record(json.loads(text), len(ids), cols))
+                    _read_record(json.loads(text), ids, cols)
                 except TraceValidationError as exc:
                     raise TraceValidationError(f"{path}: line {lineno}: {exc}") from exc
                 except _MALFORMED as exc:

@@ -68,6 +68,23 @@ def payload_entry(path, index):
     return struct.unpack("<d", body[8 * index:8 * index + 8])[0]
 
 
+def assert_one_window_outputs(top, out, interval):
+    """``out`` holds the outputs of ``top``, a run with the update interval
+    2**63 - 1, with the same bytes, but its report.json and manifest.json
+    record ``interval``."""
+    names = sorted(path.name for path in top.iterdir())
+    assert names == sorted(path.name for path in out.iterdir())
+    for name in names:
+        got, want = (out / name).read_text(), (top / name).read_text()
+        if name == "manifest.json":
+            assert json.loads(got)["config"]["stream"]["update_interval"] == interval
+        elif name.endswith("report.json"):
+            assert len(json.loads(got)["windows"]) == 1
+            assert got == want.replace(f'"window_size": {2**63 - 1}', f'"window_size": {interval}')
+        else:
+            assert got == want, name
+
+
 def run_strict(*argv):
     """``run`` with every warning raised, so work on an empty input cannot pass quietly."""
     with warnings.catch_warnings():
@@ -95,6 +112,9 @@ class TestGen:
         ("synthetic.tier_tokens_per_second=[1e-320,30,25]",
          "bad synthetic config: tier_tokens_per_second=(1e-320, 30.0, 25.0) overflows the "
          "compute time"),
+        # Sizes of more than 2**47 bytes, whose allocation fails at once.
+        *((f"synthetic.{key}={10**15}", "bad synthetic config: Unable to allocate")
+          for key in ("n_queries", "n_latent_clusters", "embedding_dim")),
     )])
     def test_invalid_synthetic_config_exit_2(self, workdir, capsys, setting, message):
         tmp, cfg = workdir
@@ -215,6 +235,15 @@ class TestTrain:
         assert run("train", "--trace", path, "--out", tmp / "t") == 2
         named = "line 2: malformed record (id" if key == "id" else f"line 1: header.{key}"
         assert f"{path}: {named} must be" in capsys.readouterr().err
+        assert not (tmp / "t" / "predictor.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "tune"])
+    def test_model_too_large_to_allocate_exit_2(self, workdir, capsys, command):
+        # More than 2**47 bytes of parameters, whose allocation fails at once.
+        tmp, cfg = workdir
+        assert run(command, "--config", cfg, "--out", tmp / "t",
+                   "--set", f"mlp.hidden_dims=[{10**15}]") == 2
+        assert "error: mlp: Unable to allocate" in capsys.readouterr().err
         assert not (tmp / "t" / "predictor.ckpt").exists()
 
     @pytest.mark.parametrize("element", ['"0.5"', "true", "null", "[0.5]"])
@@ -668,6 +697,26 @@ class TestStream:
         assert code == 2
         assert f"got {flag[1].rpartition('=')[2]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "bundle"])
+    def test_update_interval_past_int64_is_one_window(self, workdir, source):
+        # Past 2**63 - 1, NumPy holds no window size: it streams as that one does.
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+        bare = tmp / "bare.jsonl"  # no stream section, so the bundle's interval applies
+        bare.write_text("".join(line + "\n" for line in SMALL_CONFIG.splitlines()
+                                if '"stream"' not in line))
+        stream = ("stream", "--config", bare, "--bundle", tmp / "b")
+        assert run(*stream, "--out", tmp / "top", "--update-interval", 2**63 - 1) == 0
+        if source == "flag":
+            assert run(*stream, "--out", tmp / "s", "--update-interval", 10**20) == 0
+        else:
+            state_path = tmp / "b" / "state.json"
+            state_path.write_text(state_path.read_text().replace(
+                '"update_interval": 100', f'"update_interval": {10**20}'))
+            rehash(tmp / "b", "state.json")
+            assert run(*stream, "--out", tmp / "s") == 0
+        assert_one_window_outputs(tmp / "top", tmp / "s", 10**20)
+
     def test_header_only_trace_exit_2(self, workdir, capsys):
         tmp, cfg = workdir
         trace = header_only_trace(tmp, cfg)
@@ -760,6 +809,13 @@ class TestBaseline:
                    "--out", tmp / "c") == 0
         report = json.loads((tmp / "c" / "baseline_cloud_only_report.json").read_text())
         assert report["totals"]["tier_fractions"]["cloud"] == 1.0
+
+    def test_update_interval_past_int64_is_one_window(self, workdir):
+        tmp, cfg = workdir
+        for out, interval in (("top", 2**63 - 1), ("s", 10**20)):
+            assert run("baseline", "--config", cfg, "--policy", "clm-only",
+                       "--out", tmp / out, "--update-interval", interval) == 0
+        assert_one_window_outputs(tmp / "top", tmp / "s", 10**20)
 
     def test_global_static_needs_taus(self, workdir, capsys):
         tmp, cfg = workdir

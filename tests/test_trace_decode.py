@@ -1,18 +1,18 @@
 """Record lines are decoded by orjson, with stdlib json as the reference.
 
 A differential fuzz compares ``load_trace`` with a copy of the json-only loop
-it replaced: on every generated file both must give bit-identical columns and
-ids, or the same exception class and message. A second one compares the
-record reader with a copy of the per-field readers it replaced. The other
-tests pin the malformed files that the json-only loop let through as internal
-errors, and the chunks that are read column by column.
+it replaced, reading each record through a frozen copy of the per-record
+readers that the column reader replaced: on every generated file both must
+give bit-identical columns and ids, or the same exception class and message.
+A second one compares the column reader on one record with those frozen
+readers. The other tests pin the malformed files that the json-only loop let
+through as internal errors, and the chunks that are read column by column.
 """
 
 import json
 import math
 import random
 import struct
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,18 +24,19 @@ from helpers import column_trace
 from tierroute import trace as trace_module
 from tierroute.cli import main
 from tierroute.errors import TierRouteError, TraceFormatError, TraceValidationError
-from tierroute.fields import MISSING, bad_value, read
+from tierroute.fields import MISSING, bad_value, read, typed
 from tierroute.trace import (
-    _ARRAY_COLUMNS, _CHUNK_LINES, _SCORE_FIELDS, _TIER_COLUMNS, BYTES_PER_TOKEN, CORRECT_ABSENT,
-    CORRECT_NULL, TIER_LABELS, SyntheticConfig, Trace, TraceHeader, _empty_columns, _read_fields,
-    generate_synthetic_trace, load_trace, save_trace,
+    _ARRAY_COLUMNS, _CHUNK_LINES, _CORRECT_CODES, _SCORE_FIELDS, _TIER_COLUMNS, BYTES_PER_TOKEN,
+    CORRECT_ABSENT, CORRECT_NULL, TIER_LABELS, SyntheticConfig, Trace, TraceHeader,
+    _empty_columns, _read_record, _read_rows, generate_synthetic_trace, load_trace, save_trace,
 )
 
 
 def reference_load(path) -> Trace:
     """``load_trace`` as it was with stdlib json only: text-mode lines, each
-    decoded by ``json.loads``. The one change is RecursionError among the
-    decode errors, where it used to escape as an internal error."""
+    decoded by ``json.loads`` and read by the frozen per-record readers. The
+    one change is RecursionError among the decode errors, where it used to
+    escape as an internal error."""
     path = Path(path)
     with path.open("rb") as fh:
         capacity = sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b""))
@@ -58,7 +59,7 @@ def reference_load(path) -> Trace:
                 rid = obj["id"]
                 if type(rid) is not str:
                     raise bad_value("id", rid, "a string", TypeError)
-                _read_fields(obj, len(ids), cols)
+                frozen_read_fields(obj, len(ids), cols)
             except TraceValidationError as exc:
                 raise TraceValidationError(f"{path}: line {lineno}: record {rid!r}: {exc}") from exc
             except (json.JSONDecodeError, KeyError, TypeError, ValueError, AttributeError,
@@ -271,45 +272,32 @@ def test_orjson_path_matches_json_reference(tmp_path_factory):
     assert seen["loaded"] > 0 and seen["refused"] > 0
 
 
-# The per-field readers that ``_read_fields`` used before it read every field
-# through ``fields.typed``, frozen as its reference.
+# The per-record readers that load_trace used before ``_read_rows`` read every
+# field as a column, frozen as the reference: ``fields.typed``'s rules, one
+# record and one field at a time.
 
-def frozen_int(obj, key, default=MISSING):
-    value = obj.get(key, default)
-    if type(value) is not int:
-        raise bad_value(key, obj.get(key, MISSING), "an integer", TraceValidationError)
-    return value
-
-
-def frozen_number(obj, key, default=MISSING):
-    if key not in obj and default is not MISSING:
+def frozen_field(obj, key, hint, default=MISSING):
+    value = obj.get(key, MISSING)
+    if value is MISSING and default is not MISSING:
         return default
-    value = obj.get(key)
-    if type(value) is float and math.isfinite(value) or type(value) is int:
-        return value
-    raise bad_value(key, obj.get(key, MISSING), "a finite number", TraceValidationError)
+    return typed(value, hint, key, TraceValidationError)
 
 
-def frozen_bool(obj, key, default=MISSING):
-    value = obj.get(key, default)
-    if type(value) is not bool:
-        raise bad_value(key, obj.get(key, MISSING), "true or false", TraceValidationError)
-    return value
+def frozen_correct_code(sub):
+    bit = sub.get("correct", MISSING)
+    return _CORRECT_CODES[bit if bit is MISSING else frozen_field(sub, "correct", bool | None)]
 
 
 def frozen_tier(sub):
-    generated = frozen_int(sub, "generated_tokens")
-    prompt = frozen_int(sub, "prompt_tokens", 0)
-    bit = sub.get("correct", MISSING)
-    return (generated, prompt, frozen_int(sub, "request_bytes", BYTES_PER_TOKEN * prompt),
-            frozen_int(sub, "response_bytes", BYTES_PER_TOKEN * generated),
-            frozen_number(sub, "compute_seconds"),
-            CORRECT_ABSENT if bit is MISSING else CORRECT_NULL if bit is None
-            else frozen_bool(sub, "correct"))
+    generated = frozen_field(sub, "generated_tokens", int)
+    prompt = frozen_field(sub, "prompt_tokens", int, 0)
+    return (generated, prompt, frozen_field(sub, "request_bytes", int, BYTES_PER_TOKEN * prompt),
+            frozen_field(sub, "response_bytes", int, BYTES_PER_TOKEN * generated),
+            frozen_field(sub, "compute_seconds", float), frozen_correct_code(sub))
 
 
 def frozen_read_fields(obj, i, cols):
-    """``_read_fields`` on the frozen per-field readers."""
+    """Every field of a record but its id, into row ``i`` of the columns."""
     embedding = obj["embedding"]
     dim = cols["embeddings"].shape[1]
     if len(embedding) != dim:
@@ -331,30 +319,45 @@ def frozen_read_fields(obj, i, cols):
     for name, values in zip(_TIER_COLUMNS, zip(*tiers)):
         cols[name][i] = values
     for name in _SCORE_FIELDS:
-        cols[name][i] = frozen_number(obj, name, math.nan)
-    cols["has_reference"][i] = frozen_bool(obj, "has_reference", False)
+        cols[name][i] = frozen_field(obj, name, float, math.nan)
+    cols["has_reference"][i] = frozen_field(obj, "has_reference", bool, False)
 
 
-def fields_outcome(read_fields, obj, dim):
-    """What ``read_fields`` makes of ``obj``: every column's bytes, or the
-    exception's class and message."""
+def frozen_read_record(obj, i, cols):
+    """A record object into row ``i`` of the columns; returns its id."""
+    rid = obj["id"]
+    if type(rid) is not str:
+        raise bad_value("id", rid, "a string", TypeError)
+    try:
+        rid.encode()
+    except UnicodeEncodeError:
+        raise bad_value("id", rid, "a string without lone surrogates", ValueError) from None
+    try:
+        frozen_read_fields(obj, i, cols)
+    except TraceValidationError as exc:
+        raise TraceValidationError(f"record {rid!r}: {exc}") from exc
+    return rid
+
+
+def record_outcome(read_record, obj, dim):
+    """What ``read_record`` makes of ``obj`` alone: its id and every column's
+    bytes, or the exception's class and message."""
     cols = _empty_columns(1, dim)
     try:
-        read_fields(obj, 0, cols)
+        rid = read_record(obj, cols)
     except Exception as exc:  # noqa: BLE001 - compared, not handled
         return type(exc), str(exc)
-    return [(name, col.tobytes()) for name, col in cols.items()]
+    return rid, [(name, col.tobytes()) for name, col in cols.items()]
 
 
-def beyond_float(obj) -> bool:
-    """Whether a number field of ``obj`` holds an integer that no float holds."""
-    values = [sub.get("compute_seconds") for sub in obj["tier_info"].values()]
-    values += [obj.get(name) for name in _SCORE_FIELDS]
-    return any(type(v) is int and abs(v) > sys.float_info.max for v in values)
+def column_read(obj, cols):
+    ids = []
+    _read_record(obj, ids, cols)
+    return ids
 
 
 def test_field_reads_match_frozen_reference():
-    seen = {"read": 0, "refused": 0, "beyond float": 0}
+    seen = {"read": 0, "refused": 0}
 
     @settings(max_examples=400, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -366,18 +369,30 @@ def test_field_reads_match_frozen_reference():
                 decoded = decode(text)
             except (ValueError, RecursionError):  # the unclosed arrays, or orjson's refusals
                 continue
-            got = fields_outcome(_read_fields, decoded, 3)
-            want = fields_outcome(frozen_read_fields, decoded, 3)
-            if beyond_float(decoded):  # the frozen readers let the column refuse it
-                assert want[0] in (OverflowError, TraceValidationError)
-                assert got[0] is TraceValidationError
-                seen["beyond float"] += 1
-            else:
-                assert got == want
-                seen["refused" if isinstance(got[0], type) else "read"] += 1
+            got = record_outcome(column_read, decoded, 3)
+            want = record_outcome(lambda obj, cols: [frozen_read_record(obj, 0, cols)],
+                                  decoded, 3)
+            assert got == want
+            seen["refused" if isinstance(got[0], type) else "read"] += 1
 
     check()
     assert all(seen.values()), seen
+
+
+def test_ints_past_2_53_read_as_float(tmp_path):
+    """An int where a float is read gives ``float(v)``'s bits, in a chunk as alone."""
+    big = 2**60 + 129  # float(big) rounds up to 2**60 + 256; truncation would not
+    objs = list(map(json.loads, chunked_file(tmp_path).read_text().splitlines()[1:6]))
+    objs[1]["embedding"][2] = -big
+    objs[2]["tier_info"]["edge"]["compute_seconds"] = big
+    objs[3]["sim_edge"] = big
+    cols = _empty_columns(len(objs), 4)
+    _read_rows(objs, [], cols)
+    assert cols["embeddings"][1, 2] == float(-big) != -big
+    assert cols["compute_s"][2, 1] == cols["sim_edge"][3] == float(big)
+    for i, obj in enumerate(objs):
+        assert record_outcome(column_read, obj, 4) == record_outcome(
+            lambda obj, cols: [frozen_read_record(obj, 0, cols)], obj, 4)
 
 
 def two_record_file(tmp_path) -> Path:
@@ -509,14 +524,18 @@ def tier(obj, label):
     return obj["tier_info"][label]
 
 
-# A tier may lack a correct bit only in a record without references. The
-# forms save_trace writes are read column by column.
-COLUMN_FORMS = ("absent score", "correct null", "absent correct", "extra key")
+# A tier may lack a correct bit only in a record without references.
 LENIENT = {
     "int score": lambda obj: obj.update(sim_edge=1),
     "absent score": lambda obj: obj.pop("judge_cloud"),
     "absent request_bytes": lambda obj: tier(obj, "edge").pop("request_bytes"),
+    "absent prompt_tokens": lambda obj: tier(obj, "device").pop("prompt_tokens"),
+    "absent has_reference": lambda obj: obj.pop("has_reference"),
     "int compute_seconds": lambda obj: tier(obj, "device").update(compute_seconds=2),
+    "long int compute_seconds": lambda obj: tier(obj, "cloud").update(
+        compute_seconds=2**60 + 129),
+    "int embedding value": lambda obj: obj["embedding"].__setitem__(0, 0),
+    "long int embedding value": lambda obj: obj["embedding"].__setitem__(3, -2**60 - 129),
     "correct null": lambda obj: (tier(obj, "cloud").update(correct=None),
                                  obj.update(has_reference=False)),
     "absent correct": lambda obj: (tier(obj, "cloud").pop("correct"),
@@ -537,13 +556,8 @@ def test_lenient_record_in_a_middle_chunk(tmp_path, per_line_reads, form):
     got = outcome(load_trace, path)
     assert got == outcome(reference_load, path)
     assert got[0] == chunked_trace().ids
-    # Only the lenient line's chunk is read one record at a time, unless
-    # save_trace writes that form; a blank line is no record, and the chunks
-    # after it hold one line later each.
-    if form in COLUMN_FORMS:
-        assert per_line_reads[0] == 0
-    else:
-        assert per_line_reads[0] == {"blank line": _CHUNK_LINES - 1}.get(form, _CHUNK_LINES)
+    # Every valid form is read column by column, and a blank line is no record.
+    assert per_line_reads[0] == 0
 
 
 def move_coordinate(obj):
@@ -557,6 +571,7 @@ def drop_coordinate(obj):
 REFUSED = {
     "embedding lengths": [move_coordinate, drop_coordinate],
     "bool token count": [lambda obj: tier(obj, "edge").update(generated_tokens=True)],
+    "int correct bit": [lambda obj: tier(obj, "device").update(correct=1)],
     "int64 overflow": [lambda obj: tier(obj, "cloud").update(response_bytes=2**63)],
     "number id": [lambda obj: obj.update(id=7.5)],
     "tiers missing": [lambda obj: obj["tier_info"].pop("edge")],
