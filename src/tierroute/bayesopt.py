@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GpFitError
+from .errors import ConfigError, GpFitError
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -198,12 +198,16 @@ def _ei_values(mu: np.ndarray, sigma: np.ndarray, best_so_far: float) -> np.ndar
     return np.maximum(out, 0.0)
 
 
-def sample_triangle(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Uniform samples from {0 <= tau2 < tau1 <= 1} by rejection over the unit square."""
+def sample_triangle(rng: np.random.Generator, count: int, key: str = "count") -> np.ndarray:
+    """Uniform samples from {0 <= tau2 < tau1 <= 1} by rejection over the unit
+    square; a ``count`` too large to allocate is a ConfigError naming ``key``."""
     rows: list[np.ndarray] = []
     have = 0
     while have < count:
-        draw = rng.uniform(0.0, 1.0, size=(2 * (count - have) + 8, 2))
+        try:
+            draw = rng.uniform(0.0, 1.0, size=(2 * (count - have) + 8, 2))
+        except MemoryError as exc:
+            raise ConfigError(f"{key}={count} is too large to draw ({exc})") from None
         keep = draw[draw[:, 0] > draw[:, 1]]
         rows.append(keep)
         have += keep.shape[0]
@@ -213,7 +217,7 @@ def sample_triangle(rng: np.random.Generator, count: int) -> np.ndarray:
 def propose_thresholds(gp: GpSurrogate, obs: ObservationSet, cfg: BoConfig,
                        rng: np.random.Generator) -> ThresholdPair:
     """Argmax of EI over a candidate pool drawn from ``rng``; first candidate wins ties."""
-    pool = sample_triangle(rng, cfg.candidate_pool_size)
+    pool = sample_triangle(rng, cfg.candidate_pool_size, "candidate_pool_size")
     _, best_u = obs.best()
     mu, sigma = gp.predict(pool)
     ei = _ei_values(mu, sigma, best_u)
@@ -231,7 +235,7 @@ def optimize_offline(evaluator: Evaluator, cfg: BoConfig, seed_points: int = 8,
         raise ValueError("seed_points must be >= 1")
     rng = np.random.default_rng(cfg.seed)
     obs = ObservationSet(capacity=capacity)
-    for row in sample_triangle(rng, seed_points):
+    for row in sample_triangle(rng, seed_points, "seed_points"):
         pair = ThresholdPair(tau1=float(row[0]), tau2=float(row[1]))
         obs.append(pair, evaluator(pair))
     for _ in range(cfg.offline_budget):

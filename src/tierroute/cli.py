@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,6 @@ from .trace import (
     GroundTruth,
     SyntheticConfig,
     Trace,
-    concat_traces,
     generate_synthetic_trace,
     load_trace,
     save_trace,
@@ -80,20 +79,10 @@ DEFAULT_CONFIG: dict = {
 SYNTHETIC_DEFAULTS = {"n_queries": 2000, "embedding_dim": 32, "seed": None}
 
 
-@dataclass(frozen=True)
-class SyntheticDrift:
-    """The synthetic section's own keys: the trace switches to the drift
-    profile at this fraction of its queries."""
-
-    drift_at: float | None = None
-    drift_tier_accuracy_profile: tuple[tuple[float, float, float], ...] | None = None
-
-
-# The keys each section may set: synthetic takes SyntheticConfig's fields and
-# SyntheticDrift's; weights may give kappa1/kappa2 in place of the lambdas.
+# The keys each section may set: synthetic takes SyntheticConfig's fields;
+# weights may give kappa1/kappa2 in place of the lambdas.
 CONFIG_KEYS = {name: set(body or ()) for name, body in DEFAULT_CONFIG.items()}
-CONFIG_KEYS["synthetic"] = {f.name for cls in (SyntheticConfig, SyntheticDrift)
-                            for f in fields(cls)}
+CONFIG_KEYS["synthetic"] = {f.name for f in fields(SyntheticConfig)}
 CONFIG_KEYS["weights"] |= {"kappa1", "kappa2"}
 
 
@@ -223,17 +212,17 @@ def _setting(config: dict, key: str, hint=int, minimum: int | None = None):
     return typed(config[section][name], hint, key, ConfigError, minimum)
 
 
-def synthetic_config(config: dict, seed: int, **given) -> SyntheticConfig:
+def synthetic_config(config: dict, seed: int) -> SyntheticConfig:
     body = {**SYNTHETIC_DEFAULTS, **(config.get("synthetic") or {})}
     if body["seed"] is None:
         body["seed"] = seed
-    return read(SyntheticConfig, body, "synthetic", error=ConfigError, **given)
+    return read(SyntheticConfig, body, "synthetic", error=ConfigError)
 
 
-def synthetic_trace(config: dict, seed: int, **given) -> tuple[Trace, GroundTruth]:
+def synthetic_trace(config: dict, seed: int) -> tuple[Trace, GroundTruth]:
     """The synthetic section's trace; the generator checks the section before
     it uses a value, and a value it refuses is a ConfigError."""
-    cfg = synthetic_config(config, seed, **given)
+    cfg = synthetic_config(config, seed)
     with building("bad synthetic config", ConfigError):
         return generate_synthetic_trace(cfg)
 
@@ -305,26 +294,9 @@ def network_scenario(config: dict):
 def cmd_gen(args: argparse.Namespace, config: dict, outdir: Path) -> None:
     if config.get("synthetic") is None:
         config["synthetic"] = {}
-    seed = _setting(config, "run.seed", minimum=0)
-    drift = read(SyntheticDrift, config["synthetic"], "synthetic", error=ConfigError)
-    trace, truth = synthetic_trace(config, seed)
-    truth_obj = {name: getattr(truth, name).tolist() for name in
-                 ("cluster_of", "tier_probs", "consistency_edge", "consistency_cloud")}
-    if drift.drift_at is not None:
-        if drift.drift_tier_accuracy_profile is None:
-            raise ConfigError("drift_at needs drift_tier_accuracy_profile")
-        if not 0 <= drift.drift_at <= 1:
-            raise ConfigError(f"synthetic.drift_at must lie in [0, 1]; got {drift.drift_at}")
-        shifted, shifted_truth = synthetic_trace(
-            config, seed, tier_accuracy_profile=drift.drift_tier_accuracy_profile)
-        cut = round(drift.drift_at * len(trace))
-        trace = concat_traces(trace.subset(slice(None, cut)), shifted.subset(slice(cut, None)))
-        trace.metadata["drift_at_record"] = cut
-        # From the cut on, the rows and their agreement rates are the shifted trace's.
-        for name in ("consistency_edge", "consistency_cloud"):
-            truth_obj[name][cut:] = getattr(shifted_truth, name)[cut:].tolist()
-        truth_obj["drift_tier_probs"] = shifted_truth.tier_probs.tolist()
-
+    trace, truth = synthetic_trace(config, _setting(config, "run.seed", minimum=0))
+    truth_obj = {name: value.tolist() for name, value in vars(truth).items()
+                 if value is not None}
     save_trace(trace, outdir / "trace.jsonl")
     write_json_lines(outdir / "trace_truth.json", [truth_obj])  # one compact line
     print(f"wrote {outdir / 'trace.jsonl'} ({len(trace)} records)")
@@ -423,7 +395,10 @@ def cmd_stream(args: argparse.Namespace, config: dict, outdir: Path) -> None:
     stream_trace = resolve_trace(config, seed)
     scenario = network_scenario(config)
     online = _setting(config, "stream.online", bool)
-    report = run_stream(state, stream_trace, scenario, online=online)
+    try:
+        report = run_stream(state, stream_trace, scenario, online=online)
+    except ConfigError as exc:  # the bundle's BO pool too large to draw
+        raise ConfigError(f"{Path(args.bundle) / 'state.json'}: bo_config.{exc}") from None
     write_report_files(report, outdir, prefix="stream")
     totals = report.totals
     print(f"{report.policy}: acc={totals['accuracy']:.4f} "

@@ -439,6 +439,11 @@ class SyntheticConfig:
     triple per latent cluster; probabilities must be nondecreasing from device
     to cloud within each cluster. ``token_mean_profile`` holds one per-tier
     triple of mean generated-token counts per cluster.
+
+    ``drift_at`` and ``drift_tier_accuracy_profile`` come as a pair: from row
+    ``round(drift_at * n_queries)`` on, which the metadata records as
+    ``drift_at_record``, success comes from the drift profile, a second
+    accuracy profile under the same rules.
     """
 
     n_queries: int
@@ -454,10 +459,13 @@ class SyntheticConfig:
     cluster_std: float = 1.0
     cluster_separation: float = 12.0
     reference_fraction: float = 1.0
+    drift_at: float | None = None
+    drift_tier_accuracy_profile: tuple[tuple[float, float, float], ...] | None = None
 
-    def resolved_accuracy_profile(self) -> np.ndarray:
-        if self.tier_accuracy_profile is not None:
-            prof = np.asarray(self.tier_accuracy_profile, dtype=np.float64)
+    def resolved_accuracy_profile(self, key: str = "tier_accuracy_profile") -> np.ndarray:
+        """The accuracy profile named ``key``, or the default one, checked."""
+        if getattr(self, key) is not None:
+            prof = np.asarray(getattr(self, key), dtype=np.float64)
         else:
             k = self.n_latent_clusters
             dev = np.linspace(0.3, 0.9, k) if k > 1 else np.array([0.7])
@@ -465,13 +473,11 @@ class SyntheticConfig:
             cloud = np.full(k, 0.96)
             prof = np.stack([dev, edge, cloud], axis=1)
         if prof.shape != (self.n_latent_clusters, 3):
-            raise ValueError(
-                f"tier_accuracy_profile must have shape ({self.n_latent_clusters}, 3)"
-            )
+            raise ValueError(f"{key} must have shape ({self.n_latent_clusters}, 3)")
         if np.any(prof < 0) or np.any(prof > 1):
-            raise ValueError("success probabilities must lie in [0, 1]")
+            raise ValueError(f"{key}: success probabilities must lie in [0, 1]")
         if np.any(np.diff(prof, axis=1) < 0):
-            raise ValueError("success probabilities must be nondecreasing device->cloud")
+            raise ValueError(f"{key}: success probabilities must be nondecreasing device->cloud")
         return prof
 
     def resolved_token_profile(self) -> np.ndarray:
@@ -502,7 +508,12 @@ class SyntheticConfig:
             raise ValueError("cluster_std and cluster_separation must be >= 0")
         if not all(speed > 0 for speed in self.tier_tokens_per_second):
             raise ValueError("tier_tokens_per_second must be positive")
-        self.resolved_accuracy_profile()
+        if (self.drift_at is None) != (self.drift_tier_accuracy_profile is None):
+            raise ValueError("drift_at and drift_tier_accuracy_profile must be given together")
+        if self.drift_at is not None and not 0.0 <= self.drift_at <= 1.0:
+            raise ValueError(f"drift_at must lie in [0, 1]; got {self.drift_at}")
+        for key in ("tier_accuracy_profile", "drift_tier_accuracy_profile"):
+            self.resolved_accuracy_profile(key)
         self.resolved_token_profile()
 
 
@@ -514,6 +525,7 @@ class GroundTruth:
     tier_probs: np.ndarray          # (k, 3) success probabilities
     consistency_edge: np.ndarray    # (n,) P(device answer agrees with edge)
     consistency_cloud: np.ndarray   # (n,) P(device answer agrees with cloud)
+    drift_tier_probs: np.ndarray | None = None  # (k, 3) from drift_at_record on
 
 
 def agreement_probability(p_device: np.ndarray, p_other: np.ndarray) -> np.ndarray:
@@ -559,7 +571,13 @@ def generate_synthetic_trace(cfg: SyntheticConfig) -> tuple[Trace, GroundTruth]:
     cluster_of = rng.integers(0, k, size=n)
     embeddings = centers[cluster_of] + rng.normal(0.0, cfg.cluster_std, size=(n, dim))
 
-    correct = rng.random((n, 3)) < acc[cluster_of]
+    row_acc = acc[cluster_of]  # each row's success probabilities
+    drift, drift_acc = {}, None
+    if cfg.drift_at is not None:
+        drift["drift_at_record"] = cut = round(cfg.drift_at * n)
+        drift_acc = cfg.resolved_accuracy_profile("drift_tier_accuracy_profile")
+        row_acc[cut:] = drift_acc[cluster_of[cut:]]
+    correct = rng.random((n, 3)) < row_acc
 
     lo = 1.0 - cfg.token_jitter
     hi = 1.0 + cfg.token_jitter
@@ -569,8 +587,8 @@ def generate_synthetic_trace(cfg: SyntheticConfig) -> tuple[Trace, GroundTruth]:
     p_lo, p_hi = cfg.prompt_token_range
     prompt_tokens = rng.integers(p_lo, p_hi + 1, size=n)
 
-    cons_edge = agreement_probability(acc[cluster_of, 0], acc[cluster_of, 1])
-    cons_cloud = agreement_probability(acc[cluster_of, 0], acc[cluster_of, 2])
+    cons_edge = agreement_probability(row_acc[:, 0], row_acc[:, 1])
+    cons_cloud = agreement_probability(row_acc[:, 0], row_acc[:, 2])
     with _overflow_names(cfg, "noise_sigma", "score noise"):
         noise = rng.normal(0.0, 1.0, size=(n, 4)) * cfg.noise_sigma
     sim_cloud = np.clip(cons_cloud + noise[:, 0], 0.0, 1.0)
@@ -600,7 +618,7 @@ def generate_synthetic_trace(cfg: SyntheticConfig) -> tuple[Trace, GroundTruth]:
         has_reference=has_ref,
         prompt_text=DEFAULT_SYNTHETIC_PROMPT,
         metadata={"generator": "synthetic", "seed": cfg.seed,
-                  "n_latent_clusters": k, "noise_sigma": cfg.noise_sigma},
+                  "n_latent_clusters": k, "noise_sigma": cfg.noise_sigma, **drift},
     )
     trace.validate()
     truth = GroundTruth(
@@ -608,5 +626,6 @@ def generate_synthetic_trace(cfg: SyntheticConfig) -> tuple[Trace, GroundTruth]:
         tier_probs=acc,
         consistency_edge=cons_edge,
         consistency_cloud=cons_cloud,
+        drift_tier_probs=drift_acc,
     )
     return trace, truth

@@ -149,6 +149,36 @@ class TestGen:
         assert truth["tier_probs"] != profile
 
 
+_DRIFT = ["--set", "synthetic.drift_at=0.5",
+          "--set", "synthetic.drift_tier_accuracy_profile=[[0.1,0.5,0.9],[0.2,0.6,0.95]]"]
+
+
+class TestDriftedSyntheticTrace:
+    def test_train_uses_the_trace_gen_writes(self, workdir):
+        tmp, cfg = workdir
+        assert run("gen", "--config", cfg, "--out", tmp / "g", "--seed", 3, *_DRIFT) == 0
+        assert run("train", "--config", cfg, "--out", tmp / "a", "--seed", 3, *_DRIFT) == 0
+        assert run("train", "--config", cfg, "--out", tmp / "b", "--seed", 3,
+                   "--trace", tmp / "g" / "trace.jsonl") == 0
+        for name in ("labels.csv", "predictor.ckpt"):
+            assert (tmp / "a" / name).read_bytes() == (tmp / "b" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command", ["train", "tune", "baseline"])
+    @pytest.mark.parametrize("settings, message", [
+        (["synthetic.drift_at=5", _DRIFT[3]], "drift_at must lie in [0, 1]; got 5.0"),
+        ([_DRIFT[1], "synthetic.drift_tier_accuracy_profile=[[0.1,0.5,0.9]]"],
+         "drift_tier_accuracy_profile must have shape (2, 3)"),
+        ([_DRIFT[3]], "drift_at and drift_tier_accuracy_profile must be given together"),
+    ], ids=["drift_at", "profile_shape", "profile_alone"])
+    def test_drift_keys_checked_exit_2(self, workdir, capsys, command, settings, message):
+        tmp, cfg = workdir
+        policy = ["--policy", "cloud-only"] if command == "baseline" else []
+        sets = [arg for setting in settings for arg in ("--set", setting)]
+        assert run(command, "--config", cfg, "--out", tmp / "o", *policy, *sets) == 2
+        assert f"error: bad synthetic config: {message}" in capsys.readouterr().err
+        assert not any((tmp / "o").iterdir())
+
+
 # Edge values for every synthetic key, each tried alone over gen's defaults:
 # -1 and 0 for an integer; -1, 0 and 1e308 for a float; a pair or triple
 # reversed, zeroed and negated (per latent cluster for a profile). A drift
@@ -316,6 +346,30 @@ class TestTune:
         capsys.readouterr()
         assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--out", tmp / "s") == 2
         assert f"{path}: {message}" in capsys.readouterr().err
+        assert not (tmp / "s" / "stream_report.json").exists()
+
+    @pytest.mark.parametrize("key", ["candidate_pool_size", "seed_points"])
+    def test_bo_draw_too_large_to_allocate_exit_2(self, workdir, capsys, key):
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b",
+                   "--set", f"bo.{key}={10**15}") == 2
+        assert (f"error: {key}={10**15} is too large to draw (Unable to allocate"
+                in capsys.readouterr().err)
+        assert not any((tmp / "b").iterdir())
+
+    def test_bundle_pool_too_large_to_allocate_exit_2(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+        path = tmp / "b" / "state.json"
+        obj = json.loads(path.read_text())
+        obj["bo_config"]["candidate_pool_size"] = 10**15
+        path.write_text(json.dumps(obj))
+        rehash(tmp / "b", "state.json")
+        capsys.readouterr()
+        assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--online",
+                   "--out", tmp / "s") == 2
+        assert (f"error: {path}: bo_config.candidate_pool_size={10**15} is too large to draw"
+                in capsys.readouterr().err)
         assert not (tmp / "s" / "stream_report.json").exists()
 
     def test_undecodable_observations_exit_2(self, workdir, capsys):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from helpers import column_trace
 from tierroute.cli import main
 from tierroute.errors import TraceFormatError, TraceValidationError
 from tierroute.trace import (
+    _ARRAY_COLUMNS,
     CORRECT_ABSENT,
     CORRECT_NULL,
     SyntheticConfig,
@@ -284,6 +286,59 @@ class TestSyntheticGeneration:
         again = tmp_path / "syn2.jsonl"
         save_trace(loaded, again)
         assert path.read_bytes() == again.read_bytes()
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n, drift_at", [(40, 0.0), (40, 1.0), (41, 0.5), (7, 0.5),
+                                              (101, 0.37)])
+    def test_drift_equals_the_splice_of_two_traces(self, seed, k, n, drift_at):
+        # The spliced reference: the undrifted trace up to the cut, then the
+        # trace generated with the drift profile as its accuracy profile.
+        rng = np.random.default_rng(seed + 100 * k)
+        profile = tuple(map(tuple, np.sort(rng.uniform(0, 1, size=(k, 3)), axis=1).tolist()))
+        cfg = SyntheticConfig(n_queries=n, embedding_dim=3, n_latent_clusters=k, seed=seed,
+                              noise_sigma=0.0 if seed == 3 else 0.1, reference_fraction=0.5)
+        stable, stable_truth = generate_synthetic_trace(cfg)
+        shifted, shifted_truth = generate_synthetic_trace(
+            replace(cfg, tier_accuracy_profile=profile))
+        cut = round(drift_at * n)
+        spliced = concat_traces(stable.subset(slice(None, cut)), shifted.subset(slice(cut, None)))
+
+        trace, truth = generate_synthetic_trace(
+            replace(cfg, drift_at=drift_at, drift_tier_accuracy_profile=profile))
+        assert trace.ids == spliced.ids
+        assert trace.metadata == {**stable.metadata, "drift_at_record": cut}
+        for name in _ARRAY_COLUMNS:
+            got, want = getattr(trace, name), getattr(spliced, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            if got.dtype == np.float64:
+                got, want = got.view(np.int64), want.view(np.int64)
+            assert np.array_equal(got, want), name
+        expected = {"cluster_of": stable_truth.cluster_of, "tier_probs": stable_truth.tier_probs,
+                    "drift_tier_probs": shifted_truth.tier_probs,
+                    **{name: np.concatenate([getattr(stable_truth, name)[:cut],
+                                             getattr(shifted_truth, name)[cut:]])
+                       for name in ("consistency_edge", "consistency_cloud")}}
+        for name, want in expected.items():
+            got = getattr(truth, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+    @pytest.mark.parametrize("given, message", [
+        ({"drift_at": 0.5}, "drift_at and drift_tier_accuracy_profile must be given together"),
+        ({"drift_tier_accuracy_profile": ((0.3, 0.6, 0.9),) * 2},
+         "drift_at and drift_tier_accuracy_profile must be given together"),
+        ({"drift_at": 1.5, "drift_tier_accuracy_profile": ((0.3, 0.6, 0.9),) * 2},
+         r"drift_at must lie in \[0, 1\]; got 1.5"),
+        ({"drift_at": 0.5, "drift_tier_accuracy_profile": ((0.3, 0.6, 0.9),)},
+         r"drift_tier_accuracy_profile must have shape \(2, 3\)"),
+        ({"drift_at": 0.5, "drift_tier_accuracy_profile": ((0.9, 0.6, 0.3),) * 2},
+         "drift_tier_accuracy_profile: success probabilities must be nondecreasing"),
+    ])
+    def test_drift_keys_checked(self, given, message):
+        cfg = SyntheticConfig(n_queries=10, embedding_dim=4, n_latent_clusters=2, **given)
+        with pytest.raises(ValueError, match=message):
+            generate_synthetic_trace(cfg)
 
     def test_nonmonotone_profile_rejected(self):
         cfg = SyntheticConfig(n_queries=10, embedding_dim=4, n_latent_clusters=1, seed=0,
