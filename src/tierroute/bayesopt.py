@@ -12,6 +12,17 @@ Each fit factors K + diag(noise / counts) = L L^T with ``np.linalg.cholesky``
 and inverts L once, so ``alpha = L^-T (L^-1 z_bar)`` and each ``predict``
 takes ``v = L^-1 k_*^T`` in one matrix product. The normal CDF in Expected
 Improvement is Phi(z) = erfc(-z / sqrt(2)) / 2, from ``math.erfc``.
+
+The kernel is k(a, b) = s^2 exp(-|a - b|^2 / (2 l^2)) (Rasmussen & Williams
+2006, ch. 2). The threshold space is 2-D, so ``_kernel`` forms |a - b|^2 per
+coordinate, as (a0 - b0)^2 + (a1 - b1)^2 from two outer differences. Summing
+the (m, n, 2) array of squared differences over its last axis adds the same
+two squares in the same order, so the bits are the same; only the 3-D array
+and its reduction are gone.
+
+Every run keeps its observations within the set's capacity, so none is
+evicted while it runs: an offline run holds ``seed_points + offline_budget``
+rows and an online refresh appends ``1 + online_steps_per_refresh``.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ from .errors import ConfigError, GpFitError
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+OBSERVATION_CAPACITY = 512  # rows an observation set keeps by default
 
 
 @dataclass(frozen=True)
@@ -73,11 +85,26 @@ class BoConfig:
         if self.online_steps_per_refresh < 0:
             raise ValueError("online_steps_per_refresh must be >= 0")
 
+    def check_capacity(self, capacity: int, seed_points: int | None = None,
+                       where: str = "") -> None:
+        """Refuse a budget whose run would evict its own observations: a refresh
+        needs ``1 + online_steps_per_refresh`` rows and, given ``seed_points``, an
+        offline run ``seed_points + offline_budget``. The ConfigError names each
+        key as ``where`` + key."""
+        if seed_points is not None and seed_points + self.offline_budget > capacity:
+            raise ConfigError(f"{where}seed_points={seed_points} and {where}offline_budget="
+                              f"{self.offline_budget}: seed_points + offline_budget must be "
+                              f"at most the observation capacity {capacity}")
+        if 1 + self.online_steps_per_refresh > capacity:
+            raise ConfigError(f"{where}online_steps_per_refresh={self.online_steps_per_refresh}"
+                              f": 1 + online_steps_per_refresh must be at most the "
+                              f"observation capacity {capacity}")
+
 
 class ObservationSet:
     """Bounded history, oldest evicted first: ``pairs`` rows [tau1, tau2], ``utilities``."""
 
-    def __init__(self, capacity: int = 512):
+    def __init__(self, capacity: int = OBSERVATION_CAPACITY):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
@@ -138,7 +165,11 @@ class GpSurrogate:
 
 
 def _kernel(hypers: GpHyperparameters, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    d2 = np.subtract.outer(a[:, 0], b[:, 0])
+    d2 *= d2
+    d1 = np.subtract.outer(a[:, 1], b[:, 1])
+    d1 *= d1
+    d2 += d1
     return hypers.signal_variance * np.exp(-d2 / (2.0 * hypers.length_scale ** 2))
 
 
@@ -229,10 +260,12 @@ Evaluator = Callable[[ThresholdPair], float]
 
 
 def optimize_offline(evaluator: Evaluator, cfg: BoConfig, seed_points: int = 8,
-                     capacity: int = 512) -> tuple[ThresholdPair, ObservationSet]:
+                     capacity: int = OBSERVATION_CAPACITY
+                     ) -> tuple[ThresholdPair, ObservationSet]:
     """Seed the observation set, then run fit-propose-evaluate for the offline budget."""
     if seed_points < 1:
         raise ValueError("seed_points must be >= 1")
+    cfg.check_capacity(capacity, seed_points)
     rng = np.random.default_rng(cfg.seed)
     obs = ObservationSet(capacity=capacity)
     for row in sample_triangle(rng, seed_points, "seed_points"):
@@ -253,6 +286,7 @@ def refresh_online(obs: ObservationSet, incumbent: ThresholdPair,
     higher (re-estimated) utility."""
     if len(obs) == 0:
         raise ValueError("refresh_online needs a non-empty observation set")
+    cfg.check_capacity(obs.capacity)
     if cfg.online_steps_per_refresh == 0:
         return incumbent
     # Re-estimate the incumbent under the current evaluator so stale utilities

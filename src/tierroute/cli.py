@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .accounting import CostModel, UtilityWeights
-from .bayesopt import BoConfig, ThresholdPair
+from .bayesopt import OBSERVATION_CAPACITY, BoConfig, ThresholdPair
 from .errors import ConfigError, TierRouteError, TraceValidationError
 from .fields import MISSING, building, cell, read, typed
 from .formats import json_text, read_json_lines, write_json, write_json_lines, write_table
@@ -343,6 +343,8 @@ def _offline_phase(config: dict) -> tuple[Trace, ConsistencyLabels, Representati
         seed_points=_setting(config, "bo.seed_points", minimum=1),
         update_interval=update_interval(config),
     )
+    # Checked before any fitting, which a budget past the capacity would waste.
+    tune_kw["bo_config"].check_capacity(OBSERVATION_CAPACITY, tune_kw["seed_points"], "bo.")
     trace = resolve_trace(config, seed)
     n = len(trace)
     if fixed_k is None and not 2 <= k_min < min(k_max, n):

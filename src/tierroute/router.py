@@ -25,6 +25,7 @@ from .accounting import (
     utility_matrix,
 )
 from .bayesopt import (
+    OBSERVATION_CAPACITY,
     BoConfig,
     ObservationSet,
     ThresholdPair,
@@ -545,15 +546,17 @@ def load_bundle(bundle_dir: str | Path) -> RouterState:
     if sorted(thresholds_obj) != sorted(map(str, range(k))):
         raise error(f"{thresholds_path}: keys must be the clusters 0..{k - 1}; "
                     f"got {sorted(thresholds_obj)}")
+    capacity = setting("observation_capacity", OBSERVATION_CAPACITY)
+    bo_config = section(BoConfig, "bo_config")
+    bo_config.check_capacity(capacity, where=f"{state_path}: bo_config.")
     state = RouterState(
         predictor=load_checkpoint(bundle_dir / "predictor.ckpt"),
         clusters=clusters,
         thresholds={c: read(ThresholdPair, thresholds_obj[str(c)], f"{thresholds_path}: {c}",
                             error=error) for c in range(k)},
-        observations=_load_observations(bundle_dir / "observations.csv", k,
-                                        setting("observation_capacity", 512)),
+        observations=_load_observations(bundle_dir / "observations.csv", k, capacity),
         weights=section(UtilityWeights, "weights"),
-        bo_config=section(BoConfig, "bo_config"),
+        bo_config=bo_config,
         cost_model=CostModel.read(state_obj.get("cost_model", MISSING),
                                   f"{state_path}: cost_model", error),
         cloud_baselines=section(CloudBaselines, "cloud_baselines"),

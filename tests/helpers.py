@@ -42,6 +42,14 @@ def hetero_config(n_queries, seed, noise_sigma=0.05, embedding_dim=32):
     )
 
 
+def broadcast_kernel(hypers, a, b):
+    """The squared-exponential kernel in its broadcast form: the (m, n, 2)
+    squared differences summed over their last axis. ``bayesopt._kernel``
+    must equal it bit for bit, and the reference fits build on it."""
+    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    return hypers.signal_variance * np.exp(-d2 / (2.0 * hypers.length_scale ** 2))
+
+
 def quick_mlp(input_dim, seed=0, **overrides):
     base = dict(input_dim=input_dim, hidden_dims=(64, 32), activation="relu",
                 learning_rate=3e-3, batch_size=128, max_epochs=40,

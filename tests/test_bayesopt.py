@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import broadcast_kernel
+from tierroute import bayesopt
 from tierroute.bayesopt import (
     BoConfig,
     GpHyperparameters,
@@ -13,7 +17,7 @@ from tierroute.bayesopt import (
     refresh_online,
     sample_triangle,
 )
-from tierroute.errors import GpFitError
+from tierroute.errors import ConfigError, GpFitError
 
 PHI_AT_ZERO = 1.0 / np.sqrt(2.0 * np.pi)  # standard normal density at 0
 
@@ -162,16 +166,70 @@ def expanded_posterior(obs, hypers, candidates):
     y_std = y.std() if y.std() >= 1e-12 else 1.0
     z = (y - y.mean()) / y_std
 
-    def kernel(a, b):
-        d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        return hypers.signal_variance * np.exp(-d2 / (2.0 * hypers.length_scale ** 2))
-
-    chol = np.linalg.cholesky(kernel(x, x) + hypers.noise_variance * np.eye(len(z)))
-    k_star = kernel(candidates, x)
+    chol = np.linalg.cholesky(broadcast_kernel(hypers, x, x)
+                              + hypers.noise_variance * np.eye(len(z)))
+    k_star = broadcast_kernel(hypers, candidates, x)
     alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, z))
     v = np.linalg.solve(chol, k_star.T)
     var = np.maximum(hypers.signal_variance - np.sum(v * v, axis=0), 0.0)
     return y.mean() + y_std * (k_star @ alpha), y_std * np.sqrt(var)
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+# Coordinates with signed zeros and near-equal values among random ones; a
+# list of rows may repeat a pair, and has at least one row.
+COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1.0 + 1e-9]), st.floats(-2.0, 2.0))
+ROWS = st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=40)
+HYPERS = st.builds(GpHyperparameters, length_scale=st.floats(1e-3, 10.0),
+                   signal_variance=st.floats(1e-3, 10.0))
+
+
+class TestKernel:
+    """``_kernel`` forms the squared distance per coordinate; the bits equal
+    those of the broadcast sum over the length-2 axis."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(a=ROWS, b=ROWS, hypers=HYPERS, repeat=st.booleans())
+    def test_equals_broadcast_form(self, a, b, hypers, repeat):
+        a, b = np.array(a, dtype=np.float64), np.array(b, dtype=np.float64)
+        if repeat:  # every row of a again in b, the first one twice
+            b = np.vstack([b, a, a[:1]])
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert np.array_equal(bits(bayesopt._kernel(hypers, x, y)),
+                                  bits(broadcast_kernel(hypers, x, y)))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equals_broadcast_form_at_pool_shapes(self, seed):
+        rng = np.random.default_rng(seed)
+        a = sample_triangle(rng, int(rng.integers(1, 600)))
+        b = sample_triangle(rng, int(rng.integers(1, 60)))
+        hypers = GpHyperparameters(length_scale=float(rng.uniform(0.01, 2.0)),
+                                   signal_variance=float(rng.uniform(0.1, 5.0)))
+        assert np.array_equal(bits(bayesopt._kernel(hypers, a, b)),
+                              bits(broadcast_kernel(hypers, a, b)))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_fit_and_predict_equal_a_broadcast_kernel_fit(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        distinct = sample_triangle(rng, int(rng.integers(1, 40)))
+        obs = ObservationSet(capacity=int(rng.choice([64, 512])))
+        for _ in range(int(rng.integers(1, 300))):
+            row = distinct[int(rng.integers(len(distinct)))]
+            obs.append(ThresholdPair(float(row[0]), float(row[1])), float(rng.normal()))
+        hypers = GpHyperparameters(length_scale=float(rng.uniform(0.05, 1.0)),
+                                   signal_variance=float(rng.uniform(0.1, 5.0)),
+                                   noise_variance=float(rng.choice([1e-2, 1e-4, 1e-8])))
+        candidates = np.vstack([sample_triangle(rng, 512), distinct])
+        gp = gp_fit(obs, hypers)
+        got = (gp.alpha, gp.chol_inv, *gp.predict(candidates))
+        monkeypatch.setattr(bayesopt, "_kernel", broadcast_kernel)
+        ref = gp_fit(obs, hypers)
+        assert gp.jitter_used == ref.jitter_used
+        for mine, want in zip(got, (ref.alpha, ref.chol_inv, *ref.predict(candidates))):
+            assert np.array_equal(bits(mine), bits(want))
 
 
 class TestReplicateCollapse:
@@ -305,6 +363,47 @@ class TestOptimizeOffline:
                 _, best_u = obs.best()
                 ratios.append(best_u / oracle)
             assert float(np.mean(ratios)) >= 0.98
+
+
+class TestBudgetsWithinCapacity:
+    """A run whose budget passes the observation capacity would evict its own
+    observations, so it is refused before it starts."""
+
+    def test_offline_budget_past_capacity_refused(self):
+        def never(pair):
+            raise AssertionError("evaluated a pair")
+
+        with pytest.raises(ConfigError, match=r"^seed_points=8 and offline_budget="
+                                              r"1000000000000000: seed_points \+ offline_budget "
+                                              r"must be at most the observation capacity 512$"):
+            optimize_offline(never, BoConfig(offline_budget=10**15))
+        with pytest.raises(ConfigError, match="^seed_points=3 and offline_budget=6: "):
+            optimize_offline(never, BoConfig(offline_budget=6), seed_points=3, capacity=8)
+
+    def test_offline_budget_at_capacity_keeps_every_row(self):
+        evaluated = []
+
+        def evaluator(pair):
+            evaluated.append(scalar_eval(bowl)(pair))
+            return evaluated[-1]
+
+        _, obs = optimize_offline(evaluator, BoConfig(offline_budget=5, seed=3),
+                                  seed_points=3, capacity=8)
+        assert len(evaluated) == 8 and obs.utilities.tolist() == evaluated
+
+    def test_online_steps_past_capacity_refused(self):
+        obs = ObservationSet(capacity=3)
+        pair = ThresholdPair(0.9, 0.4)
+        obs.append(pair, 0.5)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigError, match=r"^online_steps_per_refresh=3: 1 \+ "
+                                             r"online_steps_per_refresh must be at most "
+                                             r"the observation capacity 3$"):
+            refresh_online(obs, pair, scalar_eval(bowl), BoConfig(online_steps_per_refresh=3),
+                           rng)
+        assert len(obs) == 1
+        refresh_online(obs, pair, scalar_eval(bowl), BoConfig(online_steps_per_refresh=2), rng)
+        assert len(obs) == 3
 
 
 class TestRefreshOnline:

@@ -348,7 +348,7 @@ class TestTune:
         assert f"{path}: {message}" in capsys.readouterr().err
         assert not (tmp / "s" / "stream_report.json").exists()
 
-    @pytest.mark.parametrize("key", ["candidate_pool_size", "seed_points"])
+    @pytest.mark.parametrize("key", ["candidate_pool_size"])
     def test_bo_draw_too_large_to_allocate_exit_2(self, workdir, capsys, key):
         tmp, cfg = workdir
         assert run("tune", "--config", cfg, "--out", tmp / "b",
@@ -369,6 +369,43 @@ class TestTune:
         assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--online",
                    "--out", tmp / "s") == 2
         assert (f"error: {path}: bo_config.candidate_pool_size={10**15} is too large to draw"
+                in capsys.readouterr().err)
+        assert not (tmp / "s" / "stream_report.json").exists()
+
+    @pytest.mark.parametrize("command", [["tune"], ["tune", "--kappa-grid", "1,2"], ["sweep"]],
+                             ids=["tune", "kappa-grid", "sweep"])
+    @pytest.mark.parametrize("key, message", [
+        ("offline_budget", f"bo.seed_points=4 and bo.offline_budget={10**15}: "
+                           "seed_points + offline_budget"),
+        ("seed_points", f"bo.seed_points={10**15} and bo.offline_budget=8: "
+                        "seed_points + offline_budget"),
+        ("online_steps_per_refresh", f"bo.online_steps_per_refresh={10**15}: "
+                                     "1 + online_steps_per_refresh"),
+    ], ids=["offline_budget", "seed_points", "online_steps_per_refresh"])
+    def test_bo_budget_past_capacity_exit_2(self, workdir, capsys, monkeypatch, command, key,
+                                            message):
+        # Refused before any fitting or draw; a fit would be an internal error here.
+        tmp, cfg = workdir
+        monkeypatch.setattr(cli, "fit_representation", None)
+        assert run(*command, "--config", cfg, "--out", tmp / "b",
+                   "--set", f"bo.{key}={10**15}") == 2
+        assert (f"error: {message} must be at most the observation capacity 512"
+                in capsys.readouterr().err)
+        assert not any((tmp / "b").iterdir())
+
+    def test_bundle_online_steps_past_capacity_exit_2(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+        path = tmp / "b" / "state.json"
+        obj = json.loads(path.read_text())
+        obj["bo_config"]["online_steps_per_refresh"] = 10**15
+        path.write_text(json.dumps(obj))
+        rehash(tmp / "b", "state.json")
+        capsys.readouterr()
+        assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--online",
+                   "--out", tmp / "s") == 2
+        assert (f"error: {path}: bo_config.online_steps_per_refresh={10**15}: 1 + "
+                f"online_steps_per_refresh must be at most the observation capacity 512"
                 in capsys.readouterr().err)
         assert not (tmp / "s" / "stream_report.json").exists()
 

@@ -4,7 +4,8 @@ The fit factors and solves with NumPy: ``np.linalg.cholesky``, the factor
 inverted once, and Phi from ``math.erfc``. The reference here collapses the
 replicates by a dict over the rows and factors and solves the same system
 with ``scipy.linalg.cholesky``, ``cho_solve`` and ``solve_triangular``, and
-takes Phi from ``scipy.special.ndtr``. The two round differently, so they
+takes Phi from ``scipy.special.ndtr``. Its kernel is ``helpers.broadcast_kernel``,
+not the code under test. The two round differently, so they
 agree to a tolerance fixed from the arithmetic:
 
 * a backward-stable solve of an n x n system of condition number kappa is
@@ -21,6 +22,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import broadcast_kernel
 from test_cli import SMALL_CONFIG, run
 from tierroute import bayesopt
 from tierroute.bayesopt import (
@@ -52,7 +54,7 @@ def scipy_fit(obs, hypers):
     x = np.array(list(slot))
     counts = np.bincount(inverse)
     z_bar = np.bincount(inverse, weights=z) / counts
-    k = bayesopt._kernel(hypers, x, x)
+    k = broadcast_kernel(hypers, x, x)
     jitter = 0.0
     while True:
         system = k + np.diag((hypers.noise_variance + jitter) / counts)
@@ -78,7 +80,7 @@ def assert_matches_scipy(obs, hypers, rng):
 
     candidates = np.vstack([sample_triangle(rng, 512), x])
     mu, sigma = gp.predict(candidates)
-    k_star = bayesopt._kernel(hypers, candidates, x)
+    k_star = broadcast_kernel(hypers, candidates, x)
     v = scipy_linalg.solve_triangular(chol, k_star.T, lower=True)
     ref_mu = gp.y_mean + gp.y_std * (k_star @ alpha)
     ref_var = np.maximum(hypers.signal_variance - np.sum(v * v, axis=0), 0.0)
