@@ -469,6 +469,12 @@ def cmd_sweep(args: argparse.Namespace, config: dict, outdir: Path) -> None:
 # Parser
 # ---------------------------------------------------------------------------
 
+# Each --policy value and the baseline policy it runs.
+_POLICIES = {"dlm-only": "device_only", "elm-only": "edge_only", "clm-only": "cloud_only",
+             "device-only": "device_only", "edge-only": "edge_only", "cloud-only": "cloud_only",
+             "global-static": "global_static"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tierroute",
@@ -477,13 +483,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tierroute {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, reads_trace: bool = True) -> None:
         p.add_argument("--config", help="line-delimited JSON config file")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=JSON",
                        help="override one config value (repeatable)")
         p.add_argument("--seed", type=int, help="override run.seed")
         p.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} or ./tierroute-out)")
-        p.add_argument("--trace", help="input trace file (instead of a synthetic section)")
+        if reads_trace:
+            p.add_argument("--trace", help="input trace file (instead of a synthetic section)")
         p.add_argument("--network",
                        help="network scenario: good, bad, bad2good, or a scenario file")
         p.add_argument("--switch-window", type=int, dest="switch_window",
@@ -492,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="queries per window / refresh interval")
 
     p_gen = sub.add_parser("gen", help="generate a synthetic trace (plus ground truth)")
-    common(p_gen)
+    common(p_gen, reads_trace=False)  # gen writes a trace and reads none
     p_gen.set_defaults(func=cmd_gen)
 
     p_train = sub.add_parser("train", help="build labels and train the consistency predictor")
@@ -516,9 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_base = sub.add_parser("baseline", help="fixed-policy baselines")
     common(p_base)
-    p_base.add_argument("--policy", required=True,
-                        choices=["dlm-only", "elm-only", "clm-only", "device-only",
-                                 "edge-only", "cloud-only", "global-static"])
+    p_base.add_argument("--policy", required=True, choices=_POLICIES)
     p_base.add_argument("--tau1", type=float)
     p_base.add_argument("--tau2", type=float)
     p_base.add_argument("--bundle", help="bundle providing the predictor for global-static")
@@ -532,13 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_POLICY_ALIASES = {
-    "dlm_only": "device_only",
-    "elm_only": "edge_only",
-    "clm_only": "cloud_only",
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     """Resolve the command's config and check that its manifest can be made,
     make its output directory, run it, then write its manifest; a
@@ -546,8 +544,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "policy", None):
-        normalized = args.policy.replace("-", "_")
-        args.policy = _POLICY_ALIASES.get(normalized, normalized)
+        args.policy = _POLICIES[args.policy]
     try:
         given = _given_config(args)
         # stream keeps its bundle's update interval unless one is given.

@@ -20,9 +20,8 @@ Record lines are read ``_CHUNK_LINES`` at a time: orjson decodes a chunk's
 non-blank lines, and one column reader applies ``fields.typed``'s rules, which
 every outside value follows, to every field. Stdlib ``json`` is the reference.
 A chunk is read line by line only when it holds a bad line, or a line that
-orjson refuses and ``json.loads`` may read. There a line that fails with
-orjson is decoded again by ``json.loads`` and read again, and that outcome
-stands.
+orjson refuses and ``json.loads`` may read. There each line is decoded by
+``json.loads`` and read by the same reader, and that outcome stands.
 """
 
 from __future__ import annotations
@@ -381,13 +380,8 @@ def load_trace(path: str | Path) -> Trace:
                 _read_rows(list(map(orjson.loads, filterfalse(bytes.isspace, lines))), ids, cols)
                 continue
             except (TraceValidationError, *_MALFORMED):
-                pass  # a bad line, or one only json.loads reads: each line on its own
+                pass  # a bad line, or one only json.loads reads: stdlib json decides each line
             for lineno, line in enumerate(lines, start=start):
-                try:
-                    _read_record(orjson.loads(line), ids, cols)
-                    continue
-                except (TraceValidationError, *_MALFORMED):
-                    pass  # refused, or read into a bad row: stdlib json decides the line
                 try:
                     text = _text(line)
                     if not text.strip():

@@ -122,6 +122,16 @@ class TestGen:
         assert message in capsys.readouterr().err
         assert not (tmp / "g" / "trace.jsonl").exists()
 
+    def test_trace_flag_rejected(self, workdir, capsys):
+        # gen writes a trace and reads none: --trace would only null the
+        # synthetic section, and gen would then run the generator's defaults.
+        tmp, cfg = workdir
+        with pytest.raises(SystemExit) as exc:
+            run("gen", "--config", cfg, "--out", tmp / "g", "--trace", tmp / "none.jsonl")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trace" in capsys.readouterr().err
+        assert not (tmp / "g").exists()
+
     def test_drift_trace(self, workdir):
         tmp, cfg = workdir
         code = run("gen", "--config", cfg, "--out", tmp / "g",
@@ -1040,18 +1050,22 @@ class TestManifests:
         assert manifests[0] == manifests[1]
 
     def test_baseline_policy_recorded(self, workdir):
-        # --policy sets no config key; the manifest records it under args.
+        # --policy sets no config key; the manifest records it under args,
+        # by the name of the policy that ran.
         tmp, cfg = workdir
+        runs = {"clm-only": "cloud_only", "dlm-only": "device_only", "elm-only": "edge_only",
+                "cloud-only": "cloud_only", "device-only": "device_only", "edge-only": "edge_only"}
         manifests = []
-        for policy in ("clm-only", "dlm-only"):
-            assert run("baseline", "--config", cfg, "--policy", policy, "--out", tmp / policy) == 0
-            manifests.append(json.loads((tmp / policy / "manifest.json").read_text()))
+        for flag, policy in runs.items():
+            assert run("baseline", "--config", cfg, "--policy", flag, "--out", tmp / flag) == 0
+            assert (tmp / flag / f"baseline_{policy}_report.json").exists()
+            manifests.append(json.loads((tmp / flag / "manifest.json").read_text()))
         assert [m["args"] for m in manifests] == [
             {"bundle": None, "policy": policy, "tau1": None, "tau2": None}
-            for policy in ("cloud_only", "device_only")]
+            for policy in runs.values()]
         for m in manifests:
             del m["args"]["policy"]
-        assert manifests[0] == manifests[1]
+        assert all(m == manifests[0] for m in manifests)
 
     def test_flags_recorded_where_defined(self, workdir):
         tmp, cfg = workdir

@@ -613,6 +613,58 @@ def test_malformed_record_in_the_third_chunk_names_its_line(tmp_path, capsys):
     expect_exit_2(tmp_path, capsys, path, f"line {lineno}: malformed record")
 
 
+@pytest.fixture
+def orjson_decodes(monkeypatch):
+    """The number of lines ``load_trace`` hands to ``orjson.loads``."""
+    calls = [0]
+
+    class Counted:
+        @staticmethod
+        def loads(data):
+            calls[0] += 1
+            return orjson.loads(data)
+
+    monkeypatch.setattr(trace_module, "orjson", Counted)
+    return calls
+
+
+def add_note(lines, lineno, note: bytes) -> None:
+    """Give the record on line ``lineno`` an extra key, written as raw JSON text."""
+    lines[lineno - 1] = b'{"note": ' + note + b", " + lines[lineno - 1][1:]
+
+
+def test_refused_chunk_is_decoded_by_json_alone(tmp_path, capsys, orjson_decodes):
+    """In a chunk orjson refuses, a line nested deeper than ``json.loads`` can
+    follow fails as in the reference, though orjson reads it and the reader
+    ignores the deep key; no line of the chunk is decoded by orjson twice."""
+    path = chunked_file(tmp_path)
+    lines = path.read_bytes().split(b"\n")
+    add_note(lines, 6, b"NaN")  # orjson refuses the first chunk here
+    add_note(lines, 10, b"[" * 3000 + b"]" * 3000)
+    assert orjson.loads(lines[9])["id"] == chunked_trace().ids[8]
+    path.write_bytes(b"\n".join(lines))
+    got = outcome(load_trace, path)
+    assert got == outcome(reference_load, path)
+    assert got[0] is TraceFormatError
+    assert "line 10: malformed record (maximum recursion depth exceeded" in got[1]
+    assert orjson_decodes[0] <= _CHUNK_LINES
+    expect_exit_2(tmp_path, capsys, path, "line 10: malformed record")
+
+
+def test_refused_chunks_load_with_one_orjson_decode_a_line(tmp_path, orjson_decodes):
+    """A line orjson refuses in each of the first three chunks: they load as
+    in the reference, and orjson decodes no line more than once."""
+    path = chunked_file(tmp_path)
+    lines = path.read_bytes().split(b"\n")
+    for chunk in range(3):
+        add_note(lines, 2 + chunk * _CHUNK_LINES + 50, b"NaN")
+    path.write_bytes(b"\n".join(lines))
+    got = outcome(load_trace, path)
+    assert got == outcome(reference_load, path)
+    assert got[0] == chunked_trace().ids
+    assert orjson_decodes[0] <= N_CHUNKED
+
+
 def test_tiled_records_match_json_reference(tmp_path_factory, per_line_reads):
     """The fuzz's records, tiled across chunks, some read column by column."""
     path = tmp_path_factory.mktemp("tiled") / "trace.jsonl"
