@@ -375,11 +375,18 @@ def _kappa_grid(args: argparse.Namespace, default=()) -> list[tuple[float, Utili
 
 
 def cmd_tune(args: argparse.Namespace, config: dict, outdir: Path) -> None:
-    runs = [(outdir / f"kappa_{kappa:g}", weights) for kappa, weights in _kappa_grid(args)]
-    runs = runs or [(outdir, utility_weights(config))]
+    runs = [(f"--kappa-grid value {kappa:g}: ", outdir / f"kappa_{kappa:g}", weights)
+            for kappa, weights in _kappa_grid(args)]
+    runs = runs or [("", outdir, utility_weights(config))]
     trace, labels, rep, tune_kw = _offline_phase(config)
-    for bundle_dir, weights in runs:
-        state = tune_thresholds(rep, trace, weights=weights, **tune_kw)
+    # Every weight is tuned before any bundle is saved, so a refused one leaves no file.
+    states = []
+    for where, _, weights in runs:
+        try:
+            states.append(tune_thresholds(rep, trace, weights=weights, **tune_kw))
+        except ConfigError as exc:
+            raise ConfigError(f"{where}{exc}") from None
+    for (_, bundle_dir, _), state in zip(runs, states):
         save_bundle(state, bundle_dir)
         _write_labels_and_report(labels, rep.train_report, bundle_dir)
         print(f"tuned {state.clusters.k} clusters -> {bundle_dir}")

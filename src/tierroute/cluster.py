@@ -52,30 +52,48 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nearest(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _nearest(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray,
+             screen: np.ndarray | None = None, stale=slice(None)) -> np.ndarray:
     """Nearest centroid per row, equal to ``_sq_dists(points, centroids).argmin(axis=1)``.
 
     ``sq_norms`` holds each row's squared norm. Candidates are screened by
-    ``|c|^2 - 2 c.x`` from one matrix product, which differs from the squared
-    distance by the row constant ``|x|^2``. Rows where a second candidate lies
-    within a rounding band of the best, or whose screen is not finite, are
-    redone with the exact kernel, so ties still break to the lowest index.
+    ``|c|^2 - 2 c.x`` from matrix products, which differs from the squared
+    distance by the row constant ``|x|^2``. A (k, n) ``screen`` passed in keeps
+    each centroid's row between calls: only the rows of the ``stale``
+    centroids (all of them by default) are recomputed, so the others must
+    still hold the rows of their unchanged centroids. Rows where a second
+    candidate lies within a rounding band of the best, or whose screen is not
+    finite, are redone with the exact kernel, so ties still break to the
+    lowest index.
     """
+    k = centroids.shape[0]
     cc = np.einsum("kd,kd->k", centroids, centroids)
-    screen = centroids @ points.T  # (k, n): reductions over k run along rows
-    screen *= -2.0
-    screen += cc[:, None]
+    rows = centroids[stale] @ points.T
+    rows *= -2.0
+    rows += cc[stale, None]
+    if screen is None:
+        screen = rows
+    else:
+        screen[stale] = rows  # (k, n): reductions over k run along rows
     # Either form errs by at most about (2d + 6)u(|x|^2 + |c|^2) per entry (u
-    # the unit roundoff, any summation order), so a margin over twice their
-    # sum, (8d + 16)u(|x|^2 + max|c|^2), fixes the exact argmin. The band is
-    # wider than that for every d < 10^6.
+    # the unit roundoff, any summation order, so whichever call computed the
+    # entry), and a margin over twice their sum, (8d + 16)u(|x|^2 + max|c|^2),
+    # fixes the exact argmin. The band is wider than that for every d < 10^6.
     band = 1e-9 * (sq_norms + cc.max())
     close = screen <= screen.min(axis=0) + band
-    labels = close.argmax(axis=0)
+    # A column with one close candidate sums to that candidate's index; every
+    # other column is redone below.
+    labels = (np.arange(k, dtype=np.float64) @ close).astype(np.intp)
     near = np.flatnonzero(np.count_nonzero(close, axis=0) != 1)
     if near.size:
         labels[near] = _sq_dists(points[near], centroids).argmin(axis=1)
     return labels
+
+
+def _own_sq_dists(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each row's squared distance to its own centroid, bit-equal to its ``_sq_dists`` entry."""
+    diff = points - centroids[labels]
+    return np.einsum("nd,nd->n", diff, diff)
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -97,34 +115,49 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 
 
 def _lloyd(points: np.ndarray, sq_norms: np.ndarray,
-           centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    k = centroids.shape[0]
-    labels = np.full(points.shape[0], -1)
+           centroids: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lloyd steps on ``centroids`` in place, to convergence or ``_MAX_ITER``
+    updates; returns them with their inertia.
+
+    A step redoes the mean and the screen row of only the clusters it changed:
+    those that a moved row left or joined, and every empty one, which is
+    revived at the point farthest from its pre-update centroid. Any other
+    cluster has the same members in the same order, so its kept mean and row
+    are what a recomputation would give, bit for bit.
+    """
+    n, k = points.shape[0], centroids.shape[0]
+    screen = np.empty((k, n))
+    changed = np.ones(k, dtype=bool)
+    labels = _nearest(points, sq_norms, centroids, screen)
     for _ in range(_MAX_ITER):
-        new_labels = _nearest(points, sq_norms, centroids)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
         counts = np.bincount(labels, minlength=k)
         if not counts.all():
-            # Revive each empty cluster at the point farthest from its
-            # pre-update centroid.
-            dists = _sq_dists(points, centroids)
-            worst = points[dists[np.arange(points.shape[0]), labels].argmax()]
-        # Slices of one stable sort hold each cluster's rows in input order,
-        # the order in which each mean must add them. (The narrowest label
-        # dtype lets NumPy radix-sort.)
-        members = points[np.argsort(labels.astype(np.min_scalar_type(k - 1)), kind="stable")]
-        stops = np.cumsum(counts)
-        for j in range(k):
+            worst = points[_own_sq_dists(points, centroids, labels).argmax()]
+            changed |= counts == 0
+        stale = np.flatnonzero(changed)
+        # The changed clusters' rows, stably sorted by label: each cluster's
+        # slice holds its rows in input order, the order in which
+        # .mean(axis=0) adds them, and the reduce and division below are that
+        # mean's. (The narrowest label dtype lets NumPy radix-sort.)
+        rows = np.flatnonzero(changed[labels])
+        members = points[rows[np.argsort(labels[rows].astype(np.min_scalar_type(k - 1)),
+                                         kind="stable")]]
+        for j, stop in zip(stale, np.cumsum(counts[stale])):
             if counts[j] == 0:
                 centroids[j] = worst
             else:
-                centroids[j] = members[stops[j] - counts[j]:stops[j]].mean(axis=0)
-    dists = _sq_dists(points, centroids)
-    labels = dists.argmin(axis=1)
-    inertia = float(dists[np.arange(points.shape[0]), labels].sum())
-    return centroids, labels, inertia
+                np.add.reduce(members[stop - counts[j]:stop], axis=0, out=centroids[j])
+                centroids[j] /= counts[j]
+        new_labels = _nearest(points, sq_norms, centroids, screen, stale)
+        moved = np.flatnonzero(new_labels != labels)
+        if not moved.size:
+            break
+        changed = np.zeros(k, dtype=bool)
+        changed[labels[moved]] = True
+        changed[new_labels[moved]] = True
+        labels = new_labels
+    # Either exit leaves ``labels`` the exact assignment to the final centroids.
+    return centroids, float(_own_sq_dists(points, centroids, labels).sum())
 
 
 _MAX_ITER = 300
@@ -150,7 +183,7 @@ def _fit(points: np.ndarray, k: int, seed: int, restarts: int) -> ClusterModel:
     best_inertia = np.inf
     for _ in range(restarts):
         centroids = _kmeanspp_init(points, k, rng).copy()
-        centroids, _, inertia = _lloyd(points, sq_norms, centroids)
+        centroids, inertia = _lloyd(points, sq_norms, centroids)
         if inertia < best_inertia:
             best_inertia = inertia
             best_centroids = centroids

@@ -352,6 +352,13 @@ class TestOptimizeOffline:
         _, best_u = obs.best()
         assert best_u >= oracle - 0.02 * abs(oracle)
 
+    def test_returns_best_observed_pair_not_last_proposal(self):
+        evaluator = scalar_eval(bowl)
+        incumbent, obs = optimize_offline(evaluator, BoConfig(offline_budget=6, seed=1))
+        assert obs.utilities[-1] < obs.utilities.max()  # the last proposal is not the best
+        assert (incumbent, evaluator(incumbent)) == obs.best()
+        assert evaluator(incumbent) == obs.utilities.max()
+
     def test_attainment_across_landscapes(self):
         # Average over seeds must reach 98% of the 200x200 grid optimum.
         for fn in (bowl, ridge, wavy):
@@ -415,6 +422,20 @@ class TestRefreshOnline:
         assert refresh_online(obs, pair, scalar_eval(bowl), cfg,
                               np.random.default_rng(cfg.seed)) == pair
         assert len(obs) == 1
+
+    def test_fits_with_online_hypers(self, monkeypatch):
+        fitted = []
+
+        def recording_fit(obs, hypers):
+            fitted.append(hypers)
+            return gp_fit(obs, hypers)
+
+        evaluator = scalar_eval(bowl)
+        cfg = BoConfig(offline_budget=5, online_steps_per_refresh=3, seed=4)
+        incumbent, obs = optimize_offline(evaluator, cfg)
+        monkeypatch.setattr(bayesopt, "gp_fit", recording_fit)
+        refresh_online(obs, incumbent, evaluator, cfg, np.random.default_rng(1))
+        assert fitted == [bayesopt.DEFAULT_ONLINE_HYPERS] * 3
 
     def test_incumbent_utility_never_decreases(self):
         evaluator = scalar_eval(bowl)

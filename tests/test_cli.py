@@ -319,6 +319,18 @@ class TestTune:
         assert (tmp / "k" / "kappa_1" / "thresholds.json").exists()
         assert (tmp / "k" / "kappa_5" / "thresholds.json").exists()
 
+    def test_refused_kappa_grid_value_leaves_no_bundle(self, workdir, capsys):
+        # The second value's weights overflow the utility; it is refused before
+        # the first value's bundle is saved.
+        tmp, cfg = workdir
+        out = tmp / "k"
+        assert run("tune", "--config", cfg, "--out", out, "--kappa-grid", "1,1e-300") == 2
+        captured = capsys.readouterr()
+        assert "error: --kappa-grid value 1e-300: weights lambda1=1.0, " in captured.err
+        assert "overflow the utility of this trace" in captured.err
+        assert "tuned" not in captured.out
+        assert not [path for path in out.rglob("*") if path.is_file()]
+
     def test_corrupted_bundle_rejected_on_reload(self, workdir, capsys):
         tmp, cfg = workdir
         assert run("tune", "--config", cfg, "--out", tmp / "b") == 0

@@ -253,6 +253,44 @@ class TestMatchesBroadcastReference:
         points = np.repeat(rng.normal(size=(3, 4)), 10, axis=0)
         assert self.assert_fit_matches(points, 5, seed) > 0
 
+    @pytest.mark.parametrize("max_iter", [1, 2, 5])
+    def test_stops_after_max_iter_updates(self, monkeypatch, max_iter):
+        # Too few updates to converge, so the fits end on the loop's other exit.
+        monkeypatch.setattr(cluster, "_MAX_ITER", max_iter)
+        unconverged = 0
+        for seed in range(4):
+            points = gaussian_clouds(seed, 400, 6)
+            model = kmeans_fit(points, 5, seed)
+            centroids, inertia, _ = reference_fit(points, 5, seed, max_iter=max_iter)
+            assert np.array_equal(model.centroids, centroids)
+            assert model.inertia == inertia
+            unconverged += not np.array_equal(centroids, reference_fit(points, 5, seed)[0])
+        assert unconverged
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cluster_empty_at_successive_updates(self, monkeypatch, seed):
+        # Three distinct points for six clusters: clusters revived at one update
+        # are empty again at the next, though no row moved into or out of them,
+        # and each such update must revive them again.
+        points = np.repeat(np.random.default_rng(seed).normal(size=(3, 4)), 10, axis=0)
+        k = 6
+        assert self.assert_fit_matches(points, k, seed) > 0
+        init = reference_kmeanspp_init(points, k, np.random.default_rng(seed))
+        before, steps = ClusterModel(k=k, centroids=init, inertia=0.0, seed=seed), []
+        for updates in (1, 2, 3):
+            revived = []
+            centroids, inertia = reference_lloyd(points, init.copy(), updates, revived)
+            steps.append(revived[sum(map(len, steps)):])
+            monkeypatch.setattr(cluster, "_MAX_ITER", updates)
+            model = kmeans_fit(points, k, seed, restarts=1)
+            assert np.array_equal(model.centroids, centroids)
+            assert model.inertia == inertia
+            # The update revives the clusters that the assignment before it leaves empty.
+            empty = np.bincount(assign_batch(before, points), minlength=k) == 0
+            assert steps[-1] == np.flatnonzero(empty).tolist()
+            before = model
+        assert set(steps[0]) & set(steps[1]) & set(steps[2])
+
     def test_k1_and_k_equals_n(self):
         points = gaussian_clouds(9, 30, 3)
         for offset in (0.0, 1e6):
