@@ -24,10 +24,11 @@ shortest round-trip digits are exactly ``repr``'s; any other value, NaN and
 cell, ``json.dumps``' in JSON), so the bytes are those of the plain writers.
 
 A JSON file the program reads (``read_json``, or ``read_json_lines`` for one
-object per line) and an arrays file's header (``header_line``) are decoded
-here. A file that cannot be read, is not UTF-8 or is not JSON, or nests too
-deep to decode, raises the caller's error class naming the file, and the line
-as ``<file>: line N``. Trace records are decoded in ``trace``.
+object per line), a table of numbers (``read_table``) and an arrays file's
+header (``header_line``) are decoded here. A file that cannot be read, is not
+UTF-8 or is not JSON, or nests too deep to decode, raises the caller's error
+class naming the file, and the line as ``<file>: line N``. Trace records are
+decoded in ``trace``.
 """
 
 from __future__ import annotations
@@ -189,6 +190,27 @@ def read_json_lines(path: str | Path, error: type[Exception]) -> list[tuple[str,
     named = [(f"{path}: line {lineno}", line)
              for lineno, line in enumerate(lines, start=1) if line.strip()]
     return [(where, _object(line, where, error)) for where, line in named]
+
+
+def read_table(path: str | Path, header: str, error: type[Exception]):
+    """Yield each row of a table as its name ``<file>: line N`` and its cells.
+    The first line must be ``header``. Lines end at CRLF, CR or LF; blank ones
+    are skipped but counted. Cells split at every comma and are never unquoted."""
+    try:
+        lines = re.split(r"\r\n?|\n", read_file(path, error).decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not a readable CSV file ({exc})") from exc
+    if lines[0] != header:
+        raise error(f"{path}: line 1: header must be {header!r}")
+    width = header.count(",") + 1
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            more = "more" if len(cells) > width else "fewer"
+            raise error(f"{path}: line {lineno}: {more} cells than the header")
+        yield f"{path}: line {lineno}", cells
 
 
 def header_line(path: str | Path, fmt: str, error: type[Exception]) -> tuple[dict, bytes]:

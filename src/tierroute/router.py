@@ -8,7 +8,6 @@ threshold escalates to the stronger tier.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -43,7 +42,7 @@ from .cluster import (
 )
 from .errors import BundleIntegrityError, CorruptStateError, DimensionMismatchError
 from .fields import MISSING, building, cell, read, typed
-from .formats import read_file, read_json, write_json, write_table, write_tables
+from .formats import read_file, read_json, read_table, write_json, write_table, write_tables
 from .labels import ConsistencyLabels
 from .mlp import (
     MlpConfig,
@@ -429,6 +428,8 @@ _BUNDLE_FORMAT = "tierroute-bundle-v1"
 # The files save_bundle writes, each hashed in the manifest; load_bundle requires them all.
 _BUNDLE_FILES = ("predictor.ckpt", "centroids.bin", "thresholds.json", "observations.csv",
                  "state.json")
+# observations.csv's columns, in order; save_bundle writes them and _load_observations reads them.
+_OBSERVATION_COLUMNS = ("cluster", "tau1", "tau2", "utility", "order_index")
 
 
 def state_checksum(state: RouterState) -> str:
@@ -456,11 +457,10 @@ def save_bundle(state: RouterState, outdir: str | Path) -> Path:
                                             for k, pair in sorted(state.thresholds.items())})
     sets = [state.observations[k] for k in sorted(state.observations)]
     pairs = np.concatenate([o.pairs for o in sets])
-    write_table(outdir / "observations.csv", {
-        "cluster": np.repeat(sorted(state.observations), [len(o) for o in sets]),
-        "tau1": pairs[:, 0], "tau2": pairs[:, 1],
-        "utility": np.concatenate([o.utilities for o in sets]),
-        "order_index": np.concatenate([np.arange(len(o)) for o in sets])})
+    write_table(outdir / "observations.csv", dict(zip(_OBSERVATION_COLUMNS, (
+        np.repeat(sorted(state.observations), [len(o) for o in sets]), pairs[:, 0], pairs[:, 1],
+        np.concatenate([o.utilities for o in sets]),
+        np.concatenate([np.arange(len(o)) for o in sets])))))
     write_json(outdir / "state.json", {
         "format": _BUNDLE_FORMAT,
         "weights": asdict(state.weights),
@@ -482,32 +482,20 @@ def save_bundle(state: RouterState, outdir: str | Path) -> Path:
 
 def _load_observations(path: Path, k: int, capacity: int) -> dict[int, ObservationSet]:
     observations = {c: ObservationSet(capacity=capacity) for c in range(k)}
-    try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)  # skips blank lines; line_num counts them
-            rows = [(reader.line_num, row) for row in reader]
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise BundleIntegrityError(f"{path}: not a readable CSV file ({exc})") from exc
-    for lineno, row in rows:
-        where = f"{path}: line {lineno}"
-        if None in row:  # DictReader files the cells past the header's under None
-            raise BundleIntegrityError(f"{where}: more cells than the header")
-        if None in row.values():  # and fills the missing ones with None
-            raise BundleIntegrityError(f"{where}: fewer cells than the header")
-        c = cell(row.get("cluster"), int, f"{where}: cluster", BundleIntegrityError)
+    error = BundleIntegrityError
+    for where, cells in read_table(path, ",".join(_OBSERVATION_COLUMNS), error):
+        c = cell(cells[0], int, f"{where}: cluster", error)
         if c not in observations:
-            raise BundleIntegrityError(f"{where}: cluster {c} outside 0..{k - 1}")
-        tau1, tau2, utility = (cell(row.get(key), float, f"{where}: {key}", BundleIntegrityError)
-                               for key in ("tau1", "tau2", "utility"))
+            raise error(f"{where}: cluster {c} outside 0..{k - 1}")
+        tau1, tau2, utility = (cell(text, float, f"{where}: {key}", error)
+                               for text, key in zip(cells[1:4], _OBSERVATION_COLUMNS[1:4]))
         position = len(observations[c])
-        index = cell(row.get("order_index"), int, f"{where}: order_index", BundleIntegrityError)
+        index = cell(cells[4], int, f"{where}: order_index", error)
         if index != position:
-            raise BundleIntegrityError(
-                f"{where}: order_index {index} out of order; cluster {c} expects {position}")
+            raise error(f"{where}: order_index {index} out of order; cluster {c} expects {position}")
         if position == capacity:
-            raise BundleIntegrityError(
-                f"{where}: cluster {c} holds more rows than observation_capacity {capacity}")
-        with building(where, BundleIntegrityError):
+            raise error(f"{where}: cluster {c} holds more rows than observation_capacity {capacity}")
+        with building(where, error):
             observations[c].append(ThresholdPair(tau1=tau1, tau2=tau2), utility)
     return observations
 

@@ -25,6 +25,7 @@ from tierroute.formats import (
     exact_floats,
     float_texts,
     header_line,
+    read_table,
     write_arrays,
     write_json,
     write_json_lines,
@@ -333,6 +334,51 @@ class TestFormatsMatchReference:
         imported = {alias.name for node in ast.walk(ast.parse(source))
                     if isinstance(node, ast.Import) for alias in node.names}
         assert "csv" not in imported
+
+    @FUZZ
+    @given(n=st.sampled_from(ROW_COUNTS) | st.integers(0, 30),
+           kinds=st.lists(st.sampled_from(["float", "int"]), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_numeric_table_reads_back(self, tmp_path, n, kinds, seed):
+        rng = np.random.default_rng(seed)
+        columns = {f"c{i}": make_column(kind, n, rng, []) for i, kind in enumerate(kinds)}
+        for col in columns.values():  # repr's "nan" reads back as another NaN's bits
+            if col.dtype.kind == "f":
+                col[np.isnan(col)] = 0.0
+        write_table(tmp_path / "t.csv", columns)
+        rows = list(read_table(tmp_path / "t.csv", ",".join(columns), BundleIntegrityError))
+        assert [where for where, _ in rows] == [f"{tmp_path / 't.csv'}: line {i}"
+                                                for i in range(2, n + 2)]
+        for j, col in enumerate(columns.values()):
+            texts = [cells[j] for _, cells in rows]
+            if col.dtype.kind == "f":
+                read = np.array(list(map(float, texts)), dtype=np.float64).reshape(n)
+                assert read.view(np.int64).tolist() == col.view(np.int64).tolist()
+            else:
+                assert list(map(int, texts)) == col.tolist()
+
+    @pytest.mark.parametrize("data, message", [
+        (b"", "line 1: header must be 'a,b'"),
+        (b"a,c\r\n1,2\r\n", "line 1: header must be 'a,b'"),
+        (b'"a",b\r\n1,2\r\n', "line 1: header must be 'a,b'"),
+        (b"a,b\r\n1,2\r\n\r\n1,2,3\r\n", "line 4: more cells than the header"),
+        (b"a,b\r1,2\n\n1\r\n", "line 4: fewer cells than the header"),
+        (b"a,b\r\n1,\xff\r\n", "not a readable CSV file"),
+    ], ids=["empty", "renamed", "quoted_header", "more_cells", "fewer_cells", "non_utf8"])
+    def test_table_refused(self, tmp_path, data, message):
+        (tmp_path / "t.csv").write_bytes(data)
+        with pytest.raises(BundleIntegrityError) as info:
+            list(read_table(tmp_path / "t.csv", "a,b", BundleIntegrityError))
+        assert str(info.value).startswith(f"{tmp_path / 't.csv'}: {message}")
+
+    def test_table_line_ends_and_quotes(self, tmp_path):
+        (tmp_path / "t.csv").write_bytes(b'a,b\r1,"2"\n\r\n\r3,4')
+        assert list(read_table(tmp_path / "t.csv", "a,b", BundleIntegrityError)) == [
+            (f"{tmp_path / 't.csv'}: line 2", ["1", '"2"']),
+            (f"{tmp_path / 't.csv'}: line 5", ["3", "4"])]
+        with pytest.raises(BundleIntegrityError) as info:
+            list(read_table(tmp_path, "a,b", BundleIntegrityError))  # a directory
+        assert str(info.value).startswith(f"{tmp_path}: cannot read (")
 
     def test_table_needs_one_length(self, tmp_path):
         with pytest.raises(ValueError, match="one common length"):

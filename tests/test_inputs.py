@@ -39,7 +39,7 @@ def malform(path, case):
     """Make ``path`` a directory, non-UTF-8 JSON, JSON nested 5000 deep, or absent.
     An arrays file keeps its payload after the new header line."""
     payload = b""
-    if path.suffix == ".bin":
+    if path.suffix in (".bin", ".ckpt"):
         payload = b"\n" + path.read_bytes().partition(b"\n")[2]
     path.unlink(missing_ok=True)
     if case == "directory":
@@ -74,7 +74,8 @@ def argv_and_names(source, case, made, tmp):
 
 @pytest.mark.parametrize("source, case", [
     *((source, case) for source in ("config", "scenario", "trace", "bundle_manifest.json",
-                                    "state.json", "centroids.bin") for case in CASES),
+                                    "state.json", "centroids.bin", "observations.csv",
+                                    "thresholds.json", "predictor.ckpt") for case in CASES),
     ("--set", "deep"),
 ])
 def test_malformed_input_exits_2_naming_it(made, tmp_path, capsys, source, case):
@@ -84,7 +85,8 @@ def test_malformed_input_exits_2_naming_it(made, tmp_path, capsys, source, case)
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert all(name in err for name in names), err
-    assert not (tmp_path / "o" / "manifest.json").exists()
+    out = tmp_path / "o"
+    assert not out.exists() or sorted(out.rglob("*")) == []
 
 
 def deepest_decodable():

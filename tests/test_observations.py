@@ -5,6 +5,10 @@ dict-based replicate collapse of ``gp_fit`` as they were before the set held
 columns; ``list_gp_fit`` factors and solves with the same NumPy calls as
 ``gp_fit``, so only the collapse differs. Every fit, ``best()``, ``points`` and
 the bundle's ``observations.csv`` must come out bit for bit the same.
+
+``dictreader_load_observations`` is the bundle's observations loader as it was
+before ``formats.read_table`` read the table: through ``csv.DictReader``. On
+edits of ``observations.csv`` both must load the same sets or both refuse.
 """
 
 import csv
@@ -19,6 +23,7 @@ from hypothesis import strategies as st
 
 from helpers import build_state
 from tierroute.bayesopt import (
+    OBSERVATION_CAPACITY,
     GpHyperparameters,
     GpSurrogate,
     ObservationSet,
@@ -26,9 +31,10 @@ from tierroute.bayesopt import (
     gp_fit,
     sample_triangle,
 )
-from tierroute.errors import GpFitError
+from tierroute.errors import BundleIntegrityError, GpFitError, TierRouteError
+from tierroute.fields import building, cell
 from tierroute.network import scenario_by_name
-from tierroute.router import load_bundle, save_bundle, state_checksum
+from tierroute.router import _load_observations, load_bundle, save_bundle, state_checksum
 from tierroute.trace import SyntheticConfig, generate_synthetic_trace
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -184,6 +190,124 @@ def test_columns_match_records(tiny_state, tmp_path, steps, capacity, seed, nois
     assert state_checksum(loaded) == state_checksum(state)
     assert loaded.observations[0].pairs.tobytes() == new.pairs.tobytes()
     assert loaded.observations[0].utilities.tobytes() == new.utilities.tobytes()
+
+
+def test_bundle_at_capacity_reloads_bit_equal(tiny_state, tmp_path):
+    rng = np.random.default_rng(5)
+    full = {}
+    for c in tiny_state.observations:
+        full[c] = ObservationSet()
+        for row in sample_triangle(rng, OBSERVATION_CAPACITY + 3).tolist():
+            full[c].append(ThresholdPair(*row), float(rng.normal(0.0, 0.4)))
+        assert len(full[c]) == OBSERVATION_CAPACITY
+    state = dataclasses.replace(tiny_state, observations=full)
+    loaded = load_bundle(save_bundle(state, tmp_path / "bundle"))
+    for c, obs in full.items():
+        assert loaded.observations[c].pairs.view(np.int64).tolist() == obs.pairs.view(
+            np.int64).tolist()
+        assert loaded.observations[c].utilities.view(np.int64).tolist() == obs.utilities.view(
+            np.int64).tolist()
+
+
+def dictreader_load_observations(path, k, capacity):
+    """The observations loader as it read the table through ``csv.DictReader``."""
+    observations = {c: ObservationSet(capacity=capacity) for c in range(k)}
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)  # skips blank lines; line_num counts them
+            rows = [(reader.line_num, row) for row in reader]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise BundleIntegrityError(f"{path}: not a readable CSV file ({exc})") from exc
+    for lineno, row in rows:
+        where = f"{path}: line {lineno}"
+        if None in row:  # DictReader files the cells past the header's under None
+            raise BundleIntegrityError(f"{where}: more cells than the header")
+        if None in row.values():  # and fills the missing ones with None
+            raise BundleIntegrityError(f"{where}: fewer cells than the header")
+        c = cell(row.get("cluster"), int, f"{where}: cluster", BundleIntegrityError)
+        if c not in observations:
+            raise BundleIntegrityError(f"{where}: cluster {c} outside 0..{k - 1}")
+        tau1, tau2, utility = (cell(row.get(key), float, f"{where}: {key}", BundleIntegrityError)
+                               for key in ("tau1", "tau2", "utility"))
+        position = len(observations[c])
+        index = cell(row.get("order_index"), int, f"{where}: order_index", BundleIntegrityError)
+        if index != position:
+            raise BundleIntegrityError(
+                f"{where}: order_index {index} out of order; cluster {c} expects {position}")
+        if position == capacity:
+            raise BundleIntegrityError(
+                f"{where}: cluster {c} holds more rows than observation_capacity {capacity}")
+        with building(where, BundleIntegrityError):
+            observations[c].append(ThresholdPair(tau1=tau1, tau2=tau2), utility)
+    return observations
+
+
+def load_or_refuse(load, path, k, capacity):
+    """(0, the sets) if ``load`` reads the table, (2, the message) if it refuses
+    it; any other exception fails the test, as exit 1 would."""
+    try:
+        return 0, load(path, k, capacity)
+    except TierRouteError as exc:
+        return 2, str(exc)
+
+
+# Cell values: the field fuzz's nasty texts, and numbers.
+CELL_TEXT = st.sampled_from(["", "x", "nan", "inf", "-1", "1.5", "99", "1e999", "0x1", " 2 ",
+                             "0", "1", "0.5", "1e-05", "-0.0", "1_0"]) | st.integers(-2, 600).map(
+    str) | st.floats(0.0, 1.0).map(repr)
+
+
+def edit_table(data, raw):
+    """Up to three edits of the table's bytes, each a cell set, a byte changed or
+    a blank line inserted; then, maybe, line ends switched among CR, LF and CRLF."""
+    for kind in data.draw(st.lists(st.sampled_from(["cell", "byte", "blank"]), max_size=3)):
+        lines = raw.split(b"\r\n")
+        if kind == "byte":
+            edited = bytearray(raw)
+            edited[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+            raw = bytes(edited)
+            continue
+        if kind == "cell" and len(lines) > 2:
+            row = data.draw(st.integers(1, len(lines) - 2))
+            cells = lines[row].split(b",")
+            cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(CELL_TEXT).encode()
+            lines[row] = b",".join(cells)
+        elif kind == "blank":
+            lines.insert(data.draw(st.integers(0, len(lines) - 1)), b"")
+        raw = b"\r\n".join(lines)
+    if data.draw(st.booleans()):
+        lines = raw.split(b"\r\n")
+        ends = data.draw(st.lists(st.sampled_from([b"\r", b"\n", b"\r\n"]),
+                                  min_size=len(lines) - 1, max_size=len(lines) - 1))
+        raw = b"".join(line + end for line, end in zip(lines, ends)) + lines[-1]
+    return raw
+
+
+def test_loader_matches_dictreader_reference(tiny_state, tmp_path):
+    bundle = save_bundle(tiny_state, tmp_path / "bundle")
+    saved = (bundle / "observations.csv").read_bytes()
+    k, path = len(tiny_state.observations), tmp_path / "observations.csv"
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def check(data):
+        path.write_bytes(edit_table(data, saved))
+        capacity = data.draw(st.sampled_from([3, OBSERVATION_CAPACITY]))
+        code, got = load_or_refuse(_load_observations, path, k, capacity)
+        ref_code, ref = load_or_refuse(dictreader_load_observations, path, k, capacity)
+        assert code == ref_code, (got, ref)
+        if code == 0:
+            for c in range(k):
+                assert got[c].pairs.view(np.int64).tolist() == ref[c].pairs.view(
+                    np.int64).tolist()
+                assert got[c].utilities.view(np.int64).tolist() == ref[c].utilities.view(
+                    np.int64).tolist()
+        else:
+            assert got.startswith(f"{path}: "), got
+            assert got.startswith(f"{path}: line ") or "not a readable CSV file" in got, got
+
+    check()
 
 
 def test_signed_zero_pairs_collapse_to_the_first_seen():

@@ -574,15 +574,31 @@ def set_json(name, keys, value):
 
 
 def set_cell(column, value):
-    """An edit of observations.csv that sets ``column`` of its first row."""
+    """An edit of observations.csv that sets ``column`` of its first row, to
+    ``value`` or to ``value`` of the cell's text."""
     def edit(bundle):
         path = bundle / "observations.csv"
         lines = path.read_text().splitlines()
         header, row = lines[0].split(","), lines[1].split(",")
-        row[header.index(column)] = value
+        i = header.index(column)
+        row[i] = value(row[i]) if callable(value) else value
         lines[1] = ",".join(row)
         path.write_text("\n".join(lines) + "\n")
     return "observations.csv", edit
+
+
+def set_header(header):
+    """An edit of observations.csv that replaces its header line, or with None
+    leaves the file empty."""
+    def edit(bundle):
+        path = bundle / "observations.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("" if header is None else "\n".join([header, *lines[1:]]) + "\n")
+    return "observations.csv", edit
+
+
+OBSERVATIONS_HEADER = ("observations.csv: line 1: header must be "
+                       "'cluster,tau1,tau2,utility,order_index'")
 
 
 def cut_row(cells):
@@ -656,6 +672,12 @@ class TestBundleFields:
         (cut_row(4), "observations.csv: line 2: fewer cells than the header"),
         (set_cell("order_index", ""),
          "observations.csv: line 2: order_index must be an integer; got ''"),
+        (set_header("cluster,tau1,tau2,utility,index"), OBSERVATIONS_HEADER),
+        (set_header("cluster,tau2,tau1,utility,order_index"), OBSERVATIONS_HEADER),
+        (set_header("cluster,tau1,tau2,utility,order_index,extra"), OBSERVATIONS_HEADER),
+        (set_header(None), OBSERVATIONS_HEADER),
+        (set_cell("tau1", lambda text: f'"{text}"'),
+         """observations.csv: line 2: tau1 must be a finite number; got '"0."""),
     ])
     def test_bad_value_named(self, small_state, tmp_path, change, message):
         _, _, state = small_state
@@ -666,6 +688,27 @@ class TestBundleFields:
         with pytest.raises(BundleIntegrityError) as info:
             load_bundle(bundle)
         assert f"{bundle}/{message}" in str(info.value)
+
+    def test_header_only_observations_load_empty(self, small_state, tmp_path):
+        _, _, state = small_state
+        bundle = save_bundle(state, tmp_path / "bundle")
+        path = bundle / "observations.csv"
+        path.write_bytes(path.read_bytes().split(b"\r\n")[0] + b"\r\n")
+        rehash(bundle, "observations.csv")
+        with pytest.raises(BundleIntegrityError, match="reconstructed state checksum mismatch"):
+            load_bundle(bundle)
+        manifest = json.loads((bundle / "bundle_manifest.json").read_text())
+        del manifest["checksum"]
+        (bundle / "bundle_manifest.json").write_text(json.dumps(manifest))
+        assert all(len(obs) == 0 for obs in load_bundle(bundle).observations.values())
+
+    def test_cr_line_ends_read_like_crlf(self, small_state, tmp_path):
+        _, _, state = small_state
+        bundle = save_bundle(state, tmp_path / "bundle")
+        path = bundle / "observations.csv"
+        path.write_bytes(path.read_bytes().replace(b"\r\n", b"\r"))
+        rehash(bundle, "observations.csv")
+        assert state_checksum(load_bundle(bundle)) == state_checksum(state)
 
     def test_integer_float_fields_read_as_floats(self, small_state, tmp_path):
         _, _, state = small_state
