@@ -9,41 +9,31 @@ across traces. Per-tier results are (n, 3) matrices in TierId order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .fields import MISSING, building, typed
 from .network import NetworkScenario, round_trip_latency, scenario_link
-from .trace import TIERS, TierId, Trace
-
-# Qwen3 tier sizes in billions of parameters (1.7B device, 14B edge, 32B cloud).
-DEFAULT_ACTIVATED_PARAMS: dict[TierId, float] = {
-    TierId.DEVICE: 1.7,
-    TierId.EDGE: 14.0,
-    TierId.CLOUD: 32.0,
-}
+from .trace import TIER_LABELS, TierId, Trace
 
 
 @dataclass(frozen=True)
 class CostModel:
-    activated_params: dict[TierId, float] = field(
-        default_factory=lambda: dict(DEFAULT_ACTIVATED_PARAMS)
-    )
+    """Activated parameters per tier, in billions; the fields are in TierId order."""
+
+    device: float
+    edge: float
+    cloud: float
 
     def __post_init__(self) -> None:
-        for tier in TierId:
-            if self.activated_params.get(tier, 0.0) <= 0:
-                raise ValueError(f"activated_params missing or non-positive for {tier.label}")
+        for label, params in zip(TIER_LABELS, astuple(self)):
+            if not params > 0:
+                raise ValueError(f"{label} activated parameters must be positive; got {params}")
 
-    @classmethod
-    def read(cls, obj, where: str, error: type[Exception]) -> CostModel:
-        """The model from its JSON object of tier label -> billions of parameters."""
-        obj = typed(obj, dict, where, error)
-        with building(where, error):
-            return cls({tier: typed(obj.get(tier.label, MISSING), float, f"{where}.{tier.label}",
-                                    error) for tier in TIERS})
+
+# Qwen3 tier sizes: 1.7B device, 14B edge, 32B cloud.
+QWEN3_COST_MODEL = CostModel(device=1.7, edge=14.0, cloud=32.0)
 
 
 @dataclass(frozen=True)
@@ -80,7 +70,7 @@ def tier_cost(trace: Trace, model: CostModel) -> np.ndarray:
     """Billion-parameter-tokens each tier's response consumes."""
     if np.any(trace.generated_tokens < 0):
         raise ValueError("generated_tokens must be >= 0")
-    return trace.generated_tokens * np.array([model.activated_params[t] for t in TIERS])
+    return trace.generated_tokens * np.array(astuple(model))
 
 
 def tier_latency(trace: Trace, scenario: NetworkScenario, windows) -> np.ndarray:

@@ -18,20 +18,21 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .accounting import CostModel, UtilityWeights
+from .accounting import QWEN3_COST_MODEL, CostModel, UtilityWeights
 from .bayesopt import OBSERVATION_CAPACITY, BoConfig, ThresholdPair
-from .errors import ConfigError, TierRouteError, TraceValidationError
+from .errors import ConfigError, MissingScoreError, TierRouteError, TraceValidationError
 from .fields import MISSING, building, cell, read, typed
 from .formats import json_text, read_json_lines, write_json, write_json_lines, write_table
 from .labels import ConsistencyLabels, LabelConfig, build_labels
 from .mlp import MlpConfig, TrainReport, init_model, save_checkpoint, train
-from .network import load_scenario, scenario_by_name
+from .network import DEFAULT_SWITCH_WINDOW, load_scenario, scenario_by_name
 from .router import (
     Representation,
     baseline_route,
@@ -54,30 +55,25 @@ from .trace import (
 
 OUTPUT_DIR_ENV = "TIERROUTE_OUT"
 
+
+def _defaults(cls, *set_by_program: str) -> dict:
+    """``cls``'s field defaults as JSON, without the fields the program sets."""
+    return {f.name: list(f.default) if type(f.default) is tuple else f.default
+            for f in fields(cls) if f.name not in set_by_program}
+
+
 DEFAULT_CONFIG: dict = {
     "run": {"seed": 0, "output_dir": None, "trace": None},
     "synthetic": None,
-    "labels": {"alpha": 0.5, "beta": 0.5},
-    "mlp": {
-        "hidden_dims": [64, 32], "activation": "relu", "learning_rate": 3e-3,
-        "batch_size": 128, "max_epochs": 60, "early_stop_patience": 8,
-        "validation_fraction": 0.1,
-    },
+    "labels": _defaults(LabelConfig),
+    "mlp": _defaults(MlpConfig, "input_dim", "seed"),
     "cluster": {"k_min": 2, "k_max": 12, "fixed_k": None, "restarts": 5},
-    "bo": {
-        "offline_budget": 30, "online_steps_per_refresh": 2,
-        "candidate_pool_size": 512, "seed_points": 8,
-    },
-    "weights": {"lambda1": 1.0, "lambda2": 0.2, "lambda3": 0.2},
-    "cost": {"device": 1.7, "edge": 14.0, "cloud": 32.0},
-    "network": {"scenario": "good", "switch_window": 7},
+    "bo": {**_defaults(BoConfig, "seed"), "seed_points": 8},
+    "weights": _defaults(UtilityWeights),
+    "cost": asdict(QWEN3_COST_MODEL),
+    "network": {"scenario": "good", "switch_window": DEFAULT_SWITCH_WINDOW},
     "stream": {"update_interval": 200, "online": True},
 }
-
-# Where the synthetic section's defaults differ from SyntheticConfig's; a null
-# seed means run.seed.
-SYNTHETIC_DEFAULTS = {"n_queries": 2000, "embedding_dim": 32, "seed": None}
-
 
 # The keys each section may set: synthetic takes SyntheticConfig's fields;
 # weights may give kappa1/kappa2 in place of the lambdas.
@@ -156,7 +152,11 @@ def resolve_config(given: dict) -> dict:
 def output_dir(config: dict) -> Path:
     out = _setting(config, "run.output_dir", str | None) or os.environ.get(OUTPUT_DIR_ENV)
     path = Path(out or "tierroute-out")
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or above it
+        raise ConfigError(f"run.output_dir {str(path)!r}: cannot make the directory "
+                          f"({exc.strerror})") from exc
     return path
 
 
@@ -213,9 +213,9 @@ def _setting(config: dict, key: str, hint=int, minimum: int | None = None):
 
 
 def synthetic_config(config: dict, seed: int) -> SyntheticConfig:
-    body = {**SYNTHETIC_DEFAULTS, **(config.get("synthetic") or {})}
-    if body["seed"] is None:
-        body["seed"] = seed
+    body = config.get("synthetic") or {}
+    if body.get("seed") is None:  # a null or absent seed means run.seed
+        body = {**body, "seed": seed}
     return read(SyntheticConfig, body, "synthetic", error=ConfigError)
 
 
@@ -231,7 +231,7 @@ def resolve_trace(config: dict, seed: int) -> Trace:
     trace_path = _setting(config, "run.trace", str | None)
     has_synth = config.get("synthetic") is not None
     if trace_path and has_synth:
-        raise ConfigError("provide either a trace path or a synthetic config, not both")
+        raise ConfigError("run.trace and a synthetic section both give a trace; set one")
     if trace_path:
         trace = load_trace(trace_path)
         if len(trace) == 0:
@@ -269,7 +269,7 @@ def utility_weights(config: dict) -> UtilityWeights:
 
 
 def cost_model(config: dict) -> CostModel:
-    return CostModel.read(config["cost"], "cost", ConfigError)
+    return read(CostModel, config["cost"], "cost", error=ConfigError)
 
 
 def update_interval(config: dict) -> int:
@@ -445,8 +445,7 @@ def cmd_sweep(args: argparse.Namespace, config: dict, outdir: Path) -> None:
     grid = _kappa_grid(args, (1.0, 2.0, 5.0, 10.0, 20.0))
     trace, _, rep, tune_kw = _offline_phase(config)
     policies = ["device_only", "edge_only", "cloud_only"]
-    totals = [baseline_route(name, trace, tune_kw["scenario"], weights=UtilityWeights(),
-                             cost_model=tune_kw["cost_model"],
+    totals = [baseline_route(name, trace, tune_kw["scenario"], cost_model=tune_kw["cost_model"],
                              window_size=tune_kw["update_interval"]).totals
               for name in policies]
     for kappa, weights in grid:
@@ -544,6 +543,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _trace_named(config: dict):
+    """Begin an error about a record of the run.trace file with the file's path."""
+    try:
+        yield
+    except (MissingScoreError, TraceValidationError) as exc:
+        path = config["run"]["trace"]
+        if not path or not str(exc).startswith("record "):
+            raise
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     """Resolve the command's config and check that its manifest can be made,
     make its output directory, run it, then write its manifest; a
@@ -562,7 +573,8 @@ def main(argv: list[str] | None = None) -> int:
         # one the manifest cannot hold is refused before any output.
         manifest(config, args)
         outdir = output_dir(config)
-        args.func(args, config, outdir)
+        with _trace_named(config):
+            args.func(args, config, outdir)
         write_json(outdir / "manifest.json", manifest(config, args))
         return 0
     except TierRouteError as exc:

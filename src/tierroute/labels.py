@@ -44,9 +44,6 @@ class ConsistencyLabels:
     s_edge: np.ndarray
     s_fused: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
     def to_csv(self, path: str | Path) -> None:
         names = ("sim_cloud", "sim_edge", "aug_cloud", "aug_edge", "s_cloud", "s_edge", "s_fused")
         write_table(path, {"id": self.ids, **{name: getattr(self, name) for name in names}})
@@ -84,9 +81,8 @@ def _augmentation(trace: Trace, other: TierId, judge: np.ndarray) -> np.ndarray:
     return aug
 
 
-def build_labels(trace: Trace, cfg: LabelConfig | None = None) -> ConsistencyLabels:
+def build_labels(trace: Trace, cfg: LabelConfig = LabelConfig()) -> ConsistencyLabels:
     """Compute per-record cloud/edge labels and their fused training target."""
-    cfg = cfg or LabelConfig()
     _first_missing(trace, np.isnan(trace.sim_cloud) | np.isnan(trace.sim_edge),
                    "missing sim_cloud or sim_edge")
     aug_cloud = _augmentation(trace, TierId.CLOUD, trace.judge_cloud)

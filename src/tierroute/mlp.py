@@ -40,12 +40,12 @@ _SCORE_BLOCK = 4096  # rows per forward pass in predict_batch
 @dataclass(frozen=True)
 class MlpConfig:
     input_dim: int
-    hidden_dims: tuple[int, ...] = (256, 64)
+    hidden_dims: tuple[int, ...] = (64, 32)
     activation: str = "relu"
-    learning_rate: float = 1e-3
-    batch_size: int = 64
-    max_epochs: int = 200
-    early_stop_patience: int = 10
+    learning_rate: float = 3e-3
+    batch_size: int = 128
+    max_epochs: int = 60
+    early_stop_patience: int = 8
     seed: int = 0
     validation_fraction: float = 0.1
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .accounting import (
+    QWEN3_COST_MODEL,
     CloudBaselines,
     CostModel,
     UtilityWeights,
@@ -41,7 +42,7 @@ from .cluster import (
     save_centroids,
 )
 from .errors import BundleIntegrityError, CorruptStateError, DimensionMismatchError
-from .fields import MISSING, building, cell, read, typed
+from .fields import MISSING, bad_value, building, cell, read, typed
 from .formats import read_file, read_json, read_table, write_json, write_table, write_tables
 from .labels import ConsistencyLabels
 from .mlp import (
@@ -176,16 +177,12 @@ def fit_representation(trace: Trace, labels: ConsistencyLabels, *,
 
 def tune_thresholds(rep: Representation, trace: Trace, *,
                     scenario: NetworkScenario,
-                    weights: UtilityWeights | None = None,
-                    cost_model: CostModel | None = None,
-                    bo_config: BoConfig | None = None,
+                    weights: UtilityWeights = UtilityWeights(),
+                    cost_model: CostModel = QWEN3_COST_MODEL,
+                    bo_config: BoConfig = BoConfig(),
                     seed_points: int = 8,
                     update_interval: int = 200) -> RouterState:
     """Learn each cluster's thresholds on the trace ``rep`` was fitted on."""
-    weights = weights or UtilityWeights()
-    cost_model = cost_model or CostModel()
-    bo_config = bo_config or BoConfig()
-
     baselines = cloud_reference_means(trace, scenario, cost_model)
     *_, tier_utilities = _tier_outcomes(trace, scenario, cost_model, weights, baselines,
                                         windows=np.zeros(len(trace), dtype=int))
@@ -345,8 +342,8 @@ def run_stream(state: RouterState, stream: Trace, scenario: NetworkScenario,
 # ---------------------------------------------------------------------------
 
 def baseline_route(policy: str, trace: Trace, scenario: NetworkScenario, *,
-                   weights: UtilityWeights | None = None,
-                   cost_model: CostModel | None = None,
+                   weights: UtilityWeights = UtilityWeights(),
+                   cost_model: CostModel = QWEN3_COST_MODEL,
                    pair: ThresholdPair | None = None,
                    predictor: MlpModel | None = None,
                    window_size: int = 200) -> StreamReport:
@@ -355,8 +352,6 @@ def baseline_route(policy: str, trace: Trace, scenario: NetworkScenario, *,
     ``policy`` is one of device_only / edge_only / cloud_only / global_static;
     the global-static policy needs a threshold ``pair`` and a ``predictor``.
     """
-    weights = weights or UtilityWeights()
-    cost_model = cost_model or CostModel()
     policy = policy.replace("-", "_")
     if policy not in FIXED_POLICIES and policy != "global_static":
         raise ValueError(f"unknown baseline policy {policy!r}")
@@ -465,7 +460,7 @@ def save_bundle(state: RouterState, outdir: str | Path) -> Path:
         "format": _BUNDLE_FORMAT,
         "weights": asdict(state.weights),
         "bo_config": asdict(state.bo_config),
-        "cost_model": {t.label: p for t, p in state.cost_model.activated_params.items()},
+        "cost_model": asdict(state.cost_model),
         "cloud_baselines": asdict(state.cloud_baselines),
         "update_interval": state.update_interval,
         "observation_capacity": max(o.capacity for o in state.observations.values()),
@@ -508,7 +503,8 @@ def load_bundle(bundle_dir: str | Path) -> RouterState:
         raise error(f"{bundle_dir}: missing bundle_manifest.json")
     manifest = read_json(manifest_path, error)
     if manifest.get("format") != _BUNDLE_FORMAT:
-        raise error(f"{bundle_dir}: unknown bundle format")
+        raise bad_value(f"{manifest_path}: format", manifest.get("format", MISSING),
+                        repr(_BUNDLE_FORMAT), error)
     files = typed(manifest.get("files", {}), dict, f"{manifest_path}: files", error)
     for name in _BUNDLE_FILES:  # other entries are ignored, like other unknown keys
         if name not in files:
@@ -545,8 +541,7 @@ def load_bundle(bundle_dir: str | Path) -> RouterState:
         observations=_load_observations(bundle_dir / "observations.csv", k, capacity),
         weights=section(UtilityWeights, "weights"),
         bo_config=bo_config,
-        cost_model=CostModel.read(state_obj.get("cost_model", MISSING),
-                                  f"{state_path}: cost_model", error),
+        cost_model=section(CostModel, "cost_model"),
         cloud_baselines=section(CloudBaselines, "cloud_baselines"),
         update_interval=setting("update_interval"),
     )

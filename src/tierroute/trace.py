@@ -440,8 +440,8 @@ class SyntheticConfig:
     accuracy profile under the same rules.
     """
 
-    n_queries: int
-    embedding_dim: int = 64
+    n_queries: int = 2000
+    embedding_dim: int = 32
     n_latent_clusters: int = 4
     seed: int = 0
     noise_sigma: float = 0.05

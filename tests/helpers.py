@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 
-from tierroute.accounting import CostModel, UtilityWeights
+from tierroute.accounting import QWEN3_COST_MODEL, UtilityWeights
 from tierroute.bayesopt import BoConfig
 from tierroute.labels import LabelConfig, build_labels
 from tierroute.mlp import MlpConfig
@@ -77,7 +77,7 @@ def build_state(trace, scenario, seed=0, weights=None, label_cfg=None,
         rep, trace,
         scenario=scenario,
         weights=weights or UtilityWeights(),
-        cost_model=CostModel(),
+        cost_model=QWEN3_COST_MODEL,
         bo_config=quick_bo(seed=seed, **(bo_overrides or {})),
         **tune_kw,
     )

@@ -1,9 +1,12 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from helpers import column_trace
 from tierroute.accounting import (
     CloudBaselines,
+    QWEN3_COST_MODEL,
     CostModel,
     UtilityWeights,
     cloud_reference_means,
@@ -22,22 +25,26 @@ def one_query(**columns):
 
 class TestInferenceCost:
     def test_device_arithmetic(self):
-        cost = tier_cost(one_query(generated_tokens=100), CostModel())
+        cost = tier_cost(one_query(generated_tokens=100), QWEN3_COST_MODEL)
         assert cost[0, TierId.DEVICE] == pytest.approx(170.0)
 
     def test_zero_tokens(self):
-        assert tier_cost(one_query(generated_tokens=0), CostModel())[0, TierId.CLOUD] == 0.0
+        assert tier_cost(one_query(generated_tokens=0), QWEN3_COST_MODEL)[0, TierId.CLOUD] == 0.0
 
     def test_mixture_of_experts_uses_activated_params(self):
         # DeepSeek-V3-style cloud tier: 37B activated, not the full 671B.
-        moe = CostModel(activated_params={TierId.DEVICE: 3.0, TierId.EDGE: 14.0,
-                                          TierId.CLOUD: 37.0})
+        moe = CostModel(device=3.0, edge=14.0, cloud=37.0)
         cost = tier_cost(one_query(generated_tokens=10), moe)
         assert cost[0, TierId.CLOUD] == pytest.approx(370.0)
 
+    @pytest.mark.parametrize("tier", ["device", "edge", "cloud"])
+    def test_non_positive_params_rejected(self, tier):
+        with pytest.raises(ValueError, match=f"{tier} activated parameters must be positive"):
+            CostModel(**{**asdict(QWEN3_COST_MODEL), tier: 0.0})
+
     def test_negative_tokens_rejected(self):
         with pytest.raises(ValueError):
-            tier_cost(one_query(generated_tokens=(10, -1, 10)), CostModel())
+            tier_cost(one_query(generated_tokens=(10, -1, 10)), QWEN3_COST_MODEL)
 
 
 class TestQueryLatency:
@@ -170,7 +177,7 @@ class TestCloudBaselineMeans:
         cfg = SyntheticConfig(n_queries=60, embedding_dim=6, n_latent_clusters=2, seed=17)
         trace, _ = generate_synthetic_trace(cfg)
         scenario = scenario_by_name("good")
-        model = CostModel()
+        model = QWEN3_COST_MODEL
         got = cloud_reference_means(trace, scenario, model)
         cloud = TierId.CLOUD
         lats = [trace.compute_s[i, cloud]

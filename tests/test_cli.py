@@ -1110,3 +1110,166 @@ class TestManifests:
         code = run("baseline", "--config", cfg, "--policy", "clm-only",
                    "--network", scn, "--out", tmp / "y")
         assert code == 0
+
+
+def assert_refused(capsys, out, *argv, names=()):
+    """``argv --out out`` exits 2 with an error naming each of ``names``, and
+    leaves no file in ``out``."""
+    capsys.readouterr()
+    assert run(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err and all(str(name) in err for name in names), err
+    assert not [path for path in out.rglob("*") if path.is_file()]
+
+
+def edit_record(src, dst, edit):
+    """Copy the trace ``src`` to ``dst`` with ``edit`` applied to its fourth
+    record; returns that record's id."""
+    lines = src.read_text().splitlines(keepends=True)
+    record = json.loads(lines[4])
+    edit(record)
+    lines[4] = json.dumps(record) + "\n"
+    dst.write_text("".join(lines))
+    return record["id"]
+
+
+def null_cloud_correct(record):
+    record["has_reference"] = False
+    record["tier_info"]["cloud"]["correct"] = None
+
+
+def drop_edge_judge(record):
+    record["has_reference"] = False
+    del record["judge_edge"]
+
+
+def rename_tiers(record):
+    record["tier_info"] = dict(zip("abc", record["tier_info"].values()))
+
+
+class TestRefusedInputs:
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_naming_a_file_exit_2(self, workdir, capsys, below):
+        tmp, cfg = workdir
+        (tmp / "f").write_text("x")
+        out = tmp / "f" / below
+        assert run("gen", "--config", cfg, "--out", out) == 2
+        assert (f"run.output_dir {str(out)!r}: cannot make the directory"
+                in capsys.readouterr().err)
+        assert (tmp / "f").read_text() == "x"
+
+    @pytest.mark.parametrize("command, edit, message", [
+        *(pytest.param(command, null_cloud_correct, "missing correct bit for tier cloud",
+                       id=f"{command}-null_correct") for command in ("stream", "baseline", "tune")),
+        pytest.param("train", lambda record: record.pop("sim_cloud"),
+                     "missing sim_cloud or sim_edge", id="train-no_sim_cloud"),
+        pytest.param("tune", drop_edge_judge, "no reference and no judge score for tier edge",
+                     id="tune-no_judge_edge"),
+    ])
+    def test_record_errors_name_the_trace(self, workdir, capsys, command, edit, message):
+        tmp, cfg = workdir
+        assert run("gen", "--config", cfg, "--out", tmp / "g") == 0
+        path = tmp / "edited.jsonl"
+        rid = edit_record(tmp / "g" / "trace.jsonl", path, edit)
+        argv = [command, "--config", cfg, "--trace", path]
+        if command == "stream":
+            assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+            argv += ["--bundle", tmp / "b"]
+        elif command == "baseline":
+            argv += ["--policy", "clm-only"]
+        assert_refused(capsys, tmp / "o", *argv, names=[f"{path}: record {rid!r}: {message}"])
+
+    def test_tier_info_without_the_tiers_exit_2(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert run("gen", "--config", cfg, "--out", tmp / "g") == 0
+        path = tmp / "edited.jsonl"
+        edit_record(tmp / "g" / "trace.jsonl", path, rename_tiers)
+        assert_refused(capsys, tmp / "o", "baseline", "--config", cfg, "--trace", path,
+                       "--policy", "clm-only",
+                       names=[f"{path}: line 5: ", "tier_info must hold exactly device, edge"])
+
+    def test_other_bundle_format_exit_2(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+        path = tmp / "b" / "bundle_manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "format": "other"}))
+        assert_refused(capsys, tmp / "o", "stream", "--config", cfg, "--bundle", tmp / "b",
+                       names=[f"{path}: format must be 'tierroute-bundle-v1'; got 'other'"])
+
+    def test_cost_model_tier_missing_exit_2(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
+        path = tmp / "b" / "state.json"
+        obj = json.loads(path.read_text())
+        del obj["cost_model"]["edge"]
+        path.write_text(json.dumps(obj))
+        rehash(tmp / "b", "state.json")
+        assert_refused(capsys, tmp / "o", "stream", "--config", cfg, "--bundle", tmp / "b",
+                       names=[f"{path}: cost_model.edge must be a finite number; got nothing"])
+
+    def test_config_line_without_section_exit_2(self, workdir, capsys):
+        tmp, cfg = workdir
+        cfg.write_text(SMALL_CONFIG + '{"mlp": {"max_epochs": 3}}\n')
+        assert_refused(capsys, tmp / "o", "gen", "--config", cfg,
+                       names=[f"{cfg}: line 6: expected an object with a 'section' key"])
+
+    @pytest.mark.parametrize("setting, message", [
+        pytest.param("mlp", "--set expects section.key=VALUE, got 'mlp'", id="no_equals"),
+        pytest.param("max_epochs=3", "--set key must look like section.key, got 'max_epochs'",
+                     id="no_dot"),
+    ])
+    def test_malformed_set_exit_2(self, workdir, capsys, setting, message):
+        tmp, cfg = workdir
+        assert_refused(capsys, tmp / "o", "gen", "--config", cfg, "--set", setting,
+                       names=[message])
+
+    def test_trace_and_synthetic_section_exit_2(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert run("gen", "--config", cfg, "--out", tmp / "g") == 0
+        assert_refused(capsys, tmp / "o", "baseline", "--config", cfg, "--policy", "clm-only",
+                       "--set", f"run.trace={tmp / 'g' / 'trace.jsonl'}",
+                       names=["run.trace and a synthetic section both give a trace"])
+
+    def test_no_trace_exit_2(self, tmp_path, capsys):
+        assert_refused(capsys, tmp_path / "o", "baseline", "--policy", "clm-only",
+                       names=["no trace: set run.trace or a synthetic section"])
+
+    def test_global_static_without_bundle_exit_2(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert_refused(capsys, tmp / "o", "baseline", "--config", cfg, "--policy",
+                       "global-static", "--tau1", "0.7", "--tau2", "0.3",
+                       names=["global-static needs --bundle"])
+
+
+class TestDocumentedBehaviour:
+    def test_bare_string_set_value(self, workdir):
+        tmp, cfg = workdir
+        assert run("baseline", "--config", cfg, "--policy", "clm-only",
+                   "--set", "network.scenario=bad", "--out", tmp / "o") == 0
+        manifest = json.loads((tmp / "o" / "manifest.json").read_text())
+        assert manifest["config"]["network"]["scenario"] == "bad"
+
+    def test_gen_without_synthetic_section(self, tmp_path):
+        assert run("gen", "--out", tmp_path) == 0
+        lines = (tmp_path / "trace.jsonl").read_text().splitlines()
+        assert len(lines) == 1 + 2000 and json.loads(lines[0])["embedding_dim"] == 32
+        assert json.loads((tmp_path / "manifest.json").read_text())["config"]["synthetic"] == {}
+
+    def test_cluster_without_members_keeps_the_neutral_pair(self, workdir):
+        tmp, cfg = workdir
+        assert run("gen", "--config", cfg, "--out", tmp / "g") == 0
+        lines = (tmp / "g" / "trace.jsonl").read_text().splitlines(keepends=True)
+        records = [json.loads(line) for line in lines[1:]]
+        for record in records:
+            record["embedding"] = records[0]["embedding"]
+        trace = tmp / "equal.jsonl"
+        trace.write_text(lines[0] + "".join(json.dumps(r) + "\n" for r in records))
+        assert run("tune", "--config", cfg, "--trace", trace, "--set", "cluster.fixed_k=2",
+                   "--out", tmp / "b") == 0
+        assert json.loads((tmp / "b" / "thresholds.json").read_text())["1"] == {
+            "tau1": 0.75, "tau2": 0.25}
+        state = router.load_bundle(tmp / "b")
+        assert len(state.observations[1]) == 0 and len(state.observations[0]) > 0
+        for mode in ("--online", "--static"):
+            assert run("stream", "--config", cfg, "--trace", trace, "--bundle", tmp / "b",
+                       mode, "--out", tmp / mode.lstrip("-")) == 0

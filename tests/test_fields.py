@@ -247,7 +247,6 @@ def materialize(config):
              cli.mlp_config(config, 4, 0), cli.bo_config(config, 0),
              cli.utility_weights(config), cli.cost_model(config)]
     assert all(conforming(obj) for obj in built if dataclasses.is_dataclass(obj))
-    assert all(type(p) is float for p in built[-1].activated_params.values())
     for key, hint, minimum in SETTINGS:
         value = cli._setting(config, key, hint, minimum)
         assert conforms(value, hint) and (value is None or minimum is None or value >= minimum)
@@ -345,9 +344,8 @@ def test_fuzz_bundle(tiny_bundle, tmp_path_factory):
         state = expect_typed_or_named(lambda: load_bundle(bundle), str(bundle))
         if state is not None:
             assert all(conforming(obj) for obj in (
-                state.weights, state.bo_config, state.cloud_baselines, state.predictor.config,
-                state.clusters, *state.thresholds.values()))
-            assert all(type(p) is float for p in state.cost_model.activated_params.values())
+                state.weights, state.bo_config, state.cost_model, state.cloud_baselines,
+                state.predictor.config, state.clusters, *state.thresholds.values()))
             assert type(state.update_interval) is int and state.update_interval >= 1
 
     check()

@@ -208,7 +208,7 @@ def old_bundle_text_files(state, outdir):
         "format": "tierroute-bundle-v1",
         "weights": asdict(state.weights),
         "bo_config": asdict(state.bo_config),
-        "cost_model": {t.label: p for t, p in state.cost_model.activated_params.items()},
+        "cost_model": asdict(state.cost_model),
         "cloud_baselines": asdict(state.cloud_baselines),
         "update_interval": state.update_interval,
         "observation_capacity": max(o.capacity for o in state.observations.values()),

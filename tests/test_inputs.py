@@ -36,7 +36,7 @@ def made(tmp_path_factory):
 
 
 def malform(path, case):
-    """Make ``path`` a directory, non-UTF-8 JSON, JSON nested 5000 deep, or absent.
+    """Make ``path`` a directory, non-UTF-8 JSON, JSON nested 5000 deep, empty or absent.
     An arrays file keeps its payload after the new header line."""
     payload = b""
     if path.suffix in (".bin", ".ckpt"):
@@ -48,6 +48,8 @@ def malform(path, case):
         path.write_bytes(b'{"format": "\xff"}' + payload + b"\n")
     elif case == "deep":
         path.write_bytes(DEEP.encode() + payload + b"\n")
+    elif case == "empty":
+        path.write_bytes(b"")
 
 
 def argv_and_names(source, case, made, tmp):
@@ -76,6 +78,8 @@ def argv_and_names(source, case, made, tmp):
     *((source, case) for source in ("config", "scenario", "trace", "bundle_manifest.json",
                                     "state.json", "centroids.bin", "observations.csv",
                                     "thresholds.json", "predictor.ckpt") for case in CASES),
+    # An empty config is valid; an empty scenario or trace is not.
+    *((source, "empty") for source in ("scenario", "trace")),
     ("--set", "deep"),
 ])
 def test_malformed_input_exits_2_naming_it(made, tmp_path, capsys, source, case):

@@ -18,7 +18,7 @@ from helpers import (
     truth_fractions,
 )
 from tierroute.accounting import (
-    CostModel,
+    QWEN3_COST_MODEL,
     UtilityWeights,
     tier_cost,
     tier_latency,
@@ -208,7 +208,7 @@ class TestRepresentationOnce:
 
     def test_tune_per_weight_equals_fresh_fit_per_weight(self, fitted):
         trace, labels, mlp_cfg = fitted
-        kw = dict(scenario=GOOD, cost_model=CostModel(), seed_points=4,
+        kw = dict(scenario=GOOD, cost_model=QWEN3_COST_MODEL, seed_points=4,
                   bo_config=quick_bo(seed=4, offline_budget=10))
         rep = fit_representation(trace, labels, mlp_config=mlp_cfg, k_min=2, k_max=6,
                                  restarts=2)
@@ -717,5 +717,5 @@ class TestBundleFields:
         edit(bundle)
         rehash(bundle, name)
         loaded = load_bundle(bundle)
-        assert type(loaded.cost_model.activated_params[TierId.EDGE]) is float
+        assert type(loaded.cost_model.edge) is float
         assert loaded.bo_config == state.bo_config and loaded.weights == state.weights
