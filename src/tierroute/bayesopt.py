@@ -38,6 +38,7 @@ from .errors import ConfigError, GpFitError
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 OBSERVATION_CAPACITY = 512  # rows an observation set keeps by default
+DEFAULT_SEED_POINTS = 8  # random pairs an offline run observes before its first fit
 
 
 @dataclass(frozen=True)
@@ -259,7 +260,7 @@ def propose_thresholds(gp: GpSurrogate, obs: ObservationSet, cfg: BoConfig,
 Evaluator = Callable[[ThresholdPair], float]
 
 
-def optimize_offline(evaluator: Evaluator, cfg: BoConfig, seed_points: int = 8,
+def optimize_offline(evaluator: Evaluator, cfg: BoConfig, seed_points: int = DEFAULT_SEED_POINTS,
                      capacity: int = OBSERVATION_CAPACITY
                      ) -> tuple[ThresholdPair, ObservationSet]:
     """Seed the observation set, then run fit-propose-evaluate for the offline budget."""

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__
 from .accounting import QWEN3_COST_MODEL, CostModel, UtilityWeights
-from .bayesopt import OBSERVATION_CAPACITY, BoConfig, ThresholdPair
+from .bayesopt import DEFAULT_SEED_POINTS, OBSERVATION_CAPACITY, BoConfig, ThresholdPair
+from .cluster import ClusterConfig
 from .errors import ConfigError, MissingScoreError, TierRouteError, TraceValidationError
 from .fields import MISSING, building, cell, read, typed
 from .formats import json_text, read_json_lines, write_json, write_json_lines, write_table
@@ -34,6 +35,7 @@ from .labels import ConsistencyLabels, LabelConfig, build_labels
 from .mlp import MlpConfig, TrainReport, init_model, save_checkpoint, train
 from .network import DEFAULT_SWITCH_WINDOW, load_scenario, scenario_by_name
 from .router import (
+    DEFAULT_UPDATE_INTERVAL,
     Representation,
     baseline_route,
     fit_representation,
@@ -67,12 +69,12 @@ DEFAULT_CONFIG: dict = {
     "synthetic": None,
     "labels": _defaults(LabelConfig),
     "mlp": _defaults(MlpConfig, "input_dim", "seed"),
-    "cluster": {"k_min": 2, "k_max": 12, "fixed_k": None, "restarts": 5},
-    "bo": {**_defaults(BoConfig, "seed"), "seed_points": 8},
+    "cluster": _defaults(ClusterConfig),
+    "bo": {**_defaults(BoConfig, "seed"), "seed_points": DEFAULT_SEED_POINTS},
     "weights": _defaults(UtilityWeights),
     "cost": asdict(QWEN3_COST_MODEL),
     "network": {"scenario": "good", "switch_window": DEFAULT_SWITCH_WINDOW},
-    "stream": {"update_interval": 200, "online": True},
+    "stream": {"update_interval": DEFAULT_UPDATE_INTERVAL, "online": True},
 }
 
 # The keys each section may set: synthetic takes SyntheticConfig's fields;
@@ -150,12 +152,14 @@ def resolve_config(given: dict) -> dict:
 
 
 def output_dir(config: dict) -> Path:
-    out = _setting(config, "run.output_dir", str | None) or os.environ.get(OUTPUT_DIR_ENV)
-    path = Path(out or "tierroute-out")
+    out = _setting(config, "run.output_dir", str | None)
+    env = os.environ.get(OUTPUT_DIR_ENV)
+    name = f"${OUTPUT_DIR_ENV}" if env and not out else "run.output_dir"
+    path = Path(out or env or "tierroute-out")
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file at the path or above it
-        raise ConfigError(f"run.output_dir {str(path)!r}: cannot make the directory "
+        raise ConfigError(f"{name} {str(path)!r}: cannot make the directory "
                           f"({exc.strerror})") from exc
     return path
 
@@ -242,20 +246,16 @@ def resolve_trace(config: dict, seed: int) -> Trace:
     raise ConfigError("no trace: set run.trace or a synthetic section")
 
 
-def label_config(config: dict) -> LabelConfig:
-    return read(LabelConfig, config["labels"], "labels", error=ConfigError)
+def read_section(config: dict, cls, name: str, **given):
+    """The dataclass ``cls`` from the resolved config's ``name`` section and ``given``."""
+    return read(cls, config[name], name, error=ConfigError, **given)
 
 
 def mlp_config(config: dict, input_dim: int, seed: int) -> MlpConfig:
-    cfg = read(MlpConfig, config["mlp"], "mlp", error=ConfigError, input_dim=input_dim,
-               seed=seed)
+    cfg = read_section(config, MlpConfig, "mlp", input_dim=input_dim, seed=seed)
     with building("mlp", ConfigError):  # a model too large to allocate
         init_model(cfg)
     return cfg
-
-
-def bo_config(config: dict, seed: int) -> BoConfig:
-    return read(BoConfig, config["bo"], "bo", error=ConfigError, seed=seed)
 
 
 def utility_weights(config: dict) -> UtilityWeights:
@@ -265,15 +265,7 @@ def utility_weights(config: dict) -> UtilityWeights:
                   for key in ("kappa1", "kappa2")]
         with building("weights", ConfigError):
             return UtilityWeights.from_kappas(*kappas)
-    return read(UtilityWeights, body, "weights", error=ConfigError)
-
-
-def cost_model(config: dict) -> CostModel:
-    return read(CostModel, config["cost"], "cost", error=ConfigError)
-
-
-def update_interval(config: dict) -> int:
-    return _setting(config, "stream.update_interval", minimum=1)
+    return read_section(config, UtilityWeights, "weights")
 
 
 def network_scenario(config: dict):
@@ -292,8 +284,7 @@ def network_scenario(config: dict):
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args: argparse.Namespace, config: dict, outdir: Path) -> None:
-    if config.get("synthetic") is None:
-        config["synthetic"] = {}
+    config["synthetic"] = config.get("synthetic") or {}
     trace, truth = synthetic_trace(config, _setting(config, "run.seed", minimum=0))
     truth_obj = {name: value.tolist() for name, value in vars(truth).items()
                  if value is not None}
@@ -305,7 +296,7 @@ def cmd_gen(args: argparse.Namespace, config: dict, outdir: Path) -> None:
 def _train_parts(config: dict):
     seed = _setting(config, "run.seed", minimum=0)
     trace = resolve_trace(config, seed)
-    labels = build_labels(trace, label_config(config))
+    labels = build_labels(trace, read_section(config, LabelConfig, "labels"))
     cfg = mlp_config(config, trace.embedding_dim, seed)
     model, report = train(init_model(cfg), trace.embeddings, labels.s_fused)
     return trace, labels, model, report
@@ -333,29 +324,21 @@ def _offline_phase(config: dict) -> tuple[Trace, ConsistencyLabels, Representati
     """Read the cluster and bo sections and fit the representation once. Returns the trace,
     its labels, the representation and ``tune_thresholds``' keywords but the weights."""
     seed = _setting(config, "run.seed", minimum=0)
-    k_min, k_max, restarts = (_setting(config, f"cluster.{key}", minimum=1)
-                              for key in ("k_min", "k_max", "restarts"))
-    fixed_k = _setting(config, "cluster.fixed_k", int | None, minimum=1)
+    cluster = read_section(config, ClusterConfig, "cluster")
     tune_kw = dict(
         scenario=network_scenario(config),
-        cost_model=cost_model(config),
-        bo_config=bo_config(config, seed),
+        cost_model=read_section(config, CostModel, "cost"),
+        bo_config=read_section(config, BoConfig, "bo", seed=seed),
         seed_points=_setting(config, "bo.seed_points", minimum=1),
-        update_interval=update_interval(config),
+        update_interval=_setting(config, "stream.update_interval", minimum=1),
     )
     # Checked before any fitting, which a budget past the capacity would waste.
     tune_kw["bo_config"].check_capacity(OBSERVATION_CAPACITY, tune_kw["seed_points"], "bo.")
     trace = resolve_trace(config, seed)
-    n = len(trace)
-    if fixed_k is None and not 2 <= k_min < min(k_max, n):
-        raise ConfigError(f"cluster.k_min={k_min} and cluster.k_max={k_max} must satisfy "
-                          f"2 <= k_min < k_max, with k_min below the trace's {n} queries")
-    if fixed_k is not None and fixed_k > n:
-        raise ConfigError(f"cluster.fixed_k={fixed_k} exceeds the trace's {n} queries")
-    labels = build_labels(trace, label_config(config))
-    rep = fit_representation(trace, labels,
-                             mlp_config=mlp_config(config, trace.embedding_dim, seed),
-                             k_min=k_min, k_max=k_max, restarts=restarts, fixed_k=fixed_k)
+    cluster.k_range(len(trace), "cluster.", ConfigError)  # also checked before any fitting
+    labels = build_labels(trace, read_section(config, LabelConfig, "labels"))
+    rep = fit_representation(trace, labels, cluster=cluster,
+                             mlp_config=mlp_config(config, trace.embedding_dim, seed))
     return trace, labels, rep, tune_kw
 
 
@@ -393,7 +376,7 @@ def cmd_tune(args: argparse.Namespace, config: dict, outdir: Path) -> None:
 
 
 def cmd_stream(args: argparse.Namespace, config: dict, outdir: Path) -> None:
-    interval = update_interval(config)
+    interval = _setting(config, "stream.update_interval", minimum=1)
     state = load_bundle(args.bundle)
     # --update-interval, --set or the config file overrides the bundle's interval.
     if args.update_interval_given:
@@ -432,9 +415,9 @@ def cmd_baseline(args: argparse.Namespace, config: dict, outdir: Path) -> None:
         predictor = load_bundle(args.bundle).predictor
     report = baseline_route(policy, trace, scenario,
                             weights=utility_weights(config),
-                            cost_model=cost_model(config),
+                            cost_model=read_section(config, CostModel, "cost"),
                             pair=pair, predictor=predictor,
-                            window_size=update_interval(config))
+                            window_size=_setting(config, "stream.update_interval", minimum=1))
     write_report_files(report, outdir, prefix=f"baseline_{policy}")
     totals = report.totals
     print(f"{policy}: acc={totals['accuracy']:.4f} latency={totals['mean_latency_s']:.3f}s "
@@ -489,7 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tierroute {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, reads_trace: bool = True) -> None:
+    def command(name: str, func, help_text: str, reads_trace: bool = True):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="line-delimited JSON config file")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=JSON",
                        help="override one config value (repeatable)")
@@ -503,42 +488,31 @@ def build_parser() -> argparse.ArgumentParser:
                        help="window index where bad2good switches profiles")
         p.add_argument("--update-interval", type=int, dest="update_interval",
                        help="queries per window / refresh interval")
+        return p
 
-    p_gen = sub.add_parser("gen", help="generate a synthetic trace (plus ground truth)")
-    common(p_gen, reads_trace=False)  # gen writes a trace and reads none
-    p_gen.set_defaults(func=cmd_gen)
+    # gen writes a trace and reads none.
+    command("gen", cmd_gen, "generate a synthetic trace (plus ground truth)", reads_trace=False)
+    command("train", cmd_train, "build labels and train the consistency predictor")
 
-    p_train = sub.add_parser("train", help="build labels and train the consistency predictor")
-    common(p_train)
-    p_train.set_defaults(func=cmd_train)
-
-    p_tune = sub.add_parser("tune", help="offline phase: predictor, clusters, thresholds")
-    common(p_tune)
+    p_tune = command("tune", cmd_tune, "offline phase: predictor, clusters, thresholds")
     p_tune.add_argument("--kappa-grid", help="comma-separated kappa values; one bundle each")
-    p_tune.set_defaults(func=cmd_tune)
 
-    p_stream = sub.add_parser("stream", help="route a stream with a tuned bundle")
-    common(p_stream)
+    p_stream = command("stream", cmd_stream, "route a stream with a tuned bundle")
     p_stream.add_argument("--bundle", required=True, help="bundle directory from tune")
     mode = p_stream.add_mutually_exclusive_group()
     mode.add_argument("--online", action="store_const", const=True,
                       help="refresh thresholds online")
     mode.add_argument("--static", action="store_const", const=False, dest="online",
                       help="keep offline thresholds fixed")
-    p_stream.set_defaults(func=cmd_stream)
 
-    p_base = sub.add_parser("baseline", help="fixed-policy baselines")
-    common(p_base)
+    p_base = command("baseline", cmd_baseline, "fixed-policy baselines")
     p_base.add_argument("--policy", required=True, choices=_POLICIES)
     p_base.add_argument("--tau1", type=float)
     p_base.add_argument("--tau2", type=float)
     p_base.add_argument("--bundle", help="bundle providing the predictor for global-static")
-    p_base.set_defaults(func=cmd_baseline)
 
-    p_sweep = sub.add_parser("sweep", help="kappa sweep with normalized Pareto CSV")
-    common(p_sweep)
+    p_sweep = command("sweep", cmd_sweep, "kappa sweep with normalized Pareto CSV")
     p_sweep.add_argument("--kappa-grid", help="comma-separated kappa values")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
 

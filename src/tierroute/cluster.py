@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,29 @@ class ClusterModel:
     @property
     def dim(self) -> int:
         return int(self.centroids.shape[1])
+
+
+@dataclass(frozen=True)
+class ClusterConfig:
+    """``fixed_k`` clusters, or the elbow sweep's knee over k_min..k_max; each model is
+    the best of ``restarts`` k-means runs. ``minimum``: the least value a config may give."""
+
+    k_min: int = field(default=2, metadata={"minimum": 1})
+    k_max: int = field(default=12, metadata={"minimum": 1})
+    fixed_k: int | None = field(default=None, metadata={"minimum": 1})
+    restarts: int = field(default=5, metadata={"minimum": 1})
+
+    def k_range(self, n: int, where: str = "", error: type[Exception] = ValueError) -> range:
+        """The Ks to fit on ``n`` points: ``fixed_k`` <= n alone, or k_min..k_max with k_max
+        clamped to n and 2 <= k_min below it. ``error`` names each key as ``where`` + key."""
+        if self.fixed_k is not None:
+            if self.fixed_k > n:
+                raise error(f"{where}fixed_k={self.fixed_k} exceeds the trace's {n} queries")
+            return range(self.fixed_k, self.fixed_k + 1)
+        if not 2 <= self.k_min < min(self.k_max, n):
+            raise error(f"{where}k_min={self.k_min} and {where}k_max={self.k_max} must satisfy "
+                        f"2 <= k_min < k_max, with k_min below the trace's {n} queries")
+        return range(self.k_min, min(self.k_max, n) + 1)
 
 
 # Entries of the (rows, k, d) difference that _sq_dists holds at once. Each
@@ -190,7 +213,8 @@ def _fit(points: np.ndarray, k: int, seed: int, restarts: int) -> ClusterModel:
     return ClusterModel(k=k, centroids=best_centroids, inertia=best_inertia, seed=seed)
 
 
-def kmeans_fit(embeddings: np.ndarray, k: int, seed: int, *, restarts: int = 5) -> ClusterModel:
+def kmeans_fit(embeddings: np.ndarray, k: int, seed: int, *,
+               restarts: int = ClusterConfig.restarts) -> ClusterModel:
     """Best-of-``restarts`` Lloyd runs from k-means++ seeding; seed-deterministic."""
     points = _checked_points(embeddings, restarts)
     n = points.shape[0]
@@ -263,14 +287,13 @@ def knee_point(ks: np.ndarray, inertias: np.ndarray) -> int:
     return int(ks[int(np.argmax(dists))])
 
 
-def elbow_sweep(embeddings: np.ndarray, k_min: int = 2, k_max: int = 12,
-                seed: int = 0, *, restarts: int = 5) -> list[ClusterModel]:
-    """The ``kmeans_fit`` model of every k in [k_min, k_max], in k order."""
+def elbow_sweep(embeddings: np.ndarray, k_min: int = ClusterConfig.k_min,
+                k_max: int = ClusterConfig.k_max, seed: int = 0, *,
+                restarts: int = ClusterConfig.restarts) -> list[ClusterModel]:
+    """The ``kmeans_fit`` model of every k in ``ClusterConfig.k_range``, in k order."""
     points = _checked_points(embeddings, restarts)
-    n = points.shape[0]
-    if not (2 <= k_min < k_max <= n):
-        raise ValueError(f"need 2 <= k_min < k_max <= n; got ({k_min}, {k_max}, n={n})")
-    return _sweep(points, range(k_min, k_max + 1), seed, restarts)
+    ks = ClusterConfig(k_min, k_max).k_range(points.shape[0])
+    return _sweep(points, ks, seed, restarts)
 
 
 def elbow_select_k(models: list[ClusterModel]) -> int:

@@ -85,11 +85,12 @@ def building(where: str, error: type[Exception]):
 
 def read(cls, obj, where: str, *, error: type[Exception], **given):
     """The dataclass ``cls`` from the JSON object ``obj``. Fields in ``given``
-    come from the program; an absent field takes its default; keys that are
-    not fields are ignored. Errors name ``where.key``."""
+    come from the program; an absent field takes its default; an int field is
+    at least its ``minimum`` metadata; other keys are ignored. Errors name ``where.key``."""
     obj = typed(obj, dict, where, error)
     hints = typing.get_type_hints(cls)
-    values = {f.name: typed(obj.get(f.name, MISSING), hints[f.name], f"{where}.{f.name}", error)
+    values = {f.name: typed(obj.get(f.name, MISSING), hints[f.name], f"{where}.{f.name}", error,
+                            f.metadata.get("minimum"))
               for f in dataclasses.fields(cls) if f.name not in given
               and (f.name in obj or f.default is MISSING and f.default_factory is MISSING)}
     with building(where, error):

@@ -25,6 +25,7 @@ from .accounting import (
     utility_matrix,
 )
 from .bayesopt import (
+    DEFAULT_SEED_POINTS,
     OBSERVATION_CAPACITY,
     BoConfig,
     ObservationSet,
@@ -33,6 +34,7 @@ from .bayesopt import (
     refresh_online,
 )
 from .cluster import (
+    ClusterConfig,
     ClusterModel,
     assign_batch,
     elbow_select_k,
@@ -60,6 +62,7 @@ from .trace import TIER_LABELS, TierId, Trace
 
 # Counterfactual replay depth per cluster for the online refresh evaluator.
 RECENT_REPLAY_DEPTH = 256
+DEFAULT_UPDATE_INTERVAL = 200  # queries per window; an online stream refreshes after each
 
 # Stamped into every report: the end-to-end latency composition is a simulator
 # convention (fixed delays plus expected-throughput serialization), not a
@@ -93,7 +96,7 @@ class RouterState:
     bo_config: BoConfig
     cost_model: CostModel
     cloud_baselines: CloudBaselines
-    update_interval: int = 200
+    update_interval: int
 
     def validate(self) -> None:
         if self.update_interval < 1:
@@ -154,23 +157,21 @@ class Representation:
 
 def fit_representation(trace: Trace, labels: ConsistencyLabels, *,
                        mlp_config: MlpConfig,
-                       k_min: int = 2, k_max: int = 12,
-                       restarts: int = 5,
-                       fixed_k: int | None = None) -> Representation:
-    """Train the predictor and cluster the embeddings: ``fixed_k`` clusters, or
-    the elbow sweep's own model at its knee."""
+                       cluster: ClusterConfig = ClusterConfig()) -> Representation:
+    """Train the predictor and cluster the embeddings: ``cluster.fixed_k``
+    clusters, or the elbow sweep's own model at its knee."""
     if trace.ids != labels.ids:
         raise ValueError("labels do not cover the trace (record id mismatch)")
 
     embeddings = trace.embeddings
     predictor, train_report = train(init_model(mlp_config), embeddings, labels.s_fused)
     scores = predict_batch(predictor, embeddings)
-    if fixed_k is not None:
-        clusters = kmeans_fit(embeddings, fixed_k, mlp_config.seed, restarts=restarts)
+    if cluster.fixed_k is not None:
+        clusters = kmeans_fit(embeddings, cluster.fixed_k, mlp_config.seed, restarts=cluster.restarts)
     else:
-        models = elbow_sweep(embeddings, k_min, min(k_max, len(trace)), mlp_config.seed,
-                             restarts=restarts)
-        clusters = models[elbow_select_k(models) - k_min]
+        models = elbow_sweep(embeddings, cluster.k_min, cluster.k_max, mlp_config.seed,
+                             restarts=cluster.restarts)
+        clusters = models[elbow_select_k(models) - cluster.k_min]
     return Representation(predictor=predictor, train_report=train_report, scores=scores,
                           clusters=clusters, membership=assign_batch(clusters, embeddings))
 
@@ -180,8 +181,8 @@ def tune_thresholds(rep: Representation, trace: Trace, *,
                     weights: UtilityWeights = UtilityWeights(),
                     cost_model: CostModel = QWEN3_COST_MODEL,
                     bo_config: BoConfig = BoConfig(),
-                    seed_points: int = 8,
-                    update_interval: int = 200) -> RouterState:
+                    seed_points: int = DEFAULT_SEED_POINTS,
+                    update_interval: int = DEFAULT_UPDATE_INTERVAL) -> RouterState:
     """Learn each cluster's thresholds on the trace ``rep`` was fitted on."""
     baselines = cloud_reference_means(trace, scenario, cost_model)
     *_, tier_utilities = _tier_outcomes(trace, scenario, cost_model, weights, baselines,
@@ -346,7 +347,7 @@ def baseline_route(policy: str, trace: Trace, scenario: NetworkScenario, *,
                    cost_model: CostModel = QWEN3_COST_MODEL,
                    pair: ThresholdPair | None = None,
                    predictor: MlpModel | None = None,
-                   window_size: int = 200) -> StreamReport:
+                   window_size: int = DEFAULT_UPDATE_INTERVAL) -> StreamReport:
     """Run the same accounting pipeline under a fixed policy.
 
     ``policy`` is one of device_only / edge_only / cloud_only / global_static;

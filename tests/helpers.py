@@ -7,6 +7,7 @@ import numpy as np
 
 from tierroute.accounting import QWEN3_COST_MODEL, UtilityWeights
 from tierroute.bayesopt import BoConfig
+from tierroute.cluster import ClusterConfig
 from tierroute.labels import LabelConfig, build_labels
 from tierroute.mlp import MlpConfig
 from tierroute.router import fit_representation, tune_thresholds
@@ -66,13 +67,15 @@ def quick_bo(seed=0, **overrides):
 
 
 def build_state(trace, scenario, seed=0, weights=None, label_cfg=None,
-                mlp_overrides=None, bo_overrides=None, k_min=2, k_max=12,
-                kmeans_restarts=5, fixed_k=None, **tune_kw):
+                mlp_overrides=None, bo_overrides=None, k_min=ClusterConfig.k_min,
+                k_max=ClusterConfig.k_max, kmeans_restarts=ClusterConfig.restarts, fixed_k=None,
+                **tune_kw):
     """fit_representation then tune_thresholds, for one weight vector."""
     labels = build_labels(trace, label_cfg or LabelConfig())
     mlp_cfg = quick_mlp(trace.embedding_dim, seed=seed, **(mlp_overrides or {}))
-    rep = fit_representation(trace, labels, mlp_config=mlp_cfg, k_min=k_min, k_max=k_max,
-                             restarts=kmeans_restarts, fixed_k=fixed_k)
+    rep = fit_representation(trace, labels, mlp_config=mlp_cfg,
+                             cluster=ClusterConfig(k_min=k_min, k_max=k_max, fixed_k=fixed_k,
+                                                   restarts=kmeans_restarts))
     return tune_thresholds(
         rep, trace,
         scenario=scenario,

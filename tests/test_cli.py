@@ -1,14 +1,19 @@
+import dataclasses
+import inspect
 import json
 import math
 import struct
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import rehash
-from tierroute import bayesopt, cli, router
+from tierroute import bayesopt, cli, cluster, router
 from tierroute.cli import main
+from tierroute.cluster import ClusterConfig, kmeans_fit, load_centroids
+from tierroute.trace import load_trace
 
 SMALL_CONFIG = """\
 {"section": "synthetic", "n_queries": 400, "embedding_dim": 10, "n_latent_clusters": 2, "noise_sigma": 0.05}
@@ -554,11 +559,22 @@ class TestTune:
     @pytest.mark.parametrize("value", ["-1", "0", "2.5", '"5"'])
     def test_restarts_must_be_positive_integer(self, workdir, capsys, value):
         tmp, cfg = workdir
-        code = run("tune", "--config", cfg, "--out", tmp / "b",
-                   "--set", f"cluster.restarts={value}")
-        assert code == 2
-        assert "cluster.restarts must be an integer >= 1" in capsys.readouterr().err
-        assert not (tmp / "b" / "thresholds.json").exists()
+        assert_refused(capsys, tmp / "b", "tune", "--config", cfg,
+                       "--set", f"cluster.restarts={value}",
+                       names=["cluster.restarts must be an integer >= 1"])
+
+    def test_restarts_reach_the_fit(self, workdir):
+        # The config's restarts (3) give another 4-means model than the default's.
+        tmp, cfg = workdir
+        assert run("gen", "--config", cfg, "--out", tmp / "g") == 0
+        trace = tmp / "g" / "trace.jsonl"
+        assert run("tune", "--config", cfg, "--trace", trace, "--set", "cluster.fixed_k=4",
+                   "--out", tmp / "b") == 0
+        embeddings = load_trace(trace).embeddings
+        want = kmeans_fit(embeddings, 4, 0, restarts=3)
+        assert want.inertia != kmeans_fit(embeddings, 4, 0).inertia
+        got = load_centroids(tmp / "b" / "centroids.bin")
+        assert got.inertia == want.inertia and np.array_equal(got.centroids, want.centroids)
 
     @pytest.mark.parametrize("key, value", [
         ("cluster.fixed_k", "0"), ("cluster.fixed_k", '"2"'), ("cluster.fixed_k", "2.5"),
@@ -566,10 +582,8 @@ class TestTune:
     ])
     def test_integer_fields_checked(self, workdir, capsys, key, value):
         tmp, cfg = workdir
-        code = run("tune", "--config", cfg, "--out", tmp / "b", "--set", f"{key}={value}")
-        assert code == 2
-        assert f"{key} must be an integer >= 1; got" in capsys.readouterr().err
-        assert not (tmp / "b" / "thresholds.json").exists()
+        assert_refused(capsys, tmp / "b", "tune", "--config", cfg, "--set", f"{key}={value}",
+                       names=[f"{key} must be an integer >= 1; got"])
 
     @pytest.mark.parametrize("command, setting, message", [
         ("tune", "bo.offline_budget=2.7", "bo.offline_budget must be an integer; got 2.7"),
@@ -598,10 +612,8 @@ class TestTune:
     def test_typed_fields_checked(self, workdir, capsys, command, setting, message):
         # A value of the wrong JSON type exits 2 naming section.key; it is never coerced.
         tmp, cfg = workdir
-        out = tmp / "o"
-        assert run(command, "--config", cfg, "--out", out, "--set", setting) == 2
-        assert message in capsys.readouterr().err
-        assert not (out / "thresholds.json").exists() and not (out / "trace.jsonl").exists()
+        assert_refused(capsys, tmp / "o", command, "--config", cfg, "--set", setting,
+                       names=[message])
 
     @pytest.mark.parametrize("grid, named", [
         ("1,x", "'x'"), ("1,0", "kappas must be positive"), ("inf", "'inf'"), ("1_0", "'1_0'"),
@@ -624,12 +636,10 @@ class TestTune:
     ])
     def test_cluster_range_checked(self, workdir, capsys, settings, named):
         tmp, cfg = workdir
-        argv = ["sweep", "--config", cfg, "--out", tmp / "sw", "--kappa-grid", "1"]
+        argv = ["sweep", "--config", cfg, "--kappa-grid", "1"]
         for setting in settings:
             argv += ["--set", setting]
-        assert run(*argv) == 2
-        assert named in capsys.readouterr().err
-        assert not (tmp / "sw" / "pareto.csv").exists()
+        assert_refused(capsys, tmp / "sw", *argv, names=[named])
 
     @pytest.mark.parametrize("line, setting, named", [
         (None, "cluster.restart=0", "cluster.restart"),
@@ -804,11 +814,8 @@ class TestStream:
     def test_update_interval_below_one_exit_2(self, workdir, capsys, flag):
         tmp, cfg = workdir
         assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
-        capsys.readouterr()
-        code = run("stream", "--config", cfg, "--bundle", tmp / "b",
-                   "--out", tmp / "s", *flag)
-        assert code == 2
-        assert f"got {flag[1].rpartition('=')[2]}" in capsys.readouterr().err
+        assert_refused(capsys, tmp / "s", "stream", "--config", cfg, "--bundle", tmp / "b",
+                       *flag, names=[f"got {flag[1].rpartition('=')[2]}"])
 
     @pytest.mark.parametrize("source", ["flag", "bundle"])
     def test_update_interval_past_int64_is_one_window(self, workdir, source):
@@ -1158,6 +1165,19 @@ class TestRefusedInputs:
                 in capsys.readouterr().err)
         assert (tmp / "f").read_text() == "x"
 
+    @pytest.mark.parametrize("out, named", [(False, "$TIERROUTE_OUT"), (True, "run.output_dir")])
+    def test_env_out_naming_a_file_exit_2(self, workdir, capsys, monkeypatch, out, named):
+        # The message names the setting that gave the path: the variable, or --out over it.
+        tmp, cfg = workdir
+        (tmp / "f").write_text("x")
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp / "f"))
+        monkeypatch.chdir(tmp)
+        assert run("gen", "--config", cfg, *(["--out", tmp / "f"] if out else [])) == 2
+        err = capsys.readouterr().err
+        assert f"error: {named} {str(tmp / 'f')!r}: cannot make the directory (File exists)" in err
+        assert sorted(path.name for path in tmp.iterdir()) == ["cfg.jsonl", "f"]
+        assert (tmp / "f").read_text() == "x"
+
     @pytest.mark.parametrize("command, edit, message", [
         *(pytest.param(command, null_cloud_correct, "missing correct bit for tier cloud",
                        id=f"{command}-null_correct") for command in ("stream", "baseline", "tune")),
@@ -1242,6 +1262,13 @@ class TestRefusedInputs:
 
 
 class TestDocumentedBehaviour:
+    def test_only_the_sections_a_command_reads_are_checked(self, workdir):
+        tmp, cfg = workdir
+        assert run("gen", "--config", cfg, "--set", 'cluster.restarts="x"',
+                   "--set", "mlp.hidden_dims=7", "--out", tmp / "o") == 0
+        config = json.loads((tmp / "o" / "manifest.json").read_text())["config"]
+        assert config["cluster"]["restarts"] == "x" and config["mlp"]["hidden_dims"] == 7
+
     def test_bare_string_set_value(self, workdir):
         tmp, cfg = workdir
         assert run("baseline", "--config", cfg, "--policy", "clm-only",
@@ -1273,3 +1300,25 @@ class TestDocumentedBehaviour:
         for mode in ("--online", "--static"):
             assert run("stream", "--config", cfg, "--trace", trace, "--bundle", tmp / "b",
                        mode, "--out", tmp / mode.lstrip("-")) == 0
+
+
+def test_library_and_cli_defaults_agree():
+    """Each default is stated once: DEFAULT_CONFIG takes the cluster section from
+    ClusterConfig, and every keyword default of the interval, the BO seed points
+    and the k-means restarts equals the CLI's."""
+    def default(func, name):
+        return inspect.signature(func).parameters[name].default
+
+    assert (json.dumps(cli.DEFAULT_CONFIG["cluster"], sort_keys=True)
+            == json.dumps(dataclasses.asdict(ClusterConfig()), sort_keys=True))
+    assert default(router.fit_representation, "cluster") == ClusterConfig()
+    interval = cli.DEFAULT_CONFIG["stream"]["update_interval"]
+    assert (default(router.tune_thresholds, "update_interval")
+            == default(router.baseline_route, "window_size") == interval)
+    seed_points = cli.DEFAULT_CONFIG["bo"]["seed_points"]
+    assert (default(router.tune_thresholds, "seed_points")
+            == default(bayesopt.optimize_offline, "seed_points") == seed_points)
+    assert (default(cluster.kmeans_fit, "restarts") == default(cluster.elbow_sweep, "restarts")
+            == ClusterConfig.restarts)
+    assert (default(cluster.elbow_sweep, "k_min"), default(cluster.elbow_sweep, "k_max")) == (
+        ClusterConfig.k_min, ClusterConfig.k_max)

@@ -27,8 +27,12 @@ from hypothesis import strategies as st
 
 from helpers import build_state, rehash
 from tierroute import cli
+from tierroute.accounting import CostModel
+from tierroute.bayesopt import BoConfig
+from tierroute.cluster import ClusterConfig
 from tierroute.errors import ConfigError, TierRouteError
 from tierroute.fields import cell, read, typed
+from tierroute.labels import LabelConfig
 from tierroute.network import load_scenario, save_scenario, scenario_by_name
 from tierroute.router import load_bundle, save_bundle
 from tierroute.trace import SyntheticConfig, generate_synthetic_trace, load_trace, save_trace
@@ -235,22 +239,25 @@ FUZZ_CONFIG = {
     "stream": {"update_interval": 100, "online": False},
 }
 SETTINGS = [("run.seed", int, 0), ("run.trace", str | None, None),
-            ("run.output_dir", str | None, None), ("cluster.k_min", int, 1),
-            ("cluster.k_max", int, 1), ("cluster.restarts", int, 1),
-            ("cluster.fixed_k", int | None, 1), ("bo.seed_points", int, 1),
-            ("stream.online", bool, None)]
+            ("run.output_dir", str | None, None), ("bo.seed_points", int, 1),
+            ("stream.update_interval", int, 1), ("stream.online", bool, None)]
+SECTIONS = [(LabelConfig, "labels"), (ClusterConfig, "cluster"), (CostModel, "cost")]
 
 
 def materialize(config):
     """Every value the CLI reads out of a resolved config."""
-    built = [cli.synthetic_config(config, 0), cli.label_config(config),
-             cli.mlp_config(config, 4, 0), cli.bo_config(config, 0),
-             cli.utility_weights(config), cli.cost_model(config)]
-    assert all(conforming(obj) for obj in built if dataclasses.is_dataclass(obj))
+    built = [cli.synthetic_config(config, 0), cli.mlp_config(config, 4, 0),
+             cli.read_section(config, BoConfig, "bo", seed=0), cli.utility_weights(config),
+             *(cli.read_section(config, cls, name) for cls, name in SECTIONS)]
+    for obj in built:
+        assert conforming(obj)
+        for f in dataclasses.fields(obj):
+            if "minimum" in f.metadata:  # each of ClusterConfig's fields
+                value = getattr(obj, f.name)
+                assert value is None or value >= f.metadata["minimum"]
     for key, hint, minimum in SETTINGS:
         value = cli._setting(config, key, hint, minimum)
         assert conforms(value, hint) and (value is None or minimum is None or value >= minimum)
-    assert type(cli.update_interval(config)) is int
     assert conforms(cli.network_scenario(config).switch_at, int | None)
 
 

@@ -26,7 +26,7 @@ from tierroute.accounting import (
 )
 from tierroute.bayesopt import ThresholdPair, refresh_online
 from tierroute.errors import BundleIntegrityError, CorruptStateError, DimensionMismatchError
-from tierroute.cluster import assign_batch, elbow_select_k, elbow_sweep, kmeans_fit
+from tierroute.cluster import ClusterConfig, assign_batch, elbow_select_k, elbow_sweep, kmeans_fit
 from tierroute.labels import LabelConfig, build_labels
 from tierroute.mlp import init_model, predict_batch
 from tierroute.network import scenario_by_name
@@ -192,7 +192,8 @@ class TestOfflinePhase:
         labels = build_labels(trace, LabelConfig())
         labels.ids[0] = "other"
         with pytest.raises(ValueError, match="id mismatch"):
-            fit_representation(trace, labels, mlp_config=quick_mlp(8), k_min=2, k_max=4)
+            fit_representation(trace, labels, mlp_config=quick_mlp(8),
+                               cluster=ClusterConfig(k_min=2, k_max=4))
 
 
 class TestRepresentationOnce:
@@ -210,14 +211,14 @@ class TestRepresentationOnce:
         trace, labels, mlp_cfg = fitted
         kw = dict(scenario=GOOD, cost_model=QWEN3_COST_MODEL, seed_points=4,
                   bo_config=quick_bo(seed=4, offline_budget=10))
-        rep = fit_representation(trace, labels, mlp_config=mlp_cfg, k_min=2, k_max=6,
-                                 restarts=2)
+        rep = fit_representation(trace, labels, mlp_config=mlp_cfg,
+                                 cluster=ClusterConfig(k_min=2, k_max=6, restarts=2))
         checksums = []
         for kappa in (1.0, 5.0, 20.0):
             weights = UtilityWeights.from_kappas(kappa, kappa)
             shared = tune_thresholds(rep, trace, weights=weights, **kw)
-            fresh = fit_representation(trace, labels, mlp_config=mlp_cfg, k_min=2, k_max=6,
-                                       restarts=2)
+            fresh = fit_representation(trace, labels, mlp_config=mlp_cfg,
+                                       cluster=ClusterConfig(k_min=2, k_max=6, restarts=2))
             full = tune_thresholds(fresh, trace, weights=weights, **kw)
             assert state_checksum(shared) == state_checksum(full)
             assert shared.cloud_baselines == full.cloud_baselines
@@ -234,8 +235,8 @@ class TestRepresentationOnce:
 
         monkeypatch.setattr("tierroute.router.kmeans_fit", counting_fit)
         monkeypatch.setattr("tierroute.cluster.kmeans_fit", counting_fit)
-        rep = fit_representation(trace, labels, mlp_config=mlp_cfg, k_min=2, k_max=6,
-                                 restarts=2)
+        rep = fit_representation(trace, labels, mlp_config=mlp_cfg,
+                                 cluster=ClusterConfig(k_min=2, k_max=6, restarts=2))
         assert calls == []
         k = elbow_select_k(elbow_sweep(trace.embeddings, 2, 6, mlp_cfg.seed, restarts=2))
         ref = kmeans_fit(trace.embeddings, k, mlp_cfg.seed, restarts=2)
@@ -243,7 +244,8 @@ class TestRepresentationOnce:
         assert np.array_equal(rep.clusters.centroids, ref.centroids)
         assert (rep.clusters.inertia, rep.clusters.seed) == (ref.inertia, ref.seed)
         assert np.array_equal(rep.membership, assign_batch(ref, trace.embeddings))
-        fixed = fit_representation(trace, labels, mlp_config=mlp_cfg, restarts=2, fixed_k=4)
+        fixed = fit_representation(trace, labels, mlp_config=mlp_cfg,
+                                   cluster=ClusterConfig(restarts=2, fixed_k=4))
         assert len(calls) == 1 and fixed.clusters.k == 4
 
 

@@ -91,6 +91,11 @@ MUTANTS = (
     Mutant("read_table ends lines at CRLF and LF only, not at a lone CR", "formats.py", (
         ('re.split(r"\\r\\n?|\\n", ', 're.split(r"\\r?\\n", '),
     )),
+    Mutant("_offline_phase ignores cluster.restarts", "cli.py", (
+        ("    rep = fit_representation(trace, labels, cluster=cluster,\n",
+         "    rep = fit_representation(trace, labels, cluster=ClusterConfig(\n"
+         "        cluster.k_min, cluster.k_max, cluster.fixed_k),\n"),
+    )),
 )
 
 
