@@ -27,7 +27,7 @@ from .bayesopt import (
     propose_thresholds,
     refresh_online,
 )
-from .cluster import ClusterModel, assign_batch, elbow_select_k, elbow_sweep, kmeans_fit
+from .cluster import ClusterModel, assign_batch, elbow_select_k, elbow_sweep, fit_sweep
 from .labels import (
     ConsistencyLabels,
     LabelConfig,

@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -151,14 +151,16 @@ def resolve_config(given: dict) -> dict:
     return config
 
 
-def output_dir(config: dict) -> Path:
+def output_dir(config: dict, made: list[Path]) -> Path:
+    """Make the output directory; ``made`` gets each directory this makes, deepest first."""
     out = _setting(config, "run.output_dir", str | None)
     env = os.environ.get(OUTPUT_DIR_ENV)
     name = f"${OUTPUT_DIR_ENV}" if env and not out else "run.output_dir"
     path = Path(out or env or "tierroute-out")
     try:
+        made += [p for p in (path, *path.parents) if not p.exists()]
         path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file at the path or above it
+    except OSError as exc:  # a file at the path or above it, or one the OS refuses
         raise ConfigError(f"{name} {str(path)!r}: cannot make the directory "
                           f"({exc.strerror})") from exc
     return path
@@ -532,11 +534,13 @@ def _trace_named(config: dict):
 def main(argv: list[str] | None = None) -> int:
     """Resolve the command's config and check that its manifest can be made,
     make its output directory, run it, then write its manifest; a
-    TierRouteError exits 2, any other exception 1."""
+    TierRouteError exits 2 and removes each directory made for the run that
+    is still empty, any other exception exits 1 and leaves them."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "policy", None):
         args.policy = _POLICIES[args.policy]
+    made: list[Path] = []
     try:
         given = _given_config(args)
         # stream keeps its bundle's update interval unless one is given.
@@ -546,13 +550,16 @@ def main(argv: list[str] | None = None) -> int:
         # that encodes here, from the same stack depth, encodes after it too:
         # one the manifest cannot hold is refused before any output.
         manifest(config, args)
-        outdir = output_dir(config)
+        outdir = output_dir(config, made)
         with _trace_named(config):
             args.func(args, config, outdir)
         write_json(outdir / "manifest.json", manifest(config, args))
         return 0
     except TierRouteError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        for path in made:  # deepest first, so each is empty once those below it go
+            with suppress(OSError):  # not empty, or never made
+                path.rmdir()
         return 2
     except Exception as exc:  # noqa: BLE001 - last-resort boundary
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -45,9 +45,11 @@ class ClusterConfig:
     restarts: int = field(default=5, metadata={"minimum": 1})
 
     def k_range(self, n: int, where: str = "", error: type[Exception] = ValueError) -> range:
-        """The Ks to fit on ``n`` points: ``fixed_k`` <= n alone, or k_min..k_max with k_max
+        """The Ks to fit on ``n`` points: 1 <= ``fixed_k`` <= n alone, or k_min..k_max with k_max
         clamped to n and 2 <= k_min below it. ``error`` names each key as ``where`` + key."""
         if self.fixed_k is not None:
+            if self.fixed_k < 1:
+                raise error(f"{where}fixed_k={self.fixed_k} must be >= 1")
             if self.fixed_k > n:
                 raise error(f"{where}fixed_k={self.fixed_k} exceeds the trace's {n} queries")
             return range(self.fixed_k, self.fixed_k + 1)
@@ -186,20 +188,9 @@ def _lloyd(points: np.ndarray, sq_norms: np.ndarray,
 _MAX_ITER = 300
 
 
-def _checked_points(embeddings: np.ndarray, restarts: int) -> np.ndarray:
-    """The embeddings as a float64 matrix, after the checks every fit needs."""
-    points = np.asarray(embeddings, dtype=np.float64)
-    if points.ndim != 2 or points.shape[0] == 0:
-        raise ValueError("embeddings must be a non-empty (n, d) matrix")
-    if not np.all(np.isfinite(points)):
-        raise ValueError("embeddings must be finite")
-    if restarts < 1:
-        raise ValueError(f"restarts={restarts} must be >= 1")
-    return points
-
-
 def _fit(points: np.ndarray, k: int, seed: int, restarts: int) -> ClusterModel:
-    """``kmeans_fit`` on checked points; calls only private helpers, so it may run on any thread."""
+    """Best-of-``restarts`` Lloyd runs from k-means++ seeding; seed-deterministic.
+    Calls only private helpers, so it may run on any thread."""
     sq_norms = np.einsum("nd,nd->n", points, points)
     rng = np.random.default_rng(seed)
     best_centroids = None
@@ -213,16 +204,6 @@ def _fit(points: np.ndarray, k: int, seed: int, restarts: int) -> ClusterModel:
     return ClusterModel(k=k, centroids=best_centroids, inertia=best_inertia, seed=seed)
 
 
-def kmeans_fit(embeddings: np.ndarray, k: int, seed: int, *,
-               restarts: int = ClusterConfig.restarts) -> ClusterModel:
-    """Best-of-``restarts`` Lloyd runs from k-means++ seeding; seed-deterministic."""
-    points = _checked_points(embeddings, restarts)
-    n = points.shape[0]
-    if k < 1 or k > n:
-        raise ValueError(f"k={k} must lie in [1, n={n}]")
-    return _fit(points, k, seed, restarts)
-
-
 # Embedding entries (n * d) per sweep thread. With less work per Lloyd step
 # than this, the step is mostly interpreter time under the GIL, and a second
 # thread slows the sweep (two threads took 1.5x as long as one at n=1000, d=12).
@@ -234,7 +215,7 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS
 
 
 def _sweep_workers(n_ks: int, entries: int) -> int:
-    """Threads for the elbow sweep: one per CPU that the BLAS leaves free.
+    """Threads for a sweep: one per CPU that the BLAS leaves free.
 
     Every Lloyd step calls a matrix product, so sweep threads beside a BLAS
     that already runs a thread per CPU oversubscribe the machine (a sweep over
@@ -250,19 +231,6 @@ def _sweep_workers(n_ks: int, entries: int) -> int:
     pinned = [os.environ.get(var, "") for var in _BLAS_THREAD_VARS]
     blas = next((int(v) for v in pinned if v.isdigit() and int(v) > 0), cpus)
     return max(1, min(n_ks, cpus // blas, entries // _ENTRIES_PER_THREAD))
-
-
-def _sweep(points: np.ndarray, ks: range, seed: int, restarts: int) -> list[ClusterModel]:
-    """One ``_fit`` per k, in k order, on ``_sweep_workers`` threads.
-
-    NumPy releases the GIL in the matrix products, ufuncs, reductions and
-    gathers of a Lloyd step, so the fits overlap. Each starts from its own
-    ``default_rng(seed)`` and the screened assignment is exact, so every
-    model is the same for any number of threads.
-    """
-    workers = _sweep_workers(len(ks), points.size)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda k: _fit(points, k, seed, restarts), ks))
 
 
 def knee_point(ks: np.ndarray, inertias: np.ndarray) -> int:
@@ -287,13 +255,33 @@ def knee_point(ks: np.ndarray, inertias: np.ndarray) -> int:
     return int(ks[int(np.argmax(dists))])
 
 
+def fit_sweep(embeddings: np.ndarray, cluster: ClusterConfig = ClusterConfig(),
+              seed: int = 0) -> list[ClusterModel]:
+    """The ``_fit`` model of every K in ``cluster.k_range``, in K order, on
+    ``_sweep_workers`` threads; a ``fixed_k`` sweep is one model.
+
+    NumPy releases the GIL in the matrix products, ufuncs, reductions and
+    gathers of a Lloyd step, so the fits overlap. Each starts from its own
+    ``default_rng(seed)`` and the screened assignment is exact, so every
+    model is the same for any number of threads.
+    """
+    points = np.asarray(embeddings, dtype=np.float64)
+    if points.ndim != 2 or points.shape[0] == 0:
+        raise ValueError("embeddings must be a non-empty (n, d) matrix")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("embeddings must be finite")
+    if cluster.restarts < 1:
+        raise ValueError(f"restarts={cluster.restarts} must be >= 1")
+    ks = cluster.k_range(points.shape[0])
+    with ThreadPoolExecutor(max_workers=_sweep_workers(len(ks), points.size)) as pool:
+        return list(pool.map(lambda k: _fit(points, k, seed, cluster.restarts), ks))
+
+
 def elbow_sweep(embeddings: np.ndarray, k_min: int = ClusterConfig.k_min,
                 k_max: int = ClusterConfig.k_max, seed: int = 0, *,
                 restarts: int = ClusterConfig.restarts) -> list[ClusterModel]:
-    """The ``kmeans_fit`` model of every k in ``ClusterConfig.k_range``, in k order."""
-    points = _checked_points(embeddings, restarts)
-    ks = ClusterConfig(k_min, k_max).k_range(points.shape[0])
-    return _sweep(points, ks, seed, restarts)
+    """``fit_sweep`` over k_min..k_max."""
+    return fit_sweep(embeddings, ClusterConfig(k_min, k_max, restarts=restarts), seed)
 
 
 def elbow_select_k(models: list[ClusterModel]) -> int:

@@ -38,8 +38,7 @@ from .cluster import (
     ClusterModel,
     assign_batch,
     elbow_select_k,
-    elbow_sweep,
-    kmeans_fit,
+    fit_sweep,
     load_centroids,
     save_centroids,
 )
@@ -158,20 +157,16 @@ class Representation:
 def fit_representation(trace: Trace, labels: ConsistencyLabels, *,
                        mlp_config: MlpConfig,
                        cluster: ClusterConfig = ClusterConfig()) -> Representation:
-    """Train the predictor and cluster the embeddings: ``cluster.fixed_k``
-    clusters, or the elbow sweep's own model at its knee."""
+    """Train the predictor and cluster the embeddings: the ``fit_sweep`` model
+    at the knee of its inertia curve."""
     if trace.ids != labels.ids:
         raise ValueError("labels do not cover the trace (record id mismatch)")
 
     embeddings = trace.embeddings
     predictor, train_report = train(init_model(mlp_config), embeddings, labels.s_fused)
     scores = predict_batch(predictor, embeddings)
-    if cluster.fixed_k is not None:
-        clusters = kmeans_fit(embeddings, cluster.fixed_k, mlp_config.seed, restarts=cluster.restarts)
-    else:
-        models = elbow_sweep(embeddings, cluster.k_min, cluster.k_max, mlp_config.seed,
-                             restarts=cluster.restarts)
-        clusters = models[elbow_select_k(models) - cluster.k_min]
+    models = fit_sweep(embeddings, cluster, mlp_config.seed)
+    clusters = models[elbow_select_k(models) - models[0].k]
     return Representation(predictor=predictor, train_report=train_report, scores=scores,
                           clusters=clusters, membership=assign_batch(clusters, embeddings))
 

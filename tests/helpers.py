@@ -7,7 +7,7 @@ import numpy as np
 
 from tierroute.accounting import QWEN3_COST_MODEL, UtilityWeights
 from tierroute.bayesopt import BoConfig
-from tierroute.cluster import ClusterConfig
+from tierroute.cluster import ClusterConfig, fit_sweep
 from tierroute.labels import LabelConfig, build_labels
 from tierroute.mlp import MlpConfig
 from tierroute.router import fit_representation, tune_thresholds
@@ -49,6 +49,12 @@ def broadcast_kernel(hypers, a, b):
     must equal it bit for bit, and the reference fits build on it."""
     d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
     return hypers.signal_variance * np.exp(-d2 / (2.0 * hypers.length_scale ** 2))
+
+
+def fit_k(embeddings, k, seed, restarts=ClusterConfig.restarts):
+    """The one model of a sweep fixed at ``k``."""
+    (model,) = fit_sweep(embeddings, ClusterConfig(fixed_k=k, restarts=restarts), seed)
+    return model
 
 
 def quick_mlp(input_dim, seed=0, **overrides):

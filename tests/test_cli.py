@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import rehash
+from helpers import fit_k, rehash
 from tierroute import bayesopt, cli, cluster, router
 from tierroute.cli import main
-from tierroute.cluster import ClusterConfig, kmeans_fit, load_centroids
+from tierroute.cluster import ClusterConfig, load_centroids
 from tierroute.trace import load_trace
 
 SMALL_CONFIG = """\
@@ -97,6 +97,26 @@ def run_strict(*argv):
         return run(*argv)
 
 
+def assert_refused(capsys, out, *argv, names=(), out_flag=True):
+    """``argv --out out`` exits 2 under ``run_strict`` with an error naming
+    each of ``names``; it leaves no file in ``out``, and no ``out`` where there
+    was none. Without ``out_flag`` no --out is given and ``out`` is where the
+    command would write. Returns the run's standard output."""
+    existed = out.exists()
+    capsys.readouterr()
+    try:
+        code = run_strict(*argv, *(["--out", out] if out_flag else []))
+    except SystemExit as exc:  # argparse refuses the command line itself
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    err = captured.err
+    assert "internal error" not in err and all(str(name) in err for name in names), err
+    assert not [path for path in out.rglob("*") if path.is_file()]
+    assert existed or not out.exists()
+    return captured.out
+
+
 class TestGen:
     def test_writes_trace_truth_manifest(self, workdir):
         tmp, cfg = workdir
@@ -123,19 +143,15 @@ class TestGen:
     )])
     def test_invalid_synthetic_config_exit_2(self, workdir, capsys, setting, message):
         tmp, cfg = workdir
-        assert run("gen", "--config", cfg, "--out", tmp / "g", "--set", setting) == 2
-        assert message in capsys.readouterr().err
-        assert not (tmp / "g" / "trace.jsonl").exists()
+        assert_refused(capsys, tmp / "g", "gen", "--config", cfg, "--set", setting,
+                       names=[message])
 
     def test_trace_flag_rejected(self, workdir, capsys):
         # gen writes a trace and reads none: --trace would only null the
         # synthetic section, and gen would then run the generator's defaults.
         tmp, cfg = workdir
-        with pytest.raises(SystemExit) as exc:
-            run("gen", "--config", cfg, "--out", tmp / "g", "--trace", tmp / "none.jsonl")
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --trace" in capsys.readouterr().err
-        assert not (tmp / "g").exists()
+        assert_refused(capsys, tmp / "g", "gen", "--config", cfg, "--trace", tmp / "none.jsonl",
+                       names=["unrecognized arguments: --trace"])
 
     def test_drift_trace(self, workdir):
         tmp, cfg = workdir
@@ -189,9 +205,8 @@ class TestDriftedSyntheticTrace:
         tmp, cfg = workdir
         policy = ["--policy", "cloud-only"] if command == "baseline" else []
         sets = [arg for setting in settings for arg in ("--set", setting)]
-        assert run(command, "--config", cfg, "--out", tmp / "o", *policy, *sets) == 2
-        assert f"error: bad synthetic config: {message}" in capsys.readouterr().err
-        assert not any((tmp / "o").iterdir())
+        assert_refused(capsys, tmp / "o", command, "--config", cfg, *policy, *sets,
+                       names=[f"error: bad synthetic config: {message}"])
 
 
 # Edge values for every synthetic key, each tried alone over gen's defaults:
@@ -231,6 +246,8 @@ def test_synthetic_scan_exits_0_or_2(tmp_path, capsys, key, value):
     assert code in (0, 2), capsys.readouterr().err
     if code == 0:
         assert len(load_trace(tmp_path / "trace.jsonl")) == 50
+    else:
+        assert not any(tmp_path.iterdir())
 
 
 class TestTrain:
@@ -244,9 +261,8 @@ class TestTrain:
 
     def test_missing_trace_exit_2(self, workdir, capsys):
         tmp, cfg = workdir
-        code = run("train", "--config", cfg, "--trace", tmp / "nope.jsonl", "--out", tmp / "t")
-        assert code == 2
-        assert "nope.jsonl" in capsys.readouterr().err
+        assert_refused(capsys, tmp / "t", "train", "--config", cfg, "--trace", tmp / "nope.jsonl",
+                       names=["nope.jsonl"])
 
     def test_rerun_byte_identical_checkpoint(self, workdir):
         tmp, cfg = workdir
@@ -258,9 +274,8 @@ class TestTrain:
     def test_header_only_trace_exit_2(self, workdir, capsys):
         tmp, cfg = workdir
         trace = header_only_trace(tmp, cfg)
-        assert run_strict("train", "--config", cfg, "--trace", trace, "--out", tmp / "t") == 2
-        assert "empty.jsonl: trace holds no records" in capsys.readouterr().err
-        assert not (tmp / "t" / "predictor.ckpt").exists()
+        assert_refused(capsys, tmp / "t", "train", "--config", cfg, "--trace", trace,
+                       names=["empty.jsonl: trace holds no records"])
 
     @pytest.mark.parametrize("key, value", [
         ("embedding_dim", "10"), ("embedding_dim", 10.5), ("metadata", [["a", 1]]),
@@ -276,20 +291,17 @@ class TestTrain:
         obj[key] = value
         lines[line] = json.dumps(obj) + "\n"
         path.write_text("".join(lines))
-        capsys.readouterr()
-        assert run("train", "--trace", path, "--out", tmp / "t") == 2
         named = "line 2: malformed record (id" if key == "id" else f"line 1: header.{key}"
-        assert f"{path}: {named} must be" in capsys.readouterr().err
-        assert not (tmp / "t" / "predictor.ckpt").exists()
+        assert_refused(capsys, tmp / "t", "train", "--trace", path,
+                       names=[f"{path}: {named} must be"])
 
     @pytest.mark.parametrize("command", ["train", "tune"])
     def test_model_too_large_to_allocate_exit_2(self, workdir, capsys, command):
         # More than 2**47 bytes of parameters, whose allocation fails at once.
         tmp, cfg = workdir
-        assert run(command, "--config", cfg, "--out", tmp / "t",
-                   "--set", f"mlp.hidden_dims=[{10**15}]") == 2
-        assert "error: mlp: Unable to allocate" in capsys.readouterr().err
-        assert not (tmp / "t" / "predictor.ckpt").exists()
+        assert_refused(capsys, tmp / "t", command, "--config", cfg,
+                       "--set", f"mlp.hidden_dims=[{10**15}]",
+                       names=["error: mlp: Unable to allocate"])
 
     @pytest.mark.parametrize("element", ['"0.5"', "true", "null", "[0.5]"])
     def test_embedding_elements_typed(self, workdir, capsys, element):
@@ -302,11 +314,8 @@ class TestTrain:
         obj["embedding"][1] = json.loads(element)
         lines[1] = json.dumps(obj) + "\n"
         path.write_text("".join(lines))
-        capsys.readouterr()
-        assert run("train", "--trace", path, "--out", tmp / "t") == 2
-        err = capsys.readouterr().err
-        assert f"{path}: line 2: record {obj['id']!r}: embedding[1] must be a JSON number" in err
-        assert not (tmp / "t" / "predictor.ckpt").exists()
+        assert_refused(capsys, tmp / "t", "train", "--trace", path, names=[
+            f"{path}: line 2: record {obj['id']!r}: embedding[1] must be a JSON number"])
 
 
 class TestTune:
@@ -328,32 +337,26 @@ class TestTune:
         # The second value's weights overflow the utility; it is refused before
         # the first value's bundle is saved.
         tmp, cfg = workdir
-        out = tmp / "k"
-        assert run("tune", "--config", cfg, "--out", out, "--kappa-grid", "1,1e-300") == 2
-        captured = capsys.readouterr()
-        assert "error: --kappa-grid value 1e-300: weights lambda1=1.0, " in captured.err
-        assert "overflow the utility of this trace" in captured.err
-        assert "tuned" not in captured.out
-        assert not [path for path in out.rglob("*") if path.is_file()]
+        out = assert_refused(capsys, tmp / "k", "tune", "--config", cfg, "--kappa-grid", "1,1e-300",
+                             names=["error: --kappa-grid value 1e-300: weights lambda1=1.0, ",
+                                    "overflow the utility of this trace"])
+        assert "tuned" not in out
 
     def test_corrupted_bundle_rejected_on_reload(self, workdir, capsys):
         tmp, cfg = workdir
         assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
         ckpt = tmp / "b" / "predictor.ckpt"
         ckpt.write_bytes(ckpt.read_bytes()[:-4])
-        code = run("stream", "--config", cfg, "--bundle", tmp / "b", "--out", tmp / "s")
-        assert code == 2
-        assert "checksum" in capsys.readouterr().err
+        assert_refused(capsys, tmp / "s", "stream", "--config", cfg, "--bundle", tmp / "b",
+                       names=["checksum"])
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
     def test_corrupt_bundle_manifest_exit_2(self, workdir, capsys, text):
         tmp, cfg = workdir
         assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
         (tmp / "b" / "bundle_manifest.json").write_text(text)
-        capsys.readouterr()
-        code = run("stream", "--config", cfg, "--bundle", tmp / "b", "--out", tmp / "s")
-        assert code == 2
-        assert "bundle_manifest.json" in capsys.readouterr().err
+        assert_refused(capsys, tmp / "s", "stream", "--config", cfg, "--bundle", tmp / "b",
+                       names=["bundle_manifest.json"])
 
     @pytest.mark.parametrize("name, keys, value, message", [
         ("state.json", ["observation_capacity"], "x", "observation_capacity must be an integer"),
@@ -370,19 +373,14 @@ class TestTune:
         target[keys[-1]] = value
         path.write_text(json.dumps(obj))
         rehash(tmp / "b", name)
-        capsys.readouterr()
-        assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--out", tmp / "s") == 2
-        assert f"{path}: {message}" in capsys.readouterr().err
-        assert not (tmp / "s" / "stream_report.json").exists()
+        assert_refused(capsys, tmp / "s", "stream", "--config", cfg, "--bundle", tmp / "b",
+                       names=[f"{path}: {message}"])
 
     @pytest.mark.parametrize("key", ["candidate_pool_size"])
     def test_bo_draw_too_large_to_allocate_exit_2(self, workdir, capsys, key):
         tmp, cfg = workdir
-        assert run("tune", "--config", cfg, "--out", tmp / "b",
-                   "--set", f"bo.{key}={10**15}") == 2
-        assert (f"error: {key}={10**15} is too large to draw (Unable to allocate"
-                in capsys.readouterr().err)
-        assert not any((tmp / "b").iterdir())
+        assert_refused(capsys, tmp / "b", "tune", "--config", cfg, "--set", f"bo.{key}={10**15}",
+                       names=[f"error: {key}={10**15} is too large to draw (Unable to allocate"])
 
     def test_bundle_pool_too_large_to_allocate_exit_2(self, workdir, capsys):
         tmp, cfg = workdir
@@ -392,12 +390,9 @@ class TestTune:
         obj["bo_config"]["candidate_pool_size"] = 10**15
         path.write_text(json.dumps(obj))
         rehash(tmp / "b", "state.json")
-        capsys.readouterr()
-        assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--online",
-                   "--out", tmp / "s") == 2
-        assert (f"error: {path}: bo_config.candidate_pool_size={10**15} is too large to draw"
-                in capsys.readouterr().err)
-        assert not (tmp / "s" / "stream_report.json").exists()
+        assert_refused(capsys, tmp / "s", "stream", "--config", cfg, "--bundle", tmp / "b",
+                       "--online", names=[f"error: {path}: bo_config.candidate_pool_size={10**15} "
+                                          "is too large to draw"])
 
     @pytest.mark.parametrize("command", [["tune"], ["tune", "--kappa-grid", "1,2"], ["sweep"]],
                              ids=["tune", "kappa-grid", "sweep"])
@@ -414,11 +409,9 @@ class TestTune:
         # Refused before any fitting or draw; a fit would be an internal error here.
         tmp, cfg = workdir
         monkeypatch.setattr(cli, "fit_representation", None)
-        assert run(*command, "--config", cfg, "--out", tmp / "b",
-                   "--set", f"bo.{key}={10**15}") == 2
-        assert (f"error: {message} must be at most the observation capacity 512"
-                in capsys.readouterr().err)
-        assert not any((tmp / "b").iterdir())
+        assert_refused(capsys, tmp / "b", *command, "--config", cfg,
+                       "--set", f"bo.{key}={10**15}",
+                       names=[f"error: {message} must be at most the observation capacity 512"])
 
     def test_bundle_online_steps_past_capacity_exit_2(self, workdir, capsys):
         tmp, cfg = workdir
@@ -428,13 +421,11 @@ class TestTune:
         obj["bo_config"]["online_steps_per_refresh"] = 10**15
         path.write_text(json.dumps(obj))
         rehash(tmp / "b", "state.json")
-        capsys.readouterr()
-        assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--online",
-                   "--out", tmp / "s") == 2
-        assert (f"error: {path}: bo_config.online_steps_per_refresh={10**15}: 1 + "
-                f"online_steps_per_refresh must be at most the observation capacity 512"
-                in capsys.readouterr().err)
-        assert not (tmp / "s" / "stream_report.json").exists()
+        assert_refused(capsys, tmp / "s", "stream", "--config", cfg, "--bundle", tmp / "b",
+                       "--online",
+                       names=[f"error: {path}: bo_config.online_steps_per_refresh={10**15}: 1 + "
+                              f"online_steps_per_refresh must be at most the observation "
+                              f"capacity 512"])
 
     def test_undecodable_observations_exit_2(self, workdir, capsys):
         tmp, cfg = workdir
@@ -444,9 +435,8 @@ class TestTune:
         data[len(data) // 2] = 0xFF
         path.write_bytes(bytes(data))
         rehash(tmp / "b", "observations.csv")
-        capsys.readouterr()
-        assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--out", tmp / "s") == 2
-        assert f"{path}: not a readable CSV file" in capsys.readouterr().err
+        assert_refused(capsys, tmp / "s", "stream", "--config", cfg, "--bundle", tmp / "b",
+                       names=[f"{path}: not a readable CSV file"])
 
     @pytest.mark.parametrize("index, value, message", [
         (0, float("nan"), "centroids[0] is nan, not a finite number"),
@@ -463,11 +453,8 @@ class TestTune:
         manifest = json.loads(manifest_path.read_text())
         del manifest["checksum"]
         manifest_path.write_text(json.dumps(manifest))
-        capsys.readouterr()
-        assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--static",
-                   "--out", tmp / "s") == 2
-        assert f"{path}: {message}" in capsys.readouterr().err
-        assert not (tmp / "s" / "stream_report.json").exists()
+        assert_refused(capsys, tmp / "s", "stream", "--config", cfg, "--bundle", tmp / "b",
+                       "--static", names=[f"{path}: {message}"])
 
     @pytest.mark.parametrize("name, edit, message", [
         ("state.json", capacity_five,
@@ -488,11 +475,8 @@ class TestTune:
         manifest = json.loads(manifest_path.read_text())
         del manifest["checksum"]
         manifest_path.write_text(json.dumps(manifest))
-        capsys.readouterr()
-        assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--static",
-                   "--out", tmp / "s") == 2
-        assert f"{tmp / 'b' / 'observations.csv'}: {message}" in capsys.readouterr().err
-        assert not (tmp / "s" / "stream_report.json").exists()
+        assert_refused(capsys, tmp / "s", "stream", "--config", cfg, "--bundle", tmp / "b",
+                       "--static", names=[f"{tmp / 'b' / 'observations.csv'}: {message}"])
 
     def test_manifest_must_list_every_bundle_file(self, workdir, capsys):
         # A file dropped from the manifest and from the directory is named, not a crash.
@@ -503,10 +487,8 @@ class TestTune:
         del manifest["files"]["observations.csv"]
         manifest_path.write_text(json.dumps(manifest))
         (tmp / "b" / "observations.csv").unlink()
-        capsys.readouterr()
-        assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--out", tmp / "s") == 2
-        assert (f"{manifest_path}: files does not list observations.csv"
-                in capsys.readouterr().err)
+        assert_refused(capsys, tmp / "s", "stream", "--config", cfg, "--bundle", tmp / "b",
+                       names=[f"{manifest_path}: files does not list observations.csv"])
 
     def test_manifest_entries_outside_the_bundle_ignored(self, workdir, capsys):
         # Only the bundle's own files are hashed: an extra entry is never read.
@@ -531,30 +513,22 @@ class TestTune:
             return read_bytes(path)
 
         monkeypatch.setattr(Path, "read_bytes", refused)
-        capsys.readouterr()
-        assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--out", tmp / "s") == 2
-        assert (f"{tmp / 'b' / 'thresholds.json'}: cannot read (Permission denied)"
-                in capsys.readouterr().err)
+        assert_refused(capsys, tmp / "s", "stream", "--config", cfg, "--bundle", tmp / "b",
+                       names=[f"{tmp / 'b' / 'thresholds.json'}: cannot read (Permission denied)"])
 
     @pytest.mark.parametrize("source", ["file", "set", "flag"])
     def test_parallel_clusters_rejected(self, workdir, capsys, source):
         # The key and the flag were removed; an old config must not be ignored.
         tmp, cfg = workdir
-        argv = ["tune", "--config", cfg, "--out", tmp / "b"]
+        argv = ["tune", "--config", cfg]
         if source == "file":
             cfg.write_text(SMALL_CONFIG + '{"section": "parallel", "clusters": "no"}\n')
         elif source == "set":
             argv += ["--set", "parallel.clusters=false"]
         else:
             argv += ["--parallel-clusters"]
-        try:
-            code = run(*argv)
-        except SystemExit as exc:  # argparse rejects the unknown flag
-            code = exc.code
-        assert code == 2
-        err = capsys.readouterr().err
-        assert ("--parallel-clusters" if source == "flag" else "parallel.clusters") in err
-        assert not (tmp / "b" / "thresholds.json").exists()
+        assert_refused(capsys, tmp / "b", *argv, names=[
+            "--parallel-clusters" if source == "flag" else "parallel.clusters"])
 
     @pytest.mark.parametrize("value", ["-1", "0", "2.5", '"5"'])
     def test_restarts_must_be_positive_integer(self, workdir, capsys, value):
@@ -571,8 +545,8 @@ class TestTune:
         assert run("tune", "--config", cfg, "--trace", trace, "--set", "cluster.fixed_k=4",
                    "--out", tmp / "b") == 0
         embeddings = load_trace(trace).embeddings
-        want = kmeans_fit(embeddings, 4, 0, restarts=3)
-        assert want.inertia != kmeans_fit(embeddings, 4, 0).inertia
+        want = fit_k(embeddings, 4, 0, restarts=3)
+        assert want.inertia != fit_k(embeddings, 4, 0).inertia
         got = load_centroids(tmp / "b" / "centroids.bin")
         assert got.inertia == want.inertia and np.array_equal(got.centroids, want.centroids)
 
@@ -623,9 +597,8 @@ class TestTune:
     ])
     def test_kappa_grid_checked(self, workdir, capsys, grid, named):
         tmp, cfg = workdir
-        assert run("tune", "--config", cfg, "--out", tmp / "b", "--kappa-grid", grid) == 2
-        err = capsys.readouterr().err
-        assert "--kappa-grid" in err and named in err
+        assert_refused(capsys, tmp / "b", "tune", "--config", cfg, "--kappa-grid", grid,
+                       names=["--kappa-grid", named])
 
     @pytest.mark.parametrize("settings, named", [
         (["cluster.fixed_k=null", "cluster.k_min=1"], "cluster.k_min=1"),
@@ -651,14 +624,12 @@ class TestTune:
     ])
     def test_unknown_config_key_rejected(self, workdir, capsys, line, setting, named):
         tmp, cfg = workdir
-        argv = ["tune", "--config", cfg, "--out", tmp / "b"]
+        argv = ["tune", "--config", cfg]
         if line is not None:
             cfg.write_text(SMALL_CONFIG + line + "\n")
         if setting is not None:
             argv += ["--set", setting]
-        assert run(*argv) == 2
-        assert named in capsys.readouterr().err
-        assert not (tmp / "b" / "thresholds.json").exists()
+        assert_refused(capsys, tmp / "b", *argv, names=[named])
 
 
 class TestOneRepresentation:
@@ -675,7 +646,7 @@ class TestOneRepresentation:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("train", "elbow_sweep", "kmeans_fit"):
+        for name in ("train", "fit_sweep"):
             monkeypatch.setattr(router, name, counting(name, getattr(router, name)))
         return calls
 
@@ -685,7 +656,7 @@ class TestOneRepresentation:
         tmp, cfg = workdir
         assert run(command, "--config", cfg, "--kappa-grid", "1,2,5", "--out", tmp / "o",
                    "--set", "cluster.fixed_k=null") == 0
-        assert calls == ["train", "elbow_sweep"]
+        assert calls == ["train", "fit_sweep"]
         assert (tmp / "o" / output).exists()
 
     def test_kappa_grid_bundle_equals_single_tune(self, workdir):
@@ -762,11 +733,8 @@ class TestStream:
         tmp, cfg = workdir
         assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
         cfg.write_text(SMALL_CONFIG + f'{{"section": "stream", "online": {value}}}\n')
-        capsys.readouterr()
-        assert run("stream", "--config", cfg, "--bundle", tmp / "b", "--out", tmp / "s") == 2
-        assert f"stream.online must be true or false; got {json.loads(value)!r}" in (
-            capsys.readouterr().err)
-        assert not (tmp / "s" / "stream_report.json").exists()
+        assert_refused(capsys, tmp / "s", "stream", "--config", cfg, "--bundle", tmp / "b",
+                       names=[f"stream.online must be true or false; got {json.loads(value)!r}"])
 
     def test_online_false_streams_static(self, workdir):
         tmp, cfg = workdir
@@ -841,41 +809,30 @@ class TestStream:
         tmp, cfg = workdir
         trace = header_only_trace(tmp, cfg)
         assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
-        capsys.readouterr()
-        code = run_strict("stream", "--config", cfg, "--bundle", tmp / "b",
-                          "--trace", trace, "--out", tmp / "s")
-        assert code == 2
-        assert "empty.jsonl: trace holds no records" in capsys.readouterr().err
-        assert not (tmp / "s" / "stream_report.json").exists()
+        assert_refused(capsys, tmp / "s", "stream", "--config", cfg, "--bundle", tmp / "b",
+                       "--trace", trace, names=["empty.jsonl: trace holds no records"])
 
 
 class TestOverflowingWeights:
     @pytest.mark.parametrize("command", [("baseline", "--policy", "dlm-only"), ("tune",)])
     def test_exit_2_without_outputs(self, workdir, capsys, command):
         tmp, cfg = workdir
-        out = tmp / "w"
-        code = run(*command, "--config", cfg, "--set", "weights.lambda2=1e308", "--out", out)
-        assert code == 2
-        assert "lambda1=1.0, lambda2=1e+308 and lambda3=0.2" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert_refused(capsys, tmp / "w", *command, "--config", cfg,
+                       "--set", "weights.lambda2=1e308",
+                       names=["lambda1=1.0, lambda2=1e+308 and lambda3=0.2"])
 
     def test_overflowing_spread_exit_2(self, workdir, capsys):
         # Utilities whose magnitudes add up but whose squares do not: the GP
         # fit's standardization overflowed on them and tuned from NaN.
         tmp, cfg = workdir
-        out = tmp / "w"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = run("tune", "--config", cfg, "--set", "synthetic.n_queries=300",
-                       "--set", "weights.lambda2=1e300", "--out", out)
-        assert code == 2
-        assert "lambda1=1.0, lambda2=1e+300 and lambda3=0.2" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert_refused(capsys, tmp / "w", "tune", "--config", cfg,
+                       "--set", "synthetic.n_queries=300", "--set", "weights.lambda2=1e300",
+                       names=["lambda1=1.0, lambda2=1e+300 and lambda3=0.2"])
 
     @pytest.mark.parametrize("lambda2, code", [("5e152", 0), ("1e153", 2)])
-    def test_spread_at_the_bound(self, workdir, monkeypatch, lambda2, code):
+    def test_spread_at_the_bound(self, workdir, capsys, monkeypatch, lambda2, code):
         # On this trace the bound falls between the two: below it the GP fit's
-        # scale stays finite, with every RuntimeWarning an error.
+        # scale stays finite, with every warning an error.
         tmp, cfg = workdir
         scales = []
         gp_fit = bayesopt.gp_fit
@@ -886,10 +843,12 @@ class TestOverflowingWeights:
             return gp
 
         monkeypatch.setattr(bayesopt, "gp_fit", spy)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert run("tune", "--config", cfg, "--set", "synthetic.n_queries=300",
-                       "--set", f"weights.lambda2={lambda2}", "--out", tmp / "w") == code
+        argv = ("tune", "--config", cfg, "--set", "synthetic.n_queries=300",
+                "--set", f"weights.lambda2={lambda2}")
+        if code == 0:
+            assert run_strict(*argv, "--out", tmp / "w") == 0
+        else:
+            assert_refused(capsys, tmp / "w", *argv)
         assert (len(scales) > 0) == (code == 0)
         assert all(math.isfinite(scale) and scale > 1e150 for scale in scales)
 
@@ -905,21 +864,15 @@ class TestNonFiniteConfig:
     ])
     def test_gen_exit_2(self, workdir, capsys, setting, message):
         tmp, cfg = workdir
-        code = run("gen", "--config", cfg, "--set", "synthetic.n_queries=50",
-                   "--set", setting, "--out", tmp / "g")
-        assert code == 2
-        assert message in capsys.readouterr().err
-        assert not (tmp / "g").exists()
+        assert_refused(capsys, tmp / "g", "gen", "--config", cfg, "--set", "synthetic.n_queries=50",
+                       "--set", setting, names=[message])
 
     def test_stream_exit_2(self, workdir, capsys):
         tmp, cfg = workdir
         assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
-        capsys.readouterr()
-        code = run("stream", "--config", cfg, "--bundle", tmp / "b",
-                   "--set", "labels.alpha=-Infinity", "--out", tmp / "s")
-        assert code == 2
-        assert "labels.alpha must be a finite number; got -inf" in capsys.readouterr().err
-        assert not (tmp / "s").exists()
+        assert_refused(capsys, tmp / "s", "stream", "--config", cfg, "--bundle", tmp / "b",
+                       "--set", "labels.alpha=-Infinity",
+                       names=["labels.alpha must be a finite number; got -inf"])
 
 
 class TestBaseline:
@@ -939,28 +892,23 @@ class TestBaseline:
 
     def test_global_static_needs_taus(self, workdir, capsys):
         tmp, cfg = workdir
-        code = run("baseline", "--config", cfg, "--policy", "global-static",
-                   "--out", tmp / "g")
-        assert code == 2
-        assert "tau1" in capsys.readouterr().err
+        assert_refused(capsys, tmp / "g", "baseline", "--config", cfg, "--policy", "global-static",
+                       names=["tau1"])
 
     def test_global_static_missing_bundle_exit_2(self, workdir, capsys):
         tmp, cfg = workdir
-        code = run("baseline", "--config", cfg, "--policy", "global-static",
-                   "--tau1", "0.7", "--tau2", "0.3", "--bundle", tmp / "nope", "--out", tmp / "g")
-        assert code == 2
-        assert f"{tmp / 'nope'}: missing bundle_manifest.json" in capsys.readouterr().err
+        assert_refused(capsys, tmp / "g", "baseline", "--config", cfg, "--policy", "global-static",
+                       "--tau1", "0.7", "--tau2", "0.3", "--bundle", tmp / "nope",
+                       names=[f"{tmp / 'nope'}: missing bundle_manifest.json"])
 
     def test_tampered_predictor_exit_2(self, workdir, capsys):
         tmp, cfg = workdir
         assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
         path = tmp / "b" / "predictor.ckpt"
         set_payload_entry(path, 20, payload_entry(path, 20) + 100.0)  # params[0], still finite
-        capsys.readouterr()
-        assert run("baseline", "--config", cfg, "--policy", "global-static", "--tau1", "0.8",
-                   "--tau2", "0.4", "--bundle", tmp / "b", "--out", tmp / "g") == 2
-        assert "checksum mismatch for predictor.ckpt" in capsys.readouterr().err
-        assert not (tmp / "g" / "baseline_global_static_report.json").exists()
+        assert_refused(capsys, tmp / "g", "baseline", "--config", cfg, "--policy", "global-static",
+                       "--tau1", "0.8", "--tau2", "0.4", "--bundle", tmp / "b",
+                       names=["checksum mismatch for predictor.ckpt"])
 
     def test_value_error_in_baseline_route_is_a_bug(self, workdir, monkeypatch):
         tmp, cfg = workdir
@@ -984,19 +932,15 @@ class TestBaseline:
         path = tmp / "b" / "predictor.ckpt"
         set_payload_entry(path, index, value)
         rehash(tmp / "b", "predictor.ckpt")
-        capsys.readouterr()
-        assert run("baseline", "--config", cfg, "--policy", "global-static", "--tau1", "0.8",
-                   "--tau2", "0.4", "--bundle", tmp / "b", "--out", tmp / "g") == 2
-        assert f"{path}: {message}" in capsys.readouterr().err
-        assert not (tmp / "g" / "baseline_global_static_report.json").exists()
+        assert_refused(capsys, tmp / "g", "baseline", "--config", cfg, "--policy", "global-static",
+                       "--tau1", "0.8", "--tau2", "0.4", "--bundle", tmp / "b",
+                       names=[f"{path}: {message}"])
 
-    def test_infeasible_pair_is_config_error(self, workdir):
+    def test_infeasible_pair_is_config_error(self, workdir, capsys):
         tmp, cfg = workdir
         assert run("tune", "--config", cfg, "--out", tmp / "b") == 0
-        code = run("baseline", "--config", cfg, "--policy", "global-static",
-                   "--tau1", "0.3", "--tau2", "0.7", "--bundle", tmp / "b",
-                   "--out", tmp / "g")
-        assert code == 2
+        assert_refused(capsys, tmp / "g", "baseline", "--config", cfg, "--policy", "global-static",
+                       "--tau1", "0.3", "--tau2", "0.7", "--bundle", tmp / "b")
 
 
 class TestSweep:
@@ -1096,17 +1040,13 @@ class TestManifests:
 
     def test_non_finite_flag_exit_2(self, workdir, capsys):
         tmp, cfg = workdir
-        code = run("baseline", "--config", cfg, "--policy", "dlm-only", "--tau1", "nan",
-                   "--out", tmp / "n")
-        assert code == 2
-        assert "--tau1 must be a finite number; got nan" in capsys.readouterr().err
-        assert not (tmp / "n" / "manifest.json").exists()
+        assert_refused(capsys, tmp / "n", "baseline", "--config", cfg, "--policy", "dlm-only",
+                       "--tau1", "nan", names=["--tau1 must be a finite number; got nan"])
 
     def test_unknown_scenario_exit_2(self, workdir, capsys):
         tmp, cfg = workdir
-        code = run("baseline", "--config", cfg, "--policy", "clm-only",
-                   "--set", 'network.scenario="lunar"', "--out", tmp / "x")
-        assert code == 2
+        assert_refused(capsys, tmp / "x", "baseline", "--config", cfg, "--policy", "clm-only",
+                       "--set", 'network.scenario="lunar"')
 
     def test_scenario_file_accepted(self, workdir):
         from tierroute.network import save_scenario, scenario_by_name
@@ -1117,16 +1057,6 @@ class TestManifests:
         code = run("baseline", "--config", cfg, "--policy", "clm-only",
                    "--network", scn, "--out", tmp / "y")
         assert code == 0
-
-
-def assert_refused(capsys, out, *argv, names=()):
-    """``argv --out out`` exits 2 with an error naming each of ``names``, and
-    leaves no file in ``out``."""
-    capsys.readouterr()
-    assert run(*argv, "--out", out) == 2
-    err = capsys.readouterr().err
-    assert "internal error" not in err and all(str(name) in err for name in names), err
-    assert not [path for path in out.rglob("*") if path.is_file()]
 
 
 def edit_record(src, dst, edit):
@@ -1160,9 +1090,8 @@ class TestRefusedInputs:
         tmp, cfg = workdir
         (tmp / "f").write_text("x")
         out = tmp / "f" / below
-        assert run("gen", "--config", cfg, "--out", out) == 2
-        assert (f"run.output_dir {str(out)!r}: cannot make the directory"
-                in capsys.readouterr().err)
+        assert_refused(capsys, out, "gen", "--config", cfg,
+                       names=[f"run.output_dir {str(out)!r}: cannot make the directory"])
         assert (tmp / "f").read_text() == "x"
 
     @pytest.mark.parametrize("out, named", [(False, "$TIERROUTE_OUT"), (True, "run.output_dir")])
@@ -1172,11 +1101,42 @@ class TestRefusedInputs:
         (tmp / "f").write_text("x")
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp / "f"))
         monkeypatch.chdir(tmp)
-        assert run("gen", "--config", cfg, *(["--out", tmp / "f"] if out else [])) == 2
-        err = capsys.readouterr().err
-        assert f"error: {named} {str(tmp / 'f')!r}: cannot make the directory (File exists)" in err
+        assert_refused(capsys, tmp / "f", "gen", "--config", cfg, out_flag=out, names=[
+            f"error: {named} {str(tmp / 'f')!r}: cannot make the directory (File exists)"])
         assert sorted(path.name for path in tmp.iterdir()) == ["cfg.jsonl", "f"]
         assert (tmp / "f").read_text() == "x"
+
+    @pytest.mark.parametrize("argv, out", [
+        (["tune", "--out", "newout", "--set", "bo.offline_budget=0"], "newout"),
+        (["stream", "--bundle", "nosuch", "--out", "deep/a/b"], "deep"),
+        (["baseline", "--policy", "global-static"], "tierroute-out"),
+    ], ids=["tune", "nested", "default"])
+    def test_refusal_removes_the_directories_it_made(self, workdir, capsys, monkeypatch,
+                                                     argv, out):
+        tmp, cfg = workdir
+        monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+        monkeypatch.chdir(tmp)
+        before = sorted(tmp.iterdir())
+        assert_refused(capsys, tmp / out, *argv, "--config", cfg, out_flag=False)
+        assert sorted(tmp.iterdir()) == before
+
+    def test_refusal_keeps_a_directory_holding_a_file(self, workdir, capsys, monkeypatch):
+        # Only empty directories are removed: one the command wrote into stays, with its parent.
+        tmp, cfg = workdir
+
+        def refused(*args):
+            raise cli.ConfigError("refused after the checkpoint")
+
+        monkeypatch.setattr(cli, "_write_labels_and_report", refused)
+        assert run("train", "--config", cfg, "--out", tmp / "x" / "y") == 2
+        assert "refused after the checkpoint" in capsys.readouterr().err
+        assert [path.name for path in (tmp / "x").rglob("*")] == ["y", "predictor.ckpt"]
+
+    def test_internal_error_keeps_the_directories(self, workdir, monkeypatch):
+        tmp, cfg = workdir
+        monkeypatch.setattr(cli, "fit_representation", None)
+        assert run("tune", "--config", cfg, "--out", tmp / "x" / "y") == 1
+        assert (tmp / "x" / "y").is_dir()
 
     @pytest.mark.parametrize("command, edit, message", [
         *(pytest.param(command, null_cloud_correct, "missing correct bit for tier cloud",
@@ -1318,7 +1278,7 @@ def test_library_and_cli_defaults_agree():
     seed_points = cli.DEFAULT_CONFIG["bo"]["seed_points"]
     assert (default(router.tune_thresholds, "seed_points")
             == default(bayesopt.optimize_offline, "seed_points") == seed_points)
-    assert (default(cluster.kmeans_fit, "restarts") == default(cluster.elbow_sweep, "restarts")
-            == ClusterConfig.restarts)
+    assert default(cluster.fit_sweep, "cluster") == ClusterConfig()
+    assert default(cluster.elbow_sweep, "restarts") == ClusterConfig.restarts
     assert (default(cluster.elbow_sweep, "k_min"), default(cluster.elbow_sweep, "k_max")) == (
         ClusterConfig.k_min, ClusterConfig.k_max)

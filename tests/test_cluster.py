@@ -9,14 +9,16 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from helpers import fit_k
 import tierroute
 from tierroute import cluster
 from tierroute.cluster import (
+    ClusterConfig,
     ClusterModel,
     assign_batch,
     elbow_select_k,
     elbow_sweep,
-    kmeans_fit,
+    fit_sweep,
     knee_point,
     load_centroids,
     save_centroids,
@@ -37,17 +39,17 @@ class TestKmeansFit:
     def test_k1_is_global_mean(self):
         rng = np.random.default_rng(1)
         points = rng.normal(size=(100, 5))
-        model = kmeans_fit(points, 1, seed=0)
+        model = fit_k(points, 1, seed=0)
         assert np.allclose(model.centroids[0], points.mean(axis=0), atol=1e-12)
 
     def test_k_equals_n_zero_inertia(self):
         points = np.arange(12, dtype=float).reshape(6, 2)
-        model = kmeans_fit(points, 6, seed=0)
+        model = fit_k(points, 6, seed=0)
         assert model.inertia == pytest.approx(0.0, abs=1e-12)
 
     def test_two_clouds_recovered(self):
         points, centers, cloud_means = two_clouds()
-        model = kmeans_fit(points, 2, seed=3)
+        model = fit_k(points, 2, seed=3)
         # Match each centroid to its nearest true center.
         order = np.argsort(model.centroids[:, 0])
         found = model.centroids[order]
@@ -59,24 +61,37 @@ class TestKmeansFit:
 
     def test_deterministic(self):
         points, _, _ = two_clouds(seed=5)
-        m1 = kmeans_fit(points, 3, seed=11)
-        m2 = kmeans_fit(points, 3, seed=11)
+        m1 = fit_k(points, 3, seed=11)
+        m2 = fit_k(points, 3, seed=11)
         assert np.array_equal(m1.centroids, m2.centroids)
         assert m1.inertia == m2.inertia
 
+    def test_best_of_restarts(self):
+        # The first k-means++ start merges two of the four clouds and a later one
+        # does not; with the same seed both fits begin with that first restart.
+        points = gaussian_clouds(1, 400, 6)
+        first = fit_k(points, 4, seed=1, restarts=1)
+        assert fit_k(points, 4, seed=1, restarts=5).inertia < first.inertia
+
     def test_k_greater_than_n_rejected(self):
         with pytest.raises(ValueError, match="k="):
-            kmeans_fit(np.zeros((3, 2)) + np.arange(3)[:, None], 4, seed=0)
+            fit_k(np.zeros((3, 2)) + np.arange(3)[:, None], 4, seed=0)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            kmeans_fit(np.zeros((0, 2)), 1, seed=0)
+            fit_k(np.zeros((0, 2)), 1, seed=0)
+
+    @pytest.mark.parametrize("fixed_k", [0, -1])
+    def test_fixed_k_below_one_rejected(self, fixed_k):
+        points, _, _ = two_clouds(seed=1, per_cloud=20)
+        with pytest.raises(ValueError, match=f"^fixed_k={fixed_k} must be >= 1$"):
+            fit_sweep(points, ClusterConfig(fixed_k=fixed_k), seed=0)
 
     @pytest.mark.parametrize("restarts", [0, -1])
     def test_restarts_below_one_rejected(self, restarts):
         points, _, _ = two_clouds(seed=1, per_cloud=20)
         with pytest.raises(ValueError, match=f"restarts={restarts} must be >= 1"):
-            kmeans_fit(points, 2, seed=0, restarts=restarts)
+            fit_k(points, 2, seed=0, restarts=restarts)
         with pytest.raises(ValueError, match=f"restarts={restarts} must be >= 1"):
             elbow_sweep(points, 2, 4, seed=0, restarts=restarts)
 
@@ -116,7 +131,7 @@ class TestElbow:
 
     def test_inertia_monotone_over_sweep(self):
         points, _, _ = two_clouds(seed=9, per_cloud=150)
-        inertias = [kmeans_fit(points, k, seed=2).inertia for k in range(2, 9)]
+        inertias = [fit_k(points, k, seed=2).inertia for k in range(2, 9)]
         for lo, hi in zip(inertias[1:], inertias[:-1]):
             assert lo <= hi + 1e-9
 
@@ -124,17 +139,17 @@ class TestElbow:
 class TestAssign:
     def test_exact_centroid_hits_own_index(self):
         points, _, _ = two_clouds(seed=2)
-        model = kmeans_fit(points, 2, seed=0)
+        model = fit_k(points, 2, seed=0)
         assert np.array_equal(assign_batch(model, model.centroids), [0, 1])
 
     def test_tie_breaks_to_lowest_index(self):
-        model = kmeans_fit(np.array([[0.0], [2.0]]), 2, seed=0)
+        model = fit_k(np.array([[0.0], [2.0]]), 2, seed=0)
         order = np.argsort(model.centroids[:, 0])
         # Midpoint is equidistant; the lower index must win.
         assert assign_batch(model, np.array([1.0]))[0] == min(order[0], order[1])
 
     def test_dimension_mismatch(self):
-        model = kmeans_fit(np.zeros((4, 3)) + np.arange(4)[:, None], 2, seed=0)
+        model = fit_k(np.zeros((4, 3)) + np.arange(4)[:, None], 2, seed=0)
         with pytest.raises(DimensionMismatchError):
             assign_batch(model, np.zeros(2))
 
@@ -142,7 +157,7 @@ class TestAssign:
         cfg = SyntheticConfig(n_queries=800, embedding_dim=10, n_latent_clusters=4,
                               seed=33, cluster_separation=12.0)
         trace, truth = generate_synthetic_trace(cfg)
-        model = kmeans_fit(trace.embeddings, 4, seed=1)
+        model = fit_k(trace.embeddings, 4, seed=1)
         got = assign_batch(model, trace.embeddings)
         purity = sum(
             np.bincount(truth.cluster_of[got == j], minlength=4).max()
@@ -222,7 +237,7 @@ def gaussian_clouds(seed, n, d, offset=0.0):
 
 class TestMatchesBroadcastReference:
     def assert_fit_matches(self, points, k, seed):
-        model = kmeans_fit(points, k, seed)
+        model = fit_k(points, k, seed)
         centroids, inertia, revived = reference_fit(points, k, seed)
         assert np.array_equal(model.centroids, centroids)
         assert model.inertia == inertia
@@ -260,7 +275,7 @@ class TestMatchesBroadcastReference:
         unconverged = 0
         for seed in range(4):
             points = gaussian_clouds(seed, 400, 6)
-            model = kmeans_fit(points, 5, seed)
+            model = fit_k(points, 5, seed)
             centroids, inertia, _ = reference_fit(points, 5, seed, max_iter=max_iter)
             assert np.array_equal(model.centroids, centroids)
             assert model.inertia == inertia
@@ -282,7 +297,7 @@ class TestMatchesBroadcastReference:
             centroids, inertia = reference_lloyd(points, init.copy(), updates, revived)
             steps.append(revived[sum(map(len, steps)):])
             monkeypatch.setattr(cluster, "_MAX_ITER", updates)
-            model = kmeans_fit(points, k, seed, restarts=1)
+            model = fit_k(points, k, seed, restarts=1)
             assert np.array_equal(model.centroids, centroids)
             assert model.inertia == inertia
             # The update revives the clusters that the assignment before it leaves empty.
@@ -343,7 +358,7 @@ class TestConcurrentSweep:
         return sizes
 
     def test_same_models_for_any_thread_count(self, monkeypatch, points, pool_sizes):
-        serial = [kmeans_fit(points, k, seed=5, restarts=3) for k in self.KS]
+        serial = [cluster._fit(points, k, 5, 3) for k in self.KS]
         serial_k = knee_point(np.array(self.KS), np.array([m.inertia for m in serial]))
         monkeypatch.setattr(cluster, "_ENTRIES_PER_THREAD", 1)
         for cpus in (1, 4):
@@ -351,7 +366,7 @@ class TestConcurrentSweep:
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-5)  # interleave the fits as finely as possible
             try:
-                models = cluster._sweep(points, self.KS, 5, 3)
+                models = fit_sweep(points, ClusterConfig(2, 8, restarts=3), 5)
             finally:
                 sys.setswitchinterval(interval)
             assert [m.k for m in models] == list(self.KS)
@@ -423,6 +438,7 @@ class TestConcurrentSweep:
         assert threading.active_count() == threads_before
         caller = threading.get_ident()
         assert ("tierroute.cluster.elbow_sweep", caller) in entered
+        assert ("tierroute.cluster.fit_sweep", caller) in entered
         assert ("tierroute.cluster.elbow_select_k", caller) in entered
         assert ("tierroute.cluster.knee_point", caller) in entered
         assert {thread for _, thread in entered} == {caller}
@@ -444,7 +460,7 @@ class TestBlockedSqDists:
 class TestCentroidIO:
     def test_round_trip(self, tmp_path):
         points, _, _ = two_clouds(seed=4)
-        model = kmeans_fit(points, 2, seed=7)
+        model = fit_k(points, 2, seed=7)
         path = tmp_path / "c.bin"
         save_centroids(model, path)
         loaded = load_centroids(path)
@@ -456,7 +472,7 @@ class TestCentroidIO:
 
     def test_corrupt_payload_rejected(self, tmp_path):
         points, _, _ = two_clouds(seed=4)
-        model = kmeans_fit(points, 2, seed=7)
+        model = fit_k(points, 2, seed=7)
         path = tmp_path / "c.bin"
         save_centroids(model, path)
         path.write_bytes(path.read_bytes()[:-4])

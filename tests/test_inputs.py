@@ -89,8 +89,7 @@ def test_malformed_input_exits_2_naming_it(made, tmp_path, capsys, source, case)
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert all(name in err for name in names), err
-    out = tmp_path / "o"
-    assert not out.exists() or sorted(out.rglob("*")) == []
+    assert not (tmp_path / "o").exists()
 
 
 def deepest_decodable():
@@ -123,7 +122,7 @@ def test_set_value_near_the_decode_limit_never_exits_1(made, tmp_path, capsys, c
         if code == 0:
             assert "manifest.json" in written
             continue
-        assert code == 2 and written == [], (depth, written, err[-200:])
+        assert code == 2 and not out.exists(), (depth, written, err[-200:])
         if "manifest.json" in err:
             refused.append(depth)
     assert refused, "no depth reached the manifest's encoding"

@@ -15,6 +15,7 @@ from tierroute.errors import DimensionMismatchError, TrainingDivergedError
 from tierroute.labels import LabelConfig, build_labels
 from tierroute.mlp import (
     MlpConfig,
+    _backward,
     _sigmoid,
     gradient_check,
     init_model,
@@ -32,6 +33,14 @@ def tiny_cfg(**kw):
                 early_stop_patience=2, validation_fraction=0.2)
     base.update(kw)
     return MlpConfig(**base)
+
+
+def split_rows(cfg, n):
+    """``train``'s (training, validation) row indices: the first permutation its
+    seed draws, with the last round(validation_fraction * n) rows held out."""
+    order = np.random.default_rng(cfg.seed).permutation(n)
+    n_val = round(cfg.validation_fraction * n)
+    return order[:n - n_val], order[n - n_val:]
 
 
 class TestInit:
@@ -225,6 +234,34 @@ class TestTrain:
         cfg = tiny_cfg(max_epochs=40, early_stop_patience=40)
         _, report = train(init_model(cfg), x, t)
         assert report.final_val_mse <= report.loss_curve[0][2] + 1e-12
+
+    def test_returns_the_best_validation_snapshot(self):
+        # Training runs on past its best epoch; the model returned is that epoch's.
+        rng = np.random.default_rng(5)
+        x, t = rng.normal(size=(150, 3)), rng.random(150)
+        cfg = tiny_cfg(max_epochs=30, early_stop_patience=30, learning_rate=1e-2)
+        model, report = train(init_model(cfg), x, t)
+        val_curve = [val for _, _, val in report.loss_curve]
+        assert report.final_val_mse == min(val_curve) < val_curve[-1]
+        _, val = split_rows(cfg, len(x))
+        assert np.mean((predict_batch(model, x[val]) - t[val]) ** 2) == report.final_val_mse
+
+    def test_first_adam_step_moves_by_the_learning_rate(self):
+        # One epoch of one batch is one Adam step. With both moments bias-corrected
+        # it moves each parameter by lr * g / (|g| + eps) against its gradient g.
+        rng = np.random.default_rng(4)
+        x, t = rng.normal(size=(50, 3)), rng.random(50)
+        cfg = tiny_cfg(max_epochs=1, batch_size=64)
+        start = init_model(cfg)
+        moved, _ = train(start, x, t)
+        start.input_mean, start.input_scale = moved.input_mean, moved.input_scale
+        rows, _ = split_rows(cfg, len(x))
+        grad, _ = _backward(start, x[rows], t[rows])
+        assert np.all(grad != 0.0)
+        step = start.params - moved.params
+        assert np.array_equal(np.sign(step), np.sign(grad))
+        lr, eps = cfg.learning_rate, 1e-8
+        assert np.all(np.abs(np.abs(step) - lr) <= lr * (eps / np.abs(grad) + 1e-9))
 
     def test_divergence_raises_with_epoch(self):
         rng = np.random.default_rng(2)

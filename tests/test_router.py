@@ -11,6 +11,7 @@ import pytest
 from helpers import (
     rehash,
     build_state,
+    fit_k,
     hetero_config,
     nested_correctness,
     quick_bo,
@@ -26,7 +27,7 @@ from tierroute.accounting import (
 )
 from tierroute.bayesopt import ThresholdPair, refresh_online
 from tierroute.errors import BundleIntegrityError, CorruptStateError, DimensionMismatchError
-from tierroute.cluster import ClusterConfig, assign_batch, elbow_select_k, elbow_sweep, kmeans_fit
+from tierroute.cluster import ClusterConfig, assign_batch, elbow_select_k, elbow_sweep, fit_sweep
 from tierroute.labels import LabelConfig, build_labels
 from tierroute.mlp import init_model, predict_batch
 from tierroute.network import scenario_by_name
@@ -225,28 +226,28 @@ class TestRepresentationOnce:
             checksums.append(state_checksum(shared))
         assert len(set(checksums)) == 3
 
-    def test_elbow_model_is_kmeans_fit_of_chosen_k(self, fitted, monkeypatch):
+    def test_elbow_model_is_the_sweep_model_of_chosen_k(self, fitted, monkeypatch):
         trace, labels, mlp_cfg = fitted
         calls = []
 
-        def counting_fit(*args, **kwargs):
-            calls.append(args)
-            return kmeans_fit(*args, **kwargs)
+        def counting_sweep(embeddings, cluster, seed):
+            calls.append(cluster)
+            return fit_sweep(embeddings, cluster, seed)
 
-        monkeypatch.setattr("tierroute.router.kmeans_fit", counting_fit)
-        monkeypatch.setattr("tierroute.cluster.kmeans_fit", counting_fit)
-        rep = fit_representation(trace, labels, mlp_config=mlp_cfg,
-                                 cluster=ClusterConfig(k_min=2, k_max=6, restarts=2))
-        assert calls == []
+        monkeypatch.setattr("tierroute.router.fit_sweep", counting_sweep)
+        elbow = ClusterConfig(k_min=2, k_max=6, restarts=2)
+        rep = fit_representation(trace, labels, mlp_config=mlp_cfg, cluster=elbow)
         k = elbow_select_k(elbow_sweep(trace.embeddings, 2, 6, mlp_cfg.seed, restarts=2))
-        ref = kmeans_fit(trace.embeddings, k, mlp_cfg.seed, restarts=2)
+        ref = fit_k(trace.embeddings, k, mlp_cfg.seed, restarts=2)
         assert rep.clusters.k == k == 3
         assert np.array_equal(rep.clusters.centroids, ref.centroids)
         assert (rep.clusters.inertia, rep.clusters.seed) == (ref.inertia, ref.seed)
         assert np.array_equal(rep.membership, assign_batch(ref, trace.embeddings))
-        fixed = fit_representation(trace, labels, mlp_config=mlp_cfg,
-                                   cluster=ClusterConfig(restarts=2, fixed_k=4))
-        assert len(calls) == 1 and fixed.clusters.k == 4
+        fixed_k = ClusterConfig(restarts=2, fixed_k=4)
+        fixed = fit_representation(trace, labels, mlp_config=mlp_cfg, cluster=fixed_k)
+        ref = fit_k(trace.embeddings, 4, mlp_cfg.seed, restarts=2)
+        assert calls == [elbow, fixed_k] and fixed.clusters.k == 4
+        assert np.array_equal(fixed.clusters.centroids, ref.centroids)
 
 
 class TestRunStream:

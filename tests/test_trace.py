@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import column_trace
+from helpers import column_trace, fit_k
 from tierroute.cli import main
 from tierroute.errors import TraceFormatError, TraceValidationError
 from tierroute.trace import (
@@ -20,7 +20,7 @@ from tierroute.trace import (
     load_trace,
     save_trace,
 )
-from tierroute.cluster import assign_batch, kmeans_fit
+from tierroute.cluster import assign_batch
 from tierroute.labels import build_labels
 
 
@@ -161,6 +161,7 @@ class TestStrictBooleans:
             load_trace(path)
         assert main(["train", "--trace", str(path), "--out", str(tmp_path / "t")]) == 2
         assert "q0" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
 
     def test_null_or_absent_correct_accepted(self, tmp_path):
         def edit(obj):
@@ -257,7 +258,7 @@ class TestSyntheticGeneration:
         cfg = SyntheticConfig(n_queries=600, embedding_dim=16, n_latent_clusters=3,
                               seed=11, cluster_separation=12.0)
         trace, truth = generate_synthetic_trace(cfg)
-        model = kmeans_fit(trace.embeddings, 3, seed=0)
+        model = fit_k(trace.embeddings, 3, seed=0)
         got = assign_batch(model, trace.embeddings)
         # Purity against the latent labels.
         purity = 0.0

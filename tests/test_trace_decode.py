@@ -403,6 +403,7 @@ def two_record_file(tmp_path) -> Path:
 
 def expect_exit_2(tmp_path, capsys, path, *needles):
     assert main(["train", "--trace", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
     err = capsys.readouterr().err
     for needle in (str(path), *needles):
         assert needle in err

@@ -96,6 +96,15 @@ MUTANTS = (
          "    rep = fit_representation(trace, labels, cluster=ClusterConfig(\n"
          "        cluster.k_min, cluster.k_max, cluster.fixed_k),\n"),
     )),
+    Mutant("k-means keeps its first restart, not the lowest-inertia one", "cluster.py", (
+        ("        if inertia < best_inertia:\n", "        if best_centroids is None:\n"),
+    )),
+    Mutant("train returns the last epoch's weights, not the best-validation snapshot", "mlp.py", (
+        ("    return best, report\n", "    return work, report\n"),
+    )),
+    Mutant("Adam drops its first-moment bias correction", "mlp.py", (
+        ("cfg.learning_rate * (m / corr1) / ", "cfg.learning_rate * m / "),
+    )),
 )
 
 
